@@ -134,15 +134,22 @@ class SigmaRep:
 
     # -- invariant checks ----------------------------------------------------
 
-    def check_homomorphism(self, rng, trials: int = 100) -> None:
-        keys = list(self.table)
-        for _ in range(trials):
-            k1 = rng.choice(keys)
-            k2 = rng.choice(keys)
-            prod = _key_mul(k1, k2, self.modulus)
-            if not mat_eq(mat_mul(self.table[k1], self.table[k2]), self.table[prod]):
-                raise SigmaValidationError(
-                    f"table is not multiplicative at {k1} * {k2}")
+    def check_homomorphism(self) -> None:
+        """Complete multiplicativity check: table[I] = I and
+        table[k g] = table[k] table[g] for every key k and each generator g
+        in {n(1), w}.  These generate SL(2, Z/p^l), so by induction on word
+        length table[k h] = table[k] table[h] for every pair (k, h)."""
+        m = self.modulus
+        ident = self.table.get((1, 0, 0, 1))
+        if ident is None or not mat_eq(ident, mat_identity(self.ctx.q, self.dim)):
+            raise SigmaValidationError("table is not the identity at the identity")
+        for gkey in (self.n_key(1), (0, m - 1, 1, 0)):
+            gval = self.table[gkey]
+            for key, val in self.table.items():
+                prod = self.table.get(_key_mul(key, gkey, m))
+                if prod is None or not mat_eq(mat_mul(val, gval), prod):
+                    raise SigmaValidationError(
+                        f"table is not multiplicative at {key} * {gkey}")
 
     def check_conductor(self) -> None:
         """Conductor is exactly `level`: the table is keyed mod p^level (so it
@@ -168,12 +175,12 @@ class SigmaRep:
             acc = mat_add(acc, self.table[self.n_key(c * p ** (l - 1))])
         return acc
 
-    def validate(self, rng=None) -> None:
+    def validate(self) -> None:
         order = sl2_group_order(self.ctx.p, self.level)
         if len(self.table) != order:
             raise SigmaValidationError(
                 f"table has {len(self.table)} entries, expected {order}")
-        self.check_homomorphism(rng or random.Random(0))
+        self.check_homomorphism()
         self.check_conductor()
         if not mat_is_zero(self.strong_cuspidality_sum()):
             raise SigmaValidationError(
@@ -223,11 +230,11 @@ def builtin_sigma_p3(ctx: PadicContext, which: int) -> SigmaRep:
     }
     table = _close_table(ctx, 1, 1, generators)
     sigma = SigmaRep(ctx, 1, 1, table)
-    sigma.validate(random.Random(1))
+    sigma.validate()
     return sigma
 
 
-def sigma_from_dict(ctx: PadicContext, data: dict, rng=None) -> SigmaRep:
+def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
     """Load a sigma table from its file format:
 
         {"p": int, "l": int, "dim": int,
@@ -236,8 +243,9 @@ def sigma_from_dict(ctx: PadicContext, data: dict, rng=None) -> SigmaRep:
                              [[exp_num, exp_den], [coeff_num, coeff_den]]
                       meaning sum coeff * e(2 pi i exp)}]}
 
-    The loader validates determinant, multiplicativity on random pairs,
-    conductor exactness and strong cuspidality before accepting."""
+    The loader validates determinant, multiplicativity (complete, against
+    the generators), conductor exactness and strong cuspidality before
+    accepting."""
     if int(data["p"]) != ctx.p:
         raise SigmaValidationError(f"table is for p={data['p']}, context has p={ctx.p}")
     level = int(data["l"])
@@ -262,7 +270,7 @@ def sigma_from_dict(ctx: PadicContext, data: dict, rng=None) -> SigmaRep:
             for row in rep)
         table[key] = mat
     sigma = SigmaRep(ctx, level, dim, table)
-    sigma.validate(rng or random.Random(2))
+    sigma.validate()
     return sigma
 
 
@@ -429,7 +437,7 @@ class Representation:
         self.dim = sigma.dim
         self.psi = AdditiveCharacter(self.ctx)
         if validate:
-            sigma.validate(random.Random(seed))
+            sigma.validate()
             validate_kubota_splitting(self.ctx, random.Random(seed + 1), trials=128)
         basis = EigenBasis(sigma)
         self.betas = basis.betas

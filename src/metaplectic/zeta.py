@@ -29,7 +29,13 @@ from .exactnum import (
     frac_valuation,
     q_half_power,
 )
-from .localchar import AdditiveCharacter, MultChar, chi_psi, hilbert_frac
+from .localchar import (
+    AdditiveCharacter,
+    MultChar,
+    chi_psi,
+    hilbert_frac,
+    square_class_data,
+)
 from .cover import MetaElement, SL2Element
 from .repn import InducedVector, Representation
 
@@ -75,14 +81,14 @@ def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str) -> CycVal
     raise ValueError(f"unknown measure {measure!r}")
 
 
-_MAX_GATE_SAMPLES = 3**11
+_MAX_GATE_SAMPLES = 3**11  # samples one gate pass may take, compared with p**level
 
 
-def _gated(compute, level: int, what: str):
+def _gated(compute, p: int, level: int, what: str):
     """Locally-constant refinement gate: accept once level and level+1 agree;
     on mismatch double the level, twice at most."""
     for attempt in range(3):
-        if 3**level > _MAX_GATE_SAMPLES:
+        if p**level > _MAX_GATE_SAMPLES:
             raise NotLocallyConstantError(
                 f"{what}: refinement level {level} exceeds the sampling budget")
         v1 = compute(level)
@@ -96,7 +102,7 @@ def _gated(compute, level: int, what: str):
 def integrate_shell(ctx: PadicContext, f, plan: ShellIntegralPlan) -> CycValue:
     """Exact integral of a locally constant f over the shell p^n Z_p^x."""
     return _gated(lambda lv: _shell_sum(ctx, f, plan.n, lv, plan.measure),
-                  max(1, plan.level), f"shell n={plan.n}")
+                  ctx.p, max(1, plan.level), f"shell n={plan.n}")
 
 
 def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
@@ -110,7 +116,7 @@ def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
         vals = [f(a * pm) for a in range(count)]
         return CycValue.sum(vals, q) * Fraction(q) ** (-lv)
 
-    return _gated(compute, max(level, m + 1), f"ball P^{m}")
+    return _gated(compute, p, max(level, m + 1), f"ball P^{m}")
 
 
 def improper_integral(ctx: PadicContext, f, max_range: int,
@@ -244,8 +250,9 @@ class BesselTable:
     The defining improper integral (direct method) is authoritative; it is
     the only method on the shells -level < v(x) <= 0 where the closed
     formula's precondition fails.  On deeper shells the closed shell-sum is
-    used after ``validate_agreement`` has pinned the two methods against
-    each other there."""
+    used once the shell has passed the two-method spot check
+    (``_ensure_shell_checked``); a shell whose check failed stays unchecked,
+    so every later lookup there repeats the check and raises again."""
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
@@ -277,7 +284,6 @@ class BesselTable:
         """Two-method agreement spot check, once per closed-formula shell."""
         if n in self._checked_shells:
             return
-        self._checked_shells.add(n)
         p = self.rep.ctx.p
         pn = Fraction(p) ** n
         units = _unit_residues(p, 1)[:probes]
@@ -290,6 +296,7 @@ class BesselTable:
                     f"Bessel methods disagree at x={x}: direct {direct!r}, "
                     f"closed {closed!r}")
             self._values[x] = direct
+        self._checked_shells.add(n)
 
     def validate_agreement(self, shells, per_shell: int = 4) -> int:
         """Exact direct == closed comparison across shells; returns the
@@ -329,23 +336,99 @@ def bessel_table(rep: Representation, xi, eta) -> BesselTable:
 # -- gamma factors ---------------------------------------------------------------
 
 
+def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
+                      cache: dict | None = None) -> CycValue:
+    """G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
+
+    For v(a) >= n (or a = 0) psi(a y) is trivial on the shell.  Otherwise
+    y = z/a gives
+
+        G_n(a) = q^v(a) chi_psi(a) mu(a)^{-1} T(v(a), class(a)),
+        T = integral over v(z) = v(a) - n of chi_psi(z) mu(z) (z, a) psi(z) dz,
+
+    since chi_psi(z/a) = chi_psi(z) chi_psi(a) (z, a).  T depends on a only
+    through v(a) and the square class of a; `cache` memoizes it (and the
+    untwisted shell integral) across calls with the same ctx, mu and n."""
+    if cache is None:
+        cache = {}
+    p, q = ctx.p, ctx.q
+    a = Fraction(a)
+    alpha = None if a == 0 else int(frac_valuation(a, p))
+    if alpha is None or alpha >= n:
+        flat = cache.get(None)
+        if flat is None:
+            flat = integrate_shell(
+                ctx, lambda y: chi_psi(ctx.elem(y)) * mu.value(y),
+                ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
+            cache[None] = flat
+        return flat
+    key = (alpha, square_class_data(ctx.elem(a)))
+    t = cache.get(key)
+    if t is None:
+        psi = AdditiveCharacter(ctx)
+
+        def f(z: Fraction) -> CycValue:
+            value = chi_psi(ctx.elem(z)) * mu.value(z) * psi.value(z)
+            return value if hilbert_frac(p, z, a) == 1 else -value
+
+        # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
+        t = integrate_shell(ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1),
+                                                      ADDITIVE_DX))
+        cache[key] = t
+    mu_inv = CycValue.root_of_unity(q, -mu.value_exponent(a))
+    return t * chi_psi(ctx.elem(a)) * mu_inv * Fraction(q) ** alpha
+
+
 def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int,
                       table: BesselTable | None = None) -> CycValue:
     """gamma(n) = 2 q^{-n/2} * integral over |x| = q^n of
-    J^{xi,eta}(<x>w) chi_psi(x) mu(x) d*x."""
+    J^{xi,eta}(<x>w) chi_psi(x) mu(x) d*x.
+
+    On the shells n < level the Bessel values come from ``BesselTable``
+    (the defining integral, the only valid method there).  On the deep
+    shells n >= level the closed Bessel shell sum is substituted and the
+    order of integration swapped: with x = u y for a unit u, the Hilbert
+    sign (y/x, 1/y) = (u, y)
+    cancels against chi_psi(u y) = chi_psi(u) chi_psi(y) (u, y), leaving
+
+        gamma(n) = 2 q^{-n/2} * integral over Z_p^x of
+            c(u) chi_psi(u) mu(u) G_n(-(xi u^2 + eta)) d*u
+
+    with c(u) the (xi, eta) eigen-coefficient of sigma(<u>) and G_n the
+    twisted Gauss sum of ``twisted_gauss_sum``: about q^n work instead of
+    q^(2n).  Before a deep coefficient is accepted, the shell passes the
+    two-method Bessel spot check (direct == closed at two probes)."""
     ctx = rep.ctx
+    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+    eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
     if table is None:
         table = bessel_table(rep, xi, eta)
 
-    def f(x: Fraction) -> CycValue:
-        j = table.value(x)
-        if j.is_zero():
-            return j
-        return j * chi_psi(ctx.elem(x)) * mu.value(x)
+    if n >= rep.level:
+        table._ensure_shell_checked(-n)
+        b_xi, b_eta = rep.basis_index_for(xi), rep.basis_index_for(eta)
+        gauss_cache: dict = {}
 
-    # J is locally constant at relative level l + n on the shell |x| = q^n
-    level = max(rep.level + max(0, n), mu.m, 1)
-    shell = integrate_shell(ctx, f, ShellIntegralPlan(-n, level, MULTIPLICATIVE_DX))
+        def f(u: Fraction) -> CycValue:
+            c = rep.genuine_eval(MetaElement.torus(ctx, u))[b_xi][b_eta]
+            if c.is_zero():
+                return c
+            return (c * chi_psi(ctx.elem(u)) * mu.value(u)
+                    * twisted_gauss_sum(ctx, mu, n, -(xi * u * u + eta), gauss_cache))
+
+        # G_n(a) depends on a mod p^n, hence on u mod p^(n + level)
+        level = max(n + rep.level, mu.m, 1)
+        shell = integrate_shell(ctx, f, ShellIntegralPlan(0, level, MULTIPLICATIVE_DX))
+    else:
+        def f(x: Fraction) -> CycValue:
+            j = table.value(x)
+            if j.is_zero():
+                return j
+            return j * chi_psi(ctx.elem(x)) * mu.value(x)
+
+        # J is locally constant at relative level l + n on the shell |x| = q^n
+        level = max(rep.level + max(0, n), mu.m, 1)
+        shell = integrate_shell(ctx, f, ShellIntegralPlan(-n, level, MULTIPLICATIVE_DX))
     return shell * q_half_power(ctx.q, -n) * 2
 
 

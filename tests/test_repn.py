@@ -51,6 +51,20 @@ class TestBuiltinSigma:
             assert s1.table[k1][0][0] * s1.table[k2][0][0] == s1.table[prod][0][0]
 
 
+class TestHomomorphismCheck:
+    def test_builtins_pass(self, ctx):
+        for which in (1, 2):
+            builtin_sigma_p3(ctx, which).check_homomorphism()
+
+    def test_every_single_corruption_rejected(self, ctx):
+        s1 = builtin_sigma_p3(ctx, 1)
+        for key, mat in s1.table.items():
+            table = dict(s1.table)
+            table[key] = ((-mat[0][0],),)
+            with pytest.raises(SigmaValidationError):
+                SigmaRep(ctx, 1, 1, table).check_homomorphism()
+
+
 class TestStrongCuspidality:
     def test_builtins(self, ctx):
         assert check_strongly_cuspidal(builtin_sigma_p3(ctx, 1))

@@ -24,8 +24,14 @@ from metaplectic import (
     integrate_shell,
     zeta_function,
 )
-from metaplectic.exactnum import Q_NEG_S, Q_POS_S
-from metaplectic.zeta import NotLocallyConstantError, zeta_parity_holds
+from metaplectic import zeta
+from metaplectic.exactnum import Q_NEG_S, Q_POS_S, frac_valuation, q_half_power
+from metaplectic.zeta import (
+    BesselTable,
+    NotLocallyConstantError,
+    twisted_gauss_sum,
+    zeta_parity_holds,
+)
 from metaplectic.cover import SL2Element
 from metaplectic.localchar import hilbert_frac
 
@@ -71,6 +77,20 @@ class TestShellIntegral:
 
         with pytest.raises(NotLocallyConstantError):
             integrate_ball(ctx, f, 0, 1)
+
+    def test_sampling_budget_depends_on_p(self, ctx5):
+        # 5^8 samples exceed the budget although 3^8 would not
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return ctx5.one()
+
+        with pytest.raises(NotLocallyConstantError):
+            integrate_shell(ctx5, f, ShellIntegralPlan(0, 8, MULTIPLICATIVE_DX))
+        with pytest.raises(NotLocallyConstantError):
+            integrate_ball(ctx5, f, 0, 8)
+        assert calls == []
 
 
 class TestImproperIntegral:
@@ -185,6 +205,101 @@ class TestBessel:
         table = bessel_table(rep1, XI, XI)
         assert table.validate_agreement([-2, -1], per_shell=2) == 4
         assert table.value(Fraction(1, 3)) == table.closed_value(Fraction(1, 3))
+
+
+    def test_failed_spot_check_is_not_remembered(self, rep1, monkeypatch):
+        closed = zeta.bessel_closed
+        monkeypatch.setattr(zeta, "bessel_closed",
+                            lambda *args: closed(*args) + CycValue.one(3))
+        table = BesselTable(rep1, XI, XI)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                table.value(Fraction(5, 9))
+        assert -2 not in table._checked_shells
+
+
+def _direct_gauss_sum(ctx, mu, n, a):
+    """G_n(a) from its definition, starting at the level where the
+    integrand chi_psi(y) mu(y) psi(a y) is locally constant on v(y) = -n."""
+    psi = AdditiveCharacter(ctx)
+
+    def f(y):
+        return chi_psi(ctx.elem(y)) * mu.value(y) * psi.value(a * y)
+
+    alpha = frac_valuation(a, ctx.p) if a != 0 else n
+    level = max(n - int(alpha), mu.m, 1)
+    return integrate_shell(ctx, f, ShellIntegralPlan(-n, level, ADDITIVE_DX))
+
+
+class TestTwistedGaussSum:
+    @pytest.mark.parametrize("p, m, p_exponent, gen", [
+        (3, 0, Fraction(1, 4), 0),
+        (3, 1, Fraction(1, 3), 1),
+        (3, 2, Fraction(1, 4), 1),
+        (5, 0, Fraction(1, 2), 0),
+        (5, 1, Fraction(1, 4), 1),
+    ])
+    def test_every_branch_against_definition(self, ctx, ctx5, p, m, p_exponent, gen):
+        # v(a) < 0, 0 <= v(a) < n and v(a) >= n, over both unit square
+        # classes and both valuation parities, several units per class so
+        # the prefactor chi_psi(a) mu(a)^{-1} is exercised within a class
+        c = ctx if p == 3 else ctx5
+        mu = MultChar(c, m, p_exponent, gen)
+        units = [u for u in range(1, 2 * p) if u % p]
+        for n in (1, 2):
+            cache: dict = {}
+            points = [Fraction(0)] + [Fraction(u) * Fraction(p) ** alpha
+                                      for alpha in range(-1, n + 2) for u in units]
+            for a in points:
+                assert twisted_gauss_sum(c, mu, n, a, cache) == \
+                    _direct_gauss_sum(c, mu, n, a), (n, a)
+            # one untwisted entry, one T per (v(a) < n, unit square class)
+            assert len(cache) == 1 + 2 * (n + 1)
+
+
+def _gamma_via_bessel_table(rep, xi, mu, n):
+    """The oracle: gamma(n) as the shell integral of J chi_psi mu over
+    |x| = q^n, with every Bessel value taken from the BesselTable."""
+    ctx = rep.ctx
+    table = bessel_table(rep, xi, xi)
+
+    def f(x):
+        j = table.value(x)
+        if j.is_zero():
+            return j
+        return j * chi_psi(ctx.elem(x)) * mu.value(x)
+
+    level = max(rep.level + max(0, n), mu.m, 1)
+    shell = integrate_shell(ctx, f, ShellIntegralPlan(-n, level, MULTIPLICATIVE_DX))
+    return shell * q_half_power(ctx.q, -n) * 2
+
+
+class TestGammaDeepShells:
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("m, p_exponent, gen", [
+        (0, Fraction(0), 0), (0, Fraction(1, 4), 0), (1, Fraction(1, 4), 1)])
+    def test_matches_bessel_table_oracle(self, rep1, rep2, which, m, p_exponent, gen):
+        rep = rep1 if which == 1 else rep2
+        xi = rep.spectrum().dedup[0].xi
+        mu = MultChar(rep.ctx, m, p_exponent, gen)
+        bound = 2 * max(rep.level, mu.m) - rep.level
+        for n in range(rep.level, bound + 2):
+            assert gamma_coefficient(rep, xi, xi, mu, n) == \
+                _gamma_via_bessel_table(rep, xi, mu, n), n
+
+    def test_conductor_two_matches_oracle(self, rep1):
+        mu = MultChar(rep1.ctx, 2, Fraction(0), 2)
+        bound = 2 * mu.m - rep1.level
+        values = {n: gamma_coefficient(rep1, XI, XI, mu, n)
+                  for n in range(rep1.level, bound + 1)}
+        for n, value in values.items():
+            assert value == _gamma_via_bessel_table(rep1, XI, mu, n), n
+        assert not values[1].is_zero()  # the comparison is not vacuous
+
+    def test_conductor_two_vanishes_above_bound(self, rep1):
+        mu = MultChar(rep1.ctx, 2, Fraction(0), 2)
+        bound = 2 * mu.m - rep1.level
+        assert gamma_coefficient(rep1, XI, XI, mu, bound + 1).is_zero()
 
 
 class TestGamma:
