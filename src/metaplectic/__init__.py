@@ -12,7 +12,6 @@ from .exactnum import (
     Q_NEG_S,
     Q_POS_S,
     S_TO_ONE_MINUS_S,
-    laurent_substitute,
     q_half_power,
 )
 from .localchar import (
@@ -33,8 +32,6 @@ from .cover import (
     cocycle,
     coset_decompose,
     kubota_split,
-    meta_inv,
-    meta_mul,
     validate_kubota_splitting,
 )
 from .repn import (

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, KElement, PadicContext, frac_valuation, p_fractional_part
+from .exactnum import (INFINITY, KElement, PadicContext, frac_mod, frac_valuation,
+                       p_fractional_part)
 from .localchar import hilbert_frac
 
 _ZERO = Fraction(0)
@@ -81,17 +82,17 @@ class SL2Element:
         p = self.ctx.p
         return all(e.denominator % p != 0 for e in (self.a, self.b, self.c, self.d))
 
+    def is_diagonal(self) -> bool:
+        return self.b == 0 and self.c == 0
+
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
     def reduce_mod(self, modulus: int):
         """Entries as integers modulo p^l; requires an integral matrix."""
-        out = []
-        for e in self.entries():
-            if e.denominator % self.ctx.p == 0:
-                raise ValueError("matrix is not integral at p")
-            out.append(e.numerator * pow(e.denominator, -1, modulus) % modulus)
-        return tuple(out)
+        if not self.is_integral():
+            raise ValueError("matrix is not integral at p")
+        return tuple(frac_mod(e, modulus) for e in self.entries())
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -155,14 +156,6 @@ class MetaElement:
 
     def __repr__(self):
         return f"[{self.g!r}, {self.eps:+d}]"
-
-
-def meta_mul(x: MetaElement, y: MetaElement) -> MetaElement:
-    return x * y
-
-
-def meta_inv(x: MetaElement) -> MetaElement:
-    return x.inverse()
 
 
 def kubota_split(h: SL2Element) -> int:
@@ -234,6 +227,12 @@ def validate_kubota_splitting(ctx: PadicContext, rng, trials: int = 200) -> None
                 f"Kubota splitting candidate failed on g={g!r}, h={h!r}")
 
 
+def coset_rep(ctx: PadicContext, t: Fraction, n: int) -> SL2Element:
+    """The representative n(t) diag(p^n, p^-n) = [[p^n, t p^-n], [0, p^-n]]."""
+    pn = Fraction(ctx.p) ** n
+    return SL2Element(ctx, pn, t / pn, _ZERO, 1 / pn)
+
+
 @dataclass(frozen=True)
 class CosetDecomposition:
     """Data of g = h * n(t) * diag(p^n, p^-n) with h integral and t the
@@ -246,9 +245,7 @@ class CosetDecomposition:
     eps_track: int
 
     def rep_matrix(self) -> SL2Element:
-        ctx = self.h.ctx
-        pn = Fraction(ctx.p) ** self.n
-        return SL2Element(ctx, pn, self.t / pn, _ZERO, 1 / pn)
+        return coset_rep(self.h.ctx, self.t, self.n)
 
     def rep_meta(self) -> MetaElement:
         return MetaElement(self.rep_matrix(), 1)
@@ -281,8 +278,7 @@ def coset_decompose(x: MetaElement | SL2Element) -> CosetDecomposition:
     )
     if not h.is_integral():
         raise ArithmeticError(f"coset decomposition produced a non-integral part for {g!r}")
-    rep = SL2Element(ctx, pn, t / pn, _ZERO, 1 / pn)
-    return CosetDecomposition(h, t, n, cocycle(h, rep, g))
+    return CosetDecomposition(h, t, n, cocycle(h, coset_rep(ctx, t, n), g))
 
 
 def decompose_meta(x: MetaElement):

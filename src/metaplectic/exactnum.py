@@ -108,6 +108,11 @@ def frac_unit_part(x: Fraction, p: int) -> Fraction:
     return x / Fraction(p) ** v
 
 
+def frac_mod(x: Fraction, modulus: int) -> int:
+    """x modulo a power of p, for x with denominator prime to p."""
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
 @lru_cache(maxsize=None)
 def p_fractional_part(x: Fraction, p: int) -> Fraction:
     """The map [.] : Q -> Q, the unique rational in [0,1) with p-power
@@ -673,7 +678,3 @@ class LaurentPoly:
             return "0"
         bits = [f"({self.coeffs[n]!r})*({self.var})^{n}" for n in self.support()]
         return " + ".join(bits)
-
-
-def laurent_substitute(poly: LaurentPoly, rule: str) -> LaurentPoly:
-    return poly.substitute(rule)

@@ -14,12 +14,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycValue, KElement, PadicContext, frac_valuation
-from .localchar import AdditiveCharacter, square_class_data
+from .exactnum import (
+    CycValue,
+    KElement,
+    PadicContext,
+    frac_mod,
+    frac_unit_part,
+    frac_valuation,
+    p_fractional_part,
+)
+from .localchar import AdditiveCharacter, hilbert_frac, square_class_data
 from .cover import (
     MetaElement,
     SL2Element,
-    coset_decompose,
+    coset_rep,
     decompose_meta,
     kubota_split,
     validate_kubota_splitting,
@@ -348,6 +356,22 @@ def eigenbasis(sigma: SigmaRep) -> EigenBasis:
 
 # -- induced vectors ----------------------------------------------------------
 
+def _accumulate(out: dict, t: Fraction, n: int, b: int, coeff: CycValue, mat: Matrix) -> None:
+    """Add coeff * sum over b2 of mat[b2][b] phi^{n(t)<p^n>}_{b2} to the terms
+    in out, dropping keys whose coefficient cancels to zero."""
+    for b2, row in enumerate(mat):
+        c = row[b]
+        if c.is_zero():
+            continue
+        key = (t, n, b2)
+        prev = out.get(key)
+        s = coeff * c if prev is None else prev + coeff * c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+
 class InducedVector:
     """A finite coefficient expansion sum c[(t, n, b)] * phi^{n(t)<p^n>}_b in
     the compact-induction model, coefficients in eigencoordinates."""
@@ -465,9 +489,14 @@ class Representation:
     # -- basic model ----------------------------------------------------------
 
     def phi(self, t=Fraction(0), n: int = 0, b: int = 0, coeff=None) -> InducedVector:
+        """coeff * phi^{n(t)<p^n>}_b, keyed at the canonical representative:
+        n(t)<p^n> = n(s) n([t])<p^n> with s = t - [t] integral, so the vector
+        is sum over b2 of sigma(n(-s))[b2][b] phi^{n([t])<p^n>}_{b2}, the
+        torus action at x = 1."""
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
-        return InducedVector.basis(self.ctx.q, Fraction(t), n, b, coeff)
+        v = InducedVector.basis(self.ctx.q, Fraction(t), n, b, coeff)
+        return InducedVector(self.ctx.q, self._torus_terms(v.terms, Fraction(1), 1))
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -491,27 +520,49 @@ class Representation:
     # -- the action -----------------------------------------------------------
 
     def act(self, g: MetaElement, v: InducedVector) -> InducedVector:
-        """pi(g) v; right translation in the induced model."""
+        """pi(g) v; right translation in the induced model.
+
+        Each term phi^{n(t)<p^n>}_b moves to the representative of the coset
+        of [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1], with coefficient matrix
+        the genuine value at [h, eps]^-1.  A diagonal g = [diag(x, 1/x), e]
+        normalizes the representative system, which gives that data in closed
+        form (``_torus_terms``); any other g goes through ``decompose_meta``."""
+        if g.g.is_diagonal():
+            return InducedVector(self.ctx.q, self._torus_terms(v.terms, g.g.a, g.eps))
         ginv = g.inverse()
         out: dict = {}
-        q = self.ctx.q
         for (t, n, b), coeff in v.terms.items():
-            rep = InducedVectorRep(self.ctx, t, n)
-            m = rep.meta() * ginv
-            h_meta, dec = decompose_meta(m)
-            mat = self.genuine_eval(h_meta.inverse())
-            key_base = (dec.t, dec.n)
-            for b2 in range(self.dim):
-                c = mat[b2][b]
-                if c.is_zero():
-                    continue
-                key = (key_base[0], key_base[1], b2)
-                s = out.get(key, CycValue.zero(q)) + coeff * c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return InducedVector(q, out)
+            h_meta, dec = decompose_meta(MetaElement(coset_rep(self.ctx, t, n), 1) * ginv)
+            _accumulate(out, dec.t, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
+        return InducedVector(self.ctx.q, out)
+
+    def _torus_terms(self, terms: dict, x: Fraction, e: int) -> dict:
+        """The terms of pi([diag(x, 1/x), e]) v for v with the given terms.
+
+        With x = p^k u, u a unit, t' = [t u^2] and
+        h^-1 = [[u, (t' - t u^2)/u], [0, 1/u]] (integral):
+
+            [n(t)<p^n>, 1] g^-1 = [h, eps] [n(t')<p^(n-k)>, 1],
+            eps = e (x, -p^-n) (p^(k-n), u),
+
+        and [h, eps]^-1 = [h^-1, eps] has genuine value eps * sigma(h^-1),
+        the Kubota sign of h^-1 being +1 (its lower-left entry is 0).  So each
+        term maps to one representative: no cover product, no cocycle and no
+        coset decomposition."""
+        p, m = self.ctx.p, self.sigma.modulus
+        k = int(frac_valuation(x, p))
+        u = frac_unit_part(x, p)
+        u_mod, u_inv_mod = frac_mod(u, m), frac_mod(1 / u, m)
+        out: dict = {}
+        for (t, n, b), coeff in terms.items():
+            tu2 = t * u * u
+            t2 = p_fractional_part(tu2, p)
+            eps = (e * hilbert_frac(p, x, -Fraction(p) ** -n)
+                   * hilbert_frac(p, Fraction(p) ** (k - n), u))
+            key = (u_mod, frac_mod((t2 - tu2) / u, m), 0, u_inv_mod)
+            mat = self._diag_table[key] if eps == 1 else self._diag_table_neg[key]
+            _accumulate(out, t2, n - k, b, coeff, mat)
+        return out
 
     def evaluate_vector(self, v: InducedVector, g: MetaElement):
         """The model vector phi evaluated at the cover point g, as a tuple of
@@ -549,6 +600,12 @@ class Representation:
         return CycValue.sum(vals, self.ctx.q)
 
     def whittaker_function(self, xi, v: InducedVector, g: MetaElement) -> CycValue:
+        """W^xi_v(g) = l^xi(pi(g) v).  A diagonal g = <x> moves the terms with
+        n to n - v(x), and l^xi reads only n = 0, so only the terms with
+        n = v(x) are acted on."""
+        if g.g.is_diagonal():
+            k = frac_valuation(g.g.a, self.ctx.p)
+            v = InducedVector(self.ctx.q, {key: c for key, c in v.terms.items() if key[1] == k})
         return self.whittaker_functional(xi, self.act(g, v))
 
     def c_factor(self, xi, a) -> CycValue:
@@ -583,21 +640,3 @@ class Representation:
         if set(acted.terms) != {key}:
             raise ArithmeticError("central element did not act by a scalar")
         return acted.terms[key]
-
-
-class InducedVectorRep:
-    """Helper wrapping a representative n(t) diag(p^n, p^-n)."""
-
-    __slots__ = ("ctx", "t", "n")
-
-    def __init__(self, ctx: PadicContext, t: Fraction, n: int):
-        self.ctx = ctx
-        self.t = t
-        self.n = n
-
-    def matrix(self) -> SL2Element:
-        pn = Fraction(self.ctx.p) ** self.n
-        return SL2Element(self.ctx, pn, self.t / pn, Fraction(0), 1 / pn)
-
-    def meta(self) -> MetaElement:
-        return MetaElement(self.matrix(), 1)

@@ -11,8 +11,15 @@ from metaplectic import (
     check_strongly_cuspidal,
     eigenbasis,
 )
-from metaplectic.cover import SL2Element, random_sl2_word, random_integral_sl2
+from metaplectic.cover import (
+    SL2Element,
+    coset_rep,
+    decompose_meta,
+    random_integral_sl2,
+    random_sl2_word,
+)
 from metaplectic.repn import (
+    InducedVector,
     SigmaValidationError,
     mat_identity,
     sigma_from_dict,
@@ -187,6 +194,76 @@ class TestAction:
             acted = rep1.act(g, v)
             at_e = acted.terms.get((Fraction(0), 0, 0), CycValue.zero(3))
             assert coords[0] == at_e
+
+
+def decomposition_act(rep, g, v):
+    """pi(g) v through the general route: decompose
+    [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1] and apply the genuine value at
+    [h, eps]^-1, for every term."""
+    q = rep.ctx.q
+    ginv = g.inverse()
+    out = {}
+    for (t, n, b), coeff in v.terms.items():
+        h_meta, dec = decompose_meta(MetaElement(coset_rep(rep.ctx, t, n), 1) * ginv)
+        mat = rep.genuine_eval(h_meta.inverse())
+        for b2 in range(rep.dim):
+            key = (dec.t, dec.n, b2)
+            out[key] = out.get(key, CycValue.zero(q)) + coeff * mat[b2][b]
+    return InducedVector(q, out)
+
+
+class TestTorusClosedForm:
+    """The closed-form torus action against the decomposition route."""
+
+    UNITS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-5, 7), Fraction(4, 5),
+             Fraction(-22, 17))
+    # non-canonical t: integral parts, negative values, denominators prime to p
+    TS = (Fraction(0), Fraction(1, 3), Fraction(4, 3), Fraction(-2, 9), Fraction(7, 3),
+          Fraction(1, 2), Fraction(-5, 27), Fraction(13, 18), Fraction(2))
+
+    def _vector(self, ctx, rng, k):
+        terms = {}
+        if -3 <= k <= 3:
+            terms[(rng.choice(self.TS), k, 0)] = ctx.cyc_e(Fraction(rng.randrange(9), 9))
+        for _ in range(rng.randrange(1, 4)):
+            key = (rng.choice(self.TS), rng.randrange(-3, 4), 0)
+            terms[key] = ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
+        return InducedVector(ctx.q, terms)
+
+    def test_matches_decomposition(self, ctx, rep1, rep2, rng):
+        nonzero = 0
+        for rep in (rep1, rep2):
+            xi = rep.betas[0]
+            for k in range(-4, 5):
+                for u in self.UNITS:
+                    for e in (1, -1):
+                        g = MetaElement(SL2Element.torus(ctx, u * Fraction(3) ** k), e)
+                        for _ in range(2):
+                            v = self._vector(ctx, rng, k)
+                            expected = decomposition_act(rep, g, v)
+                            assert rep.act(g, v) == expected
+                            w = rep.whittaker_function(xi, v, g)
+                            assert w == rep.whittaker_functional(xi, expected)
+                            nonzero += not w.is_zero()
+        assert nonzero > 100
+
+
+class TestCanonicalPhi:
+    TS = (Fraction(4, 3), Fraction(1, 2), Fraction(-2, 9), Fraction(7, 3))
+
+    def test_keys_canonical_and_fixed_by_identity(self, ctx, rep1, rep2):
+        for rep in (rep1, rep2):
+            xi = rep.betas[0]
+            for t in self.TS:
+                for n in (-1, 0, 1):
+                    v = rep.phi(t=t, n=n)
+                    assert rep.act(MetaElement.identity(ctx), v) == v
+                    for (t2, _, _) in v.terms:
+                        assert 0 <= t2 < 1 and t2.denominator in (1, 3, 9)
+                    raw = InducedVector.basis(ctx.q, t, n)
+                    assert v == decomposition_act(rep, MetaElement.identity(ctx), raw)
+                    assert rep.whittaker_functional(xi, v) == \
+                        rep.whittaker_functional(xi, raw)
 
 
 class TestSpectrum:
