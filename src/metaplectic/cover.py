@@ -29,7 +29,11 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class SL2Element:
-    """A determinant-one 2x2 matrix over Q_p with exact rational entries."""
+    """A determinant-one 2x2 matrix over Q_p with exact rational entries.
+
+    ``of`` is the constructor for arbitrary entries and checks ad - bc = 1;
+    the other constructors, products, inverses and coset parts have
+    determinant 1 by construction and skip the check."""
 
     ctx: PadicContext
     a: Fraction
@@ -37,13 +41,12 @@ class SL2Element:
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("matrix does not have determinant 1")
-
     @classmethod
     def of(cls, ctx, a, b, c, d) -> "SL2Element":
-        return cls(ctx, Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        if a * d - b * c != 1:
+            raise ValueError("matrix does not have determinant 1")
+        return cls(ctx, a, b, c, d)
 
     @classmethod
     def identity(cls, ctx) -> "SL2Element":

@@ -278,6 +278,9 @@ def _canonicalize(raw: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _unit_residues_mod(n: int):
+    """The units of Z/n in ascending order.  The single-pass refinement gate
+    of ``zeta`` relies on the order: for n = p^(L+1) the units below p^L,
+    the level-L sample set, are the first 1/p of the tuple."""
     return tuple(t for t in range(1, n) if math.gcd(t, n) == 1)
 
 

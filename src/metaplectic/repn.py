@@ -485,6 +485,7 @@ class Representation:
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
         self._bessel_tables: dict = {}
+        self._w_translates: dict = {}
 
     # -- basic model ----------------------------------------------------------
 
@@ -535,6 +536,18 @@ class Representation:
             h_meta, dec = decompose_meta(MetaElement(coset_rep(self.ctx, t, n), 1) * ginv)
             _accumulate(out, dec.t, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
         return InducedVector(self.ctx.q, out)
+
+    def w_translate(self, b: int, y) -> InducedVector:
+        """pi(w n(y)) phi_b, memoized per (b, y).  The Bessel integrand at
+        <x> w n(y) is pi(<x>) applied to this vector, for every x; it goes
+        through the general, decomposition-based ``act``."""
+        key = (b, Fraction(y))
+        hit = self._w_translates.get(key)
+        if hit is None:
+            hit = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, key[1]),
+                           self.phi(b=b))
+            self._w_translates[key] = hit
+        return hit
 
     def _torus_terms(self, terms: dict, x: Fraction, e: int) -> dict:
         """The terms of pi([diag(x, 1/x), e]) v for v with the given terms.

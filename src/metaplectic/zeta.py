@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import (
     CycValue,
@@ -26,6 +25,7 @@ from .exactnum import (
     Q_NEG_S,
     Q_POS_S,
     S_TO_ONE_MINUS_S,
+    _unit_residues_mod,
     frac_valuation,
     q_half_power,
 )
@@ -63,36 +63,40 @@ class ShellIntegralPlan:
     measure: str = MULTIPLICATIVE_DX
 
 
-@lru_cache(maxsize=None)
-def _unit_residues(p: int, level: int):
-    pl = p**level
-    return tuple(u for u in range(1, pl) if u % p != 0)
-
-
-def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str) -> CycValue:
+def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
+    """The shell sums at sampling levels `level` and `level + 1`, from one
+    pass over the level-(level + 1) units: the level-`level` units are those
+    below p^level, the first 1/p of them in ascending order."""
     p, q = ctx.p, ctx.q
     pn = Fraction(p) ** n
-    vals = [f(u * pn) for u in _unit_residues(p, level)]
-    total = CycValue.sum(vals, q)
+    units = _unit_residues_mod(p ** (level + 1))
+    vals = [f(u * pn) for u in units]
     if measure == MULTIPLICATIVE_DX:
-        return total * Fraction(1, q**level)
-    if measure == ADDITIVE_DX:
-        return total * Fraction(q) ** (-n - level)
-    raise ValueError(f"unknown measure {measure!r}")
+        scale = Fraction(1, q**level)
+    elif measure == ADDITIVE_DX:
+        scale = Fraction(q) ** (-n - level)
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    return (CycValue.sum(vals[:len(units) // p], q) * scale,
+            CycValue.sum(vals, q) * (scale / q))
 
 
 _MAX_GATE_SAMPLES = 3**11  # samples one gate pass may take, compared with p**level
 
 
 def _gated(compute, p: int, level: int, what: str):
-    """Locally-constant refinement gate: accept once level and level+1 agree;
-    on mismatch double the level, twice at most."""
+    """Locally-constant refinement gate: accept once the sums at level and
+    level+1 agree; on mismatch double the level, twice at most.
+
+    `compute(level)` returns both sums from one evaluation pass over the
+    level+1 samples, whose first part is the level sample set, so every
+    sample of an attempt is evaluated once.  The budget is checked before
+    each pass."""
     for attempt in range(3):
         if p**level > _MAX_GATE_SAMPLES:
             raise NotLocallyConstantError(
                 f"{what}: refinement level {level} exceeds the sampling budget")
-        v1 = compute(level)
-        v2 = compute(level + 1)
+        v1, v2 = compute(level)
         if v1 == v2:
             return v1
         level *= 2
@@ -100,21 +104,27 @@ def _gated(compute, p: int, level: int, what: str):
 
 
 def integrate_shell(ctx: PadicContext, f, plan: ShellIntegralPlan) -> CycValue:
-    """Exact integral of a locally constant f over the shell p^n Z_p^x."""
+    """Exact integral of a locally constant f over the shell p^n Z_p^x.
+
+    An accepted gate at relative level L evaluates f once at each of the
+    p^(L+1) - p^L unit residues mod p^(L+1); a refinement to 2L adds one
+    pass at level 2L + 1."""
     return _gated(lambda lv: _shell_sum(ctx, f, plan.n, lv, plan.measure),
                   ctx.p, max(1, plan.level), f"shell n={plan.n}")
 
 
 def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
     """Exact additive integral over the ball P^m = p^m Z_p.  `level` is the
-    absolute sampling depth (cosets of P^level)."""
+    absolute sampling depth (cosets of P^level); an accepted gate evaluates
+    f once at each point a p^m, 0 <= a < p^(level + 1 - m)."""
     p, q = ctx.p, ctx.q
+    pm = Fraction(p) ** m
 
     def compute(lv):
-        pm = Fraction(p) ** m
-        count = p ** (lv - m)
-        vals = [f(a * pm) for a in range(count)]
-        return CycValue.sum(vals, q) * Fraction(q) ** (-lv)
+        vals = [f(a * pm) for a in range(p ** (lv + 1 - m))]
+        scale = Fraction(q) ** (-lv)
+        return (CycValue.sum(vals[:p ** (lv - m)], q) * scale,
+                CycValue.sum(vals, q) * (scale / q))
 
     return _gated(compute, p, max(level, m + 1), f"ball P^{m}")
 
@@ -154,7 +164,12 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
     """J^{xi,eta}(g) from its definition: the improper integral of
     W^xi_v(g n(y)) psi^eta(-y) dy with v = phi^e_{b(eta)}, so W^eta_v(e) = 1.
 
-    `x` may be a torus coordinate (g = <x> w) or a full cover element."""
+    `x` may be a torus coordinate (g = <x> w) or an antidiagonal cover
+    element g; any other element raises ValueError.  With the diagonal
+    D = g w^-1, pi(g n(y)) v = pi(D) pi(w n(y)) v: the translate
+    pi(w n(y)) v does not depend on x and is memoized on `rep`
+    (``Representation.w_translate``, through coset decomposition), and D
+    acts in closed form (``Representation.whittaker_function``)."""
     ctx = rep.ctx
     xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
     eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
@@ -162,24 +177,25 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
     if b_eta is None:
         raise ValueError(f"eta={eta} is not in X(pi)")
     if isinstance(x, MetaElement):
-        g = x
-        depth = max(0, -min((frac_valuation(v, ctx.p) for v in g.g.entries()
-                             if v != 0), default=0))
+        if x.g.a != 0 or x.g.d != 0:
+            raise ValueError(f"bessel_direct needs an antidiagonal element, got {x!r}")
+        torus = x * MetaElement.w(ctx).inverse()
+        depth = max(0, -min(frac_valuation(x.g.b, ctx.p), frac_valuation(x.g.c, ctx.p)))
     else:
         coord = Fraction(x.value if isinstance(x, KElement) else x)
         if coord == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
-        g = MetaElement.torus(ctx, coord) * MetaElement.w(ctx)
+        torus = MetaElement.torus(ctx, coord)
         depth = max(0, -int(frac_valuation(coord, ctx.p)))
-    v = rep.phi(b=b_eta)
     psi_eta = rep.psi.twist(eta)
     cache: dict = {}
 
     def f(y: Fraction) -> CycValue:
         hit = cache.get(y)
         if hit is None:
-            gn = g * MetaElement.n(ctx, y)
-            hit = rep.whittaker_function(xi, v, gn) * psi_eta.value(-y)
+            hit = rep.whittaker_function(xi, rep.w_translate(b_eta, y), torus)
+            if not hit.is_zero():
+                hit = hit * psi_eta.value(-y)
             cache[y] = hit
         return hit
 
@@ -286,7 +302,7 @@ class BesselTable:
             return
         p = self.rep.ctx.p
         pn = Fraction(p) ** n
-        units = _unit_residues(p, 1)[:probes]
+        units = _unit_residues_mod(p)[:probes]
         for u in units:
             x = u * pn
             direct = bessel_direct(self.rep, self.xi, self.eta, x)
@@ -305,7 +321,7 @@ class BesselTable:
         checked = 0
         for n in shells:
             pn = Fraction(p) ** n
-            for u in _unit_residues(p, 2)[:per_shell]:
+            for u in _unit_residues_mod(p**2)[:per_shell]:
                 x = u * pn
                 direct = bessel_direct(self.rep, self.xi, self.eta, x)
                 closed = bessel_closed(self.rep, self.xi, self.eta, x)
@@ -320,7 +336,7 @@ class BesselTable:
     def shell_values(self, n: int, level: int) -> dict:
         p = self.rep.ctx.p
         pn = Fraction(p) ** n
-        return {u: self.value(u * pn) for u in _unit_residues(p, level)}
+        return {u: self.value(u * pn) for u in _unit_residues_mod(p**level)}
 
 
 def bessel_table(rep: Representation, xi, eta) -> BesselTable:
@@ -635,7 +651,7 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a,
         for m in range(-halfwidth, halfwidth + 1):
             pm = Fraction(p) ** m
             # the exact identity check downstream would expose a missed shell
-            if all(weta_at(u * pm).is_zero() for u in _unit_residues(p, probe_level)):
+            if all(weta_at(u * pm).is_zero() for u in _unit_residues_mod(p**probe_level)):
                 continue
             level = rep.level + 1 + max(0, -(va + m))
             total = total + integrate_shell(
@@ -654,6 +670,6 @@ def bessel_growth_report(rep: Representation, xi, eta, shells) -> dict:
         pn = Fraction(ctx.p) ** n
         norm = max(1.0, float(ctx.q) ** (-n))
         vals = [abs(table.value(u * pn).to_complex()) / norm
-                for u in _unit_residues(ctx.p, min(rep.level + 1, 3))]
+                for u in _unit_residues_mod(ctx.p ** min(rep.level + 1, 3))]
         out[n] = max(vals)
     return out

@@ -78,6 +78,34 @@ class TestShellIntegral:
         with pytest.raises(NotLocallyConstantError):
             integrate_ball(ctx, f, 0, 1)
 
+    def test_single_pass_gate_counts(self, ctx):
+        # an unmemoized integrand is evaluated once per level-(L+1) sample
+        psi = AdditiveCharacter(ctx)
+        calls = []
+
+        def counting(g):
+            def f(x):
+                calls.append(x)
+                return g(x)
+            return f
+
+        units = lambda level: 3**level - 3 ** (level - 1)
+        for level in (1, 2, 3):
+            calls.clear()
+            plan = ShellIntegralPlan(0, level, MULTIPLICATIVE_DX)
+            assert integrate_shell(ctx, counting(one(ctx)), plan) == Fraction(2, 3)
+            assert len(calls) == units(level + 1)
+        # psi(x/9) is not constant mod 3, so the gate refines once from L = 1
+        # to 2L = 2, where the level-2 and level-3 sums agree
+        calls.clear()
+        plan = ShellIntegralPlan(0, 1, MULTIPLICATIVE_DX)
+        assert integrate_shell(ctx, counting(lambda x: psi.value(x / 9)), plan) == 0
+        assert len(calls) == units(2) + units(3)
+        for m, level in ((0, 1), (0, 2), (1, 3), (-1, 1)):
+            calls.clear()
+            assert integrate_ball(ctx, counting(one(ctx)), m, level) == Fraction(3) ** -m
+            assert len(calls) == 3 ** (level + 1 - m)
+
     def test_sampling_budget_depends_on_p(self, ctx5):
         # 5^8 samples exceed the budget although 3^8 would not
         calls = []
@@ -193,6 +221,13 @@ class TestBessel:
                     rhs = -rhs
                 assert lhs == rhs, (t, u)
 
+    def test_rejects_non_antidiagonal_element(self, ctx, rep1):
+        for g in (MetaElement.torus(ctx, Fraction(1, 3)),
+                  MetaElement.n(ctx, 1) * MetaElement.w(ctx),
+                  MetaElement.w(ctx) * MetaElement.n(ctx, Fraction(1, 3))):
+            with pytest.raises(ValueError):
+                bessel_direct(rep1, XI, XI, g)
+
     def test_growth_bound(self, rep1):
         from metaplectic.zeta import bessel_growth_report
         report = bessel_growth_report(rep1, XI, XI, range(-5, 1))
@@ -216,6 +251,72 @@ class TestBessel:
             with pytest.raises(ArithmeticError):
                 table.value(Fraction(5, 9))
         assert -2 not in table._checked_shells
+
+
+def _bessel_via_cover_products(rep, xi, eta, g):
+    """The oracle: J^{xi,eta}(g) from its definition with the integrand
+    W^xi_v(g n(y)) evaluated through the cover product g * n(y) at every y,
+    under the same improper integral as ``bessel_direct``."""
+    ctx = rep.ctx
+    entries = [e for e in g.g.entries() if e != 0]
+    depth = max(0, -min(frac_valuation(e, ctx.p) for e in entries))
+    v = rep.phi(b=rep.basis_index_for(eta))
+    psi_eta = rep.psi.twist(eta)
+
+    def f(y):
+        return rep.whittaker_function(xi, v, g * MetaElement.n(ctx, y)) * psi_eta.value(-y)
+
+    def lvl(m):
+        if m < -depth:
+            return 2
+        return max(2, rep.level + (-m if m < 0 else 0))
+
+    return improper_integral(ctx, f, depth + 6, level_for_shell=lvl,
+                             tail_level=rep.level + 2, min_range=depth)
+
+
+class TestBesselDirectTranslates:
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_torus_coordinates_match_cover_product_oracle(self, ctx, rep1, rep2, which):
+        rep = rep1 if which == 1 else rep2
+        w = MetaElement.w(ctx)
+        dedup = rep.spectrum().dedup
+        for xi in (r.xi for r in dedup):
+            for eta in (r.xi for r in dedup):
+                for k in range(1, -5, -1):
+                    for u in (1, 2, 4, 5):
+                        x = Fraction(u) * Fraction(3) ** k
+                        oracle = _bessel_via_cover_products(
+                            rep, xi, eta, MetaElement.torus(ctx, x) * w)
+                        assert bessel_direct(rep, xi, eta, x) == oracle, (xi, eta, x)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_antidiagonal_elements_match_cover_product_oracle(self, ctx, rep1, rep2, which):
+        rep = rep1 if which == 1 else rep2
+        xi = rep.spectrum().dedup[0].xi
+        w = MetaElement.w(ctx)
+        for a, t, e in ((Fraction(1, 3), 2, 1), (Fraction(1, 3), 2, -1),
+                        (Fraction(2, 9), Fraction(5, 3), -1), (Fraction(4), 1, -1),
+                        (Fraction(-1, 3), Fraction(7, 9), 1)):
+            g = (MetaElement.torus(ctx, a) * MetaElement.torus(ctx, t) * w
+                 * MetaElement.central(ctx, e))
+            assert bessel_direct(rep, xi, xi, g) == \
+                _bessel_via_cover_products(rep, xi, xi, g), (a, t, e)
+
+    def test_translates_are_memoized(self, ctx, monkeypatch):
+        from metaplectic import Representation, builtin_sigma_p3, repn
+        rep = Representation(builtin_sigma_p3(ctx, 1))
+        calls = []
+        decompose = repn.decompose_meta
+        monkeypatch.setattr(repn, "decompose_meta",
+                            lambda x: calls.append(x) or decompose(x))
+        first = bessel_direct(rep, XI, XI, Fraction(1, 9))
+        assert calls
+        calls.clear()
+        assert bessel_direct(rep, XI, XI, Fraction(2, 9)) == \
+            bessel_closed(rep, XI, XI, Fraction(2, 9))
+        assert bessel_direct(rep, XI, XI, Fraction(1, 9)) == first
+        assert calls == []
 
 
 def _direct_gauss_sum(ctx, mu, n, a):
