@@ -10,7 +10,11 @@ Three layers, all exact:
   chosen root-of-unity level N, written as  A + B*sqrt(q)  with A, B kept
   in a canonical cyclotomic basis.  Half-integer powers of q stay formal;
   the classical Gauss-sum identity sqrt(p) in Q(zeta_4p) is a cross-check,
-  not a representation choice.
+  not a representation choice.  The ring operations run on ints only: a
+  value is a level N, one positive denominator D and two maps {k: c} of
+  ints meaning (1/D) * sum c e(k/N); the rewrite of e(k/N) into the basis
+  is looked up in a table memoized per level, and ``Fraction`` appears only
+  at the boundary (``terms()``, ``repr``, ``to_complex``).
 * ``LaurentPoly`` -- a finitely supported map from integer exponents to
   ``CycValue`` in a tagged formal variable q^{-s} or q^{s}.
 """
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
 
 INFINITY = math.inf
 
@@ -199,6 +202,14 @@ class KElement:
         return f"KElement({self.value}, p={self.ctx.p})"
 
 
+def as_fraction(x) -> Fraction:
+    """The rational behind an argument given as a ``KElement`` or as any
+    rational (int, Fraction, numeric string)."""
+    if isinstance(x, KElement):
+        x = x.value
+    return x if type(x) is Fraction else Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic canonical form.
 #
@@ -207,12 +218,18 @@ class KElement:
 # power gives a tensor-product basis of Q(zeta_N) that is stable under
 # enlarging N.  A single rewriting step using the minimal polynomial of
 # zeta_{l^a} lands every root in the basis.
+#
+# Values are stored fraction-free: a root is an int k standing for e(k/N) at
+# the value's level N, and the coefficients are ints over one shared
+# denominator.  The rewrite of e(k/N) depends on N and k alone, so it is
+# memoized per level (``_reduce_table``).  Lifting a basis root to a multiple
+# of N keeps it a basis root (the leading base-l digit of each l-component
+# is unchanged), so sums never need a rewrite.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _den_parts(den: int):
-    """CRT data for a denominator: tuples (l, M=l^a, inv, phi, step=l^(a-1))."""
+    """CRT data for a level: tuples (l, M=l^a, cof=den/M, inv, phi, step=l^(a-1))."""
     parts = []
     rest = den
     f = 2
@@ -233,47 +250,80 @@ def _den_parts(den: int):
         inv = pow(cof, -1, m) if cof > 1 else 1
         step = m // ell
         phi = step * (ell - 1)
-        out.append((ell, m, inv, phi, step))
+        out.append((ell, m, cof, inv, phi, step))
     return tuple(out)
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+class _ReductionTable(dict):
+    """k -> the canonical-basis expansion of e(k/N) at one level N.
 
+    An entry is None when e(k/N) is a basis root, else (sign, roots) with
+    e(k/N) = sign * sum of e(k'/N) over k' in roots.  The sign is shared:
+    each l-component outside the basis contributes one factor -1.  Entries
+    are filled on first use."""
 
-def _canonical_insert(out: dict, r: Fraction, c: Fraction) -> None:
-    """Accumulate c * e(r) into ``out`` in canonical-basis coordinates."""
-    if c == 0:
-        return
-    r = _mod1(r)
-    den = r.denominator
-    if den == 1:
-        out[Fraction(0)] = out.get(Fraction(0), Fraction(0)) + c
-        return
-    num = r.numerator
-    factors = []
-    for ell, m, inv, phi, step in _den_parts(den):
-        b = (num * inv) % m
-        if b < phi:
-            factors.append(((1, Fraction(b, m)),))
-        else:
-            cc = b - phi
-            factors.append(tuple((-1, Fraction(cc + j * step, m)) for j in range(ell - 1)))
-    for combo in _iproduct(*factors):
+    __slots__ = ("n", "parts")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.parts = _den_parts(n)
+
+    def __missing__(self, k: int):
+        n = self.n
         sign = 1
-        expo = Fraction(0)
-        for s, fr in combo:
-            sign *= s
-            expo += fr
-        expo = _mod1(expo)
-        out[expo] = out.get(expo, Fraction(0)) + sign * c
+        roots = [0]
+        for ell, m, cof, inv, phi, step in self.parts:
+            b = k * inv % m   # the l-component: k/N = sum of b/m over l, mod 1
+            if b < phi:
+                roots = [r + b * cof for r in roots]
+            else:
+                sign = -sign
+                roots = [r + (b - phi + j * step) * cof for r in roots for j in range(ell - 1)]
+        entry = None if len(roots) == 1 and sign == 1 else (sign, tuple(r % n for r in roots))
+        self[k] = entry
+        return entry
 
 
-def _canonicalize(raw: dict) -> dict:
+@lru_cache(maxsize=None)
+def _reduce_table(n: int) -> _ReductionTable:
+    return _ReductionTable(n)
+
+
+def _reduced(raw: dict, n: int) -> dict:
+    """{k: c} at level n rewritten into the canonical basis, zeros dropped."""
+    table = _reduce_table(n)
     out: dict = {}
-    for r, c in raw.items():
-        _canonical_insert(out, r, c)
-    return {r: c for r, c in out.items() if c != 0}
+    get = out.get
+    for k, c in raw.items():
+        if not c:
+            continue
+        entry = table[k]
+        if entry is None:
+            out[k] = get(k, 0) + c
+        else:
+            sign, roots = entry
+            if sign < 0:
+                c = -c
+            for r in roots:
+                out[r] = get(r, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _lifted(terms: dict, m: int) -> dict:
+    return terms if m == 1 else {k * m: c for k, c in terms.items()}
+
+
+def _product_into(acc: dict, t1: dict, t2: dict, n: int, scale: int) -> None:
+    """acc += scale * t1 * t2 for root maps at the common level n."""
+    get = acc.get
+    for k1, c1 in t1.items():
+        c1 *= scale
+        for k2, c2 in t2.items():
+            k = k1 + k2
+            if k >= n:
+                k -= n
+            acc[k] = get(k, 0) + c1 * c2
 
 
 @lru_cache(maxsize=None)
@@ -286,27 +336,69 @@ def _unit_residues_mod(n: int):
 
 class CycValue:
     """An exact element  A + B*sqrt(q)  with A, B in Q(zeta_N) for a level N
-    determined by the exponents present; always kept in canonical form."""
+    determined by the exponents present; always kept in canonical form.
 
-    __slots__ = ("q", "_one", "_sq", "_hash")
+    The form is fraction-free: a level N, a denominator D > 0 and two maps
+    {k: c} of ints, the 1 and the sqrt(q) parts, meaning
+    (1/D) * (sum c e(k/N) + sqrt(q) * sum c' e(k'/N)), every e(k/N) a
+    canonical basis root and no c zero.  It is normalized to
+    gcd(D, all c) = 1 and gcd(N, all k) = 1, so N is the least level of the
+    roots present and equal values have equal coordinates, whatever level
+    they were computed at.  ``terms()`` gives the Fraction view."""
 
-    def __init__(self, q: int, one_terms=None, sqrt_terms=None, _canonical=False):
+    __slots__ = ("q", "_n", "_d", "_one", "_sq", "_hash")
+
+    def __init__(self, q: int, one_terms=None, sqrt_terms=None):
+        """From {exponent: coefficient} maps of rationals, in any form."""
+        one_terms = [(Fraction(r), Fraction(c)) for r, c in (one_terms or {}).items()]
+        sqrt_terms = [(Fraction(r), Fraction(c)) for r, c in (sqrt_terms or {}).items()]
+        both = one_terms + sqrt_terms
+        n = math.lcm(1, *(r.denominator for r, _ in both))
+        d = math.lcm(1, *(c.denominator for _, c in both))
+
+        def lift(terms):
+            raw: dict = {}
+            for r, c in terms:
+                k = r.numerator * (n // r.denominator) % n
+                raw[k] = raw.get(k, 0) + c.numerator * (d // c.denominator)
+            return _reduced(raw, n)
+
+        self._set(q, n, d, lift(one_terms), lift(sqrt_terms))
+
+    def _set(self, q, n, d, one, sq) -> None:
+        """Store a canonical, zero-free form after dividing out
+        gcd(D, all c) and gcd(N, all k)."""
+        if d != 1:
+            g = math.gcd(d, *one.values(), *sq.values())
+            if g != 1:
+                d //= g
+                one = {k: c // g for k, c in one.items()}
+                sq = {k: c // g for k, c in sq.items()}
+        if n != 1:
+            g = math.gcd(n, *one, *sq)
+            if g != 1:
+                n //= g
+                one = {k // g: c for k, c in one.items()}
+                sq = {k // g: c for k, c in sq.items()}
         self.q = q
-        one_terms = one_terms or {}
-        sqrt_terms = sqrt_terms or {}
-        if _canonical:
-            self._one = one_terms
-            self._sq = sqrt_terms
-        else:
-            self._one = _canonicalize(one_terms)
-            self._sq = _canonicalize(sqrt_terms)
+        self._n = n
+        self._d = d
+        self._one = one
+        self._sq = sq
         self._hash = None
+
+    @classmethod
+    def _make(cls, q, n, d, one, sq) -> "CycValue":
+        """A value from a canonical, zero-free form, normalized."""
+        self = object.__new__(cls)
+        self._set(q, n, d, one, sq)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, q: int) -> "CycValue":
-        return cls(q, {}, {}, _canonical=True)
+        return cls._make(q, 1, 1, {}, {})
 
     @classmethod
     def one(cls, q: int) -> "CycValue":
@@ -317,7 +409,7 @@ class CycValue:
         r = Fraction(r)
         if r == 0:
             return cls.zero(q)
-        return cls(q, {Fraction(0): r}, {}, _canonical=True)
+        return cls._make(q, 1, r.denominator, {0: r.numerator}, {})
 
     @classmethod
     def root_of_unity(cls, q: int, exponent) -> "CycValue":
@@ -326,23 +418,39 @@ class CycValue:
 
     @classmethod
     def sqrtq(cls, q: int) -> "CycValue":
-        return cls(q, {}, {Fraction(0): Fraction(1)}, _canonical=True)
+        return cls._make(q, 1, 1, {}, {0: 1})
 
     @classmethod
     def sum(cls, values, q=None) -> "CycValue":
-        one: dict = {}
-        sq: dict = {}
+        values = list(values)
+        n = d = 1
         for v in values:
             if q is None:
                 q = v.q
-            for r, c in v._one.items():
-                one[r] = one.get(r, Fraction(0)) + c
-            for r, c in v._sq.items():
-                sq[r] = sq.get(r, Fraction(0)) + c
+            elif v.q != q:
+                raise ValueError("mixed ambient q")
+            if v._n != n:
+                n = math.lcm(n, v._n)
+            if v._d != d:
+                d = math.lcm(d, v._d)
         if q is None:
             raise ValueError("empty sum with unknown q")
-        return cls(q, {r: c for r, c in one.items() if c != 0},
-                   {r: c for r, c in sq.items() if c != 0}, _canonical=True)
+        one: dict = {}
+        sq: dict = {}
+        for v in values:
+            m = n // v._n
+            s = d // v._d
+            for acc, terms in ((one, v._one), (sq, v._sq)):
+                get = acc.get
+                if m == 1 and s == 1:
+                    for k, c in terms.items():
+                        acc[k] = get(k, 0) + c
+                else:
+                    for k, c in terms.items():
+                        k *= m
+                        acc[k] = get(k, 0) + c * s
+        return cls._make(q, n, d, {k: c for k, c in one.items() if c},
+                         {k: c for k, c in sq.items() if c})
 
     # -- structure ---------------------------------------------------------
 
@@ -350,16 +458,12 @@ class CycValue:
         return not self._one and not self._sq
 
     def is_rational(self) -> bool:
-        if self._sq:
-            return False
-        if not self._one:
-            return True
-        return len(self._one) == 1 and Fraction(0) in self._one
+        return not self._sq and self._n == 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return self._one.get(Fraction(0), Fraction(0))
+        return Fraction(self._one.get(0, 0), self._d)
 
     def _coerce(self, other) -> "CycValue":
         if isinstance(other, CycValue):
@@ -372,27 +476,28 @@ class CycValue:
 
     def __add__(self, other):
         o = self._coerce(other)
-        one = dict(self._one)
-        for r, c in o._one.items():
-            s = one.get(r, Fraction(0)) + c
-            if s:
-                one[r] = s
-            elif r in one:
-                del one[r]
-        sq = dict(self._sq)
-        for r, c in o._sq.items():
-            s = sq.get(r, Fraction(0)) + c
-            if s:
-                sq[r] = s
-            elif r in sq:
-                del sq[r]
-        return CycValue(self.q, one, sq, _canonical=True)
+        n1, n2, d1, d2 = self._n, o._n, self._d, o._d
+        n = n1 if n1 == n2 else math.lcm(n1, n2)
+        d = d1 if d1 == d2 else math.lcm(d1, d2)
+        parts = []
+        for t1, t2 in ((self._one, o._one), (self._sq, o._sq)):
+            out = {k * (n // n1): c * (d // d1) for k, c in t1.items()}
+            m, s = n // n2, d // d2
+            for k, c in t2.items():
+                k *= m
+                c = out.get(k, 0) + c * s
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+            parts.append(out)
+        return CycValue._make(self.q, n, d, *parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycValue(self.q, {r: -c for r, c in self._one.items()},
-                        {r: -c for r, c in self._sq.items()}, _canonical=True)
+        return CycValue._make(self.q, self._n, self._d, {k: -c for k, c in self._one.items()},
+                              {k: -c for k, c in self._sq.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -400,65 +505,70 @@ class CycValue:
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
-    @staticmethod
-    def _convolve(t1: dict, t2: dict, scale: Fraction, acc: dict) -> None:
-        for r1, c1 in t1.items():
-            for r2, c2 in t2.items():
-                r = _mod1(r1 + r2)
-                acc[r] = acc.get(r, Fraction(0)) + scale * c1 * c2
+    def _scaled(self, num: int, den: int) -> "CycValue":
+        if not num:
+            return CycValue.zero(self.q)
+        return CycValue._make(self.q, self._n, self._d * den,
+                              {k: c * num for k, c in self._one.items()},
+                              {k: c * num for k, c in self._sq.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                return CycValue.zero(self.q)
-            return CycValue(self.q, {r: c * f for r, c in self._one.items()},
-                            {r: c * f for r, c in self._sq.items()}, _canonical=True)
+        if not isinstance(other, CycValue) and isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
-        one_raw: dict = {}
-        sq_raw: dict = {}
-        self._convolve(self._one, o._one, Fraction(1), one_raw)
-        self._convolve(self._sq, o._sq, Fraction(self.q), one_raw)
-        self._convolve(self._one, o._sq, Fraction(1), sq_raw)
-        self._convolve(self._sq, o._one, Fraction(1), sq_raw)
-        return CycValue(self.q, one_raw, sq_raw)
+        n1, n2 = self._n, o._n
+        # a rational factor scales the coefficients; no root moves
+        if n2 == 1 and not o._sq:
+            return self._scaled(o._one.get(0, 0), o._d)
+        if n1 == 1 and not self._sq:
+            return o._scaled(self._one.get(0, 0), self._d)
+        n = n1 if n1 == n2 else math.lcm(n1, n2)
+        a1, b1 = _lifted(self._one, n // n1), _lifted(self._sq, n // n1)
+        a2, b2 = _lifted(o._one, n // n2), _lifted(o._sq, n // n2)
+        one: dict = {}
+        sq: dict = {}
+        _product_into(one, a1, a2, n, 1)
+        if b1 and b2:
+            _product_into(one, b1, b2, n, self.q)
+        if b2:
+            _product_into(sq, a1, b2, n, 1)
+        if b1:
+            _product_into(sq, b1, a2, n, 1)
+        return CycValue._make(self.q, n, self._d * o._d, _reduced(one, n), _reduced(sq, n))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycValue":
-        one = {}
-        sq = {}
-        for r, c in self._one.items():
-            one[_mod1(-r)] = c
-        for r, c in self._sq.items():
-            sq[_mod1(-r)] = c
-        return CycValue(self.q, one, sq)
+        n = self._n
+        return CycValue._make(self.q, n, self._d,
+                              _reduced({-k % n: c for k, c in self._one.items()}, n),
+                              _reduced({-k % n: c for k, c in self._sq.items()}, n))
 
     def _galois(self, t: int, n: int) -> "CycValue":
         """Apply e(r) -> e(t*r); only meaningful on the pure cyclotomic part."""
-        one = {}
-        for r, c in self._one.items():
-            rr = _mod1(Fraction(t * r.numerator, r.denominator))
-            one[rr] = one.get(rr, Fraction(0)) + c
-        return CycValue(self.q, one, {})
+        lev = self._n
+        raw: dict = {}
+        for k, c in self._one.items():
+            k = t * k % lev
+            raw[k] = raw.get(k, 0) + c
+        return CycValue._make(self.q, lev, self._d, _reduced(raw, lev), {})
 
     def _cyclotomic_inverse(self) -> "CycValue":
         """Inverse of a nonzero pure-cyclotomic value."""
         terms = self._one
         if len(terms) == 1:
-            (r, c), = terms.items()
-            return CycValue(self.q, {_mod1(-r): 1 / c}, {})
+            (k, c), = terms.items()
+            n = self._n
+            sign = 1 if c > 0 else -1
+            return CycValue._make(self.q, n, abs(c), _reduced({-k % n: sign * self._d}, n), {})
         m = self * self.conjugate()
         if m.is_rational():
             return self.conjugate() * (1 / m.as_rational())
-        lev = 1
-        for r in terms:
-            lev = lev * r.denominator // math.gcd(lev, r.denominator)
         prod = CycValue.one(self.q)
-        for t in _unit_residues_mod(lev):
+        for t in _unit_residues_mod(self._n):
             if t == 1:
                 continue
-            prod = prod * self._galois(t, lev)
+            prod = prod * self._galois(t, self._n)
         norm = self * prod
         if not norm.is_rational():
             raise ArithmeticError("field norm failed to land in Q")
@@ -467,14 +577,15 @@ class CycValue:
     def inverse(self) -> "CycValue":
         if self.is_zero():
             raise ZeroDivisionError("division by zero CycValue")
-        a_part = CycValue(self.q, self._one, {}, _canonical=True)
+        a_part = CycValue._make(self.q, self._n, self._d, self._one, {})
         if not self._sq:
             return a_part._cyclotomic_inverse()
-        b_part = CycValue(self.q, self._sq, {}, _canonical=True)
+        b_part = CycValue._make(self.q, self._n, self._d, self._sq, {})
         disc = a_part * a_part - b_part * b_part * self.q
         if disc.is_zero():
             raise ZeroDivisionError("value is a zero divisor in Q(zeta)[sqrt q]")
-        conj = CycValue(self.q, self._one, {r: -c for r, c in self._sq.items()}, _canonical=True)
+        conj = CycValue._make(self.q, self._n, self._d, self._one,
+                              {k: -c for k, c in self._sq.items()})
         return conj * disc._cyclotomic_inverse()
 
     def __truediv__(self, other):
@@ -503,27 +614,32 @@ class CycValue:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self._one == o._one and self._sq == o._sq
+        return (self._n == o._n and self._d == o._d
+                and self._one == o._one and self._sq == o._sq)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.q,
+            self._hash = hash((self.q, self._n, self._d,
                                frozenset(self._one.items()),
                                frozenset(self._sq.items())))
         return self._hash
 
+    def _fraction_terms(self, terms: dict):
+        """(exponent, coefficient) Fraction pairs in ascending exponent."""
+        n, d = self._n, self._d
+        return [(Fraction(k, n), Fraction(c, d)) for k, c in sorted(terms.items())]
+
     def to_complex(self) -> complex:
-        z = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r)) for r, c in self._one.items()),
-                complex(0))
-        w = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r)) for r, c in self._sq.items()),
-                complex(0))
+        z = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r))
+                 for r, c in self._fraction_terms(self._one)), complex(0))
+        w = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r))
+                 for r, c in self._fraction_terms(self._sq)), complex(0))
         return z + math.sqrt(self.q) * w
 
     @staticmethod
-    def _fmt_terms(terms: dict) -> str:
+    def _fmt_terms(terms) -> str:
         bits = []
-        for r in sorted(terms):
-            c = terms[r]
+        for r, c in terms:
             if r == 0:
                 bits.append(f"{c}")
             elif c == 1:
@@ -537,15 +653,15 @@ class CycValue:
             return "0"
         parts = []
         if self._one:
-            parts.append(self._fmt_terms(self._one))
+            parts.append(self._fmt_terms(self._fraction_terms(self._one)))
         if self._sq:
-            parts.append(f"sqrt(q)*({self._fmt_terms(self._sq)})")
+            parts.append(f"sqrt(q)*({self._fmt_terms(self._fraction_terms(self._sq))})")
         return " + ".join(parts)
 
     def terms(self):
         """Flat term view: tuples (coefficient, root exponent, sqrtq flag)."""
-        out = [(c, r, False) for r, c in sorted(self._one.items())]
-        out += [(c, r, True) for r, c in sorted(self._sq.items())]
+        out = [(c, r, False) for r, c in self._fraction_terms(self._one)]
+        out += [(c, r, True) for r, c in self._fraction_terms(self._sq)]
         return out
 
     @classmethod
@@ -561,7 +677,8 @@ class CycValue:
 
 @lru_cache(maxsize=None)
 def _root_memo(q: int, exponent: Fraction) -> CycValue:
-    return CycValue(q, {exponent: Fraction(1)}, {})
+    n = exponent.denominator
+    return CycValue._make(q, n, 1, _reduced({exponent.numerator % n: 1}, n), {})
 
 
 def q_half_power(q: int, n: int) -> CycValue:

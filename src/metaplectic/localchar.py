@@ -20,6 +20,7 @@ from .exactnum import (
     CycValue,
     KElement,
     PadicContext,
+    as_fraction,
     frac_unit_part,
     frac_valuation,
     p_fractional_part,
@@ -35,20 +36,16 @@ class AdditiveCharacter:
     scale: Fraction = Fraction(1)
 
     def twist(self, xi) -> "AdditiveCharacter":
-        xi = xi.value if isinstance(xi, KElement) else Fraction(xi)
+        xi = as_fraction(xi)
         return AdditiveCharacter(self.ctx, self.scale * xi)
 
     def value(self, a) -> CycValue:
-        a = a.value if isinstance(a, KElement) else Fraction(a)
+        a = as_fraction(a)
         return CycValue.root_of_unity(self.ctx.q, p_fractional_part(self.scale * a, self.ctx.p))
 
     def value_frac(self, a: Fraction) -> Fraction:
         """Just the exponent [scale * a]; the value is e() of it."""
         return p_fractional_part(self.scale * a, self.ctx.p)
-
-
-def _as_frac(x) -> Fraction:
-    return x.value if isinstance(x, KElement) else Fraction(x)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +135,7 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
 
 
 def _as_frac_nonzero(x) -> Fraction:
-    f = _as_frac(x)
+    f = as_fraction(x)
     if f == 0:
         raise ZeroDivisionError("Hilbert symbol of zero")
     return f
@@ -328,7 +325,7 @@ class MultChar:
         return (v * self.p_exponent + self.unit_value_exponent(frac_unit_part(x, self.ctx.p))) % 1
 
     def value(self, x) -> CycValue:
-        return CycValue.root_of_unity(self.ctx.q, self.value_exponent(_as_frac(x)))
+        return CycValue.root_of_unity(self.ctx.q, self.value_exponent(as_fraction(x)))
 
     def inverse(self) -> "MultChar":
         return MultChar(self.ctx, self.m, -self.p_exponent, -self.generator_exponent)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .exactnum import (
     CycValue,
-    KElement,
     PadicContext,
+    as_fraction,
     frac_mod,
     frac_unit_part,
     frac_valuation,
@@ -505,7 +505,7 @@ class Representation:
     def basis_index_for(self, xi) -> int | None:
         """The eigenbasis index b with psi^xi agreeing with the b-th character
         on Z_p, i.e. xi - beta_b integral; None if xi is outside X(pi)."""
-        xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+        xi = as_fraction(xi)
         for b, beta in enumerate(self.betas):
             if frac_valuation(xi - beta, self.ctx.p) >= 0:
                 return b
@@ -603,7 +603,7 @@ class Representation:
     def whittaker_functional(self, xi, v: InducedVector) -> CycValue:
         """l^xi(v); on basis vectors psi^xi(-t) when n = 0 and the basis index
         matches the character of xi, else 0."""
-        xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+        xi = as_fraction(xi)
         b = self.basis_index_for(xi)
         if b is None:
             raise ValueError(f"xi={xi} is not in X(pi); no Whittaker functional instantiated")
@@ -625,8 +625,8 @@ class Representation:
         """The constant c_xi(a) with l^xi(pi(<a>) v) = c_xi(a) l^{a^2 xi}(v),
         computed on one test vector and verified on an independent second."""
         ctx = self.ctx
-        a = Fraction(a.value if isinstance(a, KElement) else a)
-        xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+        a = as_fraction(a)
+        xi = as_fraction(xi)
         if self.basis_index_for(xi) is None:
             raise ValueError(f"xi={xi} is not in X(pi)")
         target = a * a * xi

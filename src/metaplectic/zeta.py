@@ -19,13 +19,13 @@ from fractions import Fraction
 
 from .exactnum import (
     CycValue,
-    KElement,
     LaurentPoly,
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
     S_TO_ONE_MINUS_S,
     _unit_residues_mod,
+    as_fraction,
     frac_valuation,
     q_half_power,
 )
@@ -171,8 +171,8 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
     (``Representation.w_translate``, through coset decomposition), and D
     acts in closed form (``Representation.whittaker_function``)."""
     ctx = rep.ctx
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-    eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
+    xi = as_fraction(xi)
+    eta = as_fraction(eta)
     b_eta = rep.basis_index_for(eta)
     if b_eta is None:
         raise ValueError(f"eta={eta} is not in X(pi)")
@@ -182,7 +182,7 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
         torus = x * MetaElement.w(ctx).inverse()
         depth = max(0, -min(frac_valuation(x.g.b, ctx.p), frac_valuation(x.g.c, ctx.p)))
     else:
-        coord = Fraction(x.value if isinstance(x, KElement) else x)
+        coord = as_fraction(x)
         if coord == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
         torus = MetaElement.torus(ctx, coord)
@@ -224,9 +224,9 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     the genuine extension (off-shell y contributes 0)."""
     ctx = rep.ctx
     p, q = ctx.p, ctx.q
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-    eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
-    x = Fraction(x.value if isinstance(x, KElement) else x)
+    xi = as_fraction(xi)
+    eta = as_fraction(eta)
+    x = as_fraction(x)
     n = frac_valuation(x, p)
     if n > -rep.level:
         raise ValueError(
@@ -272,8 +272,8 @@ class BesselTable:
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
-        self.xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-        self.eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
+        self.xi = as_fraction(xi)
+        self.eta = as_fraction(eta)
         self._values: dict = {}
         self._checked_shells: set = set()
 
@@ -340,8 +340,7 @@ class BesselTable:
 
 
 def bessel_table(rep: Representation, xi, eta) -> BesselTable:
-    key = (Fraction(xi.value if isinstance(xi, KElement) else xi),
-           Fraction(eta.value if isinstance(eta, KElement) else eta))
+    key = (as_fraction(xi), as_fraction(eta))
     table = rep._bessel_tables.get(key)
     if table is None:
         table = BesselTable(rep, *key)
@@ -415,8 +414,8 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int,
     q^(2n).  Before a deep coefficient is accepted, the shell passes the
     two-method Bessel spot check (direct == closed at two probes)."""
     ctx = rep.ctx
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-    eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
+    xi = as_fraction(xi)
+    eta = as_fraction(eta)
     if table is None:
         table = bessel_table(rep, xi, eta)
 
@@ -462,8 +461,8 @@ class GammaFactor:
 def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     """Assemble Gamma^{xi,eta}(s) = sum_{n=0}^{M} gamma(n) q^{ns} with
     M = 2 max(level, m) - level; entire in s by construction."""
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-    eta = Fraction(eta.value if isinstance(eta, KElement) else eta)
+    xi = as_fraction(xi)
+    eta = as_fraction(eta)
     key = (xi, eta, mu.cache_key())
     hit = rep._gamma_cache.get(key)
     if hit is not None:
@@ -507,7 +506,7 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
     end extends until `closure_zeros` consecutive zero shells close it."""
     ctx = rep.ctx
     q = ctx.q
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+    xi = as_fraction(xi)
     if rep.basis_index_for(xi) is None:
         raise ValueError(f"xi={xi} is not in X(pi)")
     level = max(rep.level, mu.m) + 1
@@ -587,7 +586,7 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
     gamma coefficient, for negative controls."""
     ctx = rep.ctx
     q = ctx.q
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
+    xi = as_fraction(xi)
     w = MetaElement.w(ctx)
     lhs = zeta_function(rep, xi, mu, rep.act(w, v),
                         max_halfwidth=max_halfwidth).poly.retagged()
@@ -622,8 +621,8 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a,
     evaluated over the zeta support window of v."""
     ctx = rep.ctx
     p, q = ctx.p, ctx.q
-    xi = Fraction(xi.value if isinstance(xi, KElement) else xi)
-    a = Fraction(a.value if isinstance(a, KElement) else a)
+    xi = as_fraction(xi)
+    a = as_fraction(a)
     va = int(frac_valuation(a, p))
     lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
     if halfwidth is None:

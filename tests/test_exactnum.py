@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,9 +14,181 @@ from metaplectic import (
     S_TO_ONE_MINUS_S,
     q_half_power,
 )
-from metaplectic.exactnum import INFINITY
+from metaplectic.exactnum import INFINITY, _unit_residues_mod
 
 from conftest import random_nonzero_fraction
+
+
+# -- reference canonicalization ---------------------------------------------------
+#
+# The Fraction-dict form CycValue used to store: {exponent in [0, 1): coefficient},
+# rewritten into the canonical basis one root at a time by CRT over the prime
+# powers of the exponent's denominator and one minimal-polynomial step per part.
+# It shares no code with the int tables of ``exactnum`` and serves as the oracle.
+
+
+def _oracle_den_parts(den):
+    parts = []
+    rest, f = den, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            m = 1
+            while rest % f == 0:
+                rest //= f
+                m *= f
+            parts.append((f, m))
+        f += 1
+    if rest > 1:
+        parts.append((rest, rest))
+    out = []
+    for ell, m in parts:
+        cof = den // m
+        inv = pow(cof, -1, m) if cof > 1 else 1
+        step = m // ell
+        out.append((ell, m, inv, step * (ell - 1), step))
+    return out
+
+
+def _mod1(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _canonical_insert(out, r, c):
+    if c == 0:
+        return
+    r = _mod1(r)
+    if r.denominator == 1:
+        out[Fraction(0)] = out.get(Fraction(0), Fraction(0)) + c
+        return
+    factors = []
+    for ell, m, inv, phi, step in _oracle_den_parts(r.denominator):
+        b = (r.numerator * inv) % m
+        if b < phi:
+            factors.append(((1, Fraction(b, m)),))
+        else:
+            factors.append(tuple((-1, Fraction(b - phi + j * step, m)) for j in range(ell - 1)))
+    combos = [(1, Fraction(0))]
+    for options in factors:
+        combos = [(s * s2, e + e2) for s, e in combos for s2, e2 in options]
+    for sign, expo in combos:
+        expo = _mod1(expo)
+        out[expo] = out.get(expo, Fraction(0)) + sign * c
+
+
+def _canonicalize(raw):
+    out = {}
+    for r, c in raw.items():
+        _canonical_insert(out, r, c)
+    return {r: c for r, c in out.items() if c != 0}
+
+
+def _convolve(t1, t2, scale, acc):
+    for r1, c1 in t1.items():
+        for r2, c2 in t2.items():
+            r = _mod1(r1 + r2)
+            acc[r] = acc.get(r, Fraction(0)) + scale * c1 * c2
+
+
+class Oracle:
+    """A + B sqrt(q) as two canonical {Fraction exponent: Fraction coeff} dicts."""
+
+    def __init__(self, q, one, sq):
+        self.q, self.one, self.sq = q, _canonicalize(one), _canonicalize(sq)
+
+    @classmethod
+    def of(cls, value):
+        one = {r: c for c, r, half in value.terms() if not half}
+        sq = {r: c for c, r, half in value.terms() if half}
+        return cls(value.q, one, sq)
+
+    def terms(self):
+        return ([(c, r, False) for r, c in sorted(self.one.items())]
+                + [(c, r, True) for r, c in sorted(self.sq.items())])
+
+    def is_zero(self):
+        return not self.one and not self.sq
+
+    def rational(self):
+        if self.sq or set(self.one) - {Fraction(0)}:
+            return None
+        return self.one.get(Fraction(0), Fraction(0))
+
+    def __add__(self, other):
+        one, sq = dict(self.one), dict(self.sq)
+        for acc, terms in ((one, other.one), (sq, other.sq)):
+            for r, c in terms.items():
+                acc[r] = acc.get(r, Fraction(0)) + c
+        return Oracle(self.q, one, sq)
+
+    def __neg__(self):
+        return Oracle(self.q, {r: -c for r, c in self.one.items()},
+                      {r: -c for r, c in self.sq.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, Oracle):
+            f = Fraction(other)
+            return Oracle(self.q, {r: c * f for r, c in self.one.items()},
+                          {r: c * f for r, c in self.sq.items()})
+        one, sq = {}, {}
+        _convolve(self.one, other.one, Fraction(1), one)
+        _convolve(self.sq, other.sq, Fraction(self.q), one)
+        _convolve(self.one, other.sq, Fraction(1), sq)
+        _convolve(self.sq, other.one, Fraction(1), sq)
+        return Oracle(self.q, one, sq)
+
+    def conjugate(self):
+        return Oracle(self.q, {_mod1(-r): c for r, c in self.one.items()},
+                      {_mod1(-r): c for r, c in self.sq.items()})
+
+    def galois(self, t):
+        one = {}
+        for r, c in self.one.items():
+            rr = _mod1(r * t)
+            one[rr] = one.get(rr, Fraction(0)) + c
+        return Oracle(self.q, one, {})
+
+    def _cyclotomic_inverse(self):
+        if len(self.one) == 1:
+            (r, c), = self.one.items()
+            return Oracle(self.q, {_mod1(-r): 1 / c}, {})
+        level = math.lcm(*(r.denominator for r in self.one))
+        prod = Oracle(self.q, {Fraction(0): Fraction(1)}, {})
+        for t in _unit_residues_mod(level):
+            if t != 1:
+                prod = prod * self.galois(t)
+        norm = (self * prod).rational()
+        assert norm is not None, "field norm failed to land in Q"
+        return prod * (1 / norm)
+
+    def inverse(self):
+        a = Oracle(self.q, self.one, {})
+        if not self.sq:
+            return a._cyclotomic_inverse()
+        b = Oracle(self.q, self.sq, {})
+        disc = a * a + -(b * b * self.q)
+        if disc.is_zero():
+            raise ZeroDivisionError
+        return Oracle(self.q, self.one, {r: -c for r, c in self.sq.items()}) \
+            * disc._cyclotomic_inverse()
+
+
+ORACLE_DENOMINATORS = (4, 8, 9, 12, 27, 25, 35, 108)
+
+
+def random_raw_terms(rng, count, dens=ORACLE_DENOMINATORS):
+    """{exponent: coefficient}, exponents of the given denominators in any range."""
+    out = {}
+    for _ in range(count):
+        den = rng.choice(dens)
+        out[Fraction(rng.randrange(-den, 2 * den), den)] = Fraction(
+            rng.choice([-1, 1]) * rng.randrange(1, 12), rng.randrange(1, 8))
+    return out
+
+
+def random_value(rng, q, dens=ORACLE_DENOMINATORS, max_terms=4):
+    one = random_raw_terms(rng, rng.randrange(1, max_terms + 1), dens)
+    sq = random_raw_terms(rng, rng.randrange(1, 3), dens) if rng.randrange(3) == 0 else {}
+    return CycValue(q, one, sq), Oracle(q, one, sq)
 
 
 def test_context_rejects_bad_p():
@@ -118,7 +291,6 @@ class TestCycValue:
             r1 = Fraction(rng.randrange(0, 36), 36)
             r2 = Fraction(rng.randrange(0, 36), 36)
             exact = (ctx.cyc_e(r1) + ctx.cyc_e(r2)) * ctx.sqrtq()
-            expected = (math.e ** 0j)  # placeholder to keep complex type
             expected = (complex(math.cos(2 * math.pi * r1), math.sin(2 * math.pi * r1))
                         + complex(math.cos(2 * math.pi * r2), math.sin(2 * math.pi * r2))) \
                 * math.sqrt(3)
@@ -136,11 +308,127 @@ class TestCycValue:
         a = ctx.cyc(Fraction(1, 3)) + ctx.cyc_e(Fraction(5, 9)) * 2 + ctx.sqrtq() * Fraction(-1, 2)
         assert CycValue.from_terms(3, a.terms()) == a
 
+    def test_sum_rejects_mixed_q(self):
+        with pytest.raises(ValueError, match="mixed ambient q"):
+            CycValue.sqrtq(3) + CycValue.sqrtq(5)
+        with pytest.raises(ValueError, match="mixed ambient q"):
+            CycValue.sum([CycValue.sqrtq(3), CycValue.sqrtq(5)])
+        with pytest.raises(ValueError, match="mixed ambient q"):
+            CycValue.sum([CycValue.sqrtq(3), CycValue.sqrtq(3)], 5)
+        assert CycValue.sum([CycValue.sqrtq(3)] * 2, 3) == CycValue.sqrtq(3) * 2
+        assert CycValue.sum([], 5) == CycValue.zero(5)
+
     def test_q_half_power(self, ctx):
         assert q_half_power(3, 2) == 3
         assert q_half_power(3, -2) == Fraction(1, 3)
         assert q_half_power(3, 1) == ctx.sqrtq()
         assert q_half_power(3, -1) * ctx.sqrtq() == 1
+
+
+class TestAgainstOracle:
+    """Exact agreement of the int core with the Fraction-dict reference."""
+
+    QS = (3, 5, 7)
+
+    def test_construction(self, rng):
+        for q in self.QS:
+            for _ in range(40):
+                value, ref = random_value(rng, q)
+                assert value.terms() == ref.terms()
+                for coeff, expo, _ in value.terms():
+                    assert coeff != 0 and 0 <= expo < 1
+
+    def test_ring_operations(self, rng):
+        for q in self.QS:
+            for _ in range(40):
+                (a, ra), (b, rb) = random_value(rng, q), random_value(rng, q)
+                assert (a * b).terms() == (ra * rb).terms()
+                assert (a + b).terms() == (ra + rb).terms()
+                assert (a - b).terms() == (ra + -rb).terms()
+                assert (-a).terms() == (-ra).terms()
+                f = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+                assert (a * f).terms() == (ra * f).terms()
+                assert (a * CycValue.rational(q, f)).terms() == (ra * f).terms()
+                assert (CycValue.rational(q, f) * a).terms() == (ra * f).terms()
+                assert (a + f).terms() == (ra + Oracle(q, {Fraction(0): f}, {})).terms()
+
+    def test_sum(self, rng):
+        for q in self.QS:
+            for _ in range(20):
+                pairs = [random_value(rng, q) for _ in range(rng.randrange(1, 6))]
+                ref = pairs[0][1]
+                for _, r in pairs[1:]:
+                    ref = ref + r
+                assert CycValue.sum([v for v, _ in pairs]).terms() == ref.terms()
+                assert CycValue.sum([v for v, _ in pairs], q).terms() == ref.terms()
+
+    def test_conjugate_and_galois(self, rng):
+        for q in self.QS:
+            for _ in range(30):
+                a, ra = random_value(rng, q)
+                assert a.conjugate().terms() == ra.conjugate().terms()
+                level = math.lcm(*(r.denominator for _, r, _ in a.terms()))
+                t = rng.choice(_unit_residues_mod(level) or (1,))
+                assert a._galois(t, level).terms() == ra.galois(t).terms()
+
+    def test_inverse(self, rng):
+        for q in self.QS:
+            # denominator groups keep the oracle's norm (a product over all
+            # units of the level) affordable: levels up to 108
+            for dens in ((4, 8, 12), (9, 27), (25,), (35,), (108,)):
+                for _ in range(2):
+                    a, ra = random_value(rng, q, dens, max_terms=3)
+                    try:
+                        want = ra.inverse()
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroDivisionError):
+                            a.inverse()
+                        continue
+                    got = a.inverse()
+                    assert got.terms() == want.terms()
+                    assert a * got == 1
+
+    def test_repr_and_complex_read_the_fraction_view(self):
+        a = CycValue(3, {Fraction(5, 4): Fraction(2, 3), Fraction(1, 9): 1},
+                     {Fraction(0): Fraction(-1, 2)})
+        assert repr(a) == "e(1/9) + 2/3*e(1/4) + sqrt(q)*(-1/2)"
+        z = (cmath.exp(2j * cmath.pi / 9) + Fraction(2, 3) * 1j - math.sqrt(3) / 2)
+        assert abs(a.to_complex() - z) < 1e-12
+
+
+class TestLevelIndependence:
+    def test_value_through_a_higher_level(self, ctx):
+        through = ctx.cyc_e(Fraction(1, 27)) * ctx.cyc_e(Fraction(1, 4)) \
+            * ctx.cyc_e(Fraction(-1, 27))
+        direct = ctx.cyc_e(Fraction(1, 4))
+        assert through == direct
+        assert hash(through) == hash(direct)
+        assert through.terms() == direct.terms()
+
+    def test_rational_through_a_higher_level(self, ctx):
+        x = ctx.cyc_e(Fraction(2, 35)) * Fraction(3, 7) * ctx.cyc_e(Fraction(-2, 35))
+        assert x.is_rational() and x.as_rational() == Fraction(3, 7)
+        assert x == Fraction(3, 7) and hash(x) == hash(ctx.cyc(Fraction(3, 7)))
+
+    def test_ninth_roots_sum_to_zero_at_every_level(self, ctx):
+        ninth = [ctx.cyc_e(Fraction(k, 9)) for k in range(9)]
+        assert CycValue.sum(ninth).is_zero()
+        for m in (1, 4, 8, 12, 25, 27, 35, 108):
+            lift, back = ctx.cyc_e(Fraction(1, m)), ctx.cyc_e(Fraction(-1, m))
+            assert CycValue.sum([z * lift * back for z in ninth]).is_zero()
+            assert (CycValue.sum([z * lift for z in ninth]) * back).is_zero()
+            total = ctx.zero()
+            for z in ninth:
+                total = total + z * lift
+            assert total.is_zero() and total == 0 and hash(total) == hash(ctx.zero())
+
+    def test_equal_values_are_interchangeable_keys(self, ctx):
+        i = ctx.cyc_e(Fraction(1, 4))
+        table = {i: "i", ctx.sqrtq(): "s"}
+        i_via_108 = ctx.cyc_e(Fraction(1, 27)) * i * ctx.cyc_e(Fraction(26, 27))
+        s_via_9 = ctx.sqrtq() * ctx.cyc_e(Fraction(4, 9)) * ctx.cyc_e(Fraction(5, 9))
+        assert table[i_via_108] == "i" and table[s_via_9] == "s"
+        assert len({i, i_via_108, ctx.sqrtq(), s_via_9}) == 2
 
 
 class TestLaurentPoly:
