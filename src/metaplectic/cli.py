@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", default="example", choices=sorted(COMMANDS))
     parser.add_argument("--output", default="table", choices=["table", "json"])
     parser.add_argument("--max-range", type=int, default=16,
-                        help="hard cap for adaptive support windows")
+                        help="cap on the reported zeta window: a nonzero shell "
+                             "within 5 shells of +-N is an error")
     parser.add_argument("--seed", type=int, default=20257,
                         help="seed for randomized property suites")
     parser.add_argument("--trials", type=int, default=200,

@@ -152,12 +152,6 @@ class KElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_integral(self) -> bool:
-        return self.value.denominator % self.ctx.p != 0
-
-    def fractional_part(self) -> Fraction:
-        return p_fractional_part(self.value, self.ctx.p)
-
     def _coerce(self, other) -> Fraction:
         if isinstance(other, KElement):
             if other.ctx.p != self.ctx.p:

@@ -43,10 +43,6 @@ class AdditiveCharacter:
         a = as_fraction(a)
         return CycValue.root_of_unity(self.ctx.q, p_fractional_part(self.scale * a, self.ctx.p))
 
-    def value_frac(self, a: Fraction) -> Fraction:
-        """Just the exponent [scale * a]; the value is e() of it."""
-        return p_fractional_part(self.scale * a, self.ctx.p)
-
 
 @lru_cache(maxsize=None)
 def legendre_frac(p: int, u: Fraction) -> int:

@@ -396,6 +396,19 @@ class InducedVector:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def shells(self) -> list:
+        """The n of the terms, ascending: the only shells v(x) = n where
+        W^xi_v(<x>) can be nonzero.
+
+        <x> moves a term at n to n - v(x) and l^xi reads only n = 0, so
+        W^xi_v(<x>) = W^xi_{v_k}(<x>) with v_k = shell(k) for k = v(x), and
+        W^xi_v(<x>) = 0 when k is not in shells()."""
+        return sorted({key[1] for key in self.terms})
+
+    def shell(self, n: int) -> "InducedVector":
+        """The part of v on the cosets n(t)<p^n> (see ``shells``)."""
+        return InducedVector(self.q, {key: c for key, c in self.terms.items() if key[1] == n})
+
     def __add__(self, other: "InducedVector") -> "InducedVector":
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -613,12 +626,10 @@ class Representation:
         return CycValue.sum(vals, self.ctx.q)
 
     def whittaker_function(self, xi, v: InducedVector, g: MetaElement) -> CycValue:
-        """W^xi_v(g) = l^xi(pi(g) v).  A diagonal g = <x> moves the terms with
-        n to n - v(x), and l^xi reads only n = 0, so only the terms with
-        n = v(x) are acted on."""
+        """W^xi_v(g) = l^xi(pi(g) v).  A diagonal g = <x> acts only on the
+        part of v on the shell v(x) (``InducedVector.shells``)."""
         if g.g.is_diagonal():
-            k = frac_valuation(g.g.a, self.ctx.p)
-            v = InducedVector(self.ctx.q, {key: c for key, c in v.terms.items() if key[1] == k})
+            v = v.shell(frac_valuation(g.g.a, self.ctx.p))
         return self.whittaker_functional(xi, self.act(g, v))
 
     def c_factor(self, xi, a) -> CycValue:

@@ -480,10 +480,15 @@ def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
 # -- zeta functions ----------------------------------------------------------------
 
 
+_CLOSURE_ZEROS = 5  # zero shells that close each end of a zeta window
+
+
 @dataclass
 class ZetaFunction:
-    """A local zeta function as a polynomial in q^{-s}, with the shell window
-    actually scanned."""
+    """A local zeta function as a polynomial in q^{-s}, with its window
+    [lo, hi]: the smallest one containing [-h, h], h = min(l + 6,
+    max_halfwidth), with every nonzero shell at least `_CLOSURE_ZEROS`
+    shells inside each end."""
 
     poly: LaurentPoly
     window: tuple
@@ -499,11 +504,18 @@ def zeta_parity_holds(rep: Representation, mu: MultChar) -> bool:
 
 
 def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
-                  max_halfwidth: int = 16, closure_zeros: int = 5) -> ZetaFunction:
+                  max_halfwidth: int = 16) -> ZetaFunction:
     """Z(s, mu, l^xi, v) = 2 * integral over Q_p^x of W^xi_v(<x>) chi_psi mu
     |x|^{s-1/2} d*x, emitted shell by shell as 2 q^{n/2} (shell integral) at
-    exponent n of q^{-s}.  The scan window starts at [-(l+6), l+6] and each
-    end extends until `closure_zeros` consecutive zero shells close it."""
+    exponent n of q^{-s}.
+
+    Only the shells of v (``InducedVector.shells``) are integrated, each
+    through the refinement gate; W^xi_v(<x>) vanishes on every other shell.
+    The window (``ZetaFunction``) is then known exactly: hi is the smallest
+    integer >= h = min(l + 6, max_halfwidth) with no nonzero shell above it
+    and shells hi-4..hi zero, and lo is its mirror image.  An end past
+    +-max_halfwidth raises ``StabilizationError`` naming the shell that
+    forced it."""
     ctx = rep.ctx
     q = ctx.q
     xi = as_fraction(xi)
@@ -511,48 +523,25 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
         raise ValueError(f"xi={xi} is not in X(pi)")
     level = max(rep.level, mu.m) + 1
 
-    def shell_coefficient(n: int) -> CycValue:
-        def f(x: Fraction) -> CycValue:
-            wv = rep.whittaker_function(xi, v, MetaElement.torus(ctx, x))
-            if wv.is_zero():
-                return wv
-            return wv * chi_psi(ctx.elem(x)) * mu.value(x)
+    def f(x: Fraction) -> CycValue:
+        wv = rep.whittaker_function(xi, v, MetaElement.torus(ctx, x))
+        if wv.is_zero():
+            return wv
+        return wv * chi_psi(ctx.elem(x)) * mu.value(x)
 
-        shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
-        return shell * q_half_power(q, n) * 2
-
-    halfwidth = min(rep.level + 6, max_halfwidth)
     coeffs: dict = {}
-    computed: dict = {}
-
-    def compute(n: int) -> CycValue:
-        if n not in computed:
-            computed[n] = shell_coefficient(n)
-        return computed[n]
-
-    for n in range(-halfwidth, halfwidth + 1):
-        compute(n)
-
-    def closed(end: int, direction: int) -> bool:
-        return all(compute(end + direction * k).is_zero() for k in range(closure_zeros))
-
-    hi = halfwidth
-    while not closed(hi - closure_zeros + 1, +1):
-        hi += 1
-        if hi > max_halfwidth:
-            raise StabilizationError(
-                "zeta support window failed to close above; "
-                "input is not supercuspidal-compatible", sorted(computed))
-        compute(hi)
-    lo = -halfwidth
-    while not closed(lo + closure_zeros - 1, -1):
-        lo -= 1
-        if lo < -max_halfwidth:
-            raise StabilizationError(
-                "zeta support window failed to close below; "
-                "input is not supercuspidal-compatible", sorted(computed))
-        compute(lo)
-    coeffs = {n: c for n, c in computed.items() if not c.is_zero()}
+    for n in v.shells():
+        shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
+        if not shell.is_zero():
+            coeffs[n] = shell * q_half_power(q, n) * 2
+    half = min(rep.level + 6, max_halfwidth)
+    lo = min([-half] + [n - _CLOSURE_ZEROS for n in coeffs])
+    hi = max([half] + [n + _CLOSURE_ZEROS for n in coeffs])
+    if max(hi, -lo) > max_halfwidth:
+        n, end = (max(coeffs), hi) if hi > max_halfwidth else (min(coeffs), lo)
+        raise StabilizationError(
+            f"zeta window: shell {n} needs window end {end}, beyond "
+            f"max_halfwidth {max_halfwidth} (--max-range)", sorted(coeffs))
     return ZetaFunction(LaurentPoly(q, Q_NEG_S, coeffs), (lo, hi), zeta_parity_holds(rep, mu))
 
 
@@ -610,32 +599,27 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
                     mu.spec_record(), gammas)
 
 
-def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a,
-                            halfwidth: int | None = None):
+def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a):
     """Both sides of the inversion identity
 
         W^xi_v(<a>w) = sum_eta (|eta|/2) * integral over Q_p^x of
             J^{xi,eta}(<ay>w) (ay, y) W^eta_v(<y>) d*y
 
-    with eta over deduplicated square-class representatives; the integral is
-    evaluated over the zeta support window of v."""
+    with eta over deduplicated square-class representatives; the integral
+    runs over the shells of v (``InducedVector.shells``), the only ones where
+    W^eta_v(<y>) can be nonzero."""
     ctx = rep.ctx
     p, q = ctx.p, ctx.q
     xi = as_fraction(xi)
     a = as_fraction(a)
     va = int(frac_valuation(a, p))
     lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
-    if halfwidth is None:
-        halfwidth = rep.level + 6
     rhs = CycValue.zero(q)
     for eta_rep in rep.spectrum().dedup:
         table = bessel_table(rep, xi, eta_rep.xi)
 
-        def weta_at(y: Fraction) -> CycValue:
-            return rep.whittaker_function(eta_rep.xi, v, MetaElement.torus(ctx, y))
-
         def f(y: Fraction) -> CycValue:
-            weta = weta_at(y)
+            weta = rep.whittaker_function(eta_rep.xi, v, MetaElement.torus(ctx, y))
             if weta.is_zero():
                 return weta
             ay = a * y
@@ -646,12 +630,7 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a,
             return value if hilbert_frac(p, ay, y) == 1 else -value
 
         total = CycValue.zero(q)
-        probe_level = rep.level + 2
-        for m in range(-halfwidth, halfwidth + 1):
-            pm = Fraction(p) ** m
-            # the exact identity check downstream would expose a missed shell
-            if all(weta_at(u * pm).is_zero() for u in _unit_residues_mod(p**probe_level)):
-                continue
+        for m in v.shells():
             level = rep.level + 1 + max(0, -(va + m))
             total = total + integrate_shell(
                 ctx, f, ShellIntegralPlan(m, level, MULTIPLICATIVE_DX))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +147,17 @@ class TestVectors:
         assert rc == 0
         assert out.count("PASS") == 2
 
+    def test_zeta_far_shell(self, capsys, tmp_path):
+        # support beyond the default window [-7, 7] of builtin 1
+        path = tmp_path / "vectors.txt"
+        path.write_text("phi(n=8)\n")
+        rc, out, _ = run_cli(capsys, "--command", "zeta", "--vectors", str(path),
+                             "--output", "json")
+        assert rc == 0
+        (case,) = json.loads(out)["cases"]
+        assert [term["exp"] for term in case["poly"]["terms"]] == [8]
+        assert case["window"] == [-7, 13]
+
 
 class TestSerialization:
     def test_cyc_roundtrip_exact(self, ctx):
@@ -177,3 +189,29 @@ class TestSerialization:
         rc, out, _ = run_cli(capsys, "--command", "bessel")
         assert rc == 0
         assert "J(<x>w)" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MU = {
+    "trivial": "trivial",
+    "quadratic1": json.dumps({"conductor_exponent": 1,
+                              "value_at_p_numerator_of_exponent": 0,
+                              "value_at_p_denominator_of_exponent": 1,
+                              "generator_image_exponent": 1}),
+    "unramified4": json.dumps({"conductor_exponent": 0,
+                               "value_at_p_numerator_of_exponent": 1,
+                               "value_at_p_denominator_of_exponent": 4,
+                               "generator_image_exponent": 0}),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(GOLDEN_MU))
+@pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])
+@pytest.mark.parametrize("command", ["zeta", "check-fe"])
+def test_golden_json_bytes(capsys, command, sigma, mu):
+    """`zeta` and `check-fe` JSON on the default vectors, byte for byte as
+    recorded in golden/<command>-<sigma>-<mu>.json."""
+    rc, out, _ = run_cli(capsys, "--command", command, "--sigma", sigma,
+                         "--mu", GOLDEN_MU[mu], "--output", "json")
+    assert rc == 0
+    assert out == (GOLDEN / f"{command}-{sigma}-{mu}.json").read_text()

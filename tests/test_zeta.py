@@ -7,6 +7,7 @@ from metaplectic import (
     MULTIPLICATIVE_DX,
     AdditiveCharacter,
     CycValue,
+    LaurentPoly,
     MetaElement,
     MultChar,
     ShellIntegralPlan,
@@ -486,6 +487,99 @@ class TestZeta:
         mu = MultChar.trivial(rep1.ctx)
         with pytest.raises(StabilizationError):
             zeta_function(rep1, XI, mu, rep1.phi(n=1), max_halfwidth=3)
+
+
+class TestFarShells:
+    """Support beyond the default window [-(l+6), l+6] is integrated, not
+    lost behind five interior zero shells."""
+
+    def test_support_at_shell_eight(self, rep1):
+        z = zeta_function(rep1, XI, MultChar.trivial(rep1.ctx), rep1.phi(n=8))
+        assert z.poly.support() == [8]
+        assert z.window == (-7, 13)
+
+    def test_fe_at_shell_eight(self, rep1):
+        fe = check_fe(rep1, MultChar.trivial(rep1.ctx), rep1.phi(n=8), XI)
+        assert fe.passed and not fe.lhs.is_zero()
+
+    def test_cap_names_shell(self, rep1):
+        mu = MultChar.trivial(rep1.ctx)
+        with pytest.raises(StabilizationError) as err:
+            zeta_function(rep1, XI, mu, rep1.phi(n=12))
+        assert "shell 12" in str(err.value) and "max_halfwidth 16" in str(err.value)
+        with pytest.raises(StabilizationError) as err:
+            zeta_function(rep1, XI, mu, rep1.phi(n=-12))
+        assert "shell -12" in str(err.value)
+        z = zeta_function(rep1, XI, mu, rep1.phi(n=12), max_halfwidth=20)
+        assert z.poly.support() == [12]
+        assert z.window == (-7, 17)
+
+
+def _zeta_by_full_scan(rep, xi, mu, v, max_halfwidth=16, closure_zeros=5):
+    """The window-growth scan: integrate every shell of [-(l+6), l+6], then
+    grow each end until `closure_zeros` consecutive zero shells close it.
+    Right whenever the support lies inside the scanned window."""
+    ctx = rep.ctx
+    level = max(rep.level, mu.m) + 1
+
+    def shell_coefficient(n):
+        def f(x):
+            wv = rep.whittaker_function(xi, v, MetaElement.torus(ctx, x))
+            if wv.is_zero():
+                return wv
+            return wv * chi_psi(ctx.elem(x)) * mu.value(x)
+
+        shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
+        return shell * q_half_power(ctx.q, n) * 2
+
+    halfwidth = min(rep.level + 6, max_halfwidth)
+    computed = {n: shell_coefficient(n) for n in range(-halfwidth, halfwidth + 1)}
+
+    def compute(n):
+        if n not in computed:
+            computed[n] = shell_coefficient(n)
+        return computed[n]
+
+    def closed(end, direction):
+        return all(compute(end + direction * k).is_zero() for k in range(closure_zeros))
+
+    hi = halfwidth
+    while not closed(hi - closure_zeros + 1, +1):
+        hi += 1
+        assert hi <= max_halfwidth
+    lo = -halfwidth
+    while not closed(lo + closure_zeros - 1, -1):
+        lo -= 1
+        assert lo >= -max_halfwidth
+    coeffs = {n: c for n, c in computed.items() if not c.is_zero()}
+    return LaurentPoly(ctx.q, Q_NEG_S, coeffs), (lo, hi)
+
+
+class TestZetaFullScanOracle:
+    """Integrating only the vector's shells gives the full scan's polynomial
+    and window wherever the support lies inside the scanned window."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_full_scan(self, which, rep1, rep2):
+        rep = rep1 if which == 1 else rep2
+        ctx = rep.ctx
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
+               MultChar(ctx, 0, Fraction(1, 4)))
+        vectors = [rep.phi(n=n) for n in range(-3, 4)] + [
+            rep.phi(t=Fraction(1, 9), n=-2) + rep.phi(n=3, coeff=Fraction(-1, 2)),
+            rep.phi(t=Fraction(1, 3), n=-1, coeff=Fraction(2))
+            + rep.phi(n=1, coeff=Fraction(-1, 2)) + rep.phi(t=Fraction(2, 3)),
+            rep.phi(n=-3) + rep.phi(t=Fraction(2, 3), n=0) + rep.phi(n=2),
+        ]
+        nonzero = 0
+        for mu in mus:
+            for xi_rep in rep.spectrum().dedup:
+                for v in vectors:
+                    z = zeta_function(rep, xi_rep.xi, mu, v)
+                    poly, window = _zeta_by_full_scan(rep, xi_rep.xi, mu, v)
+                    assert (z.poly, z.window) == (poly, window), (mu.spec_record(), v)
+                    nonzero += not poly.is_zero()
+        assert nonzero >= 2 * len(vectors)
 
 
 class TestFunctionalEquation:
