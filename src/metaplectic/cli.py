@@ -8,7 +8,7 @@ gamma             gamma factors for the spectrum representatives
 zeta              zeta polynomials for the configured vectors
 bessel            Bessel values on shells around the unit shell
 check-fe          functional-equation residuals for a (vector, character) matrix
-check-invariants  all property suites with structured pass/fail
+check-invariants  the property suites of ``invariants``, structured pass/fail
 
 Exact values serialize as flat term lists so downstream tooling can re-verify
 exactness; floats are advisory only.
@@ -23,26 +23,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactnum import CycValue, LaurentPoly, PadicContext, Q_NEG_S, Q_POS_S, _is_prime
-from .localchar import (
-    AdditiveCharacter,
-    MultChar,
-    chi_psi,
-    hilbert_frac,
-    hilbert_symbol,
-    hilbert_symbol_oracle,
-    weil_alpha,
-)
-from .cover import (
-    MetaElement,
-    cocycle,
-    coset_decompose,
-    decompose_meta,
-    kubota_split,
-    random_integral_sl2,
-    random_sl2_word,
-)
-from .repn import InducedVector, Representation, SigmaRep, builtin_sigma_p3, sigma_from_dict
+from . import invariants
+from .exactnum import CycValue, LaurentPoly, PadicContext, _is_prime
+from .localchar import MultChar
+from .repn import InducedVector, Representation, builtin_sigma_p3, sigma_from_dict
 from .zeta import (
     bessel_table,
     check_fe,
@@ -150,12 +134,11 @@ def parse_vector_expression(rep: Representation, text: str) -> InducedVector:
 
 def default_vectors(rep: Representation) -> dict:
     p = rep.ctx.p
-    exprs = {
+    return {
         "phi(t=0, n=0, b=0)": rep.phi(),
         f"phi(t=1/{p**rep.level}, n=0, b=0)": rep.phi(t=Fraction(1, p**rep.level)),
         "phi(t=0, n=1, b=0)": rep.phi(n=1),
     }
-    return exprs
 
 
 # -- configuration ----------------------------------------------------------------
@@ -167,6 +150,22 @@ def build_context(args) -> PadicContext:
     return PadicContext(args.p)
 
 
+def _configured(what: str, build):
+    """build(), with unreadable input, malformed JSON and a record missing a
+    field reported as a ConfigError."""
+    try:
+        return build()
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing the field {exc}") from exc
+
+
+def _read(path: str, parse=json.load):
+    with open(path) as fh:
+        return parse(fh)
+
+
 def build_sigma(ctx: PadicContext, source: str):
     if source in ("builtin1", "builtin2"):
         which = int(source[-1])
@@ -174,35 +173,26 @@ def build_sigma(ctx: PadicContext, source: str):
             raise ConfigError(
                 f"builtin sigma '{source}' requires p = 3, got p = {ctx.p}")
         return builtin_sigma_p3(ctx, which), source
-    try:
-        with open(source) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sigma table {source!r}: {exc}") from exc
-    return sigma_from_dict(ctx, data), source
+    return _configured(f"sigma table {source!r}",
+                       lambda: sigma_from_dict(ctx, _read(source))), source
 
 
 def build_mu(ctx: PadicContext, spec: str) -> MultChar:
     if spec == "trivial":
         return MultChar.trivial(ctx)
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            record = json.load(fh)
-    else:
-        record = json.loads(spec)
-    return MultChar.from_spec(ctx, record)
+    return _configured(f"character record {spec!r}", lambda: MultChar.from_spec(
+        ctx, _read(spec[1:]) if spec.startswith("@") else json.loads(spec)))
 
 
 def load_vectors(rep: Representation, path: str | None) -> dict:
     if path is None:
         return default_vectors(rep)
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out[line] = parse_vector_expression(rep, line)
+    for line in _configured(f"vectors file {path!r}", lambda: _read(path, list)):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        out[line] = parse_vector_expression(rep, line)
     if not out:
         raise ConfigError(f"no vector expressions found in {path!r}")
     return out
@@ -296,7 +286,6 @@ def cmd_zeta(rep: Representation, args, out):
 def cmd_bessel(rep: Representation, args, out):
     xi = rep.spectrum().dedup[0].xi
     table = bessel_table(rep, xi, xi)
-    p = rep.ctx.p
     rows = []
     for n in range(-(rep.level + 2), 1):
         shell = table.shell_values(n, min(rep.level + 1, 2))
@@ -356,100 +345,20 @@ def _suite(name, fn):
 
 
 def cmd_check_invariants(rep: Representation, args, out):
-    ctx = rep.ctx
-    rng = random.Random(args.seed)
+    ctx, rng = rep.ctx, random.Random(args.seed)
     trials = max(50, args.trials)
-    results = []
-
-    def cocycle_suite():
-        for _ in range(trials):
-            g, h, k = (random_sl2_word(ctx, rng).g for _ in range(3))
-            if cocycle(g, h) * cocycle(g * h, k) != cocycle(h, k) * cocycle(g, h * k):
-                raise AssertionError(f"2-cocycle identity fails at {g!r}, {h!r}, {k!r}")
-        return f"{trials} triples"
-
-    def splitting_suite():
-        for _ in range(trials):
-            g = random_integral_sl2(ctx, rng)
-            h = random_integral_sl2(ctx, rng)
-            if kubota_split(g) * kubota_split(h) * cocycle(g, h) != kubota_split(g * h):
-                raise AssertionError(f"splitting property fails at {g!r}, {h!r}")
-        return f"{trials} pairs"
-
-    def coset_suite():
-        for _ in range(trials):
-            m = random_sl2_word(ctx, rng)
-            hm, dec = decompose_meta(m)
-            back = hm * dec.rep_meta()
-            if back.g.entries() != m.g.entries() or back.eps != m.eps:
-                raise AssertionError(f"round trip fails at {m!r}")
-        return f"{trials} words"
-
-    def character_suite():
-        for _ in range(trials // 2):
-            a = _random_nonzero(ctx, rng)
-            b = _random_nonzero(ctx, rng)
-            if chi_psi(a * a.value) != CycValue.one(ctx.q):
-                raise AssertionError(f"chi_psi(a^2) != 1 at a={a.value}")
-            lhs = chi_psi(ctx.elem(a.value * b.value))
-            rhs = chi_psi(a) * chi_psi(b) * hilbert_symbol(a, b)
-            if lhs != rhs:
-                raise AssertionError(f"twisted multiplicativity fails at {a.value}, {b.value}")
-            alpha = weil_alpha(a)
-            if alpha * alpha.conjugate() != CycValue.one(ctx.q):
-                raise AssertionError(f"|alpha| != 1 at a={a.value}")
-        return f"{trials // 2} samples"
-
-    def hilbert_sweep():
-        units = [u for u in range(1, ctx.p**2) if u % ctx.p != 0]
-        count = 0
-        for va in (-2, -1, 0, 1, 2):
-            for ua in units:
-                a = ctx.elem(Fraction(ua) * Fraction(ctx.p) ** va)
-                b = ctx.elem(Fraction(units[count % len(units)]) * Fraction(ctx.p) ** ((va + 1) % 2))
-                if hilbert_symbol(a, b) != hilbert_symbol_oracle(a, b):
-                    raise AssertionError(f"closed formula disagrees with oracle at {a.value}, {b.value}")
-                count += 1
-        return f"{count} pairs vs oracle"
-
-    def whittaker_suite():
-        xi = rep.spectrum().dedup[0].xi
-        psi_xi = AdditiveCharacter(ctx).twist(xi)
-        for _ in range(trials // 4):
-            a = Fraction(rng.randrange(-3 * ctx.p**2, 3 * ctx.p**2),
-                         ctx.p ** rng.randrange(0, 3))
-            v = rep.phi(t=Fraction(rng.randrange(0, ctx.p**2), ctx.p**2),
-                        n=rng.choice([-1, 0, 1]))
-            lhs = rep.whittaker_functional(xi, rep.act(MetaElement.n(ctx, a), v))
-            rhs = psi_xi.value(a) * rep.whittaker_functional(xi, v)
-            if lhs != rhs:
-                raise AssertionError(f"equivariance fails at a={a}")
-        return f"{trials // 4} pairs"
-
-    def bessel_suite():
-        xi = rep.spectrum().dedup[0].xi
-        table = bessel_table(rep, xi, xi)
-        n = table.validate_agreement(range(-rep.level - 1, -rep.level + 1), per_shell=2)
-        return f"{n} points, two methods"
-
-    def vanishing_suite():
-        from .zeta import gamma_coefficient
-        mu = MultChar.trivial(ctx)
-        xi = rep.spectrum().dedup[0].xi
-        bound = 2 * rep.level - rep.level
-        for n in (bound + 1, -1):
-            if not gamma_coefficient(rep, xi, xi, mu, n).is_zero():
-                raise AssertionError(f"gamma({n}) != 0")
-        return f"gamma({bound + 1}) = gamma(-1) = 0"
-
-    results.append(_suite("cocycle", cocycle_suite))
-    results.append(_suite("kubota-splitting", splitting_suite))
-    results.append(_suite("coset-roundtrip", coset_suite))
-    results.append(_suite("characters", character_suite))
-    results.append(_suite("hilbert-oracle", hilbert_sweep))
-    results.append(_suite("whittaker-equivariance", whittaker_suite))
-    results.append(_suite("bessel-agreement", bessel_suite))
-    results.append(_suite("shell-vanishing", vanishing_suite))
+    suites = (
+        ("cocycle", lambda: invariants.check_cocycle(ctx, rng, trials)),
+        ("kubota-splitting", lambda: invariants.check_kubota_splitting(ctx, rng, trials)),
+        ("coset-roundtrip", lambda: invariants.check_coset_roundtrip(ctx, rng, trials)),
+        ("characters", lambda: invariants.check_characters(ctx, rng, trials // 2)),
+        ("hilbert-oracle", lambda: invariants.check_hilbert_oracle(ctx)),
+        ("whittaker-equivariance",
+         lambda: invariants.check_whittaker_equivariance(rep, rng, trials // 4)),
+        ("bessel-agreement", lambda: invariants.check_bessel_agreement(rep)),
+        ("shell-vanishing", lambda: invariants.check_shell_vanishing(rep)),
+    )
+    results = [_suite(name, fn) for name, fn in suites]
     all_pass = all(r["pass"] for r in results)
     if args.output == "json":
         out(json.dumps({"command": "check-invariants", "seed": args.seed,
@@ -458,14 +367,6 @@ def cmd_check_invariants(rep: Representation, args, out):
         for r in results:
             out(f"{'PASS' if r['pass'] else 'FAIL'}  {r['suite']}: {r['detail']}")
     return 0 if all_pass else 1
-
-
-def _random_nonzero(ctx, rng):
-    u = rng.randrange(1, ctx.p**2)
-    while u % ctx.p == 0:
-        u = rng.randrange(1, ctx.p**2)
-    return ctx.elem(Fraction(u) * Fraction(ctx.p) ** rng.randrange(-2, 3) *
-                    rng.choice([1, -1]))
 
 
 COMMANDS = {
@@ -498,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=20257,
                         help="seed for randomized property suites")
     parser.add_argument("--trials", type=int, default=200,
-                        help="sample count for randomized property suites")
+                        help="check-invariants samples, N = max(50, trials): N each "
+                             "for cocycle, splitting, coset; N//2 character; N//4 Whittaker")
     parser.add_argument("--corrupt-gamma", action="store_true",
                         help=argparse.SUPPRESS)  # negative-control test hook
     return parser

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (INFINITY, KElement, PadicContext, frac_mod, frac_valuation,
-                       p_fractional_part)
+from .exactnum import PadicContext, frac_mod, frac_valuation, p_fractional_part
 from .localchar import hilbert_frac
 
 _ZERO = Fraction(0)
@@ -175,21 +174,26 @@ def kubota_split(h: SL2Element) -> int:
     return 1
 
 
-def random_integral_sl2(ctx: PadicContext, rng, length: int = 4) -> SL2Element:
-    """Random word in generators of SL(2, Z_p): upper/lower unipotents with
-    integral parameters and unit torus elements."""
+def random_unit(p: int, rng) -> int:
+    """A uniformly random unit residue modulo p^2, drawn by rejection."""
+    u = rng.randrange(1, p**2)
+    while u % p == 0:
+        u = rng.randrange(1, p**2)
+    return u
+
+
+def random_integral_sl2(ctx: PadicContext, rng) -> SL2Element:
+    """Random word of length 4 in generators of SL(2, Z_p): upper/lower
+    unipotents with integral parameters and unit torus elements."""
     g = SL2Element.identity(ctx)
-    for _ in range(length):
+    for _ in range(4):
         kind = rng.randrange(3)
         if kind == 0:
             g = g * SL2Element.n(ctx, rng.randrange(-3 * ctx.p, 3 * ctx.p + 1))
         elif kind == 1:
             g = g * SL2Element.n_lower(ctx, rng.randrange(-3 * ctx.p, 3 * ctx.p + 1))
         else:
-            u = rng.randrange(1, ctx.p**2)
-            while u % ctx.p == 0:
-                u = rng.randrange(1, ctx.p**2)
-            g = g * SL2Element.torus(ctx, Fraction(u))
+            g = g * SL2Element.torus(ctx, Fraction(random_unit(ctx.p, rng)))
     return g
 
 
@@ -204,10 +208,8 @@ def random_sl2_word(ctx: PadicContext, rng, length: int = 5) -> MetaElement:
             num = rng.randrange(-2 * p**2, 2 * p**2 + 1)
             x = x * MetaElement.n(ctx, Fraction(num, p ** rng.randrange(0, 3)))
         elif kind == 1:
-            u = rng.randrange(1, p**2)
-            while u % p == 0:
-                u = rng.randrange(1, p**2)
-            x = x * MetaElement.torus(ctx, Fraction(u, 1) * Fraction(p) ** rng.randrange(-2, 3))
+            u = random_unit(p, rng)
+            x = x * MetaElement.torus(ctx, Fraction(u) * Fraction(p) ** rng.randrange(-2, 3))
         else:
             x = x * MetaElement.w(ctx)
     if rng.randrange(2):
@@ -247,11 +249,8 @@ class CosetDecomposition:
     n: int
     eps_track: int
 
-    def rep_matrix(self) -> SL2Element:
-        return coset_rep(self.h.ctx, self.t, self.n)
-
     def rep_meta(self) -> MetaElement:
-        return MetaElement(self.rep_matrix(), 1)
+        return MetaElement(coset_rep(self.h.ctx, self.t, self.n), 1)
 
 
 def coset_decompose(x: MetaElement | SL2Element) -> CosetDecomposition:

@@ -272,12 +272,12 @@ class MultChar:
     """
 
     def __init__(self, ctx: PadicContext, conductor_exponent: int, p_exponent=Fraction(0),
-                 generator_exponent: int = 0, max_conductor: int = MAX_CONDUCTOR_EXPONENT):
+                 generator_exponent: int = 0):
         if conductor_exponent < 0:
             raise ValueError("conductor exponent must be >= 0")
-        if conductor_exponent > max_conductor:
-            raise ValueError(
-                f"conductor exponent {conductor_exponent} exceeds the cap {max_conductor}")
+        if conductor_exponent > MAX_CONDUCTOR_EXPONENT:
+            raise ValueError(f"conductor exponent {conductor_exponent} exceeds the cap "
+                             f"{MAX_CONDUCTOR_EXPONENT}")
         self.ctx = ctx
         self.m = int(conductor_exponent)
         self.p_exponent = Fraction(p_exponent) % 1
@@ -334,7 +334,7 @@ class MultChar:
         return cls(ctx, 0)
 
     @classmethod
-    def from_spec(cls, ctx: PadicContext, record: dict, max_conductor: int = MAX_CONDUCTOR_EXPONENT) -> "MultChar":
+    def from_spec(cls, ctx: PadicContext, record: dict) -> "MultChar":
         """Build from the character record
 
             {conductor_exponent, value_at_p_numerator_of_exponent,
@@ -348,7 +348,6 @@ class MultChar:
             Fraction(int(record["value_at_p_numerator_of_exponent"]),
                      int(record["value_at_p_denominator_of_exponent"])),
             int(record.get("generator_image_exponent", 0)),
-            max_conductor=max_conductor,
         )
 
     def spec_record(self) -> dict:

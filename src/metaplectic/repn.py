@@ -131,12 +131,6 @@ class SigmaRep:
         self.modulus = ctx.p**level
         self.table = table
 
-    def reduce(self, g: SL2Element):
-        return g.reduce_mod(self.modulus)
-
-    def value_of(self, g: SL2Element) -> Matrix:
-        return self.table[self.reduce(g)]
-
     def n_key(self, x: int):
         return (1, x % self.modulus, 0, 1)
 
@@ -463,19 +457,22 @@ class SpectrumXPi:
 
 # -- the compactly induced representation --------------------------------------
 
+# every construction runs the Kubota splitting gate on the same samples
+_SPLITTING_GATE_SEED = 2026
+
+
 class Representation:
     """The compactly induced representation attached to a strongly cuspidal
     sigma, with its Whittaker machinery."""
 
-    def __init__(self, sigma: SigmaRep, seed: int = 2025, validate: bool = True):
+    def __init__(self, sigma: SigmaRep):
         self.sigma = sigma
         self.ctx = sigma.ctx
         self.level = sigma.level
         self.dim = sigma.dim
         self.psi = AdditiveCharacter(self.ctx)
-        if validate:
-            sigma.validate()
-            validate_kubota_splitting(self.ctx, random.Random(seed + 1), trials=128)
+        sigma.validate()
+        validate_kubota_splitting(self.ctx, random.Random(_SPLITTING_GATE_SEED), trials=128)
         basis = EigenBasis(sigma)
         self.betas = basis.betas
         self._diag_table = {

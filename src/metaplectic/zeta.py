@@ -36,7 +36,7 @@ from .localchar import (
     hilbert_frac,
     square_class_data,
 )
-from .cover import MetaElement, SL2Element
+from .cover import MetaElement
 from .repn import InducedVector, Representation
 
 ADDITIVE_DX = "ADDITIVE_DX"
@@ -130,10 +130,11 @@ def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
 
 
 def improper_integral(ctx: PadicContext, f, max_range: int,
-                      level_for_shell=None, tail_depth: int = 1,
-                      tail_level: int | None = None, min_range: int = 0) -> CycValue:
+                      level_for_shell=None, tail_level: int | None = None,
+                      min_range: int = 0) -> CycValue:
     """The improper integral over Q_p: the limit of integrals over P^{-n},
-    accepted once three consecutive enlargements agree exactly.
+    accepted once three consecutive enlargements agree exactly, starting
+    from the ball P sampled at level `tail_level` (default 3).
 
     `level_for_shell(n)` gives the starting relative sampling level on the
     shell of valuation n (the gate refines it if needed).  `min_range` makes
@@ -141,10 +142,10 @@ def improper_integral(ctx: PadicContext, f, max_range: int,
     zero shells cannot mask deeper support."""
     if level_for_shell is None:
         level_for_shell = lambda n: 2
-    total = integrate_ball(ctx, f, tail_depth, tail_level or tail_depth + 2)
+    total = integrate_ball(ctx, f, 1, tail_level or 3)
     trace = []
     consecutive_zero = 0
-    for m in range(tail_depth - 1, -max_range - 1, -1):
+    for m in range(0, -max_range - 1, -1):
         plan = ShellIntegralPlan(m, level_for_shell(m), ADDITIVE_DX)
         shell = integrate_shell(ctx, f, plan)
         total = total + shell
@@ -160,7 +161,7 @@ def improper_integral(ctx: PadicContext, f, max_range: int,
 # -- Bessel functions ----------------------------------------------------------
 
 
-def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None) -> CycValue:
+def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     """J^{xi,eta}(g) from its definition: the improper integral of
     W^xi_v(g n(y)) psi^eta(-y) dy with v = phi^e_{b(eta)}, so W^eta_v(e) = 1.
 
@@ -199,9 +200,6 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
             cache[y] = hit
         return hit
 
-    if max_range is None:
-        max_range = depth + 6
-
     def lvl(m: int) -> int:
         # full resolution on the shells that can carry support, a light
         # gate below them (the gate still refines on any surprise)
@@ -209,7 +207,7 @@ def bessel_direct(rep: Representation, xi, eta, x, max_range: int | None = None)
             return 2
         return max(2, rep.level + (-m if m < 0 else 0))
 
-    return improper_integral(ctx, f, max_range, level_for_shell=lvl,
+    return improper_integral(ctx, f, depth + 6, level_for_shell=lvl,
                              tail_level=rep.level + 2, min_range=depth)
 
 
@@ -290,33 +288,18 @@ class BesselTable:
             self._values[x] = hit
         return hit
 
-    def direct_value(self, x: Fraction) -> CycValue:
-        return bessel_direct(self.rep, self.xi, self.eta, Fraction(x))
-
     def closed_value(self, x: Fraction) -> CycValue:
         return bessel_closed(self.rep, self.xi, self.eta, Fraction(x))
 
-    def _ensure_shell_checked(self, n: int, probes: int = 2) -> None:
-        """Two-method agreement spot check, once per closed-formula shell."""
-        if n in self._checked_shells:
-            return
-        p = self.rep.ctx.p
-        pn = Fraction(p) ** n
-        units = _unit_residues_mod(p)[:probes]
-        for u in units:
-            x = u * pn
-            direct = bessel_direct(self.rep, self.xi, self.eta, x)
-            closed = bessel_closed(self.rep, self.xi, self.eta, x)
-            if direct != closed:
-                raise ArithmeticError(
-                    f"Bessel methods disagree at x={x}: direct {direct!r}, "
-                    f"closed {closed!r}")
-            self._values[x] = direct
-        self._checked_shells.add(n)
+    def _ensure_shell_checked(self, n: int) -> None:
+        """Two-method spot check at two points, once per closed-formula shell."""
+        if n not in self._checked_shells:
+            self.validate_agreement([n], per_shell=2)
 
     def validate_agreement(self, shells, per_shell: int = 4) -> int:
-        """Exact direct == closed comparison across shells; returns the
-        number of points checked."""
+        """Exact direct == closed comparison at the first `per_shell` unit
+        residues mod p^2 on each shell; the agreed values are kept and the
+        shells count as checked.  Returns the number of points checked."""
         p = self.rep.ctx.p
         checked = 0
         for n in shells:
@@ -327,7 +310,8 @@ class BesselTable:
                 closed = bessel_closed(self.rep, self.xi, self.eta, x)
                 if direct != closed:
                     raise ArithmeticError(
-                        f"Bessel methods disagree at x={x}")
+                        f"Bessel methods disagree at x={x}: direct {direct!r}, "
+                        f"closed {closed!r}")
                 self._values[x] = direct
                 checked += 1
             self._checked_shells.add(n)
@@ -458,17 +442,21 @@ class GammaFactor:
     support_bound: int
 
 
+def gamma_support_bound(rep: Representation, mu: MultChar) -> int:
+    """M = 2 max(level, m) - level: gamma(n) = 0 for n > M and for n < 0."""
+    return 2 * max(rep.level, mu.m) - rep.level
+
+
 def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     """Assemble Gamma^{xi,eta}(s) = sum_{n=0}^{M} gamma(n) q^{ns} with
-    M = 2 max(level, m) - level; entire in s by construction."""
+    M = ``gamma_support_bound``; entire in s by construction."""
     xi = as_fraction(xi)
     eta = as_fraction(eta)
     key = (xi, eta, mu.cache_key())
     hit = rep._gamma_cache.get(key)
     if hit is not None:
         return hit
-    m_prime = max(rep.level, mu.m)
-    bound = 2 * m_prime - rep.level
+    bound = gamma_support_bound(rep, mu)
     table = bessel_table(rep, xi, eta)
     coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n, table) for n in range(bound + 1)}
     poly = LaurentPoly(rep.ctx.q, Q_POS_S, {n: c for n, c in coeffs.items() if not c.is_zero()})

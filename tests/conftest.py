@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -29,10 +28,3 @@ def rep2(ctx):
 @pytest.fixture()
 def rng():
     return random.Random(99173)
-
-
-def random_nonzero_fraction(rng, p, val_range=(-2, 3)):
-    u = rng.randrange(1, p**2)
-    while u % p == 0:
-        u = rng.randrange(1, p**2)
-    return Fraction(u) * Fraction(p) ** rng.randrange(*val_range) * rng.choice([1, -1])

@@ -13,8 +13,6 @@ from fractions import Fraction
 import pytest
 
 from metaplectic import (
-    CycValue,
-    InducedVector,
     MetaElement,
     MultChar,
     PadicContext,
@@ -23,17 +21,18 @@ from metaplectic import (
     bessel_direct,
     bessel_table,
     check_fe,
-    chi_psi,
-    cocycle,
     gamma_coefficient,
     gamma_factor,
-    hilbert_symbol,
-    hilbert_symbol_oracle,
-    kubota_split,
-    weil_alpha,
     zeta_function,
 )
-from metaplectic.cover import decompose_meta, random_integral_sl2, random_sl2_word
+from metaplectic.invariants import (
+    check_characters,
+    check_cocycle,
+    check_coset_roundtrip,
+    check_hilbert_oracle,
+    check_kubota_splitting,
+    check_whittaker_equivariance,
+)
 from metaplectic.zeta import zeta_parity_holds
 
 XI = Fraction(1, 3)
@@ -159,19 +158,9 @@ def test_ac6_group_theoretic_suites(ctx):
     random samples each, exact, in under 30 s combined."""
     start = time.time()
     rng = random.Random(20250)
-    for _ in range(1000):
-        g, h, k = (random_sl2_word(ctx, rng, 4).g for _ in range(3))
-        assert cocycle(g, h) * cocycle(g * h, k) == cocycle(h, k) * cocycle(g, h * k)
-    for _ in range(1000):
-        g = random_integral_sl2(ctx, rng)
-        h = random_integral_sl2(ctx, rng)
-        assert kubota_split(g) * kubota_split(h) * cocycle(g, h) == kubota_split(g * h)
-    for _ in range(1000):
-        m = random_sl2_word(ctx, rng, 5)
-        h_meta, dec = decompose_meta(m)
-        assert dec.h.is_integral()
-        back = h_meta * dec.rep_meta()
-        assert back.g.entries() == m.g.entries() and back.eps == m.eps
+    assert check_cocycle(ctx, rng, 1000) == "1000 triples"
+    assert check_kubota_splitting(ctx, rng, 1000) == "1000 pairs"
+    assert check_coset_roundtrip(ctx, rng, 1000) == "1000 words"
     elapsed = time.time() - start
     assert elapsed < 30.0
     _report(f"AC6 group-theoretic suites: 3 x 1000 samples exact [{elapsed:.2f}s] PASS")
@@ -182,31 +171,10 @@ def test_ac7_character_suites(ctx):
     square-class invariance, and the exhaustive Hilbert oracle sweep."""
     start = time.time()
     rng = random.Random(20251)
-
-    def rand_nonzero():
-        u = rng.randrange(1, 9)
-        while u % 3 == 0:
-            u = rng.randrange(1, 9)
-        return Fraction(u) * Fraction(3) ** rng.randrange(-2, 3) * rng.choice([1, -1])
-
-    for _ in range(50):
-        a, b, t = rand_nonzero(), rand_nonzero(), rand_nonzero()
-        ka, kb = ctx.elem(a), ctx.elem(b)
-        assert chi_psi(ctx.elem(a * a)) == 1
-        assert chi_psi(ctx.elem(a * b)) == chi_psi(ka) * chi_psi(kb) * hilbert_symbol(ka, kb)
-        alpha = weil_alpha(ka)
-        assert alpha * alpha.conjugate() == 1
-        assert weil_alpha(ctx.elem(a * t * t)) == alpha
-    units = [u for u in range(1, 9) if u % 3 != 0]
-    sweep = [Fraction(u) * Fraction(3) ** v for v in range(-2, 3) for u in units]
-    pairs = 0
-    for a in sweep:
-        for b in sweep:
-            ka, kb = ctx.elem(a), ctx.elem(b)
-            assert hilbert_symbol(ka, kb) == hilbert_symbol_oracle(ka, kb), (a, b)
-            pairs += 1
+    assert check_characters(ctx, rng, 50) == "50 samples"
+    assert check_hilbert_oracle(ctx) == "900 pairs vs oracle"
     elapsed = time.time() - start
-    _report(f"AC7 character suites: 50 random identities, {pairs}-pair oracle sweep "
+    _report(f"AC7 character suites: 50 random identities, 900-pair oracle sweep "
             f"exact [{elapsed:.2f}s] PASS")
 
 
@@ -216,13 +184,8 @@ def test_ac8_whittaker_and_bessel_transformations(rep1):
     admissible units (a^2 = 1 mod 3 holds for every unit here)."""
     start = time.time()
     ctx = rep1.ctx
-    rng = random.Random(20252)
-    psi_xi = rep1.psi.twist(XI)
-    for _ in range(100):
-        a = Fraction(rng.randrange(-27, 28), 3 ** rng.randrange(0, 3))
-        v = rep1.phi(t=Fraction(rng.randrange(0, 9), 9), n=rng.choice([-1, 0, 1]))
-        lhs = rep1.whittaker_functional(XI, rep1.act(MetaElement.n(ctx, a), v))
-        assert lhs == psi_xi.value(a) * rep1.whittaker_functional(XI, v)
+    assert rep1.spectrum().dedup[0].xi == XI
+    assert check_whittaker_equivariance(rep1, random.Random(20252), 100) == "100 pairs"
     # l^xi(pi(<a>)v) = c_xi(a) l^{a^2 xi}(v) on independent vectors
     for a in (1, 2, 4, 5, 7, 8):
         c = rep1.c_factor(XI, a)

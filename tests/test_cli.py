@@ -126,6 +126,29 @@ class TestSigmaFiles:
         assert rc == 2
 
 
+class TestConfigErrors:
+    """Unreadable input, malformed JSON and records with a missing field are
+    configuration errors: exit status 2, not a failed stage."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--command", "gamma", "--mu", "@/nonexistent.json"),
+        ("--command", "gamma", "--mu", "{bad"),
+        ("--command", "gamma", "--mu", '{"conductor_exponent": 1}'),
+        ("--command", "zeta", "--vectors", "/nonexistent.txt"),
+    ], ids=["mu-file-missing", "mu-bad-json", "mu-missing-field", "vectors-file-missing"])
+    def test_exit_status_2(self, capsys, argv):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2 and err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("text", ["{bad", '{"p": 3, "l": 1}'],
+                             ids=["bad-json", "missing-field"])
+    def test_malformed_sigma_file(self, capsys, tmp_path, text):
+        path = tmp_path / "sigma.json"
+        path.write_text(text)
+        rc, _, err = run_cli(capsys, "--sigma", str(path))
+        assert rc == 2 and err.startswith("configuration error:")
+
+
 class TestVectors:
     def test_expression_parser(self, rep1):
         v = parse_vector_expression(rep1, "2/3*phi(t=1/3, n=0, b=0) - phi(t=0, n=1)")

@@ -13,7 +13,8 @@ from metaplectic import (
     kubota_split,
     validate_kubota_splitting,
 )
-from metaplectic.cover import decompose_meta, random_integral_sl2, random_sl2_word
+from metaplectic.cover import random_integral_sl2, random_sl2_word, random_unit
+from metaplectic.invariants import check_cocycle, check_coset_roundtrip
 
 
 class TestChiEntry:
@@ -42,9 +43,7 @@ class TestCocycle:
         assert cocycle(w, w) == hilbert_symbol(ctx.elem(-1), ctx.elem(-1)) == 1
 
     def test_two_cocycle_identity(self, ctx, rng):
-        for _ in range(300):
-            g, h, k = (random_sl2_word(ctx, rng).g for _ in range(3))
-            assert cocycle(g, h) * cocycle(g * h, k) == cocycle(h, k) * cocycle(g, h * k)
+        assert check_cocycle(ctx, rng, 300) == "300 triples"
 
 
 class TestMetaElement:
@@ -104,11 +103,18 @@ class TestKubotaSplitting:
         with pytest.raises(ValueError):
             kubota_split(SL2Element.torus(ctx, Fraction(1, 3)))
 
-    def test_splitting_property_explicit(self, ctx, rng):
-        for _ in range(500):
-            g = random_integral_sl2(ctx, rng)
-            h = random_integral_sl2(ctx, rng)
-            assert kubota_split(g) * kubota_split(h) * cocycle(g, h) == kubota_split(g * h)
+
+class TestRandomUnit:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rejection_draw(self, p):
+        # the value and the RNG state of the plain rejection loop
+        rng, ref = random.Random(p), random.Random(p)
+        for _ in range(200):
+            u = ref.randrange(1, p**2)
+            while u % p == 0:
+                u = ref.randrange(1, p**2)
+            assert random_unit(p, rng) == u
+        assert rng.getstate() == ref.getstate()
 
 
 class TestCosetDecomposition:
@@ -128,12 +134,7 @@ class TestCosetDecomposition:
         assert dec.h.entries() == (1, 0, 0, 1)
 
     def test_roundtrip(self, ctx, rng):
-        for _ in range(300):
-            m = random_sl2_word(ctx, rng)
-            h_meta, dec = decompose_meta(m)
-            assert dec.h.is_integral()
-            back = h_meta * dec.rep_meta()
-            assert back.g.entries() == m.g.entries() and back.eps == m.eps
+        assert check_coset_roundtrip(ctx, rng, 300) == "300 words"
 
     def test_canonical_t(self, ctx, rng):
         for _ in range(100):
