@@ -150,15 +150,17 @@ def build_context(args) -> PadicContext:
     return PadicContext(args.p)
 
 
-def _configured(what: str, build):
-    """build(), with unreadable input, malformed JSON and a record missing a
-    field reported as a ConfigError."""
+def _configured(what: str, build, invalid=()):
+    """build(), with unreadable input, malformed JSON, a record missing a
+    field and the exception types `invalid` reported as a ConfigError."""
     try:
         return build()
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{what} is missing the field {exc}") from exc
+    except invalid as exc:
+        raise ConfigError(f"{what} is invalid: {type(exc).__name__}: {exc}") from exc
 
 
 def _read(path: str, parse=json.load):
@@ -180,8 +182,11 @@ def build_sigma(ctx: PadicContext, source: str):
 def build_mu(ctx: PadicContext, spec: str) -> MultChar:
     if spec == "trivial":
         return MultChar.trivial(ctx)
+    # a record of the wrong shape, a non-integer field, a zero denominator or
+    # an exponent MultChar rejects is a configuration error too
     return _configured(f"character record {spec!r}", lambda: MultChar.from_spec(
-        ctx, _read(spec[1:]) if spec.startswith("@") else json.loads(spec)))
+        ctx, _read(spec[1:]) if spec.startswith("@") else json.loads(spec)),
+        invalid=(TypeError, ValueError, ZeroDivisionError))
 
 
 def load_vectors(rep: Representation, path: str | None) -> dict:

@@ -88,27 +88,31 @@ class PadicContext:
         return CycValue.zero(self.q)
 
 
+def p_split(num: int, den: int, p: int):
+    """(v, n, d) with num/den = p^v n/d and n, d prime to p, for ints
+    num != 0 and den > 0."""
+    if num == 0:
+        raise ZeroDivisionError("0 has no unit part")
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def frac_valuation(x: Fraction, p: int):
     """p-adic valuation of a rational; +infinity for 0."""
     if x == 0:
         return INFINITY
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return p_split(x.numerator, x.denominator, p)[0]
 
 
 def frac_unit_part(x: Fraction, p: int) -> Fraction:
-    if x == 0:
-        raise ZeroDivisionError("0 has no unit part")
-    v = frac_valuation(x, p)
-    return x / Fraction(p) ** v
+    _, n, d = p_split(x.numerator, x.denominator, p)
+    return Fraction(n, d)
 
 
 def frac_mod(x: Fraction, modulus: int) -> int:
@@ -116,18 +120,55 @@ def frac_mod(x: Fraction, modulus: int) -> int:
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
+def valuation_unit(num: int, den: int, p: int, modulus: int):
+    """(v, u mod modulus) for the nonzero rational num/den = p^v u, u a
+    p-adic unit and modulus a power of p; ints only."""
+    v, n, d = p_split(num, den, p)
+    return v, n * pow(d, -1, modulus) % modulus
+
+
+def p_fractional_int(num: int, den: int, p: int):
+    """[num/den] as (c, p^m) with c/p^m its value, 0 <= c < p^m, for ints
+    num and den > 0 (not necessarily coprime)."""
+    if num == 0:
+        return 0, 1
+    v, n, d = p_split(num, den, p)
+    if v >= 0:
+        return 0, 1
+    pm = p**-v
+    return n * pow(d, -1, pm) % pm, pm
+
+
 @lru_cache(maxsize=None)
 def p_fractional_part(x: Fraction, p: int) -> Fraction:
     """The map [.] : Q -> Q, the unique rational in [0,1) with p-power
     denominator congruent to x modulo Z_p."""
-    v = frac_valuation(x, p)
-    if v >= 0:
-        return Fraction(0)
-    m = -int(v)
-    pm = p**m
-    d0 = x.denominator // pm
-    c = x.numerator * pow(d0, -1, pm) % pm
-    return Fraction(c, pm)
+    return Fraction(*p_fractional_int(x.numerator, x.denominator, p))
+
+
+class ShellPoint(Fraction):
+    """The sample point x = u p^k of the shell p^k Z_p^x: a ``Fraction``
+    equal to x that also keeps its valuation k and its unit u, an int prime
+    to p, so integrands can read the integer coordinates directly.
+    Arithmetic on it returns plain ``Fraction``s."""
+
+    __slots__ = ("k", "u")
+
+    def __new__(cls, u: int, k: int, p: int):
+        self = super().__new__(cls, u * p**k) if k >= 0 else super().__new__(cls, u, p**-k)
+        self.k = k
+        self.u = u
+        return self
+
+
+def torus_coordinates(x: Fraction, p: int):
+    """(k, u) with x = p^k u: u is an int when x has a p-power denominator
+    (always for a ``ShellPoint``), else the unit as a ``Fraction`` with
+    denominator prime to p."""
+    if type(x) is ShellPoint:
+        return x.k, x.u
+    k, n, d = p_split(x.numerator, x.denominator, p)
+    return k, n if d == 1 else Fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -408,7 +449,13 @@ class CycValue:
     @classmethod
     def root_of_unity(cls, q: int, exponent) -> "CycValue":
         """e(exponent) := exp(2*pi*i*exponent)."""
-        return _root_memo(q, Fraction(exponent))
+        exponent = Fraction(exponent)
+        return cls.root_of_unity_int(q, exponent.numerator, exponent.denominator)
+
+    @classmethod
+    def root_of_unity_int(cls, q: int, k: int, n: int) -> "CycValue":
+        """e(k/n) for ints k and n > 0."""
+        return _root_memo(q, k % n, n)
 
     @classmethod
     def sqrtq(cls, q: int) -> "CycValue":
@@ -417,6 +464,8 @@ class CycValue:
     @classmethod
     def sum(cls, values, q=None) -> "CycValue":
         values = list(values)
+        if len(values) == 1 and q in (None, values[0].q):
+            return values[0]
         n = d = 1
         for v in values:
             if q is None:
@@ -670,9 +719,8 @@ class CycValue:
 
 
 @lru_cache(maxsize=None)
-def _root_memo(q: int, exponent: Fraction) -> CycValue:
-    n = exponent.denominator
-    return CycValue._make(q, n, 1, _reduced({exponent.numerator % n: 1}, n), {})
+def _root_memo(q: int, k: int, n: int) -> CycValue:
+    return CycValue._make(q, n, 1, _reduced({k: 1}, n), {})
 
 
 def q_half_power(q: int, n: int) -> CycValue:

@@ -21,10 +21,13 @@ from .exactnum import (
     KElement,
     PadicContext,
     as_fraction,
+    frac_mod,
     frac_unit_part,
     frac_valuation,
+    p_fractional_int,
     p_fractional_part,
     q_half_power,
+    valuation_unit,
 )
 
 
@@ -41,15 +44,33 @@ class AdditiveCharacter:
 
     def value(self, a) -> CycValue:
         a = as_fraction(a)
-        return CycValue.root_of_unity(self.ctx.q, p_fractional_part(self.scale * a, self.ctx.p))
+        return self.value_int(a.numerator, a.denominator)
+
+    def value_int(self, num: int, den: int) -> CycValue:
+        """psi^scale(num/den) for ints num and den > 0."""
+        s = self.scale
+        return CycValue.root_of_unity_int(
+            self.ctx.q, *p_fractional_int(s.numerator * num, s.denominator * den, self.ctx.p))
 
 
 @lru_cache(maxsize=None)
+def _residue_signs(p: int) -> tuple:
+    """The Legendre symbol mod p as a table: +1, -1, and 0 at 0."""
+    return (0,) + tuple(1 if pow(r, (p - 1) // 2, p) == 1 else -1 for r in range(1, p))
+
+
+def legendre_int(p: int, u: int) -> int:
+    """+1 iff the int u, prime to p, is a nonzero square mod p."""
+    sign = _residue_signs(p)[u % p]
+    if not sign:
+        raise ValueError(f"legendre symbol needs a p-adic unit, got {u} = 0 mod {p}")
+    return sign
+
+
 def legendre_frac(p: int, u: Fraction) -> int:
     if frac_valuation(u, p) != 0:
         raise ValueError(f"legendre symbol needs a p-adic unit, got valuation {frac_valuation(u, p)}")
-    r = u.numerator * pow(u.denominator, -1, p) % p
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+    return legendre_int(p, frac_mod(u, p))
 
 
 def legendre(u: KElement) -> int:
@@ -57,21 +78,26 @@ def legendre(u: KElement) -> int:
     return legendre_frac(u.ctx.p, u.value)
 
 
-@lru_cache(maxsize=None)
-def hilbert_frac(p: int, a: Fraction, b: Fraction) -> int:
-    """Closed formula for the Hilbert symbol over Q_p, p odd."""
-    if a == 0 or b == 0:
-        raise ZeroDivisionError("Hilbert symbol of zero")
-    va = frac_valuation(a, p)
-    vb = frac_valuation(b, p)
+def hilbert_int(p: int, va: int, ua: int, vb: int, ub: int) -> int:
+    """Closed formula for the Hilbert symbol (p^va ua, p^vb ub) over Q_p,
+    p odd, for ints ua and ub prime to p."""
     sign = 1
     if va % 2 and vb % 2:
-        sign *= legendre_frac(p, Fraction(-1))
+        sign = legendre_int(p, -1)
     if vb % 2:
-        sign *= legendre_frac(p, frac_unit_part(a, p))
+        sign *= legendre_int(p, ua)
     if va % 2:
-        sign *= legendre_frac(p, frac_unit_part(b, p))
+        sign *= legendre_int(p, ub)
     return sign
+
+
+@lru_cache(maxsize=None)
+def hilbert_frac(p: int, a: Fraction, b: Fraction) -> int:
+    """The Hilbert symbol over Q_p, p odd (``hilbert_int``)."""
+    if a == 0 or b == 0:
+        raise ZeroDivisionError("Hilbert symbol of zero")
+    return hilbert_int(p, *valuation_unit(a.numerator, a.denominator, p, p),
+                       *valuation_unit(b.numerator, b.denominator, p, p))
 
 
 def hilbert_symbol(a: KElement, b: KElement) -> int:
@@ -137,13 +163,18 @@ def _as_frac_nonzero(x) -> Fraction:
     return f
 
 
+def square_class_int(p: int, v: int, u: int):
+    """The square class of p^v u for an int u prime to p: (v mod 2, Legendre
+    of u); classifies Q_p^x modulo squares for odd p."""
+    return (v % 2, legendre_int(p, u))
+
+
 def square_class_data(x: KElement):
-    """(valuation parity, Legendre of the unit part); classifies x modulo
-    squares of Q_p^x for odd p."""
+    """(valuation parity, Legendre of the unit part) of x (``square_class_int``)."""
     if x.value == 0:
         raise ZeroDivisionError("0 has no square class")
-    v = x.valuation()
-    return (int(v) % 2, legendre_frac(x.ctx.p, x.unit_part()))
+    p = x.ctx.p
+    return square_class_int(p, *valuation_unit(x.value.numerator, x.value.denominator, p, p))
 
 
 @lru_cache(maxsize=None)
@@ -210,12 +241,18 @@ _CHI_CACHE: dict = {}
 
 
 def chi_psi(a: KElement) -> CycValue:
-    """chi_psi(a) = alpha(1)/alpha(a).  Constant on square classes (tested),
-    so the value is computed once per class at a canonical representative."""
+    """chi_psi(a) = alpha(1)/alpha(a) (``chi_psi_int``)."""
     ctx = a.ctx
     if a.value == 0:
         raise ZeroDivisionError("chi_psi(0) is undefined")
-    cls = square_class_data(a)
+    return chi_psi_int(ctx, *valuation_unit(a.value.numerator, a.value.denominator, ctx.p, ctx.p))
+
+
+def chi_psi_int(ctx: PadicContext, v: int, u: int) -> CycValue:
+    """chi_psi(p^v u) for an int u prime to p.  Constant on square classes
+    (tested), so the value is computed once per class at a canonical
+    representative."""
+    cls = square_class_int(ctx.p, v, u)
     key = (ctx.p, cls)
     hit = _CHI_CACHE.get(key)
     if hit is not None:
@@ -281,11 +318,12 @@ class MultChar:
         self.ctx = ctx
         self.m = int(conductor_exponent)
         self.p_exponent = Fraction(p_exponent) % 1
+        self._modulus = ctx.p**self.m
         if self.m == 0:
             self.generator_exponent = 0
             self._order = 1
         else:
-            _, order, _ = _dlog_table(ctx.p, self.m)
+            _, order, self._dlog = _dlog_table(ctx.p, self.m)
             self._order = order
             self.generator_exponent = int(generator_exponent) % order
             self._validate_conductor()
@@ -296,7 +334,7 @@ class MultChar:
             if self.generator_exponent == 0:
                 raise ValueError("claimed conductor exponent 1 but the character is unramified")
             return
-        probe = self.unit_value_exponent(Fraction(1 + p ** (m - 1)))
+        probe = self.exponent_int(0, 1 + p ** (m - 1))
         if probe == 0:
             raise ValueError(
                 f"claimed conductor exponent {m} but the character is trivial on 1 + P^{m - 1}")
@@ -304,21 +342,22 @@ class MultChar:
     def is_trivial(self) -> bool:
         return self.m == 0 and self.p_exponent == 0
 
-    def unit_value_exponent(self, u: Fraction) -> Fraction:
-        if self.m == 0:
-            return Fraction(0)
-        p, m = self.ctx.p, self.m
-        pm = p**m
-        r = u.numerator * pow(u.denominator, -1, pm) % pm
-        _, order, table = _dlog_table(p, m)
-        return Fraction(self.generator_exponent * table[r], order) % 1
+    def exponent_int(self, v: int, u: int) -> Fraction:
+        """mu(p^v u) = e(exponent_int(v, u)) for an int u prime to p."""
+        e = v * self.p_exponent
+        if self.m:
+            e += Fraction(self.generator_exponent * self._dlog[u % self._modulus], self._order)
+        return e % 1
 
     def value_exponent(self, x: Fraction) -> Fraction:
         """mu(x) = e(value_exponent(x))."""
         if x == 0:
             raise ZeroDivisionError("mu(0) is undefined")
-        v = int(frac_valuation(x, self.ctx.p))
-        return (v * self.p_exponent + self.unit_value_exponent(frac_unit_part(x, self.ctx.p))) % 1
+        return self.exponent_int(*valuation_unit(x.numerator, x.denominator, self.ctx.p,
+                                                 self._modulus))
+
+    def value_int(self, v: int, u: int) -> CycValue:
+        return CycValue.root_of_unity(self.ctx.q, self.exponent_int(v, u))
 
     def value(self, x) -> CycValue:
         return CycValue.root_of_unity(self.ctx.q, self.value_exponent(as_fraction(x)))

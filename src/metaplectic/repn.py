@@ -19,11 +19,11 @@ from .exactnum import (
     PadicContext,
     as_fraction,
     frac_mod,
-    frac_unit_part,
     frac_valuation,
-    p_fractional_part,
+    p_split,
+    torus_coordinates,
 )
-from .localchar import AdditiveCharacter, hilbert_frac, square_class_data
+from .localchar import AdditiveCharacter, hilbert_int, square_class_data
 from .cover import (
     MetaElement,
     SL2Element,
@@ -34,6 +34,8 @@ from .cover import (
 )
 
 Matrix = tuple  # tuple of row tuples of CycValue
+
+_ZERO = Fraction(0)
 
 
 # -- small exact matrix helpers ---------------------------------------------
@@ -496,6 +498,7 @@ class Representation:
         self._gamma_cache: dict = {}
         self._bessel_tables: dict = {}
         self._w_translates: dict = {}
+        self._central_sign = None
 
     # -- basic model ----------------------------------------------------------
 
@@ -507,7 +510,7 @@ class Representation:
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
         v = InducedVector.basis(self.ctx.q, Fraction(t), n, b, coeff)
-        return InducedVector(self.ctx.q, self._torus_terms(v.terms, Fraction(1), 1))
+        return self._torus_act(v.terms.items(), 0, 1, 1)
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -525,8 +528,11 @@ class Representation:
         """The genuine extension of sigma at an integral cover element, in
         eigencoordinates: eps * s(g) * table(g mod p^l)."""
         sign = x.eps * kubota_split(x.g)
-        key = x.g.reduce_mod(self.sigma.modulus)
-        return self._diag_table[key] if sign == 1 else self._diag_table_neg[key]
+        return self._sigma(x.g.reduce_mod(self.sigma.modulus), sign)
+
+    def _sigma(self, key, eps: int) -> Matrix:
+        """eps * sigma(key) in eigencoordinates, for a table key mod p^l."""
+        return self._diag_table[key] if eps == 1 else self._diag_table_neg[key]
 
     # -- the action -----------------------------------------------------------
 
@@ -539,7 +545,7 @@ class Representation:
         normalizes the representative system, which gives that data in closed
         form (``_torus_terms``); any other g goes through ``decompose_meta``."""
         if g.g.is_diagonal():
-            return InducedVector(self.ctx.q, self._torus_terms(v.terms, g.g.a, g.eps))
+            return self._torus_act(v.terms.items(), *torus_coordinates(g.g.a, self.ctx.p), g.eps)
         ginv = g.inverse()
         out: dict = {}
         for (t, n, b), coeff in v.terms.items():
@@ -559,11 +565,13 @@ class Representation:
             self._w_translates[key] = hit
         return hit
 
-    def _torus_terms(self, terms: dict, x: Fraction, e: int) -> dict:
-        """The terms of pi([diag(x, 1/x), e]) v for v with the given terms.
+    def _torus_terms(self, items, k: int, u, e: int):
+        """pi([diag(x, 1/x), e]) on the terms `items` ((t, n, b), coeff) of a
+        vector, x = p^k u: yields (r, D, n - k, b, coeff, key, eps) per term,
+        the term moving to coeff * sum over b2 of eps * sigma(key)[b2][b]
+        phi^{n(r/D)<p^(n-k)>}_{b2}, sigma in eigencoordinates.
 
-        With x = p^k u, u a unit, t' = [t u^2] and
-        h^-1 = [[u, (t' - t u^2)/u], [0, 1/u]] (integral):
+        With t' = [t u^2] and h^-1 = [[u, (t' - t u^2)/u], [0, 1/u]] (integral):
 
             [n(t)<p^n>, 1] g^-1 = [h, eps] [n(t')<p^(n-k)>, 1],
             eps = e (x, -p^-n) (p^(k-n), u),
@@ -571,21 +579,41 @@ class Representation:
         and [h, eps]^-1 = [h^-1, eps] has genuine value eps * sigma(h^-1),
         the Kubota sign of h^-1 being +1 (its lower-left entry is 0).  So each
         term maps to one representative: no cover product, no cocycle and no
-        coset decomposition."""
+        coset decomposition.  On ints, for t = c/p^j: c u^2 = carry p^j + r
+        gives t' = r/p^j and (t' - t u^2)/u = -carry/u.  That needs u only
+        modulo p^(j + l), so u is an int (the unit itself, or any int
+        congruent to it modulo p^(j + l) for every term) or a ``Fraction``
+        unit, first reduced modulo p^(j_max + l).  A t whose denominator has
+        a part d prime to p is moved by an element of p^l Z_p to c d^-1/p^j,
+        which changes neither t' nor h^-1 mod p^l."""
         p, m = self.ctx.p, self.sigma.modulus
-        k = int(frac_valuation(x, p))
-        u = frac_unit_part(x, p)
-        u_mod, u_inv_mod = frac_mod(u, m), frac_mod(1 / u, m)
+        if type(u) is not int:
+            items = list(items)
+            pj_max = max((t.denominator // p_split(1, t.denominator, p)[2]
+                          for (t, _, _), _ in items), default=1)
+            u = frac_mod(u, pj_max * m)
+        u_mod, u_inv = u % m, pow(u, -1, m)
+        for (t, n, b), coeff in items:
+            rest = p_split(1, t.denominator, p)[2]
+            pj = t.denominator // rest
+            c = t.numerator if rest == 1 else t.numerator * pow(rest, -1, pj * m)
+            carry, r = divmod(c * u * u, pj)
+            eps = e * hilbert_int(p, k, u, -n, -1) * hilbert_int(p, k - n, 1, 0, u)
+            yield r, pj, n - k, b, coeff, (u_mod, -carry * u_inv % m, 0, u_inv), eps
+
+    def _torus_act(self, items, k: int, u, e: int) -> InducedVector:
+        """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v."""
         out: dict = {}
-        for (t, n, b), coeff in terms.items():
-            tu2 = t * u * u
-            t2 = p_fractional_part(tu2, p)
-            eps = (e * hilbert_frac(p, x, -Fraction(p) ** -n)
-                   * hilbert_frac(p, Fraction(p) ** (k - n), u))
-            key = (u_mod, frac_mod((t2 - tu2) / u, m), 0, u_inv_mod)
-            mat = self._diag_table[key] if eps == 1 else self._diag_table_neg[key]
-            _accumulate(out, t2, n - k, b, coeff, mat)
-        return out
+        for r, pj, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
+            _accumulate(out, Fraction(r, pj), n, b, coeff, self._sigma(key, eps))
+        return InducedVector(self.ctx.q, out)
+
+    def unit_torus_value(self, u) -> Matrix:
+        """The genuine value of <u> = [diag(u, 1/u), 1] at a unit u (as in
+        ``_torus_terms``), in eigencoordinates: the matrix the torus action
+        attaches to a term at t = 0, n = 0."""
+        (*_, key, eps), = self._torus_terms((((_ZERO, 0, 0), None),), 0, u, 1)
+        return self._sigma(key, eps)
 
     def evaluate_vector(self, v: InducedVector, g: MetaElement):
         """The model vector phi evaluated at the cover point g, as a tuple of
@@ -603,30 +631,53 @@ class Representation:
 
     # -- Whittaker functionals --------------------------------------------------
 
-    def _twist(self, xi: Fraction) -> AdditiveCharacter:
-        tw = self._twists.get(xi)
-        if tw is None:
-            tw = self.psi.twist(xi)
-            self._twists[xi] = tw
-        return tw
+    def _twist(self, xi: Fraction):
+        """(b, psi^xi, row) for xi in X(pi), memoized per xi: b is the basis
+        index of xi, and row memoizes eps * sigma(key)[b][b_in] * psi^xi(-r/D),
+        the torus form's summand without its coefficient, per
+        (key, eps, b_in, r, D)."""
+        hit = self._twists.get(xi)
+        if hit is None:
+            b = self.basis_index_for(xi)
+            if b is None:
+                raise ValueError(f"xi={xi} is not in X(pi); no Whittaker functional instantiated")
+            hit = (b, self.psi.twist(xi), {})
+            self._twists[xi] = hit
+        return hit
 
-    def whittaker_functional(self, xi, v: InducedVector) -> CycValue:
+    def whittaker_functional(self, xi, v: InducedVector, torus=None) -> CycValue:
         """l^xi(v); on basis vectors psi^xi(-t) when n = 0 and the basis index
-        matches the character of xi, else 0."""
-        xi = as_fraction(xi)
-        b = self.basis_index_for(xi)
-        if b is None:
-            raise ValueError(f"xi={xi} is not in X(pi); no Whittaker functional instantiated")
-        psi_xi = self._twist(xi)
-        vals = [coeff * psi_xi.value(-t)
-                for (t, n, b2), coeff in v.terms.items() if n == 0 and b2 == b]
+        matches the character of xi, else 0.
+
+        With torus = (k, u, e), l^xi(pi([diag(x, 1/x), e]) v) for x = p^k u
+        (u as in ``_torus_terms``): only the terms of v on the shell n = k
+        reach n = 0 (``InducedVector.shells``), and each adds its entry of
+        the b_xi row of the torus action; no acted vector is built."""
+        b, psi_xi, row = self._twist(as_fraction(xi))
+        vals = []
+        if torus is None:
+            for (t, n, b2), coeff in v.terms.items():
+                if n == 0 and b2 == b:
+                    vals.append(coeff * psi_xi.value_int(-t.numerator, t.denominator))
+        else:
+            k, u, e = torus
+            shell = (item for item in v.terms.items() if item[0][1] == k)
+            for r, pj, _, b_in, coeff, key, eps in self._torus_terms(shell, k, u, e):
+                memo_key = (key, eps, b_in, r, pj)
+                z = row.get(memo_key)
+                if z is None:
+                    z = row[memo_key] = (self._sigma(key, eps)[b][b_in]
+                                         * psi_xi.value_int(-r, pj))
+                if not z.is_zero():
+                    vals.append(coeff * z)
         return CycValue.sum(vals, self.ctx.q)
 
     def whittaker_function(self, xi, v: InducedVector, g: MetaElement) -> CycValue:
-        """W^xi_v(g) = l^xi(pi(g) v).  A diagonal g = <x> acts only on the
-        part of v on the shell v(x) (``InducedVector.shells``)."""
+        """W^xi_v(g) = l^xi(pi(g) v); a diagonal g acts through the torus
+        form of ``whittaker_functional``."""
         if g.g.is_diagonal():
-            v = v.shell(frac_valuation(g.g.a, self.ctx.p))
+            return self.whittaker_functional(
+                xi, v, (*torus_coordinates(g.g.a, self.ctx.p), g.eps))
         return self.whittaker_functional(xi, self.act(g, v))
 
     def c_factor(self, xi, a) -> CycValue:
@@ -654,10 +705,13 @@ class Representation:
         return c1
 
     def central_sign_minus_one(self) -> CycValue:
-        """omega_pi(-1): the scalar by which [-I, +1] acts."""
-        v = self.phi(b=0)
-        acted = self.act(MetaElement.lift(SL2Element.of(self.ctx, -1, 0, 0, -1), 1), v)
-        key = (Fraction(0), 0, 0)
-        if set(acted.terms) != {key}:
-            raise ArithmeticError("central element did not act by a scalar")
-        return acted.terms[key]
+        """omega_pi(-1): the scalar by which [-I, +1] acts, computed on first
+        use; only a scalar action is remembered."""
+        if self._central_sign is None:
+            v = self.phi(b=0)
+            acted = self.act(MetaElement.lift(SL2Element.of(self.ctx, -1, 0, 0, -1), 1), v)
+            key = (Fraction(0), 0, 0)
+            if set(acted.terms) != {key}:
+                raise ArithmeticError("central element did not act by a scalar")
+            self._central_sign = acted.terms[key]
+        return self._central_sign

@@ -24,17 +24,21 @@ from .exactnum import (
     Q_NEG_S,
     Q_POS_S,
     S_TO_ONE_MINUS_S,
+    ShellPoint,
     _unit_residues_mod,
     as_fraction,
     frac_valuation,
     q_half_power,
+    torus_coordinates,
+    valuation_unit,
 )
 from .localchar import (
     AdditiveCharacter,
     MultChar,
     chi_psi,
+    chi_psi_int,
     hilbert_frac,
-    square_class_data,
+    square_class_int,
 )
 from .cover import MetaElement
 from .repn import InducedVector, Representation
@@ -66,11 +70,11 @@ class ShellIntegralPlan:
 def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
     """The shell sums at sampling levels `level` and `level + 1`, from one
     pass over the level-(level + 1) units: the level-`level` units are those
-    below p^level, the first 1/p of them in ascending order."""
+    below p^level, the first 1/p of them in ascending order.  f receives
+    each point u p^n as a ``ShellPoint``, which carries n and u as ints."""
     p, q = ctx.p, ctx.q
-    pn = Fraction(p) ** n
     units = _unit_residues_mod(p ** (level + 1))
-    vals = [f(u * pn) for u in units]
+    vals = [f(ShellPoint(u, n, p)) for u in units]
     if measure == MULTIPLICATIVE_DX:
         scale = Fraction(1, q**level)
     elif measure == ADDITIVE_DX:
@@ -170,7 +174,8 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     D = g w^-1, pi(g n(y)) v = pi(D) pi(w n(y)) v: the translate
     pi(w n(y)) v does not depend on x and is memoized on `rep`
     (``Representation.w_translate``, through coset decomposition), and D
-    acts in closed form (``Representation.whittaker_function``)."""
+    acts in closed form on its torus coordinates, taken once per call
+    (the torus form of ``Representation.whittaker_functional``)."""
     ctx = rep.ctx
     xi = as_fraction(xi)
     eta = as_fraction(eta)
@@ -181,20 +186,21 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
         if x.g.a != 0 or x.g.d != 0:
             raise ValueError(f"bessel_direct needs an antidiagonal element, got {x!r}")
         torus = x * MetaElement.w(ctx).inverse()
+        coord, e = torus.g.a, torus.eps
         depth = max(0, -min(frac_valuation(x.g.b, ctx.p), frac_valuation(x.g.c, ctx.p)))
     else:
-        coord = as_fraction(x)
+        coord, e = as_fraction(x), 1
         if coord == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
-        torus = MetaElement.torus(ctx, coord)
         depth = max(0, -int(frac_valuation(coord, ctx.p)))
+    torus = (*torus_coordinates(coord, ctx.p), e)
     psi_eta = rep.psi.twist(eta)
     cache: dict = {}
 
     def f(y: Fraction) -> CycValue:
         hit = cache.get(y)
         if hit is None:
-            hit = rep.whittaker_function(xi, rep.w_translate(b_eta, y), torus)
+            hit = rep.whittaker_functional(xi, rep.w_translate(b_eta, y), torus)
             if not hit.is_zero():
                 hit = hit * psi_eta.value(-y)
             cache[y] = hit
@@ -335,6 +341,22 @@ def bessel_table(rep: Representation, xi, eta) -> BesselTable:
 # -- gamma factors ---------------------------------------------------------------
 
 
+def _char_factor(ctx: PadicContext, mu: MultChar):
+    """(k, u) -> chi_psi(x) mu(x) at x = p^k u for an int unit u, computed
+    once per k and u mod p^max(1, m): both characters depend on no more."""
+    modulus = ctx.p ** max(1, mu.m)
+    memo: dict = {}
+
+    def char(k: int, u: int) -> CycValue:
+        key = (k, u % modulus)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = chi_psi_int(ctx, k, u) * mu.value_int(k, u)
+        return hit
+
+    return char
+
+
 def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
                       cache: dict | None = None) -> CycValue:
     """G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
@@ -361,7 +383,7 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
                 ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
             cache[None] = flat
         return flat
-    key = (alpha, square_class_data(ctx.elem(a)))
+    key = (alpha, square_class_int(p, *valuation_unit(a.numerator, a.denominator, p, p)))
     t = cache.get(key)
     if t is None:
         psi = AdditiveCharacter(ctx)
@@ -396,34 +418,51 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int,
     with c(u) the (xi, eta) eigen-coefficient of sigma(<u>) and G_n the
     twisted Gauss sum of ``twisted_gauss_sum``: about q^n work instead of
     q^(2n).  Before a deep coefficient is accepted, the shell passes the
-    two-method Bessel spot check (direct == closed at two probes)."""
+    two-method Bessel spot check (direct == closed at two probes).  The
+    integrands read the int coordinates of their ``ShellPoint`` samples."""
     ctx = rep.ctx
+    p = ctx.p
     xi = as_fraction(xi)
     eta = as_fraction(eta)
     if table is None:
         table = bessel_table(rep, xi, eta)
+    char = _char_factor(ctx, mu)
 
     if n >= rep.level:
         table._ensure_shell_checked(-n)
         b_xi, b_eta = rep.basis_index_for(xi), rep.basis_index_for(eta)
         gauss_cache: dict = {}
+        gauss_values: dict = {}
+        modulus = p ** max(1, mu.m)
+        # a = -(xi u^2 + eta) = num / den
+        xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
+        den = xd * ed
 
-        def f(u: Fraction) -> CycValue:
-            c = rep.genuine_eval(MetaElement.torus(ctx, u))[b_xi][b_eta]
+        def gauss(u: int) -> CycValue:
+            # G_n(a) depends on a only through v(a) and a's unit mod p^max(1, m)
+            num = -(xn * u * u * ed + en * xd)
+            key = valuation_unit(num, den, p, modulus) if num else None
+            hit = gauss_values.get(key)
+            if hit is None:
+                hit = gauss_values[key] = twisted_gauss_sum(
+                    ctx, mu, n, Fraction(num, den), gauss_cache)
+            return hit
+
+        def f(u: ShellPoint) -> CycValue:
+            c = rep.unit_torus_value(u.u)[b_xi][b_eta]
             if c.is_zero():
                 return c
-            return (c * chi_psi(ctx.elem(u)) * mu.value(u)
-                    * twisted_gauss_sum(ctx, mu, n, -(xi * u * u + eta), gauss_cache))
+            return c * char(0, u.u) * gauss(u.u)
 
         # G_n(a) depends on a mod p^n, hence on u mod p^(n + level)
         level = max(n + rep.level, mu.m, 1)
         shell = integrate_shell(ctx, f, ShellIntegralPlan(0, level, MULTIPLICATIVE_DX))
     else:
-        def f(x: Fraction) -> CycValue:
+        def f(x: ShellPoint) -> CycValue:
             j = table.value(x)
             if j.is_zero():
                 return j
-            return j * chi_psi(ctx.elem(x)) * mu.value(x)
+            return j * char(x.k, x.u)
 
         # J is locally constant at relative level l + n on the shell |x| = q^n
         level = max(rep.level + max(0, n), mu.m, 1)
@@ -510,15 +549,17 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
     if rep.basis_index_for(xi) is None:
         raise ValueError(f"xi={xi} is not in X(pi)")
     level = max(rep.level, mu.m) + 1
+    parts = {n: v.shell(n) for n in v.shells()}
+    char = _char_factor(ctx, mu)
 
-    def f(x: Fraction) -> CycValue:
-        wv = rep.whittaker_function(xi, v, MetaElement.torus(ctx, x))
+    def f(x: ShellPoint) -> CycValue:
+        wv = rep.whittaker_functional(xi, parts[x.k], (x.k, x.u, 1))
         if wv.is_zero():
             return wv
-        return wv * chi_psi(ctx.elem(x)) * mu.value(x)
+        return wv * char(x.k, x.u)
 
     coeffs: dict = {}
-    for n in v.shells():
+    for n in parts:
         shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
         if not shell.is_zero():
             coeffs[n] = shell * q_half_power(q, n) * 2
@@ -606,8 +647,8 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a):
     for eta_rep in rep.spectrum().dedup:
         table = bessel_table(rep, xi, eta_rep.xi)
 
-        def f(y: Fraction) -> CycValue:
-            weta = rep.whittaker_function(eta_rep.xi, v, MetaElement.torus(ctx, y))
+        def f(y: ShellPoint) -> CycValue:
+            weta = rep.whittaker_functional(eta_rep.xi, v, (y.k, y.u, 1))
             if weta.is_zero():
                 return weta
             ay = a * y

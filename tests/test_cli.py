@@ -140,6 +140,21 @@ class TestConfigErrors:
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2 and err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("record", [
+        [1],
+        {"conductor_exponent": "x", "value_at_p_numerator_of_exponent": 0,
+         "value_at_p_denominator_of_exponent": 1},
+        {"conductor_exponent": 0, "value_at_p_numerator_of_exponent": 1,
+         "value_at_p_denominator_of_exponent": 0},
+        {"conductor_exponent": 7, "value_at_p_numerator_of_exponent": 0,
+         "value_at_p_denominator_of_exponent": 1},
+    ], ids=["mu-not-a-record", "mu-non-integer-field", "mu-zero-denominator",
+            "mu-exponent-over-cap"])
+    def test_malformed_mu_record(self, capsys, record):
+        rc, _, err = run_cli(capsys, "--command", "gamma", "--mu", json.dumps(record))
+        assert rc == 2 and err.startswith("configuration error:")
+        assert "is invalid" in err
+
     @pytest.mark.parametrize("text", ["{bad", '{"p": 3, "l": 1}'],
                              ids=["bad-json", "missing-field"])
     def test_malformed_sigma_file(self, capsys, tmp_path, text):

@@ -14,7 +14,17 @@ from metaplectic import (
     S_TO_ONE_MINUS_S,
     q_half_power,
 )
-from metaplectic.exactnum import INFINITY, _unit_residues_mod
+from metaplectic.exactnum import (
+    INFINITY,
+    ShellPoint,
+    _unit_residues_mod,
+    frac_unit_part,
+    frac_valuation,
+    p_fractional_int,
+    p_fractional_part,
+    torus_coordinates,
+    valuation_unit,
+)
 from metaplectic.invariants import random_nonzero
 
 
@@ -229,6 +239,52 @@ def test_abs_value(ctx):
     assert ctx.elem(3).abs_value() == Fraction(1, 3)
     assert ctx.elem(Fraction(1, 3)).abs_value() == 3
     assert ctx.elem(0).abs_value() == 0
+
+
+class TestIntPoints:
+    """The int p-adic helpers against the Fraction ones."""
+
+    POINTS = [Fraction(u) * Fraction(p) ** k for p in (3, 5) for u in (1, -1, 2, 7, -22)
+              for k in range(-3, 4)] + [Fraction(2, 5), Fraction(-7, 11), Fraction(25, 18)]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_valuation_unit(self, p):
+        for x in self.POINTS:
+            for modulus in (1, p, p**3):
+                v, u = valuation_unit(x.numerator, x.denominator, p, modulus)
+                assert v == frac_valuation(x, p) and 0 <= u < modulus
+                # u is the unit part modulo `modulus`
+                assert ((frac_unit_part(x, p) - u) / modulus).denominator % p != 0
+        with pytest.raises(ZeroDivisionError):
+            valuation_unit(0, 1, p, p)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_p_fractional_int(self, p):
+        for x in self.POINTS:
+            for scale in (1, p, p**2 * 4):   # num/den need not be reduced
+                c, pm = p_fractional_int(x.numerator * scale, x.denominator * scale, p)
+                assert Fraction(c, pm) == p_fractional_part(x, p)
+                assert 0 <= c < pm and pm == max(1, p ** -min(0, frac_valuation(x, p)))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_torus_coordinates(self, p):
+        for x in self.POINTS:
+            k, u = torus_coordinates(x, p)
+            assert k == frac_valuation(x, p) and u * Fraction(p) ** k == x
+            assert type(u) is int or u.denominator % p
+        with pytest.raises(ZeroDivisionError):
+            torus_coordinates(Fraction(0), p)
+
+    def test_shell_point(self):
+        for p in (3, 5):
+            for k in range(-3, 4):
+                for u in _unit_residues_mod(p**2):
+                    x = ShellPoint(u, k, p)
+                    plain = Fraction(u) * Fraction(p) ** k
+                    assert x == plain and hash(x) == hash(plain)
+                    assert (x.k, x.u) == (k, u) == torus_coordinates(x, p)
+                    assert type(x + 1) is Fraction and type(-x) is Fraction
+                    assert type(Fraction(x)) is Fraction and {x: 1}[plain] == 1
 
 
 class TestCycValue:

@@ -13,8 +13,16 @@ from metaplectic import (
     square_class_data,
     weil_alpha,
 )
-from metaplectic.exactnum import p_fractional_part
-from metaplectic.localchar import legendre_frac
+from metaplectic.exactnum import PadicContext, p_fractional_part
+from metaplectic.localchar import (
+    MAX_CONDUCTOR_EXPONENT,
+    chi_psi_int,
+    hilbert_frac,
+    hilbert_int,
+    legendre_frac,
+    legendre_int,
+    square_class_int,
+)
 from metaplectic.invariants import random_nonzero
 
 
@@ -257,3 +265,80 @@ def test_legendre_frac_p7():
     squares = {x * x % 7 for x in range(1, 7)}
     for u in range(1, 7):
         assert legendre_frac(7, Fraction(u)) == (1 if u in squares else -1)
+
+
+def _units(p: int, m: int):
+    return [u for u in range(1, p**m) if u % p]
+
+
+def _characters(ctx, m: int):
+    """Every character of exact conductor exponent m, for two values of mu(p)."""
+    if m == 0:
+        return [MultChar(ctx, 0, e) for e in (Fraction(0), Fraction(1, 4))]
+    order = ctx.p ** (m - 1) * (ctx.p - 1)
+    out = []
+    for gen in range(order):
+        for e in (Fraction(0), Fraction(1, 4)):
+            try:
+                out.append(MultChar(ctx, m, e, gen))
+            except ValueError:   # conductor below m
+                pass
+    return out
+
+
+class TestIntCharacters:
+    """The int entry points against the Fraction/KElement functions and the
+    Hilbert oracle, over complete residue sweeps."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_hilbert_int_against_closed_formula(self, p):
+        # v in -2..2 x units mod p^2, every ordered pair
+        points = [(v, u) for v in range(-2, 3) for u in _units(p, 2)]
+        for va, ua in points:
+            a = Fraction(ua) * Fraction(p) ** va
+            for vb, ub in points:
+                b = Fraction(ub) * Fraction(p) ** vb
+                assert hilbert_int(p, va, ua, vb, ub) == hilbert_frac(p, a, b), (a, b)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_hilbert_int_against_oracle(self, p):
+        ctx = PadicContext(p)
+        nonresidue = next(u for u in range(2, p) if legendre_int(p, u) == -1)
+        classes = [(v, u) for v in (0, 1) for u in (1, nonresidue)]
+        signs = []
+        for va, ua in classes:
+            for vb, ub in classes:
+                oracle = hilbert_symbol_oracle(ctx.elem(ua * p**va), ctx.elem(ub * p**vb))
+                assert hilbert_int(p, va, ua, vb, ub) == oracle, (va, ua, vb, ub)
+                signs.append(oracle)
+        assert len(signs) == 16 and -1 in signs
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_legendre_and_square_class(self, p):
+        ctx = PadicContext(p)
+        for u in _units(p, 2):
+            assert legendre_int(p, u) == legendre_frac(p, Fraction(u))
+            assert legendre_int(p, -u) == legendre_frac(p, Fraction(-u))
+            for v in range(-2, 3):
+                x = ctx.elem(Fraction(u) * Fraction(p) ** v)
+                assert square_class_int(p, v, u) == square_class_data(x)
+        with pytest.raises(ValueError):
+            legendre_int(p, p)
+
+    def test_chi_psi_int(self, ctx):
+        for u in _units(3, 2):
+            for v in range(-2, 3):
+                x = Fraction(u) * Fraction(3) ** v
+                assert chi_psi_int(ctx, v, u) == chi_psi(ctx.elem(x)), x
+                assert chi_psi_int(ctx, v, -u) == chi_psi(ctx.elem(-x)), -x
+
+    @pytest.mark.parametrize("m", range(MAX_CONDUCTOR_EXPONENT + 1))
+    def test_mu_exponent_int(self, ctx, m):
+        chars = _characters(ctx, m)
+        assert chars
+        for mu in chars:
+            for u in _units(3, max(m, 1)):
+                for v in range(-2, 3):
+                    x = Fraction(u) * Fraction(3) ** v
+                    assert mu.exponent_int(v, u) == mu.value_exponent(x), (mu, x)
+                    assert mu.value_int(v, u) == mu.value(x)

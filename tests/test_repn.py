@@ -18,9 +18,11 @@ from metaplectic.cover import (
     random_integral_sl2,
     random_sl2_word,
 )
+from metaplectic.exactnum import ShellPoint, _unit_residues_mod
 from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
+    mat_eq,
     mat_identity,
     sigma_from_dict,
     sigma_to_dict,
@@ -248,6 +250,54 @@ class TestTorusClosedForm:
         assert nonzero > 100
 
 
+    # units with denominators prime to p, and t deeper than the sigma modulus
+    DEEP_UNITS = (Fraction(2, 5), Fraction(7, 11), Fraction(-2, 5), Fraction(11, 7))
+    DEEP_TS = (Fraction(1, 27), Fraction(5, 81), Fraction(-13, 81), Fraction(40, 27),
+               Fraction(7, 54), Fraction(26, 27), Fraction(80, 81))
+
+    def test_fractional_units_and_deep_denominators(self, ctx, rep1, rep2, rng):
+        nonzero = 0
+        for rep in (rep1, rep2):
+            xi = rep.betas[0]
+            for k in range(-3, 4):
+                for u in self.DEEP_UNITS:
+                    x = u * Fraction(3) ** k
+                    for e in (1, -1):
+                        g = MetaElement(SL2Element.torus(ctx, x), e)
+                        terms = {(t, rng.choice((k, k, k - 1, k + 2)), 0):
+                                 ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
+                                 for t in rng.sample(self.DEEP_TS, 3)}
+                        v = InducedVector(ctx.q, terms)
+                        expected = decomposition_act(rep, g, v)
+                        assert rep.act(g, v) == expected
+                        w = rep.whittaker_function(xi, v, g)
+                        assert w == rep.whittaker_functional(xi, expected)
+                        nonzero += not w.is_zero()
+        assert nonzero > 50
+
+    def test_int_coordinates_match_fraction_ones(self, ctx, rep1, rep2):
+        # the torus form of the functional on ShellPoint, int and Fraction
+        # coordinates, against the decomposition route
+        for rep in (rep1, rep2):
+            xi = rep.betas[0]
+            for k in (-2, 0, 1):
+                v = (rep.phi(t=Fraction(1, 27), n=k) + rep.phi(t=Fraction(4, 9), n=k, coeff=2)
+                     + rep.phi(t=Fraction(5, 81), n=k + 1))
+                for u in _unit_residues_mod(81):
+                    x = ShellPoint(u, k, 3)
+                    g = MetaElement.torus(ctx, Fraction(x))
+                    expected = rep.whittaker_functional(xi, decomposition_act(rep, g, v))
+                    assert rep.whittaker_functional(xi, v, (k, u, 1)) == expected
+                    assert rep.whittaker_functional(xi, v, (k, u + 81 * 7, 1)) == expected
+                    assert rep.whittaker_function(xi, v, MetaElement.torus(ctx, x)) == expected
+
+    def test_unit_torus_value(self, ctx, rep1, rep2):
+        for rep in (rep1, rep2):
+            for u in (1, 2, 4, 5, 7, 8, -1, 22, Fraction(2, 5), Fraction(-7, 11)):
+                assert mat_eq(rep.unit_torus_value(u),
+                              rep.genuine_eval(MetaElement.torus(ctx, u)))
+
+
 class TestCanonicalPhi:
     TS = (Fraction(4, 3), Fraction(1, 2), Fraction(-2, 9), Fraction(7, 3))
 
@@ -356,3 +406,22 @@ class TestCentralCharacter:
     def test_minus_one(self, rep1, rep2):
         assert rep1.central_sign_minus_one() == 1
         assert rep2.central_sign_minus_one() == 1
+
+    def test_computed_once(self, ctx, monkeypatch):
+        rep = Representation(builtin_sigma_p3(ctx, 1))
+        calls = []
+        act = rep.act
+        monkeypatch.setattr(rep, "act", lambda g, v: calls.append(g) or act(g, v))
+        assert rep.central_sign_minus_one() == 1
+        assert rep.central_sign_minus_one() == 1
+        assert len(calls) == 1
+
+    def test_non_scalar_action_raises_every_time(self, ctx, monkeypatch):
+        rep = Representation(builtin_sigma_p3(ctx, 1))
+        act = rep.act
+        monkeypatch.setattr(rep, "act", lambda g, v: act(g, v) + rep.phi(n=1))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="scalar"):
+                rep.central_sign_minus_one()
+        monkeypatch.setattr(rep, "act", act)
+        assert rep.central_sign_minus_one() == 1

@@ -26,7 +26,14 @@ from metaplectic import (
     zeta_function,
 )
 from metaplectic import zeta
-from metaplectic.exactnum import Q_NEG_S, Q_POS_S, frac_valuation, q_half_power
+from metaplectic.exactnum import (
+    Q_NEG_S,
+    Q_POS_S,
+    ShellPoint,
+    _unit_residues_mod,
+    frac_valuation,
+    q_half_power,
+)
 from metaplectic.zeta import (
     BesselTable,
     NotLocallyConstantError,
@@ -106,6 +113,21 @@ class TestShellIntegral:
             calls.clear()
             assert integrate_ball(ctx, counting(one(ctx)), m, level) == Fraction(3) ** -m
             assert len(calls) == 3 ** (level + 1 - m)
+
+    def test_samples_carry_int_coordinates(self, ctx, ctx5):
+        # every shell sample is a ShellPoint u p^n with its int coordinates
+        for c in (ctx, ctx5):
+            for n in (-2, 0, 3):
+                seen = []
+
+                def f(x):
+                    assert type(x) is ShellPoint and x.k == n and x.u % c.p
+                    assert x == Fraction(x.u) * Fraction(c.p) ** n
+                    seen.append(x.u)
+                    return c.one()
+
+                integrate_shell(c, f, ShellIntegralPlan(n, 1, MULTIPLICATIVE_DX))
+                assert seen == list(_unit_residues_mod(c.p**2))
 
     def test_sampling_budget_depends_on_p(self, ctx5):
         # 5^8 samples exceed the budget although 3^8 would not
@@ -580,6 +602,39 @@ class TestZetaFullScanOracle:
                     assert (z.poly, z.window) == (poly, window), (mu.spec_record(), v)
                     nonzero += not poly.is_zero()
         assert nonzero >= 2 * len(vectors)
+
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_deep_denominators_match_full_scan(self, which, rep1, rep2):
+        """3-term vectors with t of denominator 27, deeper than the sigma
+        modulus, on shells in -2..2, with two terms on one shell.  A term at
+        t = c/27 has W^xi(<x>) varying with u mod 81, and its shell integral
+        vanishes against every mu of conductor <= 3; the partner terms
+        phi(t=0, n=1) and phi(t=which/3, n=0) make the polynomials nonzero
+        for mu trivial and for the conductor-2 mu respectively."""
+        rep = rep1 if which == 1 else rep2
+        ctx = rep.ctx
+        xi = rep.spectrum().dedup[0].xi
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 2, Fraction(1, 4), 2))
+        vectors = [
+            rep.phi(t=Fraction(1, 27), n=-2) + rep.phi(t=Fraction(which, 3), n=0)
+            + rep.phi(t=Fraction(13, 27), n=0, coeff=Fraction(-2, 3)),
+            rep.phi(t=Fraction(2, 27), n=-1) + rep.phi(t=Fraction(7, 27), n=1, coeff=3)
+            + rep.phi(n=1),
+            rep.phi(t=Fraction(4, 27), n=2, coeff=Fraction(1, 2))
+            + rep.phi(t=Fraction(10, 27), n=2) + rep.phi(t=Fraction(25, 27), n=-2),
+        ]
+        supports = []
+        for mu in mus:
+            for v in vectors:
+                z = zeta_function(rep, xi, mu, v)
+                poly, window = _zeta_by_full_scan(rep, xi, mu, v)
+                assert (z.poly, z.window) == (poly, window), (mu.spec_record(), v)
+                supports.append(poly.support())
+        assert supports == [[], [1], [], [0], [], []]
+        # the last vector's zeros come from the integration, not from W
+        assert any(not rep.whittaker_function(xi, vectors[2], MetaElement.torus(ctx, x)).is_zero()
+                   for x in (Fraction(u, 9) for u in range(1, 81) if u % 3))
 
 
 class TestFunctionalEquation:
