@@ -3,9 +3,11 @@
 Three layers, all exact:
 
 * ``KElement`` -- a rational number viewed inside Q_p, with valuation and
-  unit-part accessors.  Every sample point, matrix entry and character
-  argument in this package is such a rational, so no precision management
-  is ever needed.
+  unit-part accessors: the argument type of the character API
+  (``chi_psi``, ``hilbert_symbol``, ``weil_alpha``).  Every p-adic number
+  in this package is an exact rational, so no precision management is ever
+  needed; shell sample points are ``ShellPoint``s, which also carry their
+  valuation and unit as ints.
 * ``CycValue`` -- an element of Q(zeta_N)[X]/(X^2 - q) for a dynamically
   chosen root-of-unity level N, written as  A + B*sqrt(q)  with A, B kept
   in a canonical cyclotomic basis.  Half-integer powers of q stay formal;
@@ -193,56 +195,17 @@ class KElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, KElement):
-            if other.ctx.p != self.ctx.p:
-                raise ValueError("mixed p-adic contexts")
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return KElement(self.value + self._coerce(other), self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return KElement(self.value - self._coerce(other), self.ctx)
-
-    def __rsub__(self, other):
-        return KElement(self._coerce(other) - self.value, self.ctx)
-
-    def __mul__(self, other):
-        return KElement(self.value * self._coerce(other), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return KElement(self.value / self._coerce(other), self.ctx)
-
-    def __rtruediv__(self, other):
-        return KElement(self._coerce(other) / self.value, self.ctx)
-
-    def __neg__(self):
-        return KElement(-self.value, self.ctx)
-
-    def __eq__(self, other):
-        if isinstance(other, KElement):
-            return self.value == other.value and self.ctx.p == other.ctx.p
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.ctx.p))
-
     def __repr__(self):
         return f"KElement({self.value}, p={self.ctx.p})"
 
 
 def as_fraction(x) -> Fraction:
     """The rational behind an argument given as a ``KElement`` or as any
-    rational (int, Fraction, numeric string)."""
+    rational (int, Fraction, numeric string); a ``Fraction``, such as a
+    ``ShellPoint`` with its int coordinates, is returned as it is."""
     if isinstance(x, KElement):
         x = x.value
-    return x if type(x) is Fraction else Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +550,7 @@ class CycValue:
                               _reduced({-k % n: c for k, c in self._one.items()}, n),
                               _reduced({-k % n: c for k, c in self._sq.items()}, n))
 
-    def _galois(self, t: int, n: int) -> "CycValue":
+    def _galois(self, t: int) -> "CycValue":
         """Apply e(r) -> e(t*r); only meaningful on the pure cyclotomic part."""
         lev = self._n
         raw: dict = {}
@@ -611,7 +574,7 @@ class CycValue:
         for t in _unit_residues_mod(self._n):
             if t == 1:
                 continue
-            prod = prod * self._galois(t, self._n)
+            prod = prod * self._galois(t)
         norm = self * prod
         if not norm.is_rational():
             raise ArithmeticError("field norm failed to land in Q")

@@ -67,15 +67,13 @@ def legendre_int(p: int, u: int) -> int:
     return sign
 
 
-def legendre_frac(p: int, u: Fraction) -> int:
-    if frac_valuation(u, p) != 0:
-        raise ValueError(f"legendre symbol needs a p-adic unit, got valuation {frac_valuation(u, p)}")
-    return legendre_int(p, frac_mod(u, p))
-
-
 def legendre(u: KElement) -> int:
-    """+1 iff the unit u reduces to a nonzero square mod p."""
-    return legendre_frac(u.ctx.p, u.value)
+    """+1 iff the unit u reduces to a nonzero square mod p (``legendre_int``)."""
+    p = u.ctx.p
+    v = u.valuation()
+    if v != 0:
+        raise ValueError(f"legendre symbol needs a p-adic unit, got valuation {v}")
+    return legendre_int(p, frac_mod(u.value, p))
 
 
 def hilbert_int(p: int, va: int, ua: int, vb: int, ub: int) -> int:

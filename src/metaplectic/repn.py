@@ -22,8 +22,9 @@ from .exactnum import (
     frac_valuation,
     p_split,
     torus_coordinates,
+    valuation_unit,
 )
-from .localchar import AdditiveCharacter, hilbert_int, square_class_data
+from .localchar import AdditiveCharacter, hilbert_int, square_class_int
 from .cover import (
     MetaElement,
     SL2Element,
@@ -459,8 +460,10 @@ class SpectrumXPi:
 
 # -- the compactly induced representation --------------------------------------
 
-# every construction runs the Kubota splitting gate on the same samples
+# the Kubota splitting gate runs on the same samples for every construction
+# and depends only on p, so a pass is remembered per p; a failure is not
 _SPLITTING_GATE_SEED = 2026
+_SPLITTING_GATE_PASSED: set = set()
 
 
 class Representation:
@@ -474,7 +477,9 @@ class Representation:
         self.dim = sigma.dim
         self.psi = AdditiveCharacter(self.ctx)
         sigma.validate()
-        validate_kubota_splitting(self.ctx, random.Random(_SPLITTING_GATE_SEED), trials=128)
+        if self.ctx.p not in _SPLITTING_GATE_PASSED:
+            validate_kubota_splitting(self.ctx, random.Random(_SPLITTING_GATE_SEED), trials=128)
+            _SPLITTING_GATE_PASSED.add(self.ctx.p)
         basis = EigenBasis(sigma)
         self.betas = basis.betas
         self._diag_table = {
@@ -485,11 +490,12 @@ class Representation:
                                 for key, mat in self._diag_table.items()}
         self._twists: dict = {}
         reps = []
+        p = self.ctx.p
         for b, beta in enumerate(self.betas):
-            xi = self.ctx.elem(beta)
-            if xi.valuation() != -self.level:
+            v, u = valuation_unit(beta.numerator, beta.denominator, p, p)
+            if v != -self.level:
                 raise SigmaValidationError("spectrum member with wrong valuation")
-            reps.append(XiRepresentative(beta, b, square_class_data(xi),
+            reps.append(XiRepresentative(beta, b, square_class_int(p, v, u),
                                          Fraction(self.ctx.q) ** self.level))
         dedup: dict = {}
         for r in sorted(reps, key=lambda r: r.xi):
@@ -557,10 +563,10 @@ class Representation:
         """pi(w n(y)) phi_b, memoized per (b, y).  The Bessel integrand at
         <x> w n(y) is pi(<x>) applied to this vector, for every x; it goes
         through the general, decomposition-based ``act``."""
-        key = (b, Fraction(y))
+        key = (b, y)
         hit = self._w_translates.get(key)
         if hit is None:
-            hit = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, key[1]),
+            hit = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, y),
                            self.phi(b=b))
             self._w_translates[key] = hit
         return hit

@@ -27,6 +27,7 @@ from .exactnum import (
     ShellPoint,
     _unit_residues_mod,
     as_fraction,
+    frac_mod,
     frac_valuation,
     q_half_power,
     torus_coordinates,
@@ -37,7 +38,7 @@ from .localchar import (
     MultChar,
     chi_psi,
     chi_psi_int,
-    hilbert_frac,
+    hilbert_int,
     square_class_int,
 )
 from .cover import MetaElement
@@ -73,14 +74,14 @@ def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
     below p^level, the first 1/p of them in ascending order.  f receives
     each point u p^n as a ``ShellPoint``, which carries n and u as ints."""
     p, q = ctx.p, ctx.q
-    units = _unit_residues_mod(p ** (level + 1))
-    vals = [f(ShellPoint(u, n, p)) for u in units]
     if measure == MULTIPLICATIVE_DX:
         scale = Fraction(1, q**level)
     elif measure == ADDITIVE_DX:
         scale = Fraction(q) ** (-n - level)
     else:
         raise ValueError(f"unknown measure {measure!r}")
+    units = _unit_residues_mod(p ** (level + 1))
+    vals = [f(ShellPoint(u, n, p)) for u in units]
     return (CycValue.sum(vals[:len(units) // p], q) * scale,
             CycValue.sum(vals, q) * (scale / q))
 
@@ -224,39 +225,36 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
         integral over p^n Z_p of |sigma(<x/y>) b'|_b (y/x, 1/y)
             psi^xi(-x^2/y - eta/xi * y) dy
 
-    with the eigen-coefficient extraction |.|_b and <x/y> evaluated through
-    the genuine extension (off-shell y contributes 0)."""
+    with the eigen-coefficient extraction |.|_b.  On the shell y = u_y p^n,
+    x = u_x p^n, so x/y is the unit u_x/u_y: sigma(<x/y>) is the torus
+    action's ``unit_torus_value`` at u_x u_y^-1 mod p^l, and the Hilbert
+    sign is ``hilbert_int`` on the same ints."""
     ctx = rep.ctx
-    p, q = ctx.p, ctx.q
+    p = ctx.p
     xi = as_fraction(xi)
     eta = as_fraction(eta)
     x = as_fraction(x)
-    n = frac_valuation(x, p)
+    n, ux = torus_coordinates(x, p)
     if n > -rep.level:
         raise ValueError(
             f"closed Bessel formula needs v(x) <= -{rep.level}, got {n}")
-    n = int(n)
     b_out = rep.basis_index_for(xi)
     b_in = rep.basis_index_for(eta)
     if b_out is None or b_in is None:
         raise ValueError("xi and eta must lie in X(pi)")
     psi_xi = rep.psi.twist(xi)
     ratio = eta / xi
+    modulus = rep.sigma.modulus
+    ux = frac_mod(ux, modulus)  # an int or a Fraction unit
+    ux_inv = pow(ux, -1, modulus)
 
-    sigma_cache: dict = {}
-
-    def f(y: Fraction) -> CycValue:
-        # only the shell v(y) = n supports the integrand
-        if frac_valuation(y, p) != n:
-            return CycValue.zero(q)
-        u = x / y
-        coeff = sigma_cache.get(u)
-        if coeff is None:
-            coeff = rep.genuine_eval(MetaElement.torus(ctx, u))[b_out][b_in]
-            sigma_cache[u] = coeff
+    def f(y: ShellPoint) -> CycValue:
+        uy_inv = pow(y.u, -1, modulus)
+        coeff = rep.unit_torus_value(ux * uy_inv)[b_out][b_in]
         if coeff.is_zero():
             return coeff
-        sign = hilbert_frac(p, y / x, 1 / y)
+        # (y/x, 1/y) with y/x = u_y/u_x and 1/y = p^-n / u_y
+        sign = hilbert_int(p, 0, y.u * ux_inv, -n, uy_inv)
         value = coeff * psi_xi.value(-x * x / y - ratio * y)
         return value if sign == 1 else -value
 
@@ -282,7 +280,6 @@ class BesselTable:
         self._checked_shells: set = set()
 
     def value(self, x: Fraction) -> CycValue:
-        x = Fraction(x)
         hit = self._values.get(x)
         if hit is None:
             n = frac_valuation(x, self.rep.ctx.p)
@@ -295,7 +292,7 @@ class BesselTable:
         return hit
 
     def closed_value(self, x: Fraction) -> CycValue:
-        return bessel_closed(self.rep, self.xi, self.eta, Fraction(x))
+        return bessel_closed(self.rep, self.xi, self.eta, x)
 
     def _ensure_shell_checked(self, n: int) -> None:
         """Two-method spot check at two points, once per closed-formula shell."""
@@ -309,9 +306,8 @@ class BesselTable:
         p = self.rep.ctx.p
         checked = 0
         for n in shells:
-            pn = Fraction(p) ** n
             for u in _unit_residues_mod(p**2)[:per_shell]:
-                x = u * pn
+                x = ShellPoint(u, n, p)
                 direct = bessel_direct(self.rep, self.xi, self.eta, x)
                 closed = bessel_closed(self.rep, self.xi, self.eta, x)
                 if direct != closed:
@@ -325,8 +321,7 @@ class BesselTable:
 
     def shell_values(self, n: int, level: int) -> dict:
         p = self.rep.ctx.p
-        pn = Fraction(p) ** n
-        return {u: self.value(u * pn) for u in _unit_residues_mod(p**level)}
+        return {u: self.value(ShellPoint(u, n, p)) for u in _unit_residues_mod(p**level)}
 
 
 def bessel_table(rep: Representation, xi, eta) -> BesselTable:
@@ -374,8 +369,7 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
         cache = {}
     p, q = ctx.p, ctx.q
     a = Fraction(a)
-    alpha = None if a == 0 else int(frac_valuation(a, p))
-    if alpha is None or alpha >= n:
+    if a == 0 or frac_valuation(a, p) >= n:
         flat = cache.get(None)
         if flat is None:
             flat = integrate_shell(
@@ -383,14 +377,15 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
                 ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
             cache[None] = flat
         return flat
-    key = (alpha, square_class_int(p, *valuation_unit(a.numerator, a.denominator, p, p)))
+    alpha, ua = valuation_unit(a.numerator, a.denominator, p, p)
+    key = (alpha, square_class_int(p, alpha, ua))
     t = cache.get(key)
     if t is None:
         psi = AdditiveCharacter(ctx)
 
-        def f(z: Fraction) -> CycValue:
+        def f(z: ShellPoint) -> CycValue:
             value = chi_psi(ctx.elem(z)) * mu.value(z) * psi.value(z)
-            return value if hilbert_frac(p, z, a) == 1 else -value
+            return value if hilbert_int(p, z.k, z.u, alpha, ua) == 1 else -value
 
         # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
         t = integrate_shell(ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1),
@@ -641,7 +636,7 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a):
     p, q = ctx.p, ctx.q
     xi = as_fraction(xi)
     a = as_fraction(a)
-    va = int(frac_valuation(a, p))
+    va, ua = valuation_unit(a.numerator, a.denominator, p, p)
     lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
     rhs = CycValue.zero(q)
     for eta_rep in rep.spectrum().dedup:
@@ -651,12 +646,11 @@ def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a):
             weta = rep.whittaker_functional(eta_rep.xi, v, (y.k, y.u, 1))
             if weta.is_zero():
                 return weta
-            ay = a * y
-            jval = table.value(ay) if frac_valuation(ay, p) <= 0 else CycValue.zero(q)
+            jval = table.value(a * y) if va + y.k <= 0 else CycValue.zero(q)
             if jval.is_zero():
                 return CycValue.zero(q)
             value = jval * weta
-            return value if hilbert_frac(p, ay, y) == 1 else -value
+            return value if hilbert_int(p, va + y.k, ua * y.u, y.k, y.u) == 1 else -value
 
         total = CycValue.zero(q)
         for m in v.shells():
@@ -674,9 +668,8 @@ def bessel_growth_report(rep: Representation, xi, eta, shells) -> dict:
     table = bessel_table(rep, xi, eta)
     out = {}
     for n in shells:
-        pn = Fraction(ctx.p) ** n
         norm = max(1.0, float(ctx.q) ** (-n))
-        vals = [abs(table.value(u * pn).to_complex()) / norm
+        vals = [abs(table.value(ShellPoint(u, n, ctx.p)).to_complex()) / norm
                 for u in _unit_residues_mod(ctx.p ** min(rep.level + 1, 3))]
         out[n] = max(vals)
     return out

@@ -19,7 +19,6 @@ from metaplectic.localchar import (
     chi_psi_int,
     hilbert_frac,
     hilbert_int,
-    legendre_frac,
     legendre_int,
     square_class_int,
 )
@@ -261,10 +260,11 @@ def test_fractional_part_negative():
     assert p_fractional_part(Fraction(2, 5), 3) == 0
 
 
-def test_legendre_frac_p7():
+def test_legendre_p7():
+    ctx7 = PadicContext(7)
     squares = {x * x % 7 for x in range(1, 7)}
     for u in range(1, 7):
-        assert legendre_frac(7, Fraction(u)) == (1 if u in squares else -1)
+        assert legendre(ctx7.elem(u)) == (1 if u in squares else -1)
 
 
 def _units(p: int, m: int):
@@ -317,8 +317,8 @@ class TestIntCharacters:
     def test_legendre_and_square_class(self, p):
         ctx = PadicContext(p)
         for u in _units(p, 2):
-            assert legendre_int(p, u) == legendre_frac(p, Fraction(u))
-            assert legendre_int(p, -u) == legendre_frac(p, Fraction(-u))
+            assert legendre_int(p, u) == legendre(ctx.elem(u))
+            assert legendre_int(p, -u) == legendre(ctx.elem(-u))
             for v in range(-2, 3):
                 x = ctx.elem(Fraction(u) * Fraction(p) ** v)
                 assert square_class_int(p, v, u) == square_class_data(x)

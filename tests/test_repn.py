@@ -321,8 +321,10 @@ class TestSpectrum:
         spec1 = rep1.spectrum()
         assert [r.xi for r in spec1.reps] == [Fraction(1, 3)]
         assert spec1.reps[0].abs_value == 3
+        assert spec1.reps[0].square_class == (1, 1)
         assert len(spec1.dedup) == 1
         assert [r.xi for r in rep2.spectrum().reps] == [Fraction(2, 3)]
+        assert rep2.spectrum().reps[0].square_class == (1, -1)
 
     def test_at_most_four_classes(self, rep1):
         assert len(rep1.spectrum().dedup) <= 4
@@ -332,6 +334,27 @@ class TestSpectrum:
         assert rep1.basis_index_for(Fraction(4, 3)) == 0     # 1/3 + 1
         assert rep1.basis_index_for(Fraction(2, 3)) is None
         assert rep1.basis_index_for(Fraction(1, 9)) is None
+
+
+class TestSplittingGate:
+    def test_pass_remembered_per_p_failure_never(self, ctx, monkeypatch):
+        from metaplectic import cover, repn
+        monkeypatch.setattr(repn, "_SPLITTING_GATE_PASSED", set())
+        kubota_split = cover.kubota_split
+        with monkeypatch.context() as faulty:
+            faulty.setattr(cover, "kubota_split",
+                           lambda h: kubota_split(h) * (-1 if h.c == 0 else 1))
+            for _ in range(2):
+                with pytest.raises(cover.SplittingError):
+                    Representation(builtin_sigma_p3(ctx, 1))
+        assert repn._SPLITTING_GATE_PASSED == set()
+        calls = []
+        gate = repn.validate_kubota_splitting
+        monkeypatch.setattr(repn, "validate_kubota_splitting",
+                            lambda *args, **kw: calls.append(args) or gate(*args, **kw))
+        Representation(builtin_sigma_p3(ctx, 1))
+        Representation(builtin_sigma_p3(ctx, 2))
+        assert len(calls) == 1
 
 
 class TestWhittaker:

@@ -129,6 +129,13 @@ class TestShellIntegral:
                 integrate_shell(c, f, ShellIntegralPlan(n, 1, MULTIPLICATIVE_DX))
                 assert seen == list(_unit_residues_mod(c.p**2))
 
+    def test_unknown_measure_evaluates_nothing(self, ctx):
+        calls = []
+        plan = ShellIntegralPlan(0, 1, "NOT_A_MEASURE")
+        with pytest.raises(ValueError, match="unknown measure"):
+            integrate_shell(ctx, lambda x: calls.append(x) or ctx.one(), plan)
+        assert calls == []
+
     def test_sampling_budget_depends_on_p(self, ctx5):
         # 5^8 samples exceed the budget although 3^8 would not
         calls = []
@@ -274,6 +281,46 @@ class TestBessel:
             with pytest.raises(ArithmeticError):
                 table.value(Fraction(5, 9))
         assert -2 not in table._checked_shells
+
+
+def _bessel_closed_via_cover(rep, xi, eta, x):
+    """The oracle: the closed Bessel shell sum with sigma(<x/y>) as the
+    genuine value at the cover torus element and the Hilbert sign
+    (y/x, 1/y) on ``Fraction`` arguments."""
+    ctx = rep.ctx
+    p = ctx.p
+    x = Fraction(x)
+    n = int(frac_valuation(x, p))
+    b_out, b_in = rep.basis_index_for(xi), rep.basis_index_for(eta)
+    psi_xi = rep.psi.twist(xi)
+    ratio = eta / xi
+
+    def f(y):
+        coeff = rep.genuine_eval(MetaElement.torus(ctx, x / y))[b_out][b_in]
+        if coeff.is_zero():
+            return coeff
+        value = coeff * psi_xi.value(-x * x / y - ratio * y)
+        return value if hilbert_frac(p, y / x, 1 / y) == 1 else -value
+
+    return integrate_shell(ctx, f, ShellIntegralPlan(n, rep.level + abs(n), ADDITIVE_DX))
+
+
+class TestBesselClosedTorusForm:
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_cover_route_oracle(self, rep1, rep2, which):
+        # shells -l-3..-l cover both valuation parities; the unit 2/5 has a
+        # denominator prime to p
+        rep = rep1 if which == 1 else rep2
+        p, l = rep.ctx.p, rep.level
+        xis = [r.xi for r in rep.spectrum().reps]
+        for xi in xis:
+            for eta in xis:
+                for n in range(-l - 3, -l + 1):
+                    points = [ShellPoint(u, n, p) for u in (1, 2, 4, 5, -1)]
+                    points.append(Fraction(2, 5) * Fraction(p) ** n)
+                    for x in points:
+                        assert bessel_closed(rep, xi, eta, x) == \
+                            _bessel_closed_via_cover(rep, xi, eta, x), (xi, eta, x)
 
 
 def _bessel_via_cover_products(rep, xi, eta, g):
@@ -689,4 +736,19 @@ class TestFourierInversion:
     def test_nontrivial_vector(self, rep1):
         lhs, rhs = fourier_inversion_check(rep1, XI, rep1.phi(n=1), Fraction(1, 3))
         assert lhs == rhs
+        assert not lhs.is_zero()
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("a, t, n", [
+        (Fraction(2), 0, 0), (Fraction(2, 9), 0, 0), (Fraction(2, 45), 0, 0),
+        (Fraction(2, 3), Fraction(2, 9), -1), (Fraction(2, 15), Fraction(2, 9), -1)])
+    def test_odd_and_even_valuations(self, rep1, rep2, which, a, t, n):
+        # the Hilbert sign (ay, y) and the test v(ay) <= 0 read the ints of
+        # y on two shells; 2/45 and 2/15 have units with a denominator
+        # prime to p
+        rep = rep1 if which == 1 else rep2
+        xi = rep.spectrum().dedup[0].xi
+        v = rep.phi(t=t, n=n) + rep.phi(t=Fraction(1, 3), n=1)
+        lhs, rhs = fourier_inversion_check(rep, xi, v, a)
+        assert lhs == rhs, a
         assert not lhs.is_zero()
