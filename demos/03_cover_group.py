@@ -13,7 +13,6 @@ from metaplectic import (
     PadicContext,
     SL2Element,
     cocycle,
-    coset_decompose,
     kubota_split,
     validate_kubota_splitting,
 )

@@ -9,7 +9,6 @@ Run:  python demos/05_gamma_zeta_functional_equation.py
 from fractions import Fraction
 
 from metaplectic import (
-    MetaElement,
     MultChar,
     PadicContext,
     Representation,

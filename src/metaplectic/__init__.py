@@ -60,7 +60,6 @@ from .zeta import (
     fourier_inversion_check,
     gamma_coefficient,
     gamma_factor,
-    improper_integral,
     integrate_ball,
     integrate_shell,
     zeta_function,

@@ -102,7 +102,8 @@ _ATOM = re.compile(
 
 
 def parse_vector_expression(rep: Representation, text: str) -> InducedVector:
-    """Signed rational combinations of atoms phi(t=<rational>, n=<int>, b=<index>)."""
+    """Signed rational combinations of atoms phi(t=<rational>, n=<int>, b=<index>);
+    a zero denominator or a basis index >= dim is a ConfigError."""
     out = InducedVector.zero(rep.ctx.q)
     pos = 0
     text = text.strip()
@@ -116,18 +117,20 @@ def parse_vector_expression(rep: Representation, text: str) -> InducedVector:
             pos += 1
         if pos >= len(text):
             break
-        coeff = Fraction(1)
+        start, coeff = pos, "1"
         m = re.match(r"(\d+(?:/\d+)?)\s*\*\s*", text[pos:])
         if m:
-            coeff = Fraction(m.group(1))
+            coeff = m.group(1)
             pos += m.end()
         m = _ATOM.match(text, pos)
         if not m:
             raise ConfigError(f"cannot parse vector expression at: {text[pos:]!r}")
-        t = Fraction(m.group("t") or 0)
-        n = int(m.group("n") or 0)
-        b = int(m.group("b") or 0)
-        out = out + rep.phi(t=t, n=n, b=b, coeff=sign * coeff)
+        try:
+            out = out + rep.phi(t=Fraction(m.group("t") or 0), n=int(m.group("n") or 0),
+                                b=int(m.group("b") or 0), coeff=sign * Fraction(coeff))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"invalid vector term {text[start:m.end()]!r}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         pos = m.end()
     return out
 

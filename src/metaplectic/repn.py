@@ -562,7 +562,14 @@ class Representation:
     def w_translate(self, b: int, y) -> InducedVector:
         """pi(w n(y)) phi_b, memoized per (b, y).  The Bessel integrand at
         <x> w n(y) is pi(<x>) applied to this vector, for every x; it goes
-        through the general, decomposition-based ``act``."""
+        through the general, decomposition-based ``act``.
+
+        phi_b has the one term n(0)<1>, and act decomposes the one element
+        (w n(y))^-1 = [[y, 1], [-1, 0]]: integral for v(y) >= 0, in the
+        coset of some n(t)<p^v(y)> otherwise.  So the vector lies on the
+        single shell min(v(y), 0) (``InducedVector.shells``), and
+        W^xi(<x> w n(y)) vanishes unless min(v(y), 0) = v(x): the support
+        ``bessel_direct`` integrates."""
         key = (b, y)
         hit = self._w_translates.get(key)
         if hit is None:

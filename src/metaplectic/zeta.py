@@ -3,8 +3,7 @@ functions and the functional-equation verdict.
 
 Everything in scope is a finite exact sum over shells p^n Z_p^x.  Shell and
 ball integrals carry a locally-constant refinement gate (the value must be
-stable from one sampling level to the next); improper integrals stabilize
-once three consecutive enlargements of the domain agree exactly.
+stable from one sampling level to the next).
 
 Measure normalization: dx gives Z_p volume 1 and d*x = dx/|x|, so the unit
 group has multiplicative volume 1 - 1/q.  The factor 2 in the zeta integral,
@@ -134,40 +133,11 @@ def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
     return _gated(compute, p, max(level, m + 1), f"ball P^{m}")
 
 
-def improper_integral(ctx: PadicContext, f, max_range: int,
-                      level_for_shell=None, tail_level: int | None = None,
-                      min_range: int = 0) -> CycValue:
-    """The improper integral over Q_p: the limit of integrals over P^{-n},
-    accepted once three consecutive enlargements agree exactly, starting
-    from the ball P sampled at level `tail_level` (default 3).
-
-    `level_for_shell(n)` gives the starting relative sampling level on the
-    shell of valuation n (the gate refines it if needed).  `min_range` makes
-    the acceptance wait until the scan has passed P^{-min_range}, so interior
-    zero shells cannot mask deeper support."""
-    if level_for_shell is None:
-        level_for_shell = lambda n: 2
-    total = integrate_ball(ctx, f, 1, tail_level or 3)
-    trace = []
-    consecutive_zero = 0
-    for m in range(0, -max_range - 1, -1):
-        plan = ShellIntegralPlan(m, level_for_shell(m), ADDITIVE_DX)
-        shell = integrate_shell(ctx, f, plan)
-        total = total + shell
-        trace.append((m, total))
-        if m <= -1:
-            consecutive_zero = consecutive_zero + 1 if shell.is_zero() else 0
-            if consecutive_zero >= 3 and m <= -(min_range + 1):
-                return total
-    raise StabilizationError(
-        f"improper integral did not stabilize within P^{-max_range}", trace)
-
-
 # -- Bessel functions ----------------------------------------------------------
 
 
 def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
-    """J^{xi,eta}(g) from its definition: the improper integral of
+    """J^{xi,eta}(g) from its definition: the integral over Q_p of
     W^xi_v(g n(y)) psi^eta(-y) dy with v = phi^e_{b(eta)}, so W^eta_v(e) = 1.
 
     `x` may be a torus coordinate (g = <x> w) or an antidiagonal cover
@@ -176,7 +146,12 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     pi(w n(y)) v does not depend on x and is memoized on `rep`
     (``Representation.w_translate``, through coset decomposition), and D
     acts in closed form on its torus coordinates, taken once per call
-    (the torus form of ``Representation.whittaker_functional``)."""
+    (the torus form of ``Representation.whittaker_functional``).
+
+    The translate lies on the shell min(v(y), 0) and the functional at
+    D = <x> reads only the shell v(x), so the integrand vanishes unless
+    min(v(y), 0) = v(x) = k: J is 0 for k > 0, the integral over Z_p for
+    k = 0 and the integral over the shell v(y) = k for k < 0."""
     ctx = rep.ctx
     xi = as_fraction(xi)
     eta = as_fraction(eta)
@@ -188,34 +163,23 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
             raise ValueError(f"bessel_direct needs an antidiagonal element, got {x!r}")
         torus = x * MetaElement.w(ctx).inverse()
         coord, e = torus.g.a, torus.eps
-        depth = max(0, -min(frac_valuation(x.g.b, ctx.p), frac_valuation(x.g.c, ctx.p)))
     else:
         coord, e = as_fraction(x), 1
         if coord == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
-        depth = max(0, -int(frac_valuation(coord, ctx.p)))
-    torus = (*torus_coordinates(coord, ctx.p), e)
+    k, u = torus_coordinates(coord, ctx.p)
+    if k > 0:
+        return CycValue.zero(ctx.q)
+    torus = (k, u, e)
     psi_eta = rep.psi.twist(eta)
-    cache: dict = {}
 
     def f(y: Fraction) -> CycValue:
-        hit = cache.get(y)
-        if hit is None:
-            hit = rep.whittaker_functional(xi, rep.w_translate(b_eta, y), torus)
-            if not hit.is_zero():
-                hit = hit * psi_eta.value(-y)
-            cache[y] = hit
-        return hit
+        value = rep.whittaker_functional(xi, rep.w_translate(b_eta, y), torus)
+        return value if value.is_zero() else value * psi_eta.value(-y)
 
-    def lvl(m: int) -> int:
-        # full resolution on the shells that can carry support, a light
-        # gate below them (the gate still refines on any surprise)
-        if m < -depth:
-            return 2
-        return max(2, rep.level + (-m if m < 0 else 0))
-
-    return improper_integral(ctx, f, depth + 6, level_for_shell=lvl,
-                             tail_level=rep.level + 2, min_range=depth)
+    if k == 0:
+        return integrate_ball(ctx, f, 0, max(2, rep.level))
+    return integrate_shell(ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
 
 
 def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
@@ -265,12 +229,12 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
 class BesselTable:
     """Memoized Bessel values J^{xi,eta}(<x>w) for one (xi, eta) pair.
 
-    The defining improper integral (direct method) is authoritative; it is
-    the only method on the shells -level < v(x) <= 0 where the closed
-    formula's precondition fails.  On deeper shells the closed shell-sum is
-    used once the shell has passed the two-method spot check
-    (``_ensure_shell_checked``); a shell whose check failed stays unchecked,
-    so every later lookup there repeats the check and raises again."""
+    The defining integral (direct method) is authoritative; it is the only
+    method on the shells -level < v(x) <= 0 where the closed formula's
+    precondition fails.  On deeper shells the closed shell-sum is used once
+    the shell has passed the two-method spot check (``_ensure_shell_checked``);
+    a shell whose check failed stays unchecked, so every later lookup there
+    repeats the check and raises again."""
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
@@ -290,9 +254,6 @@ class BesselTable:
                 hit = bessel_direct(self.rep, self.xi, self.eta, x)
             self._values[x] = hit
         return hit
-
-    def closed_value(self, x: Fraction) -> CycValue:
-        return bessel_closed(self.rep, self.xi, self.eta, x)
 
     def _ensure_shell_checked(self, n: int) -> None:
         """Two-method spot check at two points, once per closed-formula shell."""
@@ -395,8 +356,7 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
     return t * chi_psi(ctx.elem(a)) * mu_inv * Fraction(q) ** alpha
 
 
-def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int,
-                      table: BesselTable | None = None) -> CycValue:
+def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> CycValue:
     """gamma(n) = 2 q^{-n/2} * integral over |x| = q^n of
     J^{xi,eta}(<x>w) chi_psi(x) mu(x) d*x.
 
@@ -419,8 +379,7 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int,
     p = ctx.p
     xi = as_fraction(xi)
     eta = as_fraction(eta)
-    if table is None:
-        table = bessel_table(rep, xi, eta)
+    table = bessel_table(rep, xi, eta)
     char = _char_factor(ctx, mu)
 
     if n >= rep.level:
@@ -491,8 +450,7 @@ def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     if hit is not None:
         return hit
     bound = gamma_support_bound(rep, mu)
-    table = bessel_table(rep, xi, eta)
-    coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n, table) for n in range(bound + 1)}
+    coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n) for n in range(bound + 1)}
     poly = LaurentPoly(rep.ctx.q, Q_POS_S, {n: c for n, c in coeffs.items() if not c.is_zero()})
     out = GammaFactor(poly, coeffs, xi, eta, bound)
     rep._gamma_cache[key] = out

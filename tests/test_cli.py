@@ -155,6 +155,17 @@ class TestConfigErrors:
         assert rc == 2 and err.startswith("configuration error:")
         assert "is invalid" in err
 
+    @pytest.mark.parametrize("line", ["phi(t=1/0)", "2/0 * phi()", "phi(b=5)"],
+                             ids=["t-zero-denominator", "coeff-zero-denominator",
+                                  "basis-index-over-dim"])
+    @pytest.mark.parametrize("command", ["zeta", "check-fe"])
+    def test_invalid_vector_term(self, capsys, tmp_path, command, line):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"phi()\n{line}\n")
+        rc, _, err = run_cli(capsys, "--command", command, "--vectors", str(path))
+        assert rc == 2 and err.startswith("configuration error:")
+        assert "invalid vector term" in err
+
     @pytest.mark.parametrize("text", ["{bad", '{"p": 3, "l": 1}'],
                              ids=["bad-json", "missing-field"])
     def test_malformed_sigma_file(self, capsys, tmp_path, text):
@@ -245,11 +256,21 @@ GOLDEN_MU = {
 
 @pytest.mark.parametrize("mu", sorted(GOLDEN_MU))
 @pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])
-@pytest.mark.parametrize("command", ["zeta", "check-fe"])
+@pytest.mark.parametrize("command", ["zeta", "check-fe", "gamma"])
 def test_golden_json_bytes(capsys, command, sigma, mu):
-    """`zeta` and `check-fe` JSON on the default vectors, byte for byte as
-    recorded in golden/<command>-<sigma>-<mu>.json."""
+    """`zeta`, `check-fe` (on the default vectors) and `gamma` JSON, byte for
+    byte as recorded in golden/<command>-<sigma>-<mu>.json."""
     rc, out, _ = run_cli(capsys, "--command", command, "--sigma", sigma,
                          "--mu", GOLDEN_MU[mu], "--output", "json")
     assert rc == 0
     assert out == (GOLDEN / f"{command}-{sigma}-{mu}.json").read_text()
+
+
+@pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])
+def test_golden_bessel_json_bytes(capsys, sigma):
+    """`bessel` JSON (it ignores --mu), byte for byte as recorded in
+    golden/bessel-<sigma>.json: the unit shell, the shells below it and the
+    deep-shell spot checks."""
+    rc, out, _ = run_cli(capsys, "--command", "bessel", "--sigma", sigma, "--output", "json")
+    assert rc == 0
+    assert out == (GOLDEN / f"bessel-{sigma}.json").read_text()

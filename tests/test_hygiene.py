@@ -1,12 +1,15 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module, a test file or a demo
+imports is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "metaplectic"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "metaplectic"
+MODULES = (sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
 
 
 def unused_imports(source: str) -> list:
@@ -41,7 +44,11 @@ def _quoted_annotation_names(tree):
                 yield from (n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def _module_id(path):
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -23,7 +23,6 @@ from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
     mat_eq,
-    mat_identity,
     sigma_from_dict,
     sigma_to_dict,
     _key_mul,

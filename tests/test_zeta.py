@@ -20,7 +20,6 @@ from metaplectic import (
     fourier_inversion_check,
     gamma_coefficient,
     gamma_factor,
-    improper_integral,
     integrate_ball,
     integrate_shell,
     zeta_function,
@@ -40,7 +39,6 @@ from metaplectic.zeta import (
     twisted_gauss_sum,
     zeta_parity_holds,
 )
-from metaplectic.cover import SL2Element
 from metaplectic.localchar import hilbert_frac
 
 XI = Fraction(1, 3)
@@ -151,10 +149,40 @@ class TestShellIntegral:
         assert calls == []
 
 
+def _improper_integral(ctx, f, max_range: int, level_for_shell=None,
+                       tail_level: int | None = None, min_range: int = 0):
+    """The improper integral over Q_p: the limit of integrals over P^{-n},
+    accepted once three consecutive enlargements agree exactly, starting
+    from the ball P sampled at level `tail_level` (default 3).
+
+    `level_for_shell(n)` gives the starting relative sampling level on the
+    shell of valuation n (the gate refines it if needed).  `min_range` makes
+    the acceptance wait until the scan has passed P^{-min_range}, so interior
+    zero shells cannot mask deeper support."""
+    if level_for_shell is None:
+        level_for_shell = lambda n: 2
+    total = integrate_ball(ctx, f, 1, tail_level or 3)
+    trace = []
+    consecutive_zero = 0
+    for m in range(0, -max_range - 1, -1):
+        plan = ShellIntegralPlan(m, level_for_shell(m), ADDITIVE_DX)
+        shell = integrate_shell(ctx, f, plan)
+        total = total + shell
+        trace.append((m, total))
+        if m <= -1:
+            consecutive_zero = consecutive_zero + 1 if shell.is_zero() else 0
+            if consecutive_zero >= 3 and m <= -(min_range + 1):
+                return total
+    raise StabilizationError(
+        f"improper integral did not stabilize within P^{-max_range}", trace)
+
+
 class TestImproperIntegral:
+    """The scan behind the ``_bessel_via_cover_products`` oracle."""
+
     def test_indicator_of_integers(self, ctx):
         f = lambda x: ctx.one() if x.denominator % 3 != 0 else ctx.zero()
-        assert improper_integral(ctx, f, 8) == 1
+        assert _improper_integral(ctx, f, 8) == 1
 
     def test_twisted_character_vanishes(self, ctx):
         # psi^xi(-x) summed over P^{-2} kills the nontrivial character
@@ -163,11 +191,11 @@ class TestImproperIntegral:
         def f(x):
             return psi_xi.value(-x) if _val3(x) >= -2 else ctx.zero()
 
-        assert improper_integral(ctx, f, 8, level_for_shell=lambda m: 3) == 0
+        assert _improper_integral(ctx, f, 8, level_for_shell=lambda m: 3) == 0
 
     def test_divergence_reported(self, ctx):
         with pytest.raises(StabilizationError) as err:
-            improper_integral(ctx, one(ctx), 6)
+            _improper_integral(ctx, one(ctx), 6)
         assert err.value.trace  # partial sums travel with the error
 
 
@@ -269,7 +297,7 @@ class TestBessel:
     def test_table_consistency_gate(self, rep1):
         table = bessel_table(rep1, XI, XI)
         assert table.validate_agreement([-2, -1], per_shell=2) == 4
-        assert table.value(Fraction(1, 3)) == table.closed_value(Fraction(1, 3))
+        assert table.value(Fraction(1, 3)) == bessel_closed(rep1, XI, XI, Fraction(1, 3))
 
 
     def test_failed_spot_check_is_not_remembered(self, rep1, monkeypatch):
@@ -326,7 +354,8 @@ class TestBesselClosedTorusForm:
 def _bessel_via_cover_products(rep, xi, eta, g):
     """The oracle: J^{xi,eta}(g) from its definition with the integrand
     W^xi_v(g n(y)) evaluated through the cover product g * n(y) at every y,
-    under the same improper integral as ``bessel_direct``."""
+    under the improper-integral scan over P^1 and the shells 0, -1, -2, ...
+    (``_improper_integral``), not over the support ``bessel_direct`` uses."""
     ctx = rep.ctx
     entries = [e for e in g.g.entries() if e != 0]
     depth = max(0, -min(frac_valuation(e, ctx.p) for e in entries))
@@ -341,20 +370,34 @@ def _bessel_via_cover_products(rep, xi, eta, g):
             return 2
         return max(2, rep.level + (-m if m < 0 else 0))
 
-    return improper_integral(ctx, f, depth + 6, level_for_shell=lvl,
-                             tail_level=rep.level + 2, min_range=depth)
+    return _improper_integral(ctx, f, depth + 6, level_for_shell=lvl,
+                              tail_level=rep.level + 2, min_range=depth)
 
 
 class TestBesselDirectTranslates:
     @pytest.mark.parametrize("which", [1, 2])
+    def test_translate_lies_on_one_shell(self, rep1, rep2, which):
+        # pi(w n(y)) phi_b lies on the shell min(v(y), 0): the support rule
+        # of bessel_direct
+        rep = rep1 if which == 1 else rep2
+        for b in range(rep.dim):
+            assert rep.w_translate(b, Fraction(0)).shells() == [0]
+            for k in range(-5, 5):
+                for u in (1, 2, 4, 5, -1, Fraction(2, 5), Fraction(-7, 11)):
+                    y = Fraction(u) * Fraction(3) ** k
+                    assert rep.w_translate(b, y).shells() == [min(k, 0)], (b, y)
+
+    @pytest.mark.parametrize("which", [1, 2])
     def test_torus_coordinates_match_cover_product_oracle(self, ctx, rep1, rep2, which):
+        # v(x) = 2 and 1 take the zero short-cut, v(x) = 0 the ball Z_p; the
+        # unit 2/5 has a denominator prime to p
         rep = rep1 if which == 1 else rep2
         w = MetaElement.w(ctx)
         dedup = rep.spectrum().dedup
         for xi in (r.xi for r in dedup):
             for eta in (r.xi for r in dedup):
-                for k in range(1, -5, -1):
-                    for u in (1, 2, 4, 5):
+                for k in range(2, -5, -1):
+                    for u in (1, 2, 4, 5, Fraction(2, 5)):
                         x = Fraction(u) * Fraction(3) ** k
                         oracle = _bessel_via_cover_products(
                             rep, xi, eta, MetaElement.torus(ctx, x) * w)
@@ -372,6 +415,14 @@ class TestBesselDirectTranslates:
                  * MetaElement.central(ctx, e))
             assert bessel_direct(rep, xi, xi, g) == \
                 _bessel_via_cover_products(rep, xi, xi, g), (a, t, e)
+
+    def test_positive_valuation_evaluates_nothing(self, ctx, rep1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rep1, "w_translate", lambda *args: calls.append(args))
+        w = MetaElement.w(ctx)
+        for x in (Fraction(3), Fraction(18, 5), MetaElement.torus(ctx, Fraction(9)) * w):
+            assert bessel_direct(rep1, XI, XI, x).is_zero()
+        assert calls == []
 
     def test_translates_are_memoized(self, ctx, monkeypatch):
         from metaplectic import Representation, builtin_sigma_p3, repn
