@@ -1,4 +1,4 @@
-"""Exact scalars: p-adic rationals, cyclotomic values with a formal sqrt(q),
+"""Exact scalars: p-adic rationals, cyclotomic values (sqrt(q) among them)
 and Laurent polynomials in q^{+-s}.
 
 Run:  python demos/01_exact_arithmetic.py
@@ -20,13 +20,13 @@ print("\n== cyclotomic values ==")
 zeta3 = ctx.cyc_e(Fraction(1, 3))
 print("zeta_3 + zeta_3^2 =", zeta3 + zeta3 * zeta3, " (canonical form decides zero exactly)")
 
-s = ctx.sqrtq()
-print("sqrt(q) * sqrt(q) =", s * s, " (the defining relation, kept formal)")
-
 gauss = CycValue.sum([ctx.cyc_e(Fraction(k * k, 3)) for k in range(3)], 3)
 print("quadratic Gauss sum g =", gauss)
-print("g^2 =", gauss * gauss, " -- the classical identity g^2 = -3 as a cross-check,")
-print("so sqrt(3) lives in Q(zeta_12); the engine still keeps sqrt(q) as a symbol")
+print("g^2 =", gauss * gauss, " -- the classical identity g^2 = -3, so g = i sqrt(3)")
+
+s = ctx.sqrtq()
+print("sqrt(q) = e(-1/4) g =", s, " (a value of Q(zeta_12), not a symbol)")
+print("sqrt(q) * sqrt(q) =", s * s, " sqrt(q) == e(-1/4) g:", s == ctx.cyc_e(Fraction(-1, 4)) * gauss)
 
 print("\n== Laurent polynomials in q^{-s} ==")
 P = LaurentPoly(3, Q_NEG_S, {0: ctx.cyc(Fraction(4, 3)), 1: gauss})

@@ -57,7 +57,6 @@ from .zeta import (
     bessel_direct,
     bessel_table,
     check_fe,
-    fourier_inversion_check,
     gamma_coefficient,
     gamma_factor,
     integrate_ball,

@@ -50,9 +50,9 @@ def cyc_to_json(value: CycValue) -> dict:
                 "denominator": coeff.denominator,
                 "root_of_unity_num": expo.numerator,
                 "root_of_unity_den": expo.denominator,
-                "sqrtq": half,
+                "sqrtq": False,
             }
-            for coeff, expo, half in value.terms()
+            for coeff, expo in value.terms()
         ]
     }
 

@@ -8,15 +8,16 @@ Three layers, all exact:
   in this package is an exact rational, so no precision management is ever
   needed; shell sample points are ``ShellPoint``s, which also carry their
   valuation and unit as ints.
-* ``CycValue`` -- an element of Q(zeta_N)[X]/(X^2 - q) for a dynamically
-  chosen root-of-unity level N, written as  A + B*sqrt(q)  with A, B kept
-  in a canonical cyclotomic basis.  Half-integer powers of q stay formal;
-  the classical Gauss-sum identity sqrt(p) in Q(zeta_4p) is a cross-check,
-  not a representation choice.  The ring operations run on ints only: a
-  value is a level N, one positive denominator D and two maps {k: c} of
-  ints meaning (1/D) * sum c e(k/N); the rewrite of e(k/N) into the basis
-  is looked up in a table memoized per level, and ``Fraction`` appears only
-  at the boundary (``terms()``, ``repr``, ``to_complex``).
+* ``CycValue`` -- an element of Q(zeta_N) for a dynamically chosen
+  root-of-unity level N, kept in a canonical cyclotomic basis, so equal
+  values compare and hash equal.  Half-integer powers of q need no extra
+  symbol: sqrt(q) is the quadratic Gauss sum (times e(-1/4) when
+  q = 3 mod 4), which lies in Q(zeta_q) or Q(zeta_4q).  The ring
+  operations run on ints only: a value is a level N, one positive
+  denominator D and one map {k: c} of ints meaning (1/D) * sum c e(k/N);
+  the rewrite of e(k/N) into the basis is looked up in a table memoized
+  per level, and ``Fraction`` appears only at the boundary (``terms()``,
+  ``repr``, ``to_complex``).
 * ``LaurentPoly`` -- a finitely supported map from integer exponents to
   ``CycValue`` in a tagged formal variable q^{-s} or q^{s}.
 """
@@ -312,18 +313,6 @@ def _lifted(terms: dict, m: int) -> dict:
     return terms if m == 1 else {k * m: c for k, c in terms.items()}
 
 
-def _product_into(acc: dict, t1: dict, t2: dict, n: int, scale: int) -> None:
-    """acc += scale * t1 * t2 for root maps at the common level n."""
-    get = acc.get
-    for k1, c1 in t1.items():
-        c1 *= scale
-        for k2, c2 in t2.items():
-            k = k1 + k2
-            if k >= n:
-                k -= n
-            acc[k] = get(k, 0) + c1 * c2
-
-
 @lru_cache(maxsize=None)
 def _unit_residues_mod(n: int):
     """The units of Z/n in ascending order.  The single-pass refinement gate
@@ -333,70 +322,62 @@ def _unit_residues_mod(n: int):
 
 
 class CycValue:
-    """An exact element  A + B*sqrt(q)  with A, B in Q(zeta_N) for a level N
-    determined by the exponents present; always kept in canonical form.
+    """An exact element of Q(zeta_N) for a level N determined by the roots
+    present; always kept in canonical form.
 
-    The form is fraction-free: a level N, a denominator D > 0 and two maps
-    {k: c} of ints, the 1 and the sqrt(q) parts, meaning
-    (1/D) * (sum c e(k/N) + sqrt(q) * sum c' e(k'/N)), every e(k/N) a
-    canonical basis root and no c zero.  It is normalized to
-    gcd(D, all c) = 1 and gcd(N, all k) = 1, so N is the least level of the
-    roots present and equal values have equal coordinates, whatever level
-    they were computed at.  ``terms()`` gives the Fraction view."""
+    The form is fraction-free: a level N, a denominator D > 0 and one map
+    {k: c} of ints meaning (1/D) * sum c e(k/N), every e(k/N) a canonical
+    basis root and no c zero.  It is normalized to gcd(D, all c) = 1 and
+    gcd(N, all k) = 1, so N is the least level of the roots present and
+    equal values have equal coordinates, whatever level they were computed
+    at.  sqrt(q) is no separate coordinate: ``sqrtq`` is the quadratic Gauss
+    sum, a value of Q(zeta_q) or Q(zeta_4q) like any other.  ``terms()``
+    gives the Fraction view."""
 
-    __slots__ = ("q", "_n", "_d", "_one", "_sq", "_hash")
+    __slots__ = ("q", "_n", "_d", "_coeffs", "_hash")
 
-    def __init__(self, q: int, one_terms=None, sqrt_terms=None):
-        """From {exponent: coefficient} maps of rationals, in any form."""
-        one_terms = [(Fraction(r), Fraction(c)) for r, c in (one_terms or {}).items()]
-        sqrt_terms = [(Fraction(r), Fraction(c)) for r, c in (sqrt_terms or {}).items()]
-        both = one_terms + sqrt_terms
-        n = math.lcm(1, *(r.denominator for r, _ in both))
-        d = math.lcm(1, *(c.denominator for _, c in both))
+    def __init__(self, q: int, terms=None):
+        """From an {exponent: coefficient} map of rationals, in any form."""
+        terms = [(Fraction(r), Fraction(c)) for r, c in (terms or {}).items()]
+        n = math.lcm(1, *(r.denominator for r, _ in terms))
+        d = math.lcm(1, *(c.denominator for _, c in terms))
+        raw: dict = {}
+        for r, c in terms:
+            k = r.numerator * (n // r.denominator) % n
+            raw[k] = raw.get(k, 0) + c.numerator * (d // c.denominator)
+        self._set(q, n, d, _reduced(raw, n))
 
-        def lift(terms):
-            raw: dict = {}
-            for r, c in terms:
-                k = r.numerator * (n // r.denominator) % n
-                raw[k] = raw.get(k, 0) + c.numerator * (d // c.denominator)
-            return _reduced(raw, n)
-
-        self._set(q, n, d, lift(one_terms), lift(sqrt_terms))
-
-    def _set(self, q, n, d, one, sq) -> None:
+    def _set(self, q, n, d, coeffs) -> None:
         """Store a canonical, zero-free form after dividing out
         gcd(D, all c) and gcd(N, all k)."""
         if d != 1:
-            g = math.gcd(d, *one.values(), *sq.values())
+            g = math.gcd(d, *coeffs.values())
             if g != 1:
                 d //= g
-                one = {k: c // g for k, c in one.items()}
-                sq = {k: c // g for k, c in sq.items()}
+                coeffs = {k: c // g for k, c in coeffs.items()}
         if n != 1:
-            g = math.gcd(n, *one, *sq)
+            g = math.gcd(n, *coeffs)
             if g != 1:
                 n //= g
-                one = {k // g: c for k, c in one.items()}
-                sq = {k // g: c for k, c in sq.items()}
+                coeffs = {k // g: c for k, c in coeffs.items()}
         self.q = q
         self._n = n
         self._d = d
-        self._one = one
-        self._sq = sq
+        self._coeffs = coeffs
         self._hash = None
 
     @classmethod
-    def _make(cls, q, n, d, one, sq) -> "CycValue":
+    def _make(cls, q, n, d, coeffs) -> "CycValue":
         """A value from a canonical, zero-free form, normalized."""
         self = object.__new__(cls)
-        self._set(q, n, d, one, sq)
+        self._set(q, n, d, coeffs)
         return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, q: int) -> "CycValue":
-        return cls._make(q, 1, 1, {}, {})
+        return cls._make(q, 1, 1, {})
 
     @classmethod
     def one(cls, q: int) -> "CycValue":
@@ -407,7 +388,7 @@ class CycValue:
         r = Fraction(r)
         if r == 0:
             return cls.zero(q)
-        return cls._make(q, 1, r.denominator, {0: r.numerator}, {})
+        return cls._make(q, 1, r.denominator, {0: r.numerator})
 
     @classmethod
     def root_of_unity(cls, q: int, exponent) -> "CycValue":
@@ -422,7 +403,8 @@ class CycValue:
 
     @classmethod
     def sqrtq(cls, q: int) -> "CycValue":
-        return cls._make(q, 1, 1, {}, {0: 1})
+        """The positive square root of the odd prime q (``_sqrtq_memo``)."""
+        return _sqrtq_memo(q)
 
     @classmethod
     def sum(cls, values, q=None) -> "CycValue":
@@ -441,35 +423,32 @@ class CycValue:
                 d = math.lcm(d, v._d)
         if q is None:
             raise ValueError("empty sum with unknown q")
-        one: dict = {}
-        sq: dict = {}
+        acc: dict = {}
+        get = acc.get
         for v in values:
             m = n // v._n
             s = d // v._d
-            for acc, terms in ((one, v._one), (sq, v._sq)):
-                get = acc.get
-                if m == 1 and s == 1:
-                    for k, c in terms.items():
-                        acc[k] = get(k, 0) + c
-                else:
-                    for k, c in terms.items():
-                        k *= m
-                        acc[k] = get(k, 0) + c * s
-        return cls._make(q, n, d, {k: c for k, c in one.items() if c},
-                         {k: c for k, c in sq.items() if c})
+            if m == 1 and s == 1:
+                for k, c in v._coeffs.items():
+                    acc[k] = get(k, 0) + c
+            else:
+                for k, c in v._coeffs.items():
+                    k *= m
+                    acc[k] = get(k, 0) + c * s
+        return cls._make(q, n, d, {k: c for k, c in acc.items() if c})
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._one and not self._sq
+        return not self._coeffs
 
     def is_rational(self) -> bool:
-        return not self._sq and self._n == 1
+        return self._n == 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return Fraction(self._one.get(0, 0), self._d)
+        return Fraction(self._coeffs.get(0, 0), self._d)
 
     def _coerce(self, other) -> "CycValue":
         if isinstance(other, CycValue):
@@ -485,25 +464,21 @@ class CycValue:
         n1, n2, d1, d2 = self._n, o._n, self._d, o._d
         n = n1 if n1 == n2 else math.lcm(n1, n2)
         d = d1 if d1 == d2 else math.lcm(d1, d2)
-        parts = []
-        for t1, t2 in ((self._one, o._one), (self._sq, o._sq)):
-            out = {k * (n // n1): c * (d // d1) for k, c in t1.items()}
-            m, s = n // n2, d // d2
-            for k, c in t2.items():
-                k *= m
-                c = out.get(k, 0) + c * s
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
-            parts.append(out)
-        return CycValue._make(self.q, n, d, *parts)
+        out = {k * (n // n1): c * (d // d1) for k, c in self._coeffs.items()}
+        m, s = n // n2, d // d2
+        for k, c in o._coeffs.items():
+            k *= m
+            c = out.get(k, 0) + c * s
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return CycValue._make(self.q, n, d, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycValue._make(self.q, self._n, self._d, {k: -c for k, c in self._one.items()},
-                              {k: -c for k, c in self._sq.items()})
+        return CycValue._make(self.q, self._n, self._d, {k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -515,8 +490,7 @@ class CycValue:
         if not num:
             return CycValue.zero(self.q)
         return CycValue._make(self.q, self._n, self._d * den,
-                              {k: c * num for k, c in self._one.items()},
-                              {k: c * num for k, c in self._sq.items()})
+                              {k: c * num for k, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, CycValue) and isinstance(other, (int, Fraction)):
@@ -524,52 +498,52 @@ class CycValue:
         o = self._coerce(other)
         n1, n2 = self._n, o._n
         # a rational factor scales the coefficients; no root moves
-        if n2 == 1 and not o._sq:
-            return self._scaled(o._one.get(0, 0), o._d)
-        if n1 == 1 and not self._sq:
-            return o._scaled(self._one.get(0, 0), self._d)
+        if n2 == 1:
+            return self._scaled(o._coeffs.get(0, 0), o._d)
+        if n1 == 1:
+            return o._scaled(self._coeffs.get(0, 0), self._d)
         n = n1 if n1 == n2 else math.lcm(n1, n2)
-        a1, b1 = _lifted(self._one, n // n1), _lifted(self._sq, n // n1)
-        a2, b2 = _lifted(o._one, n // n2), _lifted(o._sq, n // n2)
-        one: dict = {}
-        sq: dict = {}
-        _product_into(one, a1, a2, n, 1)
-        if b1 and b2:
-            _product_into(one, b1, b2, n, self.q)
-        if b2:
-            _product_into(sq, a1, b2, n, 1)
-        if b1:
-            _product_into(sq, b1, a2, n, 1)
-        return CycValue._make(self.q, n, self._d * o._d, _reduced(one, n), _reduced(sq, n))
+        t1, t2 = _lifted(self._coeffs, n // n1), _lifted(o._coeffs, n // n2)
+        acc: dict = {}
+        get = acc.get
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                k = k1 + k2
+                if k >= n:
+                    k -= n
+                acc[k] = get(k, 0) + c1 * c2
+        return CycValue._make(self.q, n, self._d * o._d, _reduced(acc, n))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycValue":
-        n = self._n
-        return CycValue._make(self.q, n, self._d,
-                              _reduced({-k % n: c for k, c in self._one.items()}, n),
-                              _reduced({-k % n: c for k, c in self._sq.items()}, n))
+        return self._galois(-1)
 
     def _galois(self, t: int) -> "CycValue":
-        """Apply e(r) -> e(t*r); only meaningful on the pure cyclotomic part."""
+        """Apply e(r) -> e(t*r) for t prime to the level."""
         lev = self._n
         raw: dict = {}
-        for k, c in self._one.items():
+        for k, c in self._coeffs.items():
             k = t * k % lev
             raw[k] = raw.get(k, 0) + c
-        return CycValue._make(self.q, lev, self._d, _reduced(raw, lev), {})
+        return CycValue._make(self.q, lev, self._d, _reduced(raw, lev))
 
-    def _cyclotomic_inverse(self) -> "CycValue":
-        """Inverse of a nonzero pure-cyclotomic value."""
-        terms = self._one
+    def inverse(self) -> "CycValue":
+        """The inverse of a nonzero value: one root is inverted directly,
+        else through the conjugate product when that is rational, else
+        through the field norm, the product of all Galois conjugates."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero CycValue")
+        terms = self._coeffs
         if len(terms) == 1:
             (k, c), = terms.items()
             n = self._n
             sign = 1 if c > 0 else -1
-            return CycValue._make(self.q, n, abs(c), _reduced({-k % n: sign * self._d}, n), {})
-        m = self * self.conjugate()
+            return CycValue._make(self.q, n, abs(c), _reduced({-k % n: sign * self._d}, n))
+        conj = self.conjugate()
+        m = self * conj
         if m.is_rational():
-            return self.conjugate() * (1 / m.as_rational())
+            return conj * (1 / m.as_rational())
         prod = CycValue.one(self.q)
         for t in _unit_residues_mod(self._n):
             if t == 1:
@@ -579,20 +553,6 @@ class CycValue:
         if not norm.is_rational():
             raise ArithmeticError("field norm failed to land in Q")
         return prod * (1 / norm.as_rational())
-
-    def inverse(self) -> "CycValue":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero CycValue")
-        a_part = CycValue._make(self.q, self._n, self._d, self._one, {})
-        if not self._sq:
-            return a_part._cyclotomic_inverse()
-        b_part = CycValue._make(self.q, self._n, self._d, self._sq, {})
-        disc = a_part * a_part - b_part * b_part * self.q
-        if disc.is_zero():
-            raise ZeroDivisionError("value is a zero divisor in Q(zeta)[sqrt q]")
-        conj = CycValue._make(self.q, self._n, self._d, self._one,
-                              {k: -c for k, c in self._sq.items()})
-        return conj * disc._cyclotomic_inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -620,32 +580,28 @@ class CycValue:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return (self._n == o._n and self._d == o._d
-                and self._one == o._one and self._sq == o._sq)
+        return self._n == o._n and self._d == o._d and self._coeffs == o._coeffs
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.q, self._n, self._d,
-                               frozenset(self._one.items()),
-                               frozenset(self._sq.items())))
+            self._hash = hash((self.q, self._n, self._d, frozenset(self._coeffs.items())))
         return self._hash
 
-    def _fraction_terms(self, terms: dict):
-        """(exponent, coefficient) Fraction pairs in ascending exponent."""
+    def terms(self):
+        """Flat term view: (coefficient, root exponent) Fraction pairs in
+        ascending exponent."""
         n, d = self._n, self._d
-        return [(Fraction(k, n), Fraction(c, d)) for k, c in sorted(terms.items())]
+        return [(Fraction(c, d), Fraction(k, n)) for k, c in sorted(self._coeffs.items())]
 
     def to_complex(self) -> complex:
-        z = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r))
-                 for r, c in self._fraction_terms(self._one)), complex(0))
-        w = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r))
-                 for r, c in self._fraction_terms(self._sq)), complex(0))
-        return z + math.sqrt(self.q) * w
+        return sum((complex(c) * cmath.exp(2j * cmath.pi * float(r)) for c, r in self.terms()),
+                   complex(0))
 
-    @staticmethod
-    def _fmt_terms(terms) -> str:
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
         bits = []
-        for r, c in terms:
+        for c, r in self.terms():
             if r == 0:
                 bits.append(f"{c}")
             elif c == 1:
@@ -654,40 +610,40 @@ class CycValue:
                 bits.append(f"{c}*e({r})")
         return " + ".join(bits)
 
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self._one:
-            parts.append(self._fmt_terms(self._fraction_terms(self._one)))
-        if self._sq:
-            parts.append(f"sqrt(q)*({self._fmt_terms(self._fraction_terms(self._sq))})")
-        return " + ".join(parts)
-
-    def terms(self):
-        """Flat term view: tuples (coefficient, root exponent, sqrtq flag)."""
-        out = [(c, r, False) for r, c in self._fraction_terms(self._one)]
-        out += [(c, r, True) for r, c in self._fraction_terms(self._sq)]
-        return out
-
     @classmethod
     def from_terms(cls, q: int, triples) -> "CycValue":
+        """From (coefficient, root exponent, sqrtq flag) triples, the term
+        records of the JSON format; a flagged term means c e(r) sqrt(q)."""
         one: dict = {}
-        sq: dict = {}
-        for coeff, expo, half in triples:
-            target = sq if half else one
+        half: dict = {}
+        for coeff, expo, flag in triples:
+            target = half if flag else one
             e = Fraction(expo)
             target[e] = target.get(e, Fraction(0)) + Fraction(coeff)
-        return cls(q, one, sq)
+        value = cls(q, one)
+        return value + cls(q, half) * cls.sqrtq(q) if half else value
 
 
 @lru_cache(maxsize=None)
 def _root_memo(q: int, k: int, n: int) -> CycValue:
-    return CycValue._make(q, n, 1, _reduced({k: 1}, n), {})
+    return CycValue._make(q, n, 1, _reduced({k: 1}, n))
+
+
+@lru_cache(maxsize=None)
+def _sqrtq_memo(q: int) -> CycValue:
+    """sqrt(q) from the quadratic Gauss sum g = sum over a mod q of
+    (a/q) e(a/q): g = sqrt(q) when q = 1 mod 4 and g = i sqrt(q) when
+    q = 3 mod 4, so there sqrt(q) = e(-1/4) g, a value of level 4q."""
+    if q < 3 or not _is_prime(q):
+        raise ValueError(f"sqrt(q) is a Gauss sum only for an odd prime q, not {q}")
+    n, shift = (q, 0) if q % 4 == 1 else (4 * q, 3 * q)
+    raw = {(a * (n // q) + shift) % n: 1 if pow(a, (q - 1) // 2, q) == 1 else -1
+           for a in range(1, q)}
+    return CycValue._make(q, n, 1, _reduced(raw, n))
 
 
 def q_half_power(q: int, n: int) -> CycValue:
-    """q^{n/2} as an exact CycValue (formal sqrt(q) for odd n)."""
+    """q^{n/2} as an exact CycValue (``CycValue.sqrtq`` for odd n)."""
     if n % 2 == 0:
         return CycValue.rational(q, Fraction(q) ** (n // 2))
     return CycValue.sqrtq(q) * Fraction(q) ** ((n - 1) // 2)

@@ -285,7 +285,7 @@ def sigma_to_dict(sigma: SigmaRep) -> dict:
     entries = []
     for (a, b, c, d), mat in sorted(sigma.table.items()):
         rep = [[[[expo.numerator, expo.denominator], [coeff.numerator, coeff.denominator]]
-                for coeff, expo, half in cell.terms() if not half]
+                for coeff, expo in cell.terms()]
                for row in mat for cell in row]
         # reshape the flat cell list back into rows
         rep = [rep[i * sigma.dim:(i + 1) * sigma.dim] for i in range(sigma.dim)]
@@ -628,20 +628,6 @@ class Representation:
         (*_, key, eps), = self._torus_terms((((_ZERO, 0, 0), None),), 0, u, 1)
         return self._sigma(key, eps)
 
-    def evaluate_vector(self, v: InducedVector, g: MetaElement):
-        """The model vector phi evaluated at the cover point g, as a tuple of
-        eigencoordinates."""
-        h_meta, dec = decompose_meta(g)
-        coords = [CycValue.zero(self.ctx.q) for _ in range(self.dim)]
-        for (t, n, b), coeff in v.terms.items():
-            if t != dec.t or n != dec.n:
-                continue
-            # g = h * rep, so g * rep^{-1} = h and phi^rep_b(g) = sigma(h) b
-            mat = self.genuine_eval(h_meta)
-            for i in range(self.dim):
-                coords[i] = coords[i] + coeff * mat[i][b]
-        return tuple(coords)
-
     # -- Whittaker functionals --------------------------------------------------
 
     def _twist(self, xi: Fraction):
@@ -692,30 +678,6 @@ class Representation:
             return self.whittaker_functional(
                 xi, v, (*torus_coordinates(g.g.a, self.ctx.p), g.eps))
         return self.whittaker_functional(xi, self.act(g, v))
-
-    def c_factor(self, xi, a) -> CycValue:
-        """The constant c_xi(a) with l^xi(pi(<a>) v) = c_xi(a) l^{a^2 xi}(v),
-        computed on one test vector and verified on an independent second."""
-        ctx = self.ctx
-        a = as_fraction(a)
-        xi = as_fraction(xi)
-        if self.basis_index_for(xi) is None:
-            raise ValueError(f"xi={xi} is not in X(pi)")
-        target = a * a * xi
-        b2 = self.basis_index_for(target)
-        if b2 is None:
-            raise ValueError(f"a^2 xi = {target} is not in X(pi)")
-        torus = MetaElement.torus(ctx, a)
-        psi_t = self.psi.twist(target)
-        v1 = self.phi(b=b2)
-        c1 = self.whittaker_functional(xi, self.act(torus, v1))  # l^{a^2 xi}(v1) = 1
-        t0 = Fraction(1, ctx.p**self.level)
-        v2 = self.phi(t=t0, b=b2)
-        c2 = self.whittaker_functional(xi, self.act(torus, v2)) * psi_t.value(-t0).inverse()
-        if c1 != c2:
-            raise ArithmeticError(
-                "c factor is not well defined; multiplicity one violated (bug)")
-        return c1
 
     def central_sign_minus_one(self) -> CycValue:
         """omega_pi(-1): the scalar by which [-I, +1] acts, computed on first

@@ -579,55 +579,3 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
         raise ArithmeticError("parity predicts vanishing but a side is nonzero")
     return FEReport(lhs, rhs, residual, residual.is_zero(), vacuous, xi,
                     mu.spec_record(), gammas)
-
-
-def fourier_inversion_check(rep: Representation, xi, v: InducedVector, a):
-    """Both sides of the inversion identity
-
-        W^xi_v(<a>w) = sum_eta (|eta|/2) * integral over Q_p^x of
-            J^{xi,eta}(<ay>w) (ay, y) W^eta_v(<y>) d*y
-
-    with eta over deduplicated square-class representatives; the integral
-    runs over the shells of v (``InducedVector.shells``), the only ones where
-    W^eta_v(<y>) can be nonzero."""
-    ctx = rep.ctx
-    p, q = ctx.p, ctx.q
-    xi = as_fraction(xi)
-    a = as_fraction(a)
-    va, ua = valuation_unit(a.numerator, a.denominator, p, p)
-    lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
-    rhs = CycValue.zero(q)
-    for eta_rep in rep.spectrum().dedup:
-        table = bessel_table(rep, xi, eta_rep.xi)
-
-        def f(y: ShellPoint) -> CycValue:
-            weta = rep.whittaker_functional(eta_rep.xi, v, (y.k, y.u, 1))
-            if weta.is_zero():
-                return weta
-            jval = table.value(a * y) if va + y.k <= 0 else CycValue.zero(q)
-            if jval.is_zero():
-                return CycValue.zero(q)
-            value = jval * weta
-            return value if hilbert_int(p, va + y.k, ua * y.u, y.k, y.u) == 1 else -value
-
-        total = CycValue.zero(q)
-        for m in v.shells():
-            level = rep.level + 1 + max(0, -(va + m))
-            total = total + integrate_shell(
-                ctx, f, ShellIntegralPlan(m, level, MULTIPLICATIVE_DX))
-        rhs = rhs + total * eta_rep.abs_value * Fraction(1, 2)
-    return lhs, rhs
-
-
-def bessel_growth_report(rep: Representation, xi, eta, shells) -> dict:
-    """max |J(<x>w)| / max(1, |x|) per shell in float, for the growth bound
-    diagnostics; exact values stay authoritative elsewhere."""
-    ctx = rep.ctx
-    table = bessel_table(rep, xi, eta)
-    out = {}
-    for n in shells:
-        norm = max(1.0, float(ctx.q) ** (-n))
-        vals = [abs(table.value(ShellPoint(u, n, ctx.p)).to_complex()) / norm
-                for u in _unit_residues_mod(ctx.p ** min(rep.level + 1, 3))]
-        out[n] = max(vals)
-    return out

@@ -1,0 +1,103 @@
+"""Test-side helpers built on the public model: the value of a model vector
+at a cover point, the torus constant c_xi(a), the Fourier inversion
+identity of the Bessel function and a float growth report.  Nothing in the
+library calls them; the tests use them as oracles."""
+
+from fractions import Fraction
+
+from metaplectic import CycValue, MetaElement, ShellIntegralPlan, integrate_shell
+from metaplectic.cover import decompose_meta
+from metaplectic.exactnum import ShellPoint, _unit_residues_mod, as_fraction, valuation_unit
+from metaplectic.localchar import hilbert_int
+from metaplectic.zeta import MULTIPLICATIVE_DX, bessel_table
+
+
+def evaluate_vector(rep, v, g: MetaElement):
+    """The model vector phi evaluated at the cover point g, as a tuple of
+    eigencoordinates."""
+    h_meta, dec = decompose_meta(g)
+    coords = [CycValue.zero(rep.ctx.q) for _ in range(rep.dim)]
+    for (t, n, b), coeff in v.terms.items():
+        if t != dec.t or n != dec.n:
+            continue
+        # g = h * rep, so g * rep^{-1} = h and phi^rep_b(g) = sigma(h) b
+        mat = rep.genuine_eval(h_meta)
+        for i in range(rep.dim):
+            coords[i] = coords[i] + coeff * mat[i][b]
+    return tuple(coords)
+
+
+def c_factor(rep, xi, a) -> CycValue:
+    """The constant c_xi(a) with l^xi(pi(<a>) v) = c_xi(a) l^{a^2 xi}(v),
+    computed on one test vector and verified on an independent second."""
+    ctx = rep.ctx
+    a = as_fraction(a)
+    xi = as_fraction(xi)
+    if rep.basis_index_for(xi) is None:
+        raise ValueError(f"xi={xi} is not in X(pi)")
+    target = a * a * xi
+    b2 = rep.basis_index_for(target)
+    if b2 is None:
+        raise ValueError(f"a^2 xi = {target} is not in X(pi)")
+    torus = MetaElement.torus(ctx, a)
+    psi_t = rep.psi.twist(target)
+    v1 = rep.phi(b=b2)
+    c1 = rep.whittaker_functional(xi, rep.act(torus, v1))  # l^{a^2 xi}(v1) = 1
+    t0 = Fraction(1, ctx.p**rep.level)
+    v2 = rep.phi(t=t0, b=b2)
+    c2 = rep.whittaker_functional(xi, rep.act(torus, v2)) * psi_t.value(-t0).inverse()
+    if c1 != c2:
+        raise ArithmeticError("c factor is not well defined; multiplicity one violated (bug)")
+    return c1
+
+
+def fourier_inversion_check(rep, xi, v, a):
+    """Both sides of the inversion identity
+
+        W^xi_v(<a>w) = sum_eta (|eta|/2) * integral over Q_p^x of
+            J^{xi,eta}(<ay>w) (ay, y) W^eta_v(<y>) d*y
+
+    with eta over deduplicated square-class representatives; the integral
+    runs over the shells of v (``InducedVector.shells``), the only ones where
+    W^eta_v(<y>) can be nonzero."""
+    ctx = rep.ctx
+    p, q = ctx.p, ctx.q
+    xi = as_fraction(xi)
+    a = as_fraction(a)
+    va, ua = valuation_unit(a.numerator, a.denominator, p, p)
+    lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
+    rhs = CycValue.zero(q)
+    for eta_rep in rep.spectrum().dedup:
+        table = bessel_table(rep, xi, eta_rep.xi)
+
+        def f(y: ShellPoint) -> CycValue:
+            weta = rep.whittaker_functional(eta_rep.xi, v, (y.k, y.u, 1))
+            if weta.is_zero():
+                return weta
+            jval = table.value(a * y) if va + y.k <= 0 else CycValue.zero(q)
+            if jval.is_zero():
+                return CycValue.zero(q)
+            value = jval * weta
+            return value if hilbert_int(p, va + y.k, ua * y.u, y.k, y.u) == 1 else -value
+
+        total = CycValue.zero(q)
+        for m in v.shells():
+            level = rep.level + 1 + max(0, -(va + m))
+            total = total + integrate_shell(
+                ctx, f, ShellIntegralPlan(m, level, MULTIPLICATIVE_DX))
+        rhs = rhs + total * eta_rep.abs_value * Fraction(1, 2)
+    return lhs, rhs
+
+
+def bessel_growth_report(rep, xi, eta, shells) -> dict:
+    """max |J(<x>w)| / max(1, |x|) per shell in float, for the growth bound
+    diagnostics; exact values stay authoritative elsewhere."""
+    ctx = rep.ctx
+    table = bessel_table(rep, xi, eta)
+    out = {}
+    for n in shells:
+        norm = max(1.0, float(ctx.q) ** (-n))
+        vals = [abs(table.value(ShellPoint(u, n, ctx.p)).to_complex()) / norm
+                for u in _unit_residues_mod(ctx.p ** min(rep.level + 1, 3))]
+        out[n] = max(vals)
+    return out

@@ -35,6 +35,8 @@ from metaplectic.invariants import (
 )
 from metaplectic.zeta import zeta_parity_holds
 
+from helpers import c_factor, fourier_inversion_check
+
 XI = Fraction(1, 3)
 
 
@@ -188,7 +190,7 @@ def test_ac8_whittaker_and_bessel_transformations(rep1):
     assert check_whittaker_equivariance(rep1, random.Random(20252), 100) == "100 pairs"
     # l^xi(pi(<a>)v) = c_xi(a) l^{a^2 xi}(v) on independent vectors
     for a in (1, 2, 4, 5, 7, 8):
-        c = rep1.c_factor(XI, a)
+        c = c_factor(rep1, XI, a)
         for v in (rep1.phi(), rep1.phi(t=Fraction(1, 3)), rep1.phi(t=Fraction(2, 9))):
             lhs = rep1.whittaker_functional(XI, rep1.act(MetaElement.torus(ctx, a), v))
             assert lhs == c * rep1.whittaker_functional(a * a * XI, v)
@@ -203,7 +205,7 @@ def test_ac8_whittaker_and_bessel_transformations(rep1):
                                 MetaElement.torus(ctx, a0) * w)
             g = (MetaElement.torus(ctx, a0) * MetaElement.torus(ctx, t)
                  * MetaElement.torus(ctx, u) * w)
-            rhs = rep1.c_factor(XI, u) * rep1.c_factor(XI, t).inverse() \
+            rhs = c_factor(rep1, XI, u) * c_factor(rep1, XI, t).inverse() \
                 * bessel_direct(rep1, XI, XI, g)
             if hilbert_frac(3, Fraction(u), Fraction(-1)) == -1:
                 rhs = -rhs
@@ -217,7 +219,6 @@ def test_ac8_whittaker_and_bessel_transformations(rep1):
 def test_ac9_fourier_inversion(rep1):
     """AC9: the inversion identity at one point of valuation -1, exact."""
     start = time.time()
-    from metaplectic import fourier_inversion_check
     a = Fraction(1, 3)
     for v in (rep1.phi(), rep1.phi(n=1)):
         lhs, rhs = fourier_inversion_check(rep1, XI, v, a)

@@ -215,6 +215,15 @@ class TestSerialization:
                  + ctx.cyc(Fraction(-3, 2)))
         data = cyc_to_json(value)
         assert cyc_from_json(3, data) == value
+        assert not any(term["sqrtq"] for term in data["terms"])
+
+    def test_sqrtq_term_still_read(self, ctx):
+        # c e(r) sqrt(q) written with the flag, as older files may carry it
+        term = {"numerator": 2, "denominator": 7, "root_of_unity_num": 1,
+                "root_of_unity_den": 4, "sqrtq": True}
+        want = ctx.sqrtq() * ctx.cyc_e(Fraction(1, 4)) * Fraction(2, 7)
+        assert cyc_from_json(3, {"terms": [term]}) == want
+        assert cyc_from_json(3, cyc_to_json(want)) == want
 
     def test_mu_spec_inline(self, capsys):
         mu = json.dumps({"conductor_exponent": 0,
@@ -251,6 +260,10 @@ GOLDEN_MU = {
                                "value_at_p_numerator_of_exponent": 1,
                                "value_at_p_denominator_of_exponent": 4,
                                "generator_image_exponent": 0}),
+    "ramified3": json.dumps({"conductor_exponent": 3,
+                             "value_at_p_numerator_of_exponent": 1,
+                             "value_at_p_denominator_of_exponent": 4,
+                             "generator_image_exponent": 4}),
 }
 
 

@@ -92,94 +92,65 @@ def _canonicalize(raw):
     return {r: c for r, c in out.items() if c != 0}
 
 
-def _convolve(t1, t2, scale, acc):
+def _convolve(t1, t2, acc):
     for r1, c1 in t1.items():
         for r2, c2 in t2.items():
             r = _mod1(r1 + r2)
-            acc[r] = acc.get(r, Fraction(0)) + scale * c1 * c2
+            acc[r] = acc.get(r, Fraction(0)) + c1 * c2
+
+
+def _oracle_sqrtq(q):
+    """sqrt(q) as {exponent: coefficient}: the quadratic Gauss sum
+    sum over a of (a/q) e(a/q), the Legendre symbol read off the set of
+    squares mod q, times e(-1/4) = -i when q = 3 mod 4."""
+    squares = {x * x % q for x in range(1, q)}
+    shift = Fraction(0) if q % 4 == 1 else Fraction(-1, 4)
+    return {Fraction(a, q) + shift: Fraction(1 if a in squares else -1) for a in range(1, q)}
 
 
 class Oracle:
-    """A + B sqrt(q) as two canonical {Fraction exponent: Fraction coeff} dicts."""
+    """A + B sqrt(q) as one canonical {Fraction exponent: Fraction coeff} dict,
+    sqrt(q) expanded as its Gauss sum."""
 
-    def __init__(self, q, one, sq):
-        self.q, self.one, self.sq = q, _canonicalize(one), _canonicalize(sq)
+    def __init__(self, q, one, sq=None):
+        raw = dict(one)
+        if sq:
+            _convolve(sq, _oracle_sqrtq(q), raw)
+        self.q, self.coeffs = q, _canonicalize(raw)
 
     @classmethod
     def of(cls, value):
-        one = {r: c for c, r, half in value.terms() if not half}
-        sq = {r: c for c, r, half in value.terms() if half}
-        return cls(value.q, one, sq)
+        return cls(value.q, {r: c for c, r in value.terms()})
 
     def terms(self):
-        return ([(c, r, False) for r, c in sorted(self.one.items())]
-                + [(c, r, True) for r, c in sorted(self.sq.items())])
-
-    def is_zero(self):
-        return not self.one and not self.sq
-
-    def rational(self):
-        if self.sq or set(self.one) - {Fraction(0)}:
-            return None
-        return self.one.get(Fraction(0), Fraction(0))
+        return [(c, r) for r, c in sorted(self.coeffs.items())]
 
     def __add__(self, other):
-        one, sq = dict(self.one), dict(self.sq)
-        for acc, terms in ((one, other.one), (sq, other.sq)):
-            for r, c in terms.items():
-                acc[r] = acc.get(r, Fraction(0)) + c
-        return Oracle(self.q, one, sq)
+        out = dict(self.coeffs)
+        for r, c in other.coeffs.items():
+            out[r] = out.get(r, Fraction(0)) + c
+        return Oracle(self.q, out)
 
     def __neg__(self):
-        return Oracle(self.q, {r: -c for r, c in self.one.items()},
-                      {r: -c for r, c in self.sq.items()})
+        return Oracle(self.q, {r: -c for r, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Oracle):
             f = Fraction(other)
-            return Oracle(self.q, {r: c * f for r, c in self.one.items()},
-                          {r: c * f for r, c in self.sq.items()})
-        one, sq = {}, {}
-        _convolve(self.one, other.one, Fraction(1), one)
-        _convolve(self.sq, other.sq, Fraction(self.q), one)
-        _convolve(self.one, other.sq, Fraction(1), sq)
-        _convolve(self.sq, other.one, Fraction(1), sq)
-        return Oracle(self.q, one, sq)
+            return Oracle(self.q, {r: c * f for r, c in self.coeffs.items()})
+        out = {}
+        _convolve(self.coeffs, other.coeffs, out)
+        return Oracle(self.q, out)
 
     def conjugate(self):
-        return Oracle(self.q, {_mod1(-r): c for r, c in self.one.items()},
-                      {_mod1(-r): c for r, c in self.sq.items()})
+        return Oracle(self.q, {_mod1(-r): c for r, c in self.coeffs.items()})
 
     def galois(self, t):
-        one = {}
-        for r, c in self.one.items():
+        out = {}
+        for r, c in self.coeffs.items():
             rr = _mod1(r * t)
-            one[rr] = one.get(rr, Fraction(0)) + c
-        return Oracle(self.q, one, {})
-
-    def _cyclotomic_inverse(self):
-        if len(self.one) == 1:
-            (r, c), = self.one.items()
-            return Oracle(self.q, {_mod1(-r): 1 / c}, {})
-        level = math.lcm(*(r.denominator for r in self.one))
-        prod = Oracle(self.q, {Fraction(0): Fraction(1)}, {})
-        for t in _unit_residues_mod(level):
-            if t != 1:
-                prod = prod * self.galois(t)
-        norm = (self * prod).rational()
-        assert norm is not None, "field norm failed to land in Q"
-        return prod * (1 / norm)
-
-    def inverse(self):
-        a = Oracle(self.q, self.one, {})
-        if not self.sq:
-            return a._cyclotomic_inverse()
-        b = Oracle(self.q, self.sq, {})
-        disc = a * a + -(b * b * self.q)
-        if disc.is_zero():
-            raise ZeroDivisionError
-        return Oracle(self.q, self.one, {r: -c for r, c in self.sq.items()}) \
-            * disc._cyclotomic_inverse()
+            out[rr] = out.get(rr, Fraction(0)) + c
+        return Oracle(self.q, out)
 
 
 ORACLE_DENOMINATORS = (4, 8, 9, 12, 27, 25, 35, 108)
@@ -198,7 +169,8 @@ def random_raw_terms(rng, count, dens=ORACLE_DENOMINATORS):
 def random_value(rng, q, dens=ORACLE_DENOMINATORS, max_terms=4):
     one = random_raw_terms(rng, rng.randrange(1, max_terms + 1), dens)
     sq = random_raw_terms(rng, rng.randrange(1, 3), dens) if rng.randrange(3) == 0 else {}
-    return CycValue(q, one, sq), Oracle(q, one, sq)
+    value = CycValue(q, one) + CycValue(q, sq) * CycValue.sqrtq(q)
+    return value, Oracle(q, one, sq)
 
 
 def test_context_rejects_bad_p():
@@ -316,10 +288,26 @@ class TestCycValue:
             ctx.one() / ctx.zero()
 
     def test_gauss_sum_crosscheck(self, ctx):
-        # sqrt(p) stays formal; the classical Gauss-sum value is a cross-check
         g = CycValue.sum([ctx.cyc_e(Fraction(x * x, 3)) for x in range(3)], 3)
         assert g * g == -3
         assert g * g.conjugate() == 3
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_sqrtq_is_the_gauss_sum(self, p):
+        # g = sum over x mod p of e(x^2/p) is sqrt(p) for p = 1 mod 4 and
+        # i sqrt(p) for p = 3 mod 4: one number, one form, one hash
+        g = CycValue.sum([CycValue.root_of_unity(p, Fraction(x * x, p)) for x in range(p)], p)
+        gauss_form = g if p % 4 == 1 else g * CycValue.root_of_unity(p, Fraction(-1, 4))
+        s = CycValue.sqrtq(p)
+        assert s == gauss_form and hash(s) == hash(gauss_form)
+        assert s * s == p and s ** 2 == p and s ** -2 == Fraction(1, p)
+        assert abs(s.to_complex() - math.sqrt(p)) < 1e-12
+        assert PadicContext(p).sqrtq() is s
+
+    def test_sqrtq_needs_an_odd_prime(self):
+        for q in (1, 2, 9, 15):
+            with pytest.raises(ValueError):
+                CycValue.sqrtq(q)
 
     def test_ring_axioms_random(self, ctx, rng):
         def rand_value():
@@ -328,7 +316,7 @@ class TestCycValue:
             sq = {}
             if rng.randrange(2):
                 sq = {Fraction(rng.randrange(0, 9), 9): Fraction(rng.randrange(-2, 3))}
-            return CycValue(3, one, sq)
+            return CycValue(3, one) + CycValue(3, sq) * CycValue.sqrtq(3)
 
         for _ in range(60):
             a, b, c = rand_value(), rand_value(), rand_value()
@@ -364,7 +352,11 @@ class TestCycValue:
 
     def test_terms_roundtrip(self, ctx):
         a = ctx.cyc(Fraction(1, 3)) + ctx.cyc_e(Fraction(5, 9)) * 2 + ctx.sqrtq() * Fraction(-1, 2)
-        assert CycValue.from_terms(3, a.terms()) == a
+        assert CycValue.from_terms(3, [(c, r, False) for c, r in a.terms()]) == a
+        # a flagged term, as the JSON format still reads it, is c e(r) sqrt(q)
+        flagged = [(Fraction(1, 3), 0, False), (2, Fraction(5, 9), False),
+                   (Fraction(-1, 2), 0, True)]
+        assert CycValue.from_terms(3, flagged) == a
 
     def test_sum_rejects_mixed_q(self):
         with pytest.raises(ValueError, match="mixed ambient q"):
@@ -393,7 +385,7 @@ class TestAgainstOracle:
             for _ in range(40):
                 value, ref = random_value(rng, q)
                 assert value.terms() == ref.terms()
-                for coeff, expo, _ in value.terms():
+                for coeff, expo in value.terms():
                     assert coeff != 0 and 0 <= expo < 1
 
     def test_ring_operations(self, rng):
@@ -408,7 +400,7 @@ class TestAgainstOracle:
                 assert (a * f).terms() == (ra * f).terms()
                 assert (a * CycValue.rational(q, f)).terms() == (ra * f).terms()
                 assert (CycValue.rational(q, f) * a).terms() == (ra * f).terms()
-                assert (a + f).terms() == (ra + Oracle(q, {Fraction(0): f}, {})).terms()
+                assert (a + f).terms() == (ra + Oracle(q, {Fraction(0): f})).terms()
 
     def test_sum(self, rng):
         for q in self.QS:
@@ -425,31 +417,40 @@ class TestAgainstOracle:
             for _ in range(30):
                 a, ra = random_value(rng, q)
                 assert a.conjugate().terms() == ra.conjugate().terms()
-                level = math.lcm(*(r.denominator for _, r, _ in a.terms()))
+                level = math.lcm(*(r.denominator for _, r in a.terms()))
                 t = rng.choice(_unit_residues_mod(level) or (1,))
                 assert a._galois(t).terms() == ra.galois(t).terms()
 
     def test_inverse(self, rng):
+        # an inverse is the one x with a x = 1, so the reference checks the
+        # product; its norm (a product over all units of the level) would
+        # cost 15 s at level 700 = lcm(25, 28) with q = 7
         for q in self.QS:
-            # denominator groups keep the oracle's norm (a product over all
-            # units of the level) affordable: levels up to 108
             for dens in ((4, 8, 12), (9, 27), (25,), (35,), (108,)):
                 for _ in range(2):
                     a, ra = random_value(rng, q, dens, max_terms=3)
-                    try:
-                        want = ra.inverse()
-                    except ZeroDivisionError:
-                        with pytest.raises(ZeroDivisionError):
-                            a.inverse()
-                        continue
                     got = a.inverse()
-                    assert got.terms() == want.terms()
+                    assert (ra * Oracle.of(got)).terms() == [(1, 0)]
                     assert a * got == 1
+        # a + b sqrt(q): the conjugate product, then the Galois norm, at the
+        # levels 108 = 27 * 4 (q = 3), 20 (q = 5) and 28 (q = 7)
+        for q, one, sq in [
+                (3, {Fraction(1, 27): 2, Fraction(0): 1}, {Fraction(0): 1}),
+                (3, {Fraction(0): 2}, {Fraction(0): 1}),
+                (5, {Fraction(1, 5): 1, Fraction(0): 3}, {Fraction(1, 4): Fraction(1, 2)}),
+                (5, {Fraction(0): 1}, {Fraction(0): 1}),
+                (7, {Fraction(1, 7): 1, Fraction(0): 2}, {Fraction(0): 1}),
+                (7, {Fraction(1, 4): 3}, {Fraction(0): -1})]:
+            a = CycValue(q, one) + CycValue(q, sq) * CycValue.sqrtq(q)
+            got = a.inverse()
+            assert (Oracle(q, one, sq) * Oracle.of(got)).terms() == [(1, 0)]
+            assert a * got == 1
 
     def test_repr_and_complex_read_the_fraction_view(self):
-        a = CycValue(3, {Fraction(5, 4): Fraction(2, 3), Fraction(1, 9): 1},
-                     {Fraction(0): Fraction(-1, 2)})
-        assert repr(a) == "e(1/9) + 2/3*e(1/4) + sqrt(q)*(-1/2)"
+        a = CycValue(3, {Fraction(5, 4): Fraction(2, 3), Fraction(1, 9): 1}) \
+            + CycValue.sqrtq(3) * Fraction(-1, 2)
+        # sqrt(3) = -e(1/4) - 2 e(7/12), its Gauss-sum form in the basis
+        assert repr(a) == "e(1/9) + 7/6*e(1/4) + e(7/12)"
         z = (cmath.exp(2j * cmath.pi / 9) + Fraction(2, 3) * 1j - math.sqrt(3) / 2)
         assert abs(a.to_complex() - z) < 1e-12
 

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a library module, a test file or a demo
-imports is used in it."""
+"""Source hygiene: every name a library module, a test file, a demo or a
+benchmark file imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "metaplectic"
 MODULES = (sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
-           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+           + sorted(ROOT.glob("perfbench/*.py")))
 
 
 def unused_imports(source: str) -> list:

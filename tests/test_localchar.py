@@ -129,9 +129,9 @@ class TestWeilConstant:
         oracle = q_half_power(3, -1) * lhs * rhs.inverse()
         value = weil_alpha(ctx.elem(3))
         assert value == oracle
-        # the hand value: sqrt(q) * (1 + 2 e(1/3)) / 3, numerically i
+        # the hand value: sqrt(q) * (1 + 2 e(1/3)) / 3, exactly i
         assert value == ctx.sqrtq() * (ctx.one() + ctx.cyc_e(Fraction(1, 3)) * 2) * Fraction(1, 3)
-        assert abs(value.to_complex() - 1j) < 1e-12
+        assert value == ctx.cyc_e(Fraction(1, 4))
 
     def test_modulus_one(self, ctx):
         for x in (1, 2, 3, 6, Fraction(1, 3), Fraction(2, 9), -5):
@@ -180,6 +180,16 @@ class TestChiPsi:
             second = weil_alpha(a) * one.inverse() * hilbert_symbol(a, ctx.elem(-1))
             assert first == second
             assert chi_psi(a) == first
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_values_are_fourth_roots_of_unity(self, p):
+        # at odd valuation both Weil constants carry sqrt(q); their quotient
+        # is still exactly one of 1, i, -1, -i
+        ctx = PadicContext(p)
+        fourth_roots = [ctx.cyc_e(Fraction(k, 4)) for k in range(4)]
+        bad = [(v, u) for v in range(-3, 4) for u in range(1, p)
+               if chi_psi(ctx.elem(Fraction(u) * Fraction(p) ** v)) not in fourth_roots]
+        assert bad == []
 
 
 class TestSquareClass:

@@ -17,7 +17,6 @@ from metaplectic import (
     bessel_table,
     check_fe,
     chi_psi,
-    fourier_inversion_check,
     gamma_coefficient,
     gamma_factor,
     integrate_ball,
@@ -40,6 +39,8 @@ from metaplectic.zeta import (
     zeta_parity_holds,
 )
 from metaplectic.localchar import hilbert_frac
+
+from helpers import bessel_growth_report, c_factor, evaluate_vector, fourier_inversion_check
 
 XI = Fraction(1, 3)
 
@@ -233,7 +234,7 @@ class TestBessel:
                 for yi in range(27):
                     z, y = Fraction(zi, 3), Fraction(yi, 3)
                     point = MetaElement.n(ctx, z) * g * MetaElement.n(ctx, y)
-                    val = rep1.evaluate_vector(v, point)[0]
+                    val = evaluate_vector(rep1, v, point)[0]
                     if val.is_zero():
                         continue
                     total = total + val * psi.value(-XI * z - XI * y)
@@ -273,7 +274,7 @@ class TestBessel:
                                     MetaElement.torus(ctx, a) * w)
                 g = (MetaElement.torus(ctx, a) * MetaElement.torus(ctx, t)
                      * MetaElement.torus(ctx, u) * w)
-                rhs = rep1.c_factor(XI, u) * rep1.c_factor(XI, t).inverse() \
+                rhs = c_factor(rep1, XI, u) * c_factor(rep1, XI, t).inverse() \
                     * bessel_direct(rep1, XI, XI, g)
                 if hilbert_frac(3, Fraction(u), Fraction(-1)) == -1:
                     rhs = -rhs
@@ -287,7 +288,6 @@ class TestBessel:
                 bessel_direct(rep1, XI, XI, g)
 
     def test_growth_bound(self, rep1):
-        from metaplectic.zeta import bessel_growth_report
         report = bessel_growth_report(rep1, XI, XI, range(-5, 1))
         constant = max(report.values())
         assert constant < float("inf")
@@ -522,6 +522,19 @@ class TestGammaDeepShells:
         mu = MultChar(rep1.ctx, 2, Fraction(0), 2)
         bound = 2 * mu.m - rep1.level
         assert gamma_coefficient(rep1, XI, XI, mu, bound + 1).is_zero()
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("gen", [2, 4])
+    def test_conductor_three_matches_oracle(self, rep1, rep2, which, gen):
+        # the oracle's cost grows about tenfold per shell (0.9 s at n = 3,
+        # 7 s at n = 4), so the comparison stops at n = 3
+        rep = rep1 if which == 1 else rep2
+        xi = rep.spectrum().dedup[0].xi
+        mu = MultChar(rep.ctx, 3, Fraction(0), gen)
+        values = {n: gamma_coefficient(rep, xi, xi, mu, n) for n in range(rep.level, 4)}
+        for n, value in values.items():
+            assert value == _gamma_via_bessel_table(rep, xi, mu, n), n
+        assert not values[2].is_zero()  # a nonzero deep shell
 
 
 class TestGamma:
@@ -771,6 +784,13 @@ class TestFunctionalEquation:
         fe = check_fe(rep1, mu_i, rep1.phi(n=1), XI)
         assert fe.passed and not fe.vacuous_parity
         assert not fe.lhs.is_zero()
+
+    def test_conductor_three_nonzero_side(self, ctx, rep1):
+        # the deep gamma shells of a conductor-3 mu carry the equation
+        mu = MultChar(ctx, 3, Fraction(1, 4), 4)
+        fe = check_fe(rep1, mu, rep1.phi(n=1) + rep1.phi(t=Fraction(1, 9), n=2), XI)
+        assert fe.passed and not fe.vacuous_parity
+        assert fe.lhs.support() == [4]
 
     def test_parity_vacuous_flagged(self, ctx, rep1):
         mu1 = MultChar(ctx, 1, Fraction(0), 1)
