@@ -17,6 +17,7 @@ from fractions import Fraction
 from .exactnum import (
     CycValue,
     PadicContext,
+    ShellPoint,
     as_fraction,
     frac_mod,
     frac_valuation,
@@ -24,7 +25,7 @@ from .exactnum import (
     torus_coordinates,
     valuation_unit,
 )
-from .localchar import AdditiveCharacter, hilbert_int, square_class_int
+from .localchar import AdditiveCharacter, hilbert_int, legendre_int, square_class_int
 from .cover import (
     MetaElement,
     SL2Element,
@@ -503,7 +504,7 @@ class Representation:
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
         self._bessel_tables: dict = {}
-        self._w_translates: dict = {}
+        self._w_checked: set = set()
         self._central_sign = None
 
     # -- basic model ----------------------------------------------------------
@@ -560,23 +561,68 @@ class Representation:
         return InducedVector(self.ctx.q, out)
 
     def w_translate(self, b: int, y) -> InducedVector:
-        """pi(w n(y)) phi_b, memoized per (b, y).  The Bessel integrand at
-        <x> w n(y) is pi(<x>) applied to this vector, for every x; it goes
-        through the general, decomposition-based ``act``.
+        """pi(w n(y)) phi_b in closed form.  The Bessel integrand at
+        <x> w n(y) is pi(<x>) applied to this vector, for every x.
 
-        phi_b has the one term n(0)<1>, and act decomposes the one element
-        (w n(y))^-1 = [[y, 1], [-1, 0]]: integral for v(y) >= 0, in the
-        coset of some n(t)<p^v(y)> otherwise.  So the vector lies on the
-        single shell min(v(y), 0) (``InducedVector.shells``), and
-        W^xi(<x> w n(y)) vanishes unless min(v(y), 0) = v(x): the support
-        ``bessel_direct`` integrates."""
-        key = (b, y)
-        hit = self._w_translates.get(key)
-        if hit is None:
-            hit = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, y),
-                           self.phi(b=b))
-            self._w_translates[key] = hit
-        return hit
+        phi_b has the one term n(0)<1>, and ``act`` moves it by the single
+        element (w n(y))^-1 = [[y, 1], [-1, 0]], with cover sign +1:
+
+        - v(y) >= 0 or y = 0: the element is integral, so the term stays at
+          (t = 0, n = 0) with matrix sigma((0, -1, 1, y) mod p^l) and sign
+          +1; the Kubota sign of w n(y) is +1, its lower-left entry being a
+          unit.
+        - v(y) = k < 0, y = p^k u: with 0 < w < p^|k|, w = u^-1 mod p^|k|,
+          and c = (u w - 1)/p^|k|, the element is h n(w/p^|k|) diag(p^k, p^-k)
+          with h^-1 = [[w, c], [p^|k|, u]].  The term moves to
+          (t = w/p^|k|, n = k) with matrix eps * sigma((w, c, p^|k|, u)
+          mod p^l), eps = (p^|k|, u) the Kubota sign of h^-1; the coset
+          cocycle and the inverse cocycle are (a, -a) = +1.  This needs u
+          only modulo p^(|k| + l), so a ``Fraction`` unit is reduced first,
+          as in ``_torus_terms``.
+
+        So the vector lies on the single shell min(v(y), 0)
+        (``InducedVector.shells``), and W^xi(<x> w n(y)) vanishes unless
+        min(v(y), 0) = v(x): the support ``bessel_direct`` integrates.
+
+        The closed form is gated against ``act`` once per basis index and
+        shell: before its first value there is returned, both agree at y and
+        at the smallest non-square unit on the shell (a probe at u = 1 sees
+        neither a dropped sign nor a wrong unit).  A disagreement raises
+        ``ArithmeticError`` and leaves the shell unchecked, so the next call
+        there raises again."""
+        y = as_fraction(y)
+        shell, closed = self._w_closed(b, y)
+        if (b, shell) not in self._w_checked:
+            p = self.ctx.p
+            nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
+            probe = ShellPoint(nonsquare, shell, p)
+            for z, value in ((y, closed), (probe, self._w_closed(b, probe)[1])):
+                oracle = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, z),
+                                  self.phi(b=b))
+                if value != oracle:
+                    raise ArithmeticError(
+                        f"closed pi(w n(y)) phi_{b} disagrees with act at y={z}")
+            self._w_checked.add((b, shell))
+        return closed
+
+    def _w_coset(self, y: Fraction):
+        """(t, n, key, eps) of ``w_translate``: the term of phi_b moves to
+        n(t)<p^n> with matrix eps * sigma(key)."""
+        p, m = self.ctx.p, self.sigma.modulus
+        k, u = torus_coordinates(y, p) if y else (0, 0)
+        if k >= 0:
+            return _ZERO, 0, (0, m - 1, 1, frac_mod(y, m)), 1
+        pk = p**-k
+        u = u % (pk * m) if type(u) is int else frac_mod(u, pk * m)
+        w = pow(u, -1, pk)
+        c = (u * w - 1) // pk
+        return Fraction(w, pk), k, (w % m, c % m, pk % m, u % m), hilbert_int(p, -k, 1, 0, u)
+
+    def _w_closed(self, b: int, y: Fraction):
+        """(shell, pi(w n(y)) phi_b) from ``_w_coset``, unchecked."""
+        t, n, key, eps = self._w_coset(y)
+        return n, InducedVector(self.ctx.q, {(t, n, b2): row[b]
+                                             for b2, row in enumerate(self._sigma(key, eps))})
 
     def _torus_terms(self, items, k: int, u, e: int):
         """pi([diag(x, 1/x), e]) on the terms `items` ((t, n, b), coeff) of a

@@ -142,10 +142,11 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
 
     `x` may be a torus coordinate (g = <x> w) or an antidiagonal cover
     element g; any other element raises ValueError.  With the diagonal
-    D = g w^-1, pi(g n(y)) v = pi(D) pi(w n(y)) v: the translate
-    pi(w n(y)) v does not depend on x and is memoized on `rep`
-    (``Representation.w_translate``, through coset decomposition), and D
-    acts in closed form on its torus coordinates, taken once per call
+    D = g w^-1, pi(g n(y)) v = pi(D) pi(w n(y)) v.  The translate
+    pi(w n(y)) v does not depend on x; ``Representation.w_translate`` gives
+    it in closed form on the int coordinates of y (one table entry and one
+    Hilbert sign), checked against the cover route ``act`` once per shell.
+    D acts in closed form on its torus coordinates, taken once per call
     (the torus form of ``Representation.whittaker_functional``).
 
     The translate lies on the shell min(v(y), 0) and the functional at

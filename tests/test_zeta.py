@@ -10,6 +10,7 @@ from metaplectic import (
     LaurentPoly,
     MetaElement,
     MultChar,
+    Representation,
     ShellIntegralPlan,
     StabilizationError,
     bessel_closed,
@@ -350,6 +351,15 @@ class TestBesselClosedTorusForm:
                         assert bessel_closed(rep, xi, eta, x) == \
                             _bessel_closed_via_cover(rep, xi, eta, x), (xi, eta, x)
 
+    def test_weil_data_direct_agrees_with_closed(self, weil5):
+        # sigma(<u>) is not the identity on this data, so a wrong unit in the
+        # closed sum's torus value shows; the builtins cannot see it
+        xis = [r.xi for r in weil5.spectrum().reps]
+        for xi in xis:
+            for eta in xis:
+                table = BesselTable(weil5, xi, eta)
+                assert table.validate_agreement([-1, -2], per_shell=2) == 4, (xi, eta)
+
 
 def _bessel_via_cover_products(rep, xi, eta, g):
     """The oracle: J^{xi,eta}(g) from its definition with the integrand
@@ -424,20 +434,82 @@ class TestBesselDirectTranslates:
             assert bessel_direct(rep1, XI, XI, x).is_zero()
         assert calls == []
 
-    def test_translates_are_memoized(self, ctx, monkeypatch):
-        from metaplectic import Representation, builtin_sigma_p3, repn
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "weil7"])
+    def test_closed_form_matches_act(self, request, data):
+        # y = 0, the ints 1..2p^2, every unit mod p^3 on the shells -3..1
+        # and units with a denominator prime to p; the Weil data see a
+        # wrong Kubota sign or unit, which the p = 3 builtins cannot
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        p = ctx.p
+        points = [Fraction(0)] + list(range(1, 2 * p * p + 1))
+        for k in range(-3, 2):
+            points += [ShellPoint(u, k, p) for u in _unit_residues_mod(p**3)]
+            points += [Fraction(2, 11) * Fraction(p) ** k, Fraction(-7, 13) * Fraction(p) ** k]
+        w = MetaElement.w(ctx)
+        for b in range(rep.dim):
+            for y in points:
+                assert rep.w_translate(b, y) == \
+                    rep.act(w * MetaElement.n(ctx, y), rep.phi(b=b)), (b, y)
+
+    def test_cold_gamma_decomposes_only_at_gate_probes(self, ctx, monkeypatch):
+        # the closed form goes through the cover only at the gate's two
+        # probes per basis index and shell
+        from metaplectic import builtin_sigma_p3, repn
         rep = Representation(builtin_sigma_p3(ctx, 1))
         calls = []
         decompose = repn.decompose_meta
         monkeypatch.setattr(repn, "decompose_meta",
                             lambda x: calls.append(x) or decompose(x))
-        first = bessel_direct(rep, XI, XI, Fraction(1, 9))
-        assert calls
-        calls.clear()
-        assert bessel_direct(rep, XI, XI, Fraction(2, 9)) == \
-            bessel_closed(rep, XI, XI, Fraction(2, 9))
-        assert bessel_direct(rep, XI, XI, Fraction(1, 9)) == first
-        assert calls == []
+        shells = set()
+        translate = rep.w_translate
+
+        def spy(b, y):
+            shells.add(min(frac_valuation(y, 3), 0))
+            return translate(b, y)
+
+        monkeypatch.setattr(rep, "w_translate", spy)
+        gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
+        assert shells and calls
+        assert len(calls) <= 2 * rep.dim * len(shells)
+
+
+class TestWTranslateGate:
+    @staticmethod
+    def _mutated(rep, mutation):
+        coset = rep._w_coset
+
+        def mutated(y):
+            t, n, key, eps = coset(y)
+            if mutation == "sign_dropped":
+                return t, n, key, 1
+            a, b, c, d = key
+            return t, n, (d, b, c, a), eps
+
+        return mutated
+
+    @pytest.mark.parametrize("mutation", ["sign_dropped", "units_swapped"])
+    def test_mutated_closed_form_raises(self, weil5, mutation, monkeypatch):
+        # at y with u = 1 neither mutation changes the value; the probe at
+        # the smallest non-square unit on the odd shell -1 does
+        rep = Representation(weil5.sigma)
+        monkeypatch.setattr(rep, "_w_coset", self._mutated(rep, mutation))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                rep.w_translate(0, ShellPoint(1, -1, 5))
+        assert not rep._w_checked
+
+    def test_gate_runs_once_per_shell(self, weil5, monkeypatch):
+        rep = Representation(weil5.sigma)
+        calls = []
+        act = rep.act
+        monkeypatch.setattr(rep, "act", lambda *args: calls.append(args) or act(*args))
+        for u in (1, 2, 3, 4, 6):
+            rep.w_translate(1, ShellPoint(u, -2, 5))
+        assert len(calls) == 2
+        rep.w_translate(0, ShellPoint(1, -2, 5))
+        rep.w_translate(1, Fraction(3, 7))
+        assert len(calls) == 6
 
 
 def _direct_gauss_sum(ctx, mu, n, a):
@@ -535,6 +607,15 @@ class TestGammaDeepShells:
         for n, value in values.items():
             assert value == _gamma_via_bessel_table(rep, xi, mu, n), n
         assert not values[2].is_zero()  # a nonzero deep shell
+
+    def test_weil_data_matches_oracle(self, weil5):
+        # sigma(<u>) is not the identity on this data, so a wrong unit in the
+        # deep integrand's torus value shows; the builtins cannot see it
+        mu = MultChar(weil5.ctx, 2, Fraction(0), 1)
+        for xi in weil5.betas:
+            value = gamma_coefficient(weil5, xi, xi, mu, 1)
+            assert value == _gamma_via_bessel_table(weil5, xi, mu, 1), xi
+            assert not value.is_zero(), xi
 
 
 class TestGamma:
