@@ -372,7 +372,11 @@ def _accumulate(out: dict, t: Fraction, n: int, b: int, coeff: CycValue, mat: Ma
 
 class InducedVector:
     """A finite coefficient expansion sum c[(t, n, b)] * phi^{n(t)<p^n>}_b in
-    the compact-induction model, coefficients in eigencoordinates."""
+    the compact-induction model, coefficients in eigencoordinates.
+
+    Vectors form a Q(zeta)-vector space: ``+``, ``-``, scalar ``*`` and
+    ``sum``, so the shell and ball integrals of ``zeta`` accept vector-valued
+    integrands (the Bessel kernel of ``zeta.bessel_direct``)."""
 
     __slots__ = ("q", "terms")
 
@@ -391,6 +395,16 @@ class InducedVector:
             c = CycValue.rational(q, c)
         return cls(q, {(Fraction(t), int(n), int(b)): c})
 
+    @classmethod
+    def sum(cls, vectors, q: int) -> "InducedVector":
+        """The sum of `vectors`: one ``CycValue.sum`` per term key, keys whose
+        coefficients cancel to zero dropped."""
+        groups: dict = {}
+        for v in vectors:
+            for key, c in v.terms.items():
+                groups.setdefault(key, []).append(c)
+        return cls(q, {key: CycValue.sum(cs, q) for key, cs in groups.items()})
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -408,14 +422,7 @@ class InducedVector:
         return InducedVector(self.q, {key: c for key, c in self.terms.items() if key[1] == n})
 
     def __add__(self, other: "InducedVector") -> "InducedVector":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, CycValue.zero(self.q)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return InducedVector(self.q, out)
+        return InducedVector.sum((self, other), self.q)
 
     def __neg__(self) -> "InducedVector":
         return InducedVector(self.q, {k: -v for k, v in self.terms.items()})
@@ -426,8 +433,7 @@ class InducedVector:
     def scaled(self, c) -> "InducedVector":
         return InducedVector(self.q, {k: v * c for k, v in self.terms.items()})
 
-    def __rmul__(self, c):
-        return self.scaled(c)
+    __mul__ = __rmul__ = scaled
 
     def __eq__(self, other):
         return isinstance(other, InducedVector) and self.terms == other.terms
@@ -504,6 +510,7 @@ class Representation:
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
         self._bessel_tables: dict = {}
+        self._bessel_kernels: dict = {}
         self._w_checked: set = set()
         self._central_sign = None
 

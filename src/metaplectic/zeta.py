@@ -67,11 +67,18 @@ class ShellIntegralPlan:
     measure: str = MULTIPLICATIVE_DX
 
 
+def _sample_sum(vals: list, q: int):
+    """The sum of integrand samples by their own type's ``sum``: scalar
+    ``CycValue``s, or ``InducedVector``s for a vector-valued integral."""
+    return type(vals[0]).sum(vals, q)
+
+
 def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
     """The shell sums at sampling levels `level` and `level + 1`, from one
     pass over the level-(level + 1) units: the level-`level` units are those
     below p^level, the first 1/p of them in ascending order.  f receives
-    each point u p^n as a ``ShellPoint``, which carries n and u as ints."""
+    each point u p^n as a ``ShellPoint``, which carries n and u as ints, and
+    returns a ``CycValue`` or an ``InducedVector`` (``_sample_sum``)."""
     p, q = ctx.p, ctx.q
     if measure == MULTIPLICATIVE_DX:
         scale = Fraction(1, q**level)
@@ -81,8 +88,8 @@ def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
         raise ValueError(f"unknown measure {measure!r}")
     units = _unit_residues_mod(p ** (level + 1))
     vals = [f(ShellPoint(u, n, p)) for u in units]
-    return (CycValue.sum(vals[:len(units) // p], q) * scale,
-            CycValue.sum(vals, q) * (scale / q))
+    return (_sample_sum(vals[:len(units) // p], q) * scale,
+            _sample_sum(vals, q) * (scale / q))
 
 
 _MAX_GATE_SAMPLES = 3**11  # samples one gate pass may take, compared with p**level
@@ -107,8 +114,10 @@ def _gated(compute, p: int, level: int, what: str):
     raise NotLocallyConstantError(f"{what}: not locally constant at tested resolution")
 
 
-def integrate_shell(ctx: PadicContext, f, plan: ShellIntegralPlan) -> CycValue:
-    """Exact integral of a locally constant f over the shell p^n Z_p^x.
+def integrate_shell(ctx: PadicContext, f, plan: ShellIntegralPlan):
+    """Exact integral of a locally constant f over the shell p^n Z_p^x; f
+    may be scalar (``CycValue``) or vector valued (``InducedVector``), and
+    the gate then compares whole vectors.
 
     An accepted gate at relative level L evaluates f once at each of the
     p^(L+1) - p^L unit residues mod p^(L+1); a refinement to 2L adds one
@@ -117,18 +126,19 @@ def integrate_shell(ctx: PadicContext, f, plan: ShellIntegralPlan) -> CycValue:
                   ctx.p, max(1, plan.level), f"shell n={plan.n}")
 
 
-def integrate_ball(ctx: PadicContext, f, m: int, level: int) -> CycValue:
-    """Exact additive integral over the ball P^m = p^m Z_p.  `level` is the
-    absolute sampling depth (cosets of P^level); an accepted gate evaluates
-    f once at each point a p^m, 0 <= a < p^(level + 1 - m)."""
+def integrate_ball(ctx: PadicContext, f, m: int, level: int):
+    """Exact additive integral over the ball P^m = p^m Z_p, of a scalar or
+    vector valued f as in ``integrate_shell``.  `level` is the absolute
+    sampling depth (cosets of P^level); an accepted gate evaluates f once at
+    each point a p^m, 0 <= a < p^(level + 1 - m)."""
     p, q = ctx.p, ctx.q
     pm = Fraction(p) ** m
 
     def compute(lv):
         vals = [f(a * pm) for a in range(p ** (lv + 1 - m))]
         scale = Fraction(q) ** (-lv)
-        return (CycValue.sum(vals[:p ** (lv - m)], q) * scale,
-                CycValue.sum(vals, q) * (scale / q))
+        return (_sample_sum(vals[:p ** (lv - m)], q) * scale,
+                _sample_sum(vals, q) * (scale / q))
 
     return _gated(compute, p, max(level, m + 1), f"ball P^{m}")
 
@@ -142,17 +152,18 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
 
     `x` may be a torus coordinate (g = <x> w) or an antidiagonal cover
     element g; any other element raises ValueError.  With the diagonal
-    D = g w^-1, pi(g n(y)) v = pi(D) pi(w n(y)) v.  The translate
-    pi(w n(y)) v does not depend on x; ``Representation.w_translate`` gives
-    it in closed form on the int coordinates of y (one table entry and one
-    Hilbert sign), checked against the cover route ``act`` once per shell.
-    D acts in closed form on its torus coordinates, taken once per call
-    (the torus form of ``Representation.whittaker_functional``).
+    D = g w^-1 = [diag(x, 1/x), e], W^xi_v(g n(y)) = l^xi(pi(D) pi(w n(y)) v),
+    and l^xi(pi(D) .) is linear, so
 
-    The translate lies on the shell min(v(y), 0) and the functional at
-    D = <x> reads only the shell v(x), so the integrand vanishes unless
-    min(v(y), 0) = v(x) = k: J is 0 for k > 0, the integral over Z_p for
-    k = 0 and the integral over the shell v(y) = k for k < 0."""
+        J^{xi,eta}(g) = l^xi(pi(D) K),  K = integral of pi(w n(y)) v psi^eta(-y) dy,
+
+    the Bessel function read as a vector integral (Baruch-Mao, Amer. J.
+    Math. 2003).  The translate lies on the shell min(v(y), 0) and the
+    functional at D reads only the shell v(x) = k, so K runs over Z_p for
+    k = 0 and over the shell v(y) = k for k < 0, and J is 0 for k > 0.  K
+    depends on eta and k alone, not on xi, the unit of x or e, so it is
+    integrated once per shell (``_bessel_kernel``); D then acts through the
+    torus form of ``Representation.whittaker_functional``."""
     ctx = rep.ctx
     xi = as_fraction(xi)
     eta = as_fraction(eta)
@@ -171,16 +182,35 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     k, u = torus_coordinates(coord, ctx.p)
     if k > 0:
         return CycValue.zero(ctx.q)
-    torus = (k, u, e)
-    psi_eta = rep.psi.twist(eta)
+    return rep.whittaker_functional(xi, _bessel_kernel(rep, eta, b_eta, k), (k, u, e))
 
-    def f(y: Fraction) -> CycValue:
-        value = rep.whittaker_functional(xi, rep.w_translate(b_eta, y), torus)
-        return value if value.is_zero() else value * psi_eta.value(-y)
 
-    if k == 0:
-        return integrate_ball(ctx, f, 0, max(2, rep.level))
-    return integrate_shell(ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
+def _bessel_kernel(rep: Representation, eta: Fraction, b_eta: int, k: int) -> InducedVector:
+    """The Bessel kernel K_eta(k) of ``bessel_direct``, the integral of
+    pi(w n(y)) phi_{b_eta} psi^eta(-y) dy over Z_p (k = 0) or the shell
+    v(y) = k (k < 0), memoized per (eta, k) in ``rep._bessel_kernels``.
+
+    The samples are closed translates (``Representation.w_translate``, its
+    own gate against ``act`` included).  The refinement gate compares the
+    vector sums at levels L and L+1, at least as strict as comparing their
+    image under any functional.  Only an accepted kernel is stored; a raise
+    stores nothing, so the next call integrates and raises again."""
+    key = (eta, k)
+    kernel = rep._bessel_kernels.get(key)
+    if kernel is None:
+        ctx = rep.ctx
+        psi_eta = rep.psi.twist(eta)
+
+        def f(y: Fraction) -> InducedVector:
+            return rep.w_translate(b_eta, y) * psi_eta.value(-y)
+
+        if k == 0:
+            kernel = integrate_ball(ctx, f, 0, max(2, rep.level))
+        else:
+            kernel = integrate_shell(
+                ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
+        rep._bessel_kernels[key] = kernel
+    return kernel
 
 
 def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
@@ -232,9 +262,12 @@ class BesselTable:
 
     The defining integral (direct method) is authoritative; it is the only
     method on the shells -level < v(x) <= 0 where the closed formula's
-    precondition fails.  On deeper shells the closed shell-sum is used once
-    the shell has passed the two-method spot check (``_ensure_shell_checked``);
-    a shell whose check failed stays unchecked, so every later lookup there
+    precondition fails.  A direct value costs one functional once the
+    shell's kernel is integrated (``bessel_direct``); the kernel is shared
+    by every x on the shell and every xi, and `_values` memoizes the
+    scalars.  On deeper shells the closed shell-sum is used once the shell
+    has passed the two-method spot check (``_ensure_shell_checked``); a
+    shell whose check failed stays unchecked, so every later lookup there
     repeats the check and raises again."""
 
     def __init__(self, rep: Representation, xi, eta):

@@ -1,31 +1,45 @@
 """Test-side helpers built on the public model: the odd Weil data on
 SL(2, Z/p), the value of a model vector at a cover point, the torus
-constant c_xi(a), the Fourier inversion identity of the Bessel function and
-a float growth report.  Nothing in the library calls them; the tests use
-them as data and oracles."""
+constant c_xi(a), the per-point Bessel integral, the Fourier inversion
+identity of the Bessel function and a float growth report.  Nothing in the
+library calls them; the tests use them as data and oracles."""
 
 from fractions import Fraction
 
-from metaplectic import CycValue, MetaElement, ShellIntegralPlan, integrate_shell
+from metaplectic import (
+    CycValue,
+    MetaElement,
+    ShellIntegralPlan,
+    integrate_ball,
+    integrate_shell,
+)
 from metaplectic.cover import decompose_meta
-from metaplectic.exactnum import ShellPoint, _unit_residues_mod, as_fraction, valuation_unit
+from metaplectic.exactnum import (
+    ShellPoint,
+    _unit_residues_mod,
+    as_fraction,
+    torus_coordinates,
+    valuation_unit,
+)
 from metaplectic.localchar import hilbert_int, legendre_int
 from metaplectic.repn import SigmaRep, _close_table
-from metaplectic.zeta import MULTIPLICATIVE_DX, bessel_table
+from metaplectic.zeta import ADDITIVE_DX, MULTIPLICATIVE_DX, bessel_table
 
 
-def weil_sigma(ctx, k: int, j: int) -> SigmaRep:
+def weil_sigma(ctx, k: int, j: int, gauss=None) -> SigmaRep:
     """The odd Weil representation of SL(2, Z/p), of dimension (p - 1)/2
     (Gerardin, J. Algebra 1977), on the basis delta_t - delta_-t for
     t = 1..(p - 1)/2: n(1) acts by diag(e(t^2/p)) and w by the matrix
     c (e(k s t/p) - e(-k s t/p)) indexed by (s, t), with c = e(j/8) g_p/p
-    and g_p = sum over a of (a/p) e(a/p).  The table is the closure of
-    these two generators, checked by ``SigmaRep.validate``; (k, j) = (2, 4)
-    at p = 5 and (2, 0) at p = 7 close."""
+    and g_p = sum over a of (a/p) e(a/p), or the value `gauss` given for
+    it.  The table is the closure of these two generators, checked by
+    ``SigmaRep.validate``; (k, j) = (1, 4) at p = 3, (2, 4) at p = 5 and
+    (2, 0) at p = 7 close."""
     p, q = ctx.p, ctx.q
     half = range(1, (p - 1) // 2 + 1)
-    gauss = CycValue.sum([CycValue.root_of_unity(q, Fraction(a, p)) * legendre_int(p, a)
-                          for a in range(1, p)], q)
+    if gauss is None:
+        gauss = CycValue.sum([CycValue.root_of_unity(q, Fraction(a, p)) * legendre_int(p, a)
+                              for a in range(1, p)], q)
     c = CycValue.root_of_unity(q, Fraction(j, 8)) * gauss * Fraction(1, p)
     generators = {
         (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity(q, Fraction(t * t, p)) if s == t
@@ -77,6 +91,34 @@ def c_factor(rep, xi, a) -> CycValue:
     if c1 != c2:
         raise ArithmeticError("c factor is not well defined; multiplicity one violated (bug)")
     return c1
+
+
+def bessel_per_point(rep, xi, eta, x) -> CycValue:
+    """J^{xi,eta}(<x>w), or J^{xi,eta}(g) at an antidiagonal cover element
+    g, as one scalar integral per point: the integrand is
+    l^xi(pi(D) pi(w n(y)) phi_{b(eta)}) psi^eta(-y) with D = g w^-1 in torus
+    form, over the same support and sampling levels as
+    ``zeta.bessel_direct``, but with no kernel shared between points."""
+    ctx = rep.ctx
+    xi, eta = as_fraction(xi), as_fraction(eta)
+    b_eta = rep.basis_index_for(eta)
+    if isinstance(x, MetaElement):
+        torus = x * MetaElement.w(ctx).inverse()
+        coord, e = torus.g.a, torus.eps
+    else:
+        coord, e = as_fraction(x), 1
+    k, u = torus_coordinates(coord, ctx.p)
+    if k > 0:
+        return CycValue.zero(ctx.q)
+    psi_eta = rep.psi.twist(eta)
+
+    def f(y):
+        value = rep.whittaker_functional(xi, rep.w_translate(b_eta, y), (k, u, e))
+        return value if value.is_zero() else value * psi_eta.value(-y)
+
+    if k == 0:
+        return integrate_ball(ctx, f, 0, max(2, rep.level))
+    return integrate_shell(ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
 
 
 def fourier_inversion_check(rep, xi, v, a):

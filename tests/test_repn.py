@@ -5,6 +5,7 @@ import pytest
 from metaplectic import (
     CycValue,
     MetaElement,
+    PadicContext,
     Representation,
     SigmaRep,
     builtin_sigma_p3,
@@ -28,7 +29,7 @@ from metaplectic.repn import (
     _key_mul,
 )
 
-from helpers import c_factor, evaluate_vector
+from helpers import c_factor, evaluate_vector, weil_sigma
 
 
 class TestBuiltinSigma:
@@ -297,6 +298,63 @@ class TestTorusClosedForm:
             for u in (1, 2, 4, 5, 7, 8, -1, 22, Fraction(2, 5), Fraction(-7, 11)):
                 assert mat_eq(rep.unit_torus_value(u),
                               rep.genuine_eval(MetaElement.torus(ctx, u)))
+
+
+class TestInducedVectorSum:
+    def test_equals_repeated_addition(self, ctx, rep1, rng):
+        # random vectors on a few shared keys, plus a pair that cancels to
+        # zero on one key; the sum drops that key as + does, and both equal
+        # the coefficient-wise fold with CycValue +
+        q = ctx.q
+        keys = [(Fraction(t, 9), n, 0) for t in range(3) for n in (-1, 0)]
+        vectors = []
+        for _ in range(6):
+            terms = {key: ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(-2, 3)
+                     for key in rng.sample(keys, 3)}
+            vectors.append(InducedVector(q, terms))
+        cancel = rep1.phi(t=Fraction(1, 3), n=1, coeff=ctx.cyc_e(Fraction(1, 3)))
+        vectors += [cancel, -cancel]
+        total = InducedVector.zero(q)
+        for v in vectors:
+            total = total + v
+        fold: dict = {}
+        for v in vectors:
+            for key, c in v.terms.items():
+                fold[key] = fold.get(key, ctx.zero()) + c
+        summed = InducedVector.sum(vectors, q)
+        assert summed == total and summed.terms == total.terms
+        assert summed.terms == {key: c for key, c in fold.items() if not c.is_zero()}
+        assert not any(key[1] == 1 for key in summed.terms)
+        assert all(not c.is_zero() for c in summed.terms.values())
+        assert InducedVector.sum([cancel, -cancel], q).is_zero()
+        assert InducedVector.sum([cancel], q) == cancel
+
+    def test_scalar_product_both_sides(self, ctx, rep1):
+        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2)
+        c = ctx.cyc_e(Fraction(2, 9))
+        assert v * c == v.scaled(c) == 3 * v.scaled(c * Fraction(1, 3))
+        assert (v * 0).is_zero()
+
+
+class TestWeilData:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_sqrtq_form_of_c_closes_to_the_same_table(self, p, request):
+        # g_p = sqrt(p) e(1/4) for p = 3 mod 4 and g_p = sqrt(p) for
+        # p = 1 mod 4, with sqrt(p) the canonical ``CycValue.sqrtq``; the
+        # Gauss-sum tables are the weil5/weil7 data and, at p = 3, builtin 1
+        kj = {3: (1, 4), 5: (2, 4), 7: (2, 0)}[p]
+        ctx = PadicContext(p)
+        gauss = CycValue.sqrtq(p)
+        if p % 4 == 3:
+            gauss = gauss * CycValue.root_of_unity(p, Fraction(1, 4))
+        by_sqrtq = weil_sigma(ctx, *kj, gauss=gauss).table
+        by_gauss_sum = (weil_sigma(ctx, *kj) if p == 3 else
+                        request.getfixturevalue({5: "weil5", 7: "weil7"}[p]).sigma).table
+        assert by_sqrtq.keys() == by_gauss_sum.keys()
+        for key, mat in by_gauss_sum.items():
+            assert mat_eq(by_sqrtq[key], mat), key
+        if p == 3:
+            assert by_gauss_sum == builtin_sigma_p3(ctx, 1).table
 
 
 class TestCanonicalPhi:

@@ -39,9 +39,15 @@ from metaplectic.zeta import (
     twisted_gauss_sum,
     zeta_parity_holds,
 )
-from metaplectic.localchar import hilbert_frac
+from metaplectic.localchar import hilbert_frac, legendre_int
 
-from helpers import bessel_growth_report, c_factor, evaluate_vector, fourier_inversion_check
+from helpers import (
+    bessel_growth_report,
+    bessel_per_point,
+    c_factor,
+    evaluate_vector,
+    fourier_inversion_check,
+)
 
 XI = Fraction(1, 3)
 
@@ -472,6 +478,78 @@ class TestBesselDirectTranslates:
         gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
         assert shells and calls
         assert len(calls) <= 2 * rep.dim * len(shells)
+
+
+class TestBesselKernel:
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "weil7"])
+    def test_matches_per_point_oracle(self, request, data):
+        # every (xi, eta) on the shells 0..-3 at a square unit, a non-square
+        # unit and a unit with a denominator prime to p.  At p = 7 one oracle
+        # value on shell -3 takes about 0.6 s and one kernel there as long,
+        # so each case takes one of the three units in turn, and shell -3
+        # (of the same parity as -1) is checked for the first pair only
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        p = ctx.p
+        nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
+        units = [Fraction(1), Fraction(nonsquare), Fraction(-2, 11)]
+        xis = [r.xi for r in rep.spectrum().reps]
+        cases = [(xi, eta, k) for xi in xis for eta in xis for k in range(0, -4, -1)
+                 if p < 7 or k > -3 or xi == eta == xis[0]]
+        nonzero = 0
+        for i, (xi, eta, k) in enumerate(cases):
+            for u in (units if p < 7 else [units[i % len(units)]]):
+                x = u * Fraction(p) ** k
+                value = bessel_direct(rep, xi, eta, x)
+                assert value == bessel_per_point(rep, xi, eta, x), (xi, eta, x)
+                nonzero += not value.is_zero()
+        assert nonzero
+        # an antidiagonal cover element with cover sign -1: the kernel is
+        # the same, the torus form carries e
+        xi = xis[-1]
+        g = (MetaElement.torus(ctx, Fraction(nonsquare, p)) * MetaElement.w(ctx)
+             * MetaElement.central(ctx, -1))
+        value = bessel_direct(rep, xi, xi, g)
+        assert value == bessel_per_point(rep, xi, xi, g)
+        assert not value.is_zero()
+        assert value == -bessel_direct(rep, xi, xi, Fraction(nonsquare, p))
+
+    def test_cold_gamma_translates_each_sample_once(self, ctx, monkeypatch):
+        # a cold conductor-2 gamma factor integrates one kernel on shell 0
+        # (27 samples) and one on each spot-checked shell -1..-3 (18 + 54 +
+        # 162): 261 translates, where integrating per x took 954
+        from metaplectic import builtin_sigma_p3
+        rep = Representation(builtin_sigma_p3(ctx, 1))
+        calls = []
+        translate = rep.w_translate
+        monkeypatch.setattr(rep, "w_translate",
+                            lambda b, y: calls.append(y) or translate(b, y))
+        gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
+        assert 0 < len(calls) <= 261
+        assert sorted(rep._bessel_kernels) == [(XI, k) for k in range(-3, 1)]
+
+    def test_failed_kernel_is_not_remembered(self, ctx, rep1, monkeypatch):
+        # a translate scaled by 1 + y is not locally constant: the kernel's
+        # gate on Z_p sees different sums at every level and raises; the
+        # budget is cut to one pass so the test stays fast
+        rep = Representation(rep1.sigma)
+        translate = rep.w_translate
+        calls = []
+
+        def mutated(b, y):
+            calls.append(y)
+            return translate(b, y) * (1 + y)
+
+        monkeypatch.setattr(zeta, "_MAX_GATE_SAMPLES", 3**3)
+        with monkeypatch.context() as faulty:
+            faulty.setattr(rep, "w_translate", mutated)
+            for attempt in range(1, 3):
+                with pytest.raises(NotLocallyConstantError):
+                    bessel_direct(rep, XI, XI, Fraction(2))
+                assert rep._bessel_kernels == {}
+                assert len(calls) == 27 * attempt
+        assert bessel_direct(rep, XI, XI, Fraction(2)) == bessel_per_point(rep1, XI, XI, 2)
+        assert list(rep._bessel_kernels) == [(XI, 0)]
 
 
 class TestWTranslateGate:
