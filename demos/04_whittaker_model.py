@@ -12,7 +12,6 @@ from metaplectic import (
     PadicContext,
     Representation,
     builtin_sigma_p3,
-    check_strongly_cuspidal,
     eigenbasis,
 )
 
@@ -24,7 +23,8 @@ print(f"table on SL(2, Z/3): {len(sigma.table)} elements, dimension {sigma.dim},
       f"conductor {sigma.level}")
 print("sigma(n(1)) =", sigma.table[(1, 1, 0, 1)][0][0], "   sigma(w) =",
       sigma.table[(0, 2, 1, 0)][0][0])
-print("strong cuspidality (unipotent average vanishes):", check_strongly_cuspidal(sigma))
+print("strong cuspidality, sum of sigma(n(x)) over x mod 3 (zero):",
+      sigma.strong_cuspidality_sum())
 
 print("\n== eigenbasis and spectrum ==")
 basis = eigenbasis(sigma)

@@ -40,7 +40,6 @@ from .repn import (
     Representation,
     SigmaRep,
     builtin_sigma_p3,
-    check_strongly_cuspidal,
     eigenbasis,
     sigma_from_dict,
 )

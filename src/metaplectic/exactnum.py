@@ -450,17 +450,23 @@ class CycValue:
             raise ValueError(f"not a rational value: {self}")
         return Fraction(self._coeffs.get(0, 0), self._d)
 
-    def _coerce(self, other) -> "CycValue":
+    def _coerce(self, other) -> "CycValue | None":
+        """`other` over the same q, or None (the operator then returns
+        NotImplemented) for an operand that is not a CycValue, int or Fraction."""
         if isinstance(other, CycValue):
             if other.q != self.q:
                 raise ValueError("mixed ambient q")
             return other
-        return CycValue.rational(self.q, Fraction(other))
+        if isinstance(other, (int, Fraction)):
+            return CycValue.rational(self.q, other)
+        return None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         n1, n2, d1, d2 = self._n, o._n, self._d, o._d
         n = n1 if n1 == n2 else math.lcm(n1, n2)
         d = d1 if d1 == d2 else math.lcm(d1, d2)
@@ -481,10 +487,12 @@ class CycValue:
         return CycValue._make(self.q, self._n, self._d, {k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def _scaled(self, num: int, den: int) -> "CycValue":
         if not num:
@@ -493,8 +501,10 @@ class CycValue:
                               {k: c * num for k, c in self._coeffs.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, CycValue) and isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, CycValue):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
+            return NotImplemented
         o = self._coerce(other)
         n1, n2 = self._n, o._n
         # a rational factor scales the coefficients; no root moves
@@ -556,10 +566,11 @@ class CycValue:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -576,11 +587,10 @@ class CycValue:
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (ValueError, TypeError):
+        o = other if isinstance(other, CycValue) else self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._n == o._n and self._d == o._d and self._coeffs == o._coeffs
+        return self.q == o.q and self._n == o._n and self._d == o._d and self._coeffs == o._coeffs
 
     def __hash__(self):
         if self._hash is None:

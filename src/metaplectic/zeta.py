@@ -260,15 +260,15 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
 class BesselTable:
     """Memoized Bessel values J^{xi,eta}(<x>w) for one (xi, eta) pair.
 
-    The defining integral (direct method) is authoritative; it is the only
-    method on the shells -level < v(x) <= 0 where the closed formula's
-    precondition fails.  A direct value costs one functional once the
-    shell's kernel is integrated (``bessel_direct``); the kernel is shared
-    by every x on the shell and every xi, and `_values` memoizes the
-    scalars.  On deeper shells the closed shell-sum is used once the shell
-    has passed the two-method spot check (``_ensure_shell_checked``); a
-    shell whose check failed stays unchecked, so every later lookup there
-    repeats the check and raises again."""
+    Every value is the defining integral (``bessel_direct``): one
+    functional once the shell's kernel is integrated, the kernel shared by
+    every x on the shell and every xi, and `_values` memoizes the scalars.
+    On the shells v(x) <= -level, where the closed shell sum
+    (``bessel_closed``) also holds, a lookup first passes the two-method
+    spot check (``_ensure_shell_checked``), so the closed sum is evaluated
+    only as the check's witness; a shell whose check failed stays
+    unchecked, so every later lookup there repeats the check and raises
+    again."""
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
@@ -283,10 +283,7 @@ class BesselTable:
             n = frac_valuation(x, self.rep.ctx.p)
             if n <= -self.rep.level:
                 self._ensure_shell_checked(int(n))
-                hit = bessel_closed(self.rep, self.xi, self.eta, x)
-            else:
-                hit = bessel_direct(self.rep, self.xi, self.eta, x)
-            self._values[x] = hit
+            hit = self._values[x] = bessel_direct(self.rep, self.xi, self.eta, x)
         return hit
 
     def _ensure_shell_checked(self, n: int) -> None:
@@ -396,9 +393,9 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
 
     On the shells n < level the Bessel values come from ``BesselTable``
     (the defining integral, the only valid method there).  On the deep
-    shells n >= level the closed Bessel shell sum is substituted and the
-    order of integration swapped: with x = u y for a unit u, the Hilbert
-    sign (y/x, 1/y) = (u, y)
+    shells n >= level no Bessel value is read: the closed Bessel shell sum
+    is substituted as a formula and the order of integration swapped: with
+    x = u y for a unit u, the Hilbert sign (y/x, 1/y) = (u, y)
     cancels against chi_psi(u y) = chi_psi(u) chi_psi(y) (u, y), leaving
 
         gamma(n) = 2 q^{-n/2} * integral over Z_p^x of

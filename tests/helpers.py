@@ -32,8 +32,8 @@ def weil_sigma(ctx, k: int, j: int, gauss=None) -> SigmaRep:
     t = 1..(p - 1)/2: n(1) acts by diag(e(t^2/p)) and w by the matrix
     c (e(k s t/p) - e(-k s t/p)) indexed by (s, t), with c = e(j/8) g_p/p
     and g_p = sum over a of (a/p) e(a/p), or the value `gauss` given for
-    it.  The table is the closure of these two generators, checked by
-    ``SigmaRep.validate``; (k, j) = (1, 4) at p = 3, (2, 4) at p = 5 and
+    it.  The table is the closure of these two generators, validated when
+    ``SigmaRep`` is built; (k, j) = (1, 4) at p = 3, (2, 4) at p = 5 and
     (2, 0) at p = 7 close."""
     p, q = ctx.p, ctx.q
     half = range(1, (p - 1) // 2 + 1)
@@ -49,9 +49,7 @@ def weil_sigma(ctx, k: int, j: int, gauss=None) -> SigmaRep:
                  - CycValue.root_of_unity(q, Fraction(-k * s * t, p))) for t in half)
             for s in half),
     }
-    sigma = SigmaRep(ctx, 1, (p - 1) // 2, _close_table(ctx, 1, (p - 1) // 2, generators))
-    sigma.validate()
-    return sigma
+    return SigmaRep(ctx, 1, (p - 1) // 2, _close_table(ctx, 1, (p - 1) // 2, generators))
 
 
 def evaluate_vector(rep, v, g: MetaElement):

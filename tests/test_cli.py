@@ -121,6 +121,21 @@ class TestSigmaFiles:
         assert rc == 1
         assert "cuspidal" in err or "conductor" in err
 
+    def test_weil_file_check_fe(self, capsys, tmp_path, weil5):
+        # a p = 5, dim 2 table through the file door and its validation
+        path = tmp_path / "weil5.json"
+        path.write_text(json.dumps(sigma_to_dict(weil5.sigma)))
+        mu = json.dumps({"conductor_exponent": 1,
+                         "value_at_p_numerator_of_exponent": 0,
+                         "value_at_p_denominator_of_exponent": 1,
+                         "generator_image_exponent": 1})
+        rc, out, _ = run_cli(capsys, "--p", "5", "--sigma", str(path), "--command", "check-fe",
+                             "--mu", mu, "--output", "json")
+        assert rc == 0
+        cases = json.loads(out)["cases"]
+        assert cases and all(case["pass"] for case in cases)
+        assert any(case["lhs"]["terms"] for case in cases)
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "--sigma", "/nonexistent/sigma.json")
         assert rc == 2

@@ -287,6 +287,18 @@ class TestCycValue:
         with pytest.raises(ZeroDivisionError):
             ctx.one() / ctx.zero()
 
+    @pytest.mark.parametrize("other", [0.5, "1/2", None])
+    def test_foreign_operand_not_implemented(self, ctx, other):
+        # only CycValue, int and Fraction coerce; anything else is left to
+        # the other operand's reflected method
+        c = ctx.cyc_e(Fraction(1, 3))
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__eq__"):
+            assert getattr(c, op)(other) is NotImplemented, op
+        with pytest.raises(TypeError):
+            c * other
+        assert c != other
+
     def test_gauss_sum_crosscheck(self, ctx):
         g = CycValue.sum([ctx.cyc_e(Fraction(x * x, 3)) for x in range(3)], 3)
         assert g * g == -3

@@ -123,6 +123,16 @@ def test_rep_suite_catches_fault(monkeypatch, ctx, suite):
         run(rep, random.Random(1))
 
 
+@pytest.mark.parametrize("data", ["weil5", "weil7"])
+@pytest.mark.parametrize("suite", sorted(REP_FAULTS))
+def test_rep_suite_passes_on_weil_data(request, suite, data):
+    # the representation suites beyond p = 3, dim 1; the full
+    # check-invariants command at p = 5 takes minutes, almost all of it in
+    # the characters suite
+    _, run, _ = REP_FAULTS[suite]
+    run(request.getfixturevalue(data), random.Random(1))
+
+
 def test_failed_suite_reported(monkeypatch, capsys, ctx):
     _sign_by_lower_entry(monkeypatch, ctx)
     rc = main(["--command", "check-invariants", "--trials", "50", "--output", "json"])

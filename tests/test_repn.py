@@ -9,7 +9,6 @@ from metaplectic import (
     Representation,
     SigmaRep,
     builtin_sigma_p3,
-    check_strongly_cuspidal,
     eigenbasis,
 )
 from metaplectic.cover import (
@@ -24,8 +23,10 @@ from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
     mat_eq,
+    mat_is_zero,
     sigma_from_dict,
     sigma_to_dict,
+    _close_table,
     _key_mul,
 )
 
@@ -78,16 +79,48 @@ class TestHomomorphismCheck:
 
 class TestStrongCuspidality:
     def test_builtins(self, ctx):
-        assert check_strongly_cuspidal(builtin_sigma_p3(ctx, 1))
-        assert check_strongly_cuspidal(builtin_sigma_p3(ctx, 2))
+        assert mat_is_zero(builtin_sigma_p3(ctx, 1).strong_cuspidality_sum())
+        assert mat_is_zero(builtin_sigma_p3(ctx, 2).strong_cuspidality_sum())
 
     def test_trivial_representation_fails(self, ctx):
         one = ((CycValue.one(3),),)
         table = {k: one for k in builtin_sigma_p3(ctx, 1).table}
-        trivial = SigmaRep(ctx, 1, 1, table)
-        assert not check_strongly_cuspidal(trivial)
         with pytest.raises(SigmaValidationError):
-            trivial.validate()
+            SigmaRep(ctx, 1, 1, table)
+
+
+class TestValidationAtConstruction:
+    """``SigmaRep`` validates once, when it is built, and is read-only after."""
+
+    def test_builtin_plus_trivial_rejected_as_not_cuspidal(self, ctx):
+        # conductor 1 holds (the builtin summand is nontrivial), so the
+        # unipotent average is what rejects it
+        one, zero = CycValue.one(3), CycValue.zero(3)
+        table = {k: ((m[0][0], zero), (zero, one))
+                 for k, m in builtin_sigma_p3(ctx, 1).table.items()}
+        with pytest.raises(SigmaValidationError, match="strong cuspidality"):
+            SigmaRep(ctx, 1, 2, table)
+
+    def test_builtin_generators_with_w_negated_not_multiplicative(self, ctx):
+        # w lies in the commutator subgroup of SL(2, Z/3), so w -> -1 extends
+        # to no homomorphism; the closure still fills all 24 keys
+        generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(1, 3)),),),
+                      (0, 2, 1, 0): ((-CycValue.one(3),),)}
+        table = _close_table(ctx, 1, 1, generators)
+        assert len(table) == 24
+        with pytest.raises(SigmaValidationError, match="not multiplicative"):
+            SigmaRep(ctx, 1, 1, table)
+
+    def test_table_is_read_only(self, ctx):
+        sigma = builtin_sigma_p3(ctx, 1)
+        with pytest.raises(TypeError):
+            sigma.table[(1, 0, 0, 1)] = ((CycValue.zero(3),),)
+
+    def test_table_is_a_copy(self, ctx):
+        table = dict(builtin_sigma_p3(ctx, 1).table)
+        sigma = SigmaRep(ctx, 1, 1, table)
+        table[(1, 0, 0, 1)] = ((CycValue.zero(3),),)
+        assert sigma.table[(1, 0, 0, 1)] == ((CycValue.one(3),),)
 
 
 class TestEigenBasis:
@@ -334,6 +367,14 @@ class TestInducedVectorSum:
         c = ctx.cyc_e(Fraction(2, 9))
         assert v * c == v.scaled(c) == 3 * v.scaled(c * Fraction(1, 3))
         assert (v * 0).is_zero()
+
+    def test_cyc_value_on_the_left(self, ctx, rep1):
+        # CycValue leaves an InducedVector operand to InducedVector.__rmul__
+        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2)
+        c = ctx.cyc_e(Fraction(2, 9))
+        assert c * v == v * c
+        with pytest.raises(TypeError, match="unsupported operand"):
+            c + v
 
 
 class TestWeilData:

@@ -958,6 +958,22 @@ class TestFunctionalEquation:
         assert fe.lhs.is_zero() and fe.rhs.is_zero()
 
 
+class TestFunctionalEquationWeilData:
+    """check_fe beyond p = 3, dim 1: the odd Weil data, where sigma has
+    dimension 2 (p = 5) and 3 (p = 7), both sides nonzero."""
+
+    @pytest.mark.parametrize("data, conductor, gen", [
+        ("weil5", 1, 1), ("weil5", 1, 3), ("weil7", 0, 0)])
+    def test_nonzero_side(self, request, data, conductor, gen):
+        rep = request.getfixturevalue(data)
+        mu = MultChar(rep.ctx, conductor, Fraction(0), gen)
+        v = rep.phi() + rep.phi(n=1, b=1)
+        for xi in rep.betas:
+            fe = check_fe(rep, mu, v, xi)
+            assert fe.passed and not fe.vacuous_parity, xi
+            assert fe.lhs.support() == [0, 1], xi
+
+
 class TestFourierInversion:
     def test_spot_check_at_valuation_minus_one(self, rep1):
         lhs, rhs = fourier_inversion_check(rep1, XI, rep1.phi(), Fraction(1, 3))
