@@ -50,7 +50,6 @@ from .zeta import (
     FEReport,
     GammaFactor,
     ShellIntegralPlan,
-    StabilizationError,
     ZetaFunction,
     bessel_closed,
     bessel_direct,

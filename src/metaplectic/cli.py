@@ -26,13 +26,8 @@ from fractions import Fraction
 from . import invariants
 from .exactnum import CycValue, LaurentPoly, PadicContext, _is_prime
 from .localchar import MultChar
-from .repn import InducedVector, Representation, builtin_sigma_p3, sigma_from_dict
-from .zeta import (
-    bessel_table,
-    check_fe,
-    gamma_factor,
-    zeta_function,
-)
+from .repn import InducedVector, Representation, SigmaRep, builtin_sigma_p3, sigma_from_dict
+from .zeta import bessel_table, check_fe, gamma_factor, zeta_function
 
 
 class ConfigError(ValueError):
@@ -58,6 +53,7 @@ def cyc_to_json(value: CycValue) -> dict:
 
 
 def cyc_from_json(q: int, data: dict) -> CycValue:
+    """The inverse of ``cyc_to_json``, for tooling that re-reads a report."""
     return CycValue.from_terms(
         q,
         [
@@ -83,6 +79,7 @@ def poly_to_json(poly: LaurentPoly) -> dict:
 
 
 def poly_from_json(q: int, data: dict) -> LaurentPoly:
+    """The inverse of ``poly_to_json``, for tooling that re-reads a report."""
     return LaurentPoly(q, data["variable"],
                        {t["exp"]: cyc_from_json(q, t["value_exact"]) for t in data["terms"]})
 
@@ -171,15 +168,15 @@ def _read(path: str, parse=json.load):
         return parse(fh)
 
 
-def build_sigma(ctx: PadicContext, source: str):
+def build_sigma(ctx: PadicContext, source: str) -> SigmaRep:
     if source in ("builtin1", "builtin2"):
         which = int(source[-1])
         if ctx.p != 3:
             raise ConfigError(
                 f"builtin sigma '{source}' requires p = 3, got p = {ctx.p}")
-        return builtin_sigma_p3(ctx, which), source
+        return builtin_sigma_p3(ctx, which)
     return _configured(f"sigma table {source!r}",
-                       lambda: sigma_from_dict(ctx, _read(source))), source
+                       lambda: sigma_from_dict(ctx, _read(source)))
 
 
 def build_mu(ctx: PadicContext, spec: str) -> MultChar:
@@ -207,19 +204,20 @@ def load_vectors(rep: Representation, path: str | None) -> dict:
 
 
 # -- commands ----------------------------------------------------------------------
+#
+# Each command returns (report, text_lines, status): the JSON report and the
+# table lines, both built from the same computed objects, and the exit status.
+# Only `main` prints, in the format --output asks for.
 
 
-def cmd_example(rep: Representation, args, out):
+def cmd_example(rep: Representation, args):
     """Run the p = 3 pipeline; assert the gamma factor equals 4/3 exactly for
     the first builtin datum (the second is reported, not asserted)."""
     ctx = rep.ctx
     mu = MultChar.trivial(ctx)
     xi = rep.spectrum().dedup[0].xi
     gf = gamma_factor(rep, xi, xi, mu)
-    rows = []
-    for n, coeff in sorted(gf.coefficients.items()):
-        rows.append({"shell_exponent": n, "gamma_n": cyc_to_json(coeff),
-                     "gamma_n_repr": repr(coeff)})
+    shells = sorted(gf.coefficients.items())
     expected = CycValue.rational(ctx.q, Fraction(4, 3))
     is_first = args.sigma == "builtin1"
     constant = gf.poly.coeffs.get(0, CycValue.zero(ctx.q))
@@ -231,96 +229,77 @@ def cmd_example(rep: Representation, args, out):
         "sigma": args.sigma,
         "xi": str(xi),
         "gamma_factor": poly_to_json(gf.poly),
-        "shells": rows,
+        "shells": [{"shell_exponent": n, "gamma_n": cyc_to_json(coeff),
+                    "gamma_n_repr": repr(coeff)} for n, coeff in shells],
         "asserted": is_first,
         "pass": passed,
     }
-    if args.output == "json":
-        out(json.dumps(report, indent=2, sort_keys=True))
+    lines = [f"p = {ctx.p}, sigma = {args.sigma}, xi = {xi}",
+             "shell-by-shell gamma coefficients:",
+             *(f"  gamma({n}) = {coeff!r}" for n, coeff in shells),
+             f"Gamma(s) = {poly_to_text(gf.poly)}"]
+    if is_first:
+        lines.append(f"gamma = {constant!r} "
+                     + ("(exact), PASS" if passed else "(exact), FAIL: expected 4/3"))
     else:
-        out(f"p = {ctx.p}, sigma = {args.sigma}, xi = {xi}")
-        out("shell-by-shell gamma coefficients:")
-        for n, coeff in sorted(gf.coefficients.items()):
-            out(f"  gamma({n}) = {coeff!r}")
-        out(f"Gamma(s) = {poly_to_text(gf.poly)}")
-        if is_first:
-            out(f"gamma = {constant!r} "
-                + ("(exact), PASS" if passed else "(exact), FAIL: expected 4/3"))
-        else:
-            out("constant reported (no assertion for this datum)")
-    return 0 if passed else 1
+        lines.append("constant reported (no assertion for this datum)")
+    return report, lines, 0 if passed else 1
 
 
-def cmd_gamma(rep: Representation, args, out):
+def cmd_gamma(rep: Representation, args):
     mu = build_mu(rep.ctx, args.mu)
-    cases = []
+    cases, lines = [], []
     for xi_rep in rep.spectrum().dedup:
         for eta_rep in rep.spectrum().dedup:
             gf = gamma_factor(rep, xi_rep.xi, eta_rep.xi, mu)
             cases.append({"xi": str(xi_rep.xi), "eta": str(eta_rep.xi),
                           "support_bound": gf.support_bound,
                           "poly": poly_to_json(gf.poly)})
-    if args.output == "json":
-        out(json.dumps({"command": "gamma", "mu": mu.spec_record(), "cases": cases},
-                       indent=2, sort_keys=True))
-    else:
-        for case in cases:
-            out(f"Gamma^(xi={case['xi']}, eta={case['eta']})(s), support <= {case['support_bound']}:")
-            out("  " + poly_to_text(poly_from_json(rep.ctx.q, case["poly"])))
-    return 0
+            lines += [f"Gamma^(xi={xi_rep.xi}, eta={eta_rep.xi})(s), "
+                      f"support <= {gf.support_bound}:",
+                      "  " + poly_to_text(gf.poly)]
+    return {"command": "gamma", "mu": mu.spec_record(), "cases": cases}, lines, 0
 
 
-def cmd_zeta(rep: Representation, args, out):
+def cmd_zeta(rep: Representation, args):
     mu = build_mu(rep.ctx, args.mu)
     vectors = load_vectors(rep, args.vectors)
-    cases = []
+    cases, lines = [], []
     for name, v in vectors.items():
         for xi_rep in rep.spectrum().dedup:
-            z = zeta_function(rep, xi_rep.xi, mu, v, max_halfwidth=args.max_range)
+            z = zeta_function(rep, xi_rep.xi, mu, v)
             cases.append({"vector": name, "xi": str(xi_rep.xi),
                           "window": list(z.window), "parity_ok": z.parity_ok,
                           "poly": poly_to_json(z.poly)})
-    if args.output == "json":
-        out(json.dumps({"command": "zeta", "mu": mu.spec_record(), "cases": cases},
-                       indent=2, sort_keys=True))
-    else:
-        for case in cases:
-            out(f"Z(s; xi={case['xi']}, v={case['vector']}), window {case['window']}, "
-                f"parity_ok={case['parity_ok']}:")
-            out("  " + poly_to_text(poly_from_json(rep.ctx.q, case["poly"])))
-    return 0
+            lines += [f"Z(s; xi={xi_rep.xi}, v={name}), window {list(z.window)}, "
+                      f"parity_ok={z.parity_ok}:",
+                      "  " + poly_to_text(z.poly)]
+    return {"command": "zeta", "mu": mu.spec_record(), "cases": cases}, lines, 0
 
 
-def cmd_bessel(rep: Representation, args, out):
+def cmd_bessel(rep: Representation, args):
     xi = rep.spectrum().dedup[0].xi
     table = bessel_table(rep, xi, xi)
     rows = []
+    lines = [f"J(<x>w) for xi = eta = {xi}:"]
     for n in range(-(rep.level + 2), 1):
         shell = table.shell_values(n, min(rep.level + 1, 2))
         for u, val in sorted(shell.items()):
-            rows.append({"x": f"{u}*p^{n}", "shell": n, "value": cyc_to_json(val),
+            x = f"{u}*p^{n}"
+            rows.append({"x": x, "shell": n, "value": cyc_to_json(val),
                          "value_repr": repr(val)})
-    if args.output == "json":
-        out(json.dumps({"command": "bessel", "xi": str(xi), "values": rows},
-                       indent=2, sort_keys=True))
-    else:
-        out(f"J(<x>w) for xi = eta = {xi}:")
-        for row in rows:
-            out(f"  x = {row['x']:>10}: {row['value_repr']}")
-    return 0
+            lines.append(f"  x = {x:>10}: {val!r}")
+    return {"command": "bessel", "xi": str(xi), "values": rows}, lines, 0
 
 
-def cmd_check_fe(rep: Representation, args, out):
+def cmd_check_fe(rep: Representation, args):
     mu = build_mu(rep.ctx, args.mu)
     vectors = load_vectors(rep, args.vectors)
     corrupt = CycValue.one(rep.ctx.q) if args.corrupt_gamma else None
-    cases = []
-    all_pass = True
+    cases, lines = [], []
     for name, v in sorted(vectors.items()):
         for xi_rep in rep.spectrum().dedup:
-            fe = check_fe(rep, mu, v, xi_rep.xi, corrupt_gamma=corrupt,
-                          max_halfwidth=args.max_range)
-            all_pass = all_pass and fe.passed
+            fe = check_fe(rep, mu, v, xi_rep.xi, corrupt_gamma=corrupt)
             cases.append({
                 "xi": str(fe.xi),
                 "mu": fe.mu_record,
@@ -331,17 +310,14 @@ def cmd_check_fe(rep: Representation, args, out):
                 "pass": fe.passed,
                 "vacuous_parity": fe.vacuous_parity,
             })
-    if args.output == "json":
-        out(json.dumps({"command": "check-fe", "cases": cases}, indent=2, sort_keys=True))
-    else:
-        for case in cases:
-            flag = "PASS" if case["pass"] else "FAIL"
-            if case["vacuous_parity"]:
+            flag = "PASS" if fe.passed else "FAIL"
+            if fe.vacuous_parity:
                 flag += " (vacuous: parity)"
-            out(f"xi={case['xi']} vector={case['vector']}: {flag}")
-            if not case["pass"]:
-                out("  residual: " + poly_to_text(poly_from_json(rep.ctx.q, case["residual"])))
-    return 0 if all_pass else 1
+            lines.append(f"xi={fe.xi} vector={name}: {flag}")
+            if not fe.passed:
+                lines.append("  residual: " + poly_to_text(fe.residual))
+    all_pass = all(case["pass"] for case in cases)
+    return {"command": "check-fe", "cases": cases}, lines, 0 if all_pass else 1
 
 
 def _suite(name, fn):
@@ -352,7 +328,7 @@ def _suite(name, fn):
         return {"suite": name, "pass": False, "detail": str(exc)}
 
 
-def cmd_check_invariants(rep: Representation, args, out):
+def cmd_check_invariants(rep: Representation, args):
     ctx, rng = rep.ctx, random.Random(args.seed)
     trials = max(50, args.trials)
     suites = (
@@ -367,14 +343,11 @@ def cmd_check_invariants(rep: Representation, args, out):
         ("shell-vanishing", lambda: invariants.check_shell_vanishing(rep)),
     )
     results = [_suite(name, fn) for name, fn in suites]
+    lines = [f"{'PASS' if r['pass'] else 'FAIL'}  {r['suite']}: {r['detail']}"
+             for r in results]
     all_pass = all(r["pass"] for r in results)
-    if args.output == "json":
-        out(json.dumps({"command": "check-invariants", "seed": args.seed,
-                        "suites": results}, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            out(f"{'PASS' if r['pass'] else 'FAIL'}  {r['suite']}: {r['detail']}")
-    return 0 if all_pass else 1
+    report = {"command": "check-invariants", "seed": args.seed, "suites": results}
+    return report, lines, 0 if all_pass else 1
 
 
 COMMANDS = {
@@ -401,9 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="file of vector expressions, one per line")
     parser.add_argument("--command", default="example", choices=sorted(COMMANDS))
     parser.add_argument("--output", default="table", choices=["table", "json"])
-    parser.add_argument("--max-range", type=int, default=16,
-                        help="cap on the reported zeta window: a nonzero shell "
-                             "within 5 shells of +-N is an error")
     parser.add_argument("--seed", type=int, default=20257,
                         help="seed for randomized property suites")
     parser.add_argument("--trials", type=int, default=200,
@@ -416,23 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    lines = []
-
-    def out(text):
-        lines.append(text)
-
     try:
-        ctx = build_context(args)
-        sigma, _ = build_sigma(ctx, args.sigma)
-        rep = Representation(sigma)
-        status = COMMANDS[args.command](rep, args, out)
+        rep = Representation(build_sigma(build_context(args), args.sigma))
+        report, lines, status = COMMANDS[args.command](rep, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error in stage {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
+    if args.output == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
     return status
 
 

@@ -191,14 +191,27 @@ def square_class_representative(ctx: PadicContext, data) -> KElement:
 
 def _gauss_ball_integral(ctx: PadicContext, coeff: Fraction, level: int) -> CycValue:
     """Exact value of the integral over Z_p of psi(coeff * x^2) dx at sampling
-    level `level` (valid once the integrand is constant on cosets of p^level)."""
+    level `level` (valid once the integrand is constant on cosets of p^level).
+
+    While the level is at least 2 and v(c) = -m <= -2 for c = coeff, the
+    integral is first reduced by
+
+        int_{Z_p} psi(c x^2) dx = p^{-1} int_{Z_p} psi(p^2 c x^2) dx
+
+    and the level lowered by 2, so at most p^3 points are ever summed.  Proof:
+    write x = y + p^{m-1} z with z in Z_p.  As 2m - 2 >= m, psi(c x^2) =
+    psi(c y^2) psi(2 c y p^{m-1} z), and the integral over z vanishes unless
+    p divides y (for a unit y the character z -> psi(2 c y p^{m-1} z) is
+    nontrivial on Z_p).  So only x = p x' contributes, with dx = p^{-1} dx'.
+    Constancy on cosets of p^L for c is constancy on cosets of p^(L-2) for
+    p^2 c, so a valid level stays valid."""
     p = ctx.p
+    scale = Fraction(1)
+    while level >= 2 and frac_valuation(coeff, p) <= -2:
+        coeff, level, scale = coeff * p * p, level - 2, scale / p
     pl = p**level
     vals = [CycValue.root_of_unity(ctx.q, p_fractional_part(coeff * x * x, p)) for x in range(pl)]
-    return CycValue.sum(vals, ctx.q) * Fraction(1, pl)
-
-
-_ALPHA_CACHE: dict = {}
+    return CycValue.sum(vals, ctx.q) * (scale / pl)
 
 
 def weil_alpha(a: KElement) -> CycValue:
@@ -207,14 +220,12 @@ def weil_alpha(a: KElement) -> CycValue:
         int Phihat(x) psi(a x^2) dx = |a|^{-1/2} alpha(a) int Phi(x) psi(-x^2/a) dx
 
     with Phi the indicator of Z_p and Phihat(y) = int Phi(x) psi(-2xy) dx,
-    so Phihat = Phi for odd p.  Both sides are exact finite character sums."""
+    so Phihat = Phi for odd p.  Both sides are exact finite character sums
+    of at most p^3 terms each (``_gauss_ball_integral``), so nothing is
+    cached here; ``chi_psi`` caches per square class."""
     ctx = a.ctx
     if a.value == 0:
         raise ZeroDivisionError("alpha(0) is undefined")
-    key = (ctx.p, a.value)
-    hit = _ALPHA_CACHE.get(key)
-    if hit is not None:
-        return hit
     v = int(a.valuation())
     lhs_level = max(0, -v) + 1
     rhs_level = max(0, v) + 1
@@ -226,13 +237,8 @@ def weil_alpha(a: KElement) -> CycValue:
     if rhs != _gauss_ball_integral(ctx, inv, rhs_level + 1):
         raise ArithmeticError("right Weil integral not stable under refinement")
     if rhs.is_zero():
-        rhs_level += 1
-        rhs = _gauss_ball_integral(ctx, inv, rhs_level)
-        if rhs.is_zero():
-            raise ArithmeticError("right Weil integral vanished; it is provably nonzero for odd p")
-    value = q_half_power(ctx.q, -v) * lhs * rhs.inverse()
-    _ALPHA_CACHE[key] = value
-    return value
+        raise ArithmeticError("right Weil integral vanished; it is provably nonzero for odd p")
+    return q_half_power(ctx.q, -v) * lhs * rhs.inverse()
 
 
 _CHI_CACHE: dict = {}

@@ -51,12 +51,6 @@ class NotLocallyConstantError(ArithmeticError):
     pass
 
 
-class StabilizationError(ArithmeticError):
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class ShellIntegralPlan:
     """How to integrate over the shell of valuation n: sample the unit part
@@ -497,9 +491,9 @@ _CLOSURE_ZEROS = 5  # zero shells that close each end of a zeta window
 @dataclass
 class ZetaFunction:
     """A local zeta function as a polynomial in q^{-s}, with its window
-    [lo, hi]: the smallest one containing [-h, h], h = min(l + 6,
-    max_halfwidth), with every nonzero shell at least `_CLOSURE_ZEROS`
-    shells inside each end."""
+    [lo, hi]: the smallest one containing [-h, h], h = l + 6, with every
+    nonzero shell at least `_CLOSURE_ZEROS` shells inside each end.  The
+    window is a report of where the support lies, never a limit on it."""
 
     poly: LaurentPoly
     window: tuple
@@ -514,8 +508,7 @@ def zeta_parity_holds(rep: Representation, mu: MultChar) -> bool:
     return lhs == rhs
 
 
-def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
-                  max_halfwidth: int = 16) -> ZetaFunction:
+def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> ZetaFunction:
     """Z(s, mu, l^xi, v) = 2 * integral over Q_p^x of W^xi_v(<x>) chi_psi mu
     |x|^{s-1/2} d*x, emitted shell by shell as 2 q^{n/2} (shell integral) at
     exponent n of q^{-s}.
@@ -523,10 +516,9 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
     Only the shells of v (``InducedVector.shells``) are integrated, each
     through the refinement gate; W^xi_v(<x>) vanishes on every other shell.
     The window (``ZetaFunction``) is then known exactly: hi is the smallest
-    integer >= h = min(l + 6, max_halfwidth) with no nonzero shell above it
-    and shells hi-4..hi zero, and lo is its mirror image.  An end past
-    +-max_halfwidth raises ``StabilizationError`` naming the shell that
-    forced it."""
+    integer >= h = l + 6 with no nonzero shell above it and shells hi-4..hi
+    zero, and lo is its mirror image.  It grows with the support of v and
+    bounds nothing."""
     ctx = rep.ctx
     q = ctx.q
     xi = as_fraction(xi)
@@ -547,14 +539,9 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector,
         shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
         if not shell.is_zero():
             coeffs[n] = shell * q_half_power(q, n) * 2
-    half = min(rep.level + 6, max_halfwidth)
+    half = rep.level + 6
     lo = min([-half] + [n - _CLOSURE_ZEROS for n in coeffs])
     hi = max([half] + [n + _CLOSURE_ZEROS for n in coeffs])
-    if max(hi, -lo) > max_halfwidth:
-        n, end = (max(coeffs), hi) if hi > max_halfwidth else (min(coeffs), lo)
-        raise StabilizationError(
-            f"zeta window: shell {n} needs window end {end}, beyond "
-            f"max_halfwidth {max_halfwidth} (--max-range)", sorted(coeffs))
     return ZetaFunction(LaurentPoly(q, Q_NEG_S, coeffs), (lo, hi), zeta_parity_holds(rep, mu))
 
 
@@ -577,8 +564,7 @@ class FEReport:
 
 
 def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
-             corrupt_gamma: CycValue | None = None,
-             max_halfwidth: int = 16) -> FEReport:
+             corrupt_gamma: CycValue | None = None) -> FEReport:
     """Verify  Z(s, mu, l^xi, pi(w) v) =
     (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^{-1}, l^eta, v),
     the sum over deduplicated square-class representatives of X(pi).
@@ -590,8 +576,7 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
     q = ctx.q
     xi = as_fraction(xi)
     w = MetaElement.w(ctx)
-    lhs = zeta_function(rep, xi, mu, rep.act(w, v),
-                        max_halfwidth=max_halfwidth).poly.retagged()
+    lhs = zeta_function(rep, xi, mu, rep.act(w, v)).poly.retagged()
     mu_inv = mu.inverse()
     rhs = LaurentPoly.zero(q, Q_POS_S)
     gammas = {}
@@ -601,8 +586,7 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
         gpoly = gf.poly
         if corrupt_gamma is not None:
             gpoly = gpoly + LaurentPoly.constant(q, Q_POS_S, corrupt_gamma)
-        z = zeta_function(rep, eta_rep.xi, mu_inv, v,
-                          max_halfwidth=max_halfwidth).poly.substitute(S_TO_ONE_MINUS_S)
+        z = zeta_function(rep, eta_rep.xi, mu_inv, v).poly.substitute(S_TO_ONE_MINUS_S)
         rhs = rhs + Fraction(1, 4) * eta_rep.abs_value * (gpoly * z)
     residual = lhs - rhs
     vacuous = not zeta_parity_holds(rep, mu)

@@ -222,6 +222,23 @@ class TestVectors:
         assert [term["exp"] for term in case["poly"]["terms"]] == [8]
         assert case["window"] == [-7, 13]
 
+    def test_zeta_window_is_no_limit(self, capsys, tmp_path):
+        # shell 12 needs the window end 17: reported, not refused
+        path = tmp_path / "vectors.txt"
+        path.write_text("phi(n=12)\n")
+        rc, out, _ = run_cli(capsys, "--command", "zeta", "--vectors", str(path),
+                             "--output", "json")
+        assert rc == 0
+        (case,) = json.loads(out)["cases"]
+        assert [term["exp"] for term in case["poly"]["terms"]] == [12]
+        assert case["window"] == [-7, 17]
+
+    def test_max_range_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "zeta", "--max-range", "20"])
+        assert exc.value.code == 2
+        assert "--max-range" in capsys.readouterr().err
+
 
 class TestSerialization:
     def test_cyc_roundtrip_exact(self, ctx):
@@ -302,3 +319,23 @@ def test_golden_bessel_json_bytes(capsys, sigma):
     rc, out, _ = run_cli(capsys, "--command", "bessel", "--sigma", sigma, "--output", "json")
     assert rc == 0
     assert out == (GOLDEN / f"bessel-{sigma}.json").read_text()
+
+
+GOLDEN_TABLE_RUNS = {
+    **{f"{command}-{sigma}": (0, ["--command", command, "--sigma", sigma])
+       for command in ("example", "gamma", "zeta", "bessel", "check-fe")
+       for sigma in ("builtin1", "builtin2")},
+    "check-fe-corrupt-gamma-builtin1": (1, ["--command", "check-fe", "--corrupt-gamma"]),
+    "check-invariants-builtin1": (0, ["--command", "check-invariants",
+                                      "--trials", "50", "--seed", "7"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLE_RUNS))
+def test_golden_table_bytes(capsys, name):
+    """`--output table` (the default) and the exit status, byte for byte as
+    recorded in golden/<name>.txt."""
+    status, argv = GOLDEN_TABLE_RUNS[name]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == status
+    assert out == (GOLDEN / f"{name}.txt").read_text()

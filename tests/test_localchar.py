@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,14 @@ from metaplectic import (
 from metaplectic.exactnum import PadicContext, p_fractional_part
 from metaplectic.localchar import (
     MAX_CONDUCTOR_EXPONENT,
+    _gauss_ball_integral,
     chi_psi_int,
     hilbert_frac,
     hilbert_int,
     legendre_int,
     square_class_int,
 )
-from metaplectic.invariants import random_nonzero
+from metaplectic.invariants import check_characters, random_nonzero
 
 
 class TestAdditiveCharacter:
@@ -147,6 +149,29 @@ class TestWeilConstant:
     def test_alpha_zero_rejected(self, ctx):
         with pytest.raises(ZeroDivisionError):
             weil_alpha(ctx.elem(0))
+
+
+class TestGaussBallReduction:
+    """``_gauss_ball_integral`` reduces v(c) <= -2 by p^2; the reduced value
+    is the brute-force sum p^-L sum_{x < p^L} psi(c x^2) at the valid levels
+    L = -v(c) and -v(c) + 1."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_brute_force(self, p, m):
+        ctx = PadicContext(p)
+        for u in (1, 2, p - 1, p + 1):
+            c = Fraction(u, p**m)
+            for level in (m, m + 1):
+                pl = p**level
+                brute = CycValue.sum([CycValue.root_of_unity(p, p_fractional_part(c * x * x, p))
+                                      for x in range(pl)], p) * Fraction(1, pl)
+                assert _gauss_ball_integral(ctx, c, level) == brute
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_characters_suite_beyond_p3(self, p):
+        # deep valuations at p = 5, 7 cost p^3 samples, not p^(|v| + 2)
+        assert check_characters(PadicContext(p), random.Random(7), 100) == "100 samples"
 
 
 class TestChiPsi:

@@ -326,6 +326,36 @@ class TestTorusClosedForm:
                     assert rep.whittaker_functional(xi, v, (k, u + 81 * 7, 1)) == expected
                     assert rep.whittaker_function(xi, v, MetaElement.torus(ctx, x)) == expected
 
+    @pytest.mark.parametrize("data, units", [
+        ("weil5", (Fraction(1), Fraction(2), Fraction(-3, 7), Fraction(13, 2))),
+        ("weil7", (Fraction(1), Fraction(3), Fraction(-1), Fraction(5, 2), Fraction(-4, 9),
+                   Fraction(22, 13)))])
+    def test_matches_decomposition_on_weil_data(self, request, rng, data, units):
+        # sigma of dimension 2 and 3, where sigma(<u>) is not the identity:
+        # 80 cases at p = 5 and 120 at p = 7, on every basis index
+        rep = request.getfixturevalue(data)
+        ctx, p = rep.ctx, rep.ctx.p
+        ts = (Fraction(0), Fraction(1, p), Fraction(p + 2, p), Fraction(-2, p * p),
+              Fraction(1, 2), Fraction(3, p * p * p))
+        nonzero = 0
+        for k in range(-2, 3):
+            for u in units:
+                for e in (1, -1):
+                    g = MetaElement(SL2Element.torus(ctx, u * Fraction(p) ** k), e)
+                    for _ in range(2):
+                        terms = {(rng.choice(ts), rng.choice((k, k, k - 1, k + 1)),
+                                  rng.randrange(rep.dim)):
+                                 ctx.cyc_e(Fraction(rng.randrange(p), p)) * rng.randrange(1, 4)
+                                 for _ in range(3)}
+                        v = InducedVector(ctx.q, terms)
+                        expected = decomposition_act(rep, g, v)
+                        assert rep.act(g, v) == expected
+                        for xi in rep.betas:
+                            w = rep.whittaker_function(xi, v, g)
+                            assert w == rep.whittaker_functional(xi, expected)
+                            nonzero += not w.is_zero()
+        assert nonzero > 60
+
     def test_unit_torus_value(self, ctx, rep1, rep2):
         for rep in (rep1, rep2):
             for u in (1, 2, 4, 5, 7, 8, -1, 22, Fraction(2, 5), Fraction(-7, 11)):

@@ -12,7 +12,6 @@ from metaplectic import (
     MultChar,
     Representation,
     ShellIntegralPlan,
-    StabilizationError,
     bessel_closed,
     bessel_direct,
     bessel_table,
@@ -157,6 +156,12 @@ class TestShellIntegral:
         assert calls == []
 
 
+class _NotStabilized(ArithmeticError):
+    def __init__(self, message, trace):
+        super().__init__(message)
+        self.trace = trace
+
+
 def _improper_integral(ctx, f, max_range: int, level_for_shell=None,
                        tail_level: int | None = None, min_range: int = 0):
     """The improper integral over Q_p: the limit of integrals over P^{-n},
@@ -181,7 +186,7 @@ def _improper_integral(ctx, f, max_range: int, level_for_shell=None,
             consecutive_zero = consecutive_zero + 1 if shell.is_zero() else 0
             if consecutive_zero >= 3 and m <= -(min_range + 1):
                 return total
-    raise StabilizationError(
+    raise _NotStabilized(
         f"improper integral did not stabilize within P^{-max_range}", trace)
 
 
@@ -202,7 +207,7 @@ class TestImproperIntegral:
         assert _improper_integral(ctx, f, 8, level_for_shell=lambda m: 3) == 0
 
     def test_divergence_reported(self, ctx):
-        with pytest.raises(StabilizationError) as err:
+        with pytest.raises(_NotStabilized) as err:
             _improper_integral(ctx, one(ctx), 6)
         assert err.value.trace  # partial sums travel with the error
 
@@ -732,6 +737,19 @@ class TestGamma:
         gf = gamma_factor(rep2, xi2, xi2, MultChar.trivial(rep2.ctx))
         assert gf.poly.support() in ([], [0])
 
+    @pytest.mark.parametrize("gen", [1, 3])
+    def test_weil_data_support_bound(self, weil5, gen):
+        # gamma(M + 1) = gamma(-1) = 0 on sigma of dimension 2, for every
+        # (xi, eta), with mu of conductor 1
+        mu = MultChar(weil5.ctx, 1, Fraction(0), gen)
+        gf = gamma_factor(weil5, weil5.betas[0], weil5.betas[0], mu)
+        assert not gf.poly.is_zero()
+        bound = gf.support_bound
+        for xi in weil5.betas:
+            for eta in weil5.betas:
+                for n in (bound + 1, -1):
+                    assert gamma_coefficient(weil5, xi, eta, mu, n).is_zero(), (xi, eta, n)
+
 
 class TestZeta:
     def test_base_vector(self, rep1):
@@ -773,17 +791,11 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_function(rep1, Fraction(2, 3), MultChar.trivial(rep1.ctx), rep1.phi())
 
-    def test_window_exhaustion_reported(self, rep1):
-        # a hard cap below the closure width must fail loudly, the signature
-        # of non-compact support
-        mu = MultChar.trivial(rep1.ctx)
-        with pytest.raises(StabilizationError):
-            zeta_function(rep1, XI, mu, rep1.phi(n=1), max_halfwidth=3)
-
 
 class TestFarShells:
     """Support beyond the default window [-(l+6), l+6] is integrated, not
-    lost behind five interior zero shells."""
+    lost behind five interior zero shells, and the window grows with it:
+    it reports the support and bounds nothing."""
 
     def test_support_at_shell_eight(self, rep1):
         z = zeta_function(rep1, XI, MultChar.trivial(rep1.ctx), rep1.phi(n=8))
@@ -794,23 +806,23 @@ class TestFarShells:
         fe = check_fe(rep1, MultChar.trivial(rep1.ctx), rep1.phi(n=8), XI)
         assert fe.passed and not fe.lhs.is_zero()
 
-    def test_cap_names_shell(self, rep1):
-        mu = MultChar.trivial(rep1.ctx)
-        with pytest.raises(StabilizationError) as err:
-            zeta_function(rep1, XI, mu, rep1.phi(n=12))
-        assert "shell 12" in str(err.value) and "max_halfwidth 16" in str(err.value)
-        with pytest.raises(StabilizationError) as err:
-            zeta_function(rep1, XI, mu, rep1.phi(n=-12))
-        assert "shell -12" in str(err.value)
-        z = zeta_function(rep1, XI, mu, rep1.phi(n=12), max_halfwidth=20)
-        assert z.poly.support() == [12]
-        assert z.window == (-7, 17)
+    @pytest.mark.parametrize("n, window", [(12, (-7, 17)), (-12, (-17, 7)),
+                                           (20, (-7, 25))])
+    def test_window_follows_support(self, rep1, n, window):
+        z = zeta_function(rep1, XI, MultChar.trivial(rep1.ctx), rep1.phi(n=n))
+        assert z.poly.support() == [n]
+        assert z.window == window
+
+    def test_fe_at_shell_twelve(self, rep1):
+        fe = check_fe(rep1, MultChar.trivial(rep1.ctx), rep1.phi(n=12), XI)
+        assert fe.passed and not fe.lhs.is_zero() and not fe.rhs.is_zero()
 
 
-def _zeta_by_full_scan(rep, xi, mu, v, max_halfwidth=16, closure_zeros=5):
+def _zeta_by_full_scan(rep, xi, mu, v, scan_limit=16, closure_zeros=5):
     """The window-growth scan: integrate every shell of [-(l+6), l+6], then
-    grow each end until `closure_zeros` consecutive zero shells close it.
-    Right whenever the support lies inside the scanned window."""
+    grow each end until `closure_zeros` consecutive zero shells close it,
+    never past +-scan_limit.  Right whenever the support lies inside the
+    scanned window."""
     ctx = rep.ctx
     level = max(rep.level, mu.m) + 1
 
@@ -824,7 +836,7 @@ def _zeta_by_full_scan(rep, xi, mu, v, max_halfwidth=16, closure_zeros=5):
         shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
         return shell * q_half_power(ctx.q, n) * 2
 
-    halfwidth = min(rep.level + 6, max_halfwidth)
+    halfwidth = rep.level + 6
     computed = {n: shell_coefficient(n) for n in range(-halfwidth, halfwidth + 1)}
 
     def compute(n):
@@ -838,11 +850,11 @@ def _zeta_by_full_scan(rep, xi, mu, v, max_halfwidth=16, closure_zeros=5):
     hi = halfwidth
     while not closed(hi - closure_zeros + 1, +1):
         hi += 1
-        assert hi <= max_halfwidth
+        assert hi <= scan_limit
     lo = -halfwidth
     while not closed(lo + closure_zeros - 1, -1):
         lo -= 1
-        assert lo >= -max_halfwidth
+        assert lo >= -scan_limit
     coeffs = {n: c for n, c in computed.items() if not c.is_zero()}
     return LaurentPoly(ctx.q, Q_NEG_S, coeffs), (lo, hi)
 
@@ -905,6 +917,28 @@ class TestZetaFullScanOracle:
         # the last vector's zeros come from the integration, not from W
         assert any(not rep.whittaker_function(xi, vectors[2], MetaElement.torus(ctx, x)).is_zero()
                    for x in (Fraction(u, 9) for u in range(1, 81) if u % 3))
+
+    @pytest.mark.parametrize("data, conductor, gen", [
+        ("weil5", 0, 0), ("weil5", 1, 1), ("weil5", 1, 3), ("weil7", 0, 0)])
+    def test_weil_data_matches_full_scan(self, request, data, conductor, gen):
+        # every basis index of sigma of dimension 2 and 3; on weil5 the
+        # trivial mu fails parity and every polynomial is 0, elsewhere none is
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        mu = MultChar(ctx, conductor, Fraction(0), gen)
+        vectors = [rep.phi(n=n, b=b) for n in (-1, 0, 1) for b in range(rep.dim)] + [
+            rep.phi(t=Fraction(1, ctx.p), n=-1, b=1) + rep.phi(n=2, coeff=Fraction(-1, 2)),
+        ]
+        nonzero = 0
+        for xi in rep.betas:
+            for v in vectors:
+                z = zeta_function(rep, xi, mu, v)
+                poly, window = _zeta_by_full_scan(rep, xi, mu, v)
+                assert (z.poly, z.window) == (poly, window), (xi, v)
+                nonzero += not poly.is_zero()
+        parity = zeta_parity_holds(rep, mu)
+        assert parity == (data == "weil7" or conductor == 1)
+        assert nonzero == (len(vectors) * len(rep.betas) if parity else 0)
 
 
 class TestFunctionalEquation:
