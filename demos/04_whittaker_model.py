@@ -8,11 +8,11 @@ Run:  python demos/04_whittaker_model.py
 from fractions import Fraction
 
 from metaplectic import (
+    EigenBasis,
     MetaElement,
     PadicContext,
     Representation,
     builtin_sigma_p3,
-    eigenbasis,
 )
 
 ctx = PadicContext(3)
@@ -27,7 +27,7 @@ print("strong cuspidality, sum of sigma(n(x)) over x mod 3 (zero):",
       sigma.strong_cuspidality_sum())
 
 print("\n== eigenbasis and spectrum ==")
-basis = eigenbasis(sigma)
+basis = EigenBasis(sigma)
 print("unipotent characters beta:", basis.betas)
 rep = Representation(sigma)
 spec = rep.spectrum()

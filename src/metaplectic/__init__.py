@@ -7,7 +7,6 @@ from .exactnum import (
     CycValue,
     KElement,
     LaurentPoly,
-    NEGATE_S,
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
@@ -40,8 +39,8 @@ from .repn import (
     Representation,
     SigmaRep,
     builtin_sigma_p3,
-    eigenbasis,
     sigma_from_dict,
+    weil_sigma,
 )
 from .zeta import (
     ADDITIVE_DX,

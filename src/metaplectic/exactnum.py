@@ -36,7 +36,6 @@ Q_NEG_S = "q^-s"
 Q_POS_S = "q^s"
 
 S_TO_ONE_MINUS_S = "S_TO_ONE_MINUS_S"
-NEGATE_S = "NEGATE_S"
 
 
 def _is_prime(n: int) -> bool:
@@ -738,16 +737,10 @@ class LaurentPoly:
         return hash((self.q, self.var, frozenset(self.coeffs.items())))
 
     def substitute(self, rule: str) -> "LaurentPoly":
-        """Formal substitution of s.
-
-        * ``S_TO_ONE_MINUS_S``: s -> 1-s.  In the q^{-s} variable a term
-          c*(q^{-s})^n becomes c*q^{-n}*(q^{s})^n, and symmetrically.
-        * ``NEGATE_S``: s -> -s, i.e. the variable tag swaps with the
-          integer exponents kept.
-        """
+        """Formal substitution of s by ``S_TO_ONE_MINUS_S``: s -> 1-s.  In the
+        q^{-s} variable a term c*(q^{-s})^n becomes c*q^{-n}*(q^{s})^n, and
+        symmetrically."""
         other = Q_POS_S if self.var == Q_NEG_S else Q_NEG_S
-        if rule == NEGATE_S:
-            return LaurentPoly(self.q, other, dict(self.coeffs))
         if rule != S_TO_ONE_MINUS_S:
             raise ValueError(f"unknown substitution rule {rule!r}")
         sign = -1 if self.var == Q_NEG_S else 1

@@ -120,10 +120,22 @@ def _int_valuation_capped(n: int, p: int, cap: int) -> int:
 
 
 def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
-    """Brute-force Hilbert symbol: solvability of z^2 = a x^2 + b y^2, which
-    for b nonsquare is equivalent to a being a norm from Q_p(sqrt b), i.e. to
-    a = x^2 - b y^2.  Scans residues mod p^3 and certifies each candidate
-    solution by a Hensel-lift validity check."""
+    """Brute-force Hilbert symbol: solvability of z^2 = a x^2 + b y^2 with
+    (x, y, z) != 0, which for b nonsquare is equivalent to a being a norm
+    from Q_p(sqrt b), i.e. to a = x^2 - b y^2.  Scans primitive candidates
+    mod p^3 and certifies each by a Hensel-lift validity check.
+
+    a and b are first normalized to a0 = a p^(-2 floor(v(a)/2)) and b0
+    likewise, reduced mod p^4, so v(a0) and v(b0) are 0 or 1.  A nonzero
+    solution scales to a primitive one (x, y, z in Z_p, not all in p Z_p),
+    and then x or y is a unit: if both lay in p Z_p, z^2 would lie in
+    p^2 Z_p, so z in p Z_p too.  Dividing by that unit makes it 1, so it
+    suffices to test x = 1 with y over Z/p^3, and y = 1 with x over
+    p Z/p^3: p^3 + p^2 candidates.  Hensel's lemma lifts a solution of
+    F = a0 x^2 + b0 y^2 - z^2 mod p^3 once some partial derivative has
+    valuation e with 2e + 1 <= 3; at x = 1 (or y = 1) the partial 2 a0
+    (or 2 b0) has valuation at most 1, so every candidate whose value is
+    a square mod p^3 is certified, and the lift is nonzero."""
     p = a.ctx.p
     k = 3
     modulus = p**k
@@ -137,20 +149,18 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
     a0 = normalize(_as_frac_nonzero(a))
     b0 = normalize(_as_frac_nonzero(b))
     sqrts = _sqrt_table(modulus)
-    for x in range(modulus):
-        ax2 = a0 * x * x
-        for y in range(modulus):
-            t = (ax2 + b0 * y * y) % modulus
-            z = sqrts.get(t)
-            if z is None:
-                continue
-            e = min(
-                _int_valuation_capped(2 * a0 * x % modulus or modulus, p, k),
-                _int_valuation_capped(2 * b0 * y % modulus or modulus, p, k),
-                _int_valuation_capped(2 * z % modulus or modulus, p, k),
-            )
-            if 2 * e + 1 <= k:
-                return 1
+    candidates = [(1, y) for y in range(modulus)] + [(x, 1) for x in range(0, modulus, p)]
+    for x, y in candidates:
+        z = sqrts.get((a0 * x * x + b0 * y * y) % modulus)
+        if z is None:
+            continue
+        e = min(
+            _int_valuation_capped(2 * a0 * x % modulus or modulus, p, k),
+            _int_valuation_capped(2 * b0 * y % modulus or modulus, p, k),
+            _int_valuation_capped(2 * z % modulus or modulus, p, k),
+        )
+        if 2 * e + 1 <= k:
+            return 1
     return -1
 
 

@@ -21,12 +21,13 @@ from .exactnum import (
     ShellPoint,
     as_fraction,
     frac_mod,
-    frac_valuation,
+    p_fractional_part,
     p_split,
     torus_coordinates,
     valuation_unit,
 )
-from .localchar import AdditiveCharacter, hilbert_int, legendre_int, square_class_int
+from .localchar import (AdditiveCharacter, _smallest_nonresidue, hilbert_int, legendre_int,
+                         square_class_int)
 from .cover import (
     MetaElement,
     SL2Element,
@@ -196,20 +197,45 @@ def _close_table(ctx: PadicContext, level: int, dim: int, generators: dict) -> d
     return table
 
 
+def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
+    """The odd Weil representation of SL(2, Z/p) attached to the unit a
+    (Gerardin, J. Algebra 46, 1977): level 1 and dimension (p - 1)/2, on
+    the odd functions delta_t - delta_-t for t = 1..(p - 1)/2, with
+
+        n(1) -> diag(e(a t^2/p)),
+        w -> c (e(2 a s t/p) - e(-2 a s t/p)) at (s, t),
+
+    c = -((-a)/p) g_p/p and g_p = sum over x of (x/p) e(x/p).  The table is
+    the closure of these two generators, validated by ``SigmaRep``; its
+    betas are the [a t^2/p]."""
+    p, q = ctx.p, ctx.q
+    if a % p == 0:
+        raise ValueError(f"a = {a} is not a unit mod {p}")
+    dim = (p - 1) // 2
+    half = range(1, dim + 1)
+    gauss = CycValue.sum([CycValue.root_of_unity_int(q, x, p) * legendre_int(p, x)
+                          for x in range(1, p)], q)
+    c = gauss * Fraction(-legendre_int(p, -a), p)
+    generators = {
+        (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity_int(q, a * t * t, p) if s == t
+                                  else CycValue.zero(q) for t in half) for s in half),
+        (0, p - 1, 1, 0): tuple(tuple(c * (CycValue.root_of_unity_int(q, 2 * a * s * t, p)
+                                           - CycValue.root_of_unity_int(q, -2 * a * s * t, p))
+                                      for t in half) for s in half),
+    }
+    return SigmaRep(ctx, 1, dim, _close_table(ctx, 1, dim, generators))
+
+
 def builtin_sigma_p3(ctx: PadicContext, which: int) -> SigmaRep:
     """The two one-dimensional strongly cuspidal representations of
-    SL(2, Z/3): n(a) -> e(which * a / 3), w -> 1, extended through the
-    abelianization.  Only exists for p = 3 (SL(2, F_p) is perfect for p > 3)."""
+    SL(2, Z/3), the odd Weil data ``weil_sigma(ctx, which)``: n(a) ->
+    e(which * a / 3) and w -> 1.  Only exists for p = 3 (SL(2, F_p) is
+    perfect for p > 3)."""
     if ctx.p != 3:
         raise ValueError("the builtin one-dimensional data requires p = 3")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    e = CycValue.root_of_unity(ctx.q, Fraction(which, 3))
-    generators = {
-        (1, 1, 0, 1): ((e,),),
-        (0, 2, 1, 0): ((CycValue.one(ctx.q),),),  # w = [[0,-1],[1,0]] mod 3
-    }
-    return SigmaRep(ctx, 1, 1, _close_table(ctx, 1, 1, generators))
+    return weil_sigma(ctx, which)
 
 
 def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
@@ -314,10 +340,6 @@ class EigenBasis:
         return [e.beta for e in self.entries]
 
 
-def eigenbasis(sigma: SigmaRep) -> EigenBasis:
-    return EigenBasis(sigma)
-
-
 # -- induced vectors ----------------------------------------------------------
 
 def _accumulate(out: dict, t: Fraction, n: int, b: int, coeff: CycValue, mat: Matrix) -> None:
@@ -420,7 +442,6 @@ class InducedVector:
 @dataclass(frozen=True)
 class XiRepresentative:
     xi: Fraction
-    basis_index: int
     square_class: tuple
     abs_value: Fraction
 
@@ -454,18 +475,18 @@ class Representation:
             _SPLITTING_GATE_PASSED.add(self.ctx.p)
         basis = EigenBasis(sigma)
         self.betas = basis.betas
+        self._beta_index = {beta: b for b, beta in enumerate(self.betas)}
+        # sigma in eigencoordinates; a genuine sign is applied where an entry is read
         self._diag_table = {
             key: mat_mul(basis.change_inv, mat_mul(mat, basis.change))
             for key, mat in sigma.table.items()
         }
-        self._diag_table_neg = {key: mat_scale(mat, -1)
-                                for key, mat in self._diag_table.items()}
         self._twists: dict = {}
         reps = []
         p = self.ctx.p
-        for b, beta in enumerate(self.betas):
+        for beta in self.betas:
             v, u = valuation_unit(beta.numerator, beta.denominator, p, p)
-            reps.append(XiRepresentative(beta, b, square_class_int(p, v, u),
+            reps.append(XiRepresentative(beta, square_class_int(p, v, u),
                                          Fraction(self.ctx.q) ** self.level))
         dedup: dict = {}
         for r in sorted(reps, key=lambda r: r.xi):
@@ -494,22 +515,17 @@ class Representation:
 
     def basis_index_for(self, xi) -> int | None:
         """The eigenbasis index b with psi^xi agreeing with the b-th character
-        on Z_p, i.e. xi - beta_b integral; None if xi is outside X(pi)."""
-        xi = as_fraction(xi)
-        for b, beta in enumerate(self.betas):
-            if frac_valuation(xi - beta, self.ctx.p) >= 0:
-                return b
-        return None
+        on Z_p, i.e. xi - beta_b integral, i.e. [xi] = beta_b; None if xi is
+        outside X(pi)."""
+        return self._beta_index.get(p_fractional_part(as_fraction(xi), self.ctx.p))
 
     def genuine_eval(self, x: MetaElement) -> Matrix:
         """The genuine extension of sigma at an integral cover element, in
         eigencoordinates: eps * s(g) * table(g mod p^l)."""
-        sign = x.eps * kubota_split(x.g)
-        return self._sigma(x.g.reduce_mod(self.sigma.modulus), sign)
-
-    def _sigma(self, key, eps: int) -> Matrix:
-        """eps * sigma(key) in eigencoordinates, for a table key mod p^l."""
-        return self._diag_table[key] if eps == 1 else self._diag_table_neg[key]
+        mat = self._diag_table[x.g.reduce_mod(self.sigma.modulus)]
+        if x.eps * kubota_split(x.g) == 1:
+            return mat
+        return tuple(tuple(-a for a in row) for row in mat)
 
     # -- the action -----------------------------------------------------------
 
@@ -563,9 +579,7 @@ class Representation:
         y = as_fraction(y)
         shell, closed = self._w_closed(b, y)
         if (b, shell) not in self._w_checked:
-            p = self.ctx.p
-            nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
-            probe = ShellPoint(nonsquare, shell, p)
+            probe = ShellPoint(_smallest_nonresidue(self.ctx.p), shell, self.ctx.p)
             for z, value in ((y, closed), (probe, self._w_closed(b, probe)[1])):
                 oracle = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, z),
                                   self.phi(b=b))
@@ -591,8 +605,8 @@ class Representation:
     def _w_closed(self, b: int, y: Fraction):
         """(shell, pi(w n(y)) phi_b) from ``_w_coset``, unchecked."""
         t, n, key, eps = self._w_coset(y)
-        return n, InducedVector(self.ctx.q, {(t, n, b2): row[b]
-                                             for b2, row in enumerate(self._sigma(key, eps))})
+        return n, InducedVector(self.ctx.q, {(t, n, b2): row[b] if eps == 1 else -row[b]
+                                             for b2, row in enumerate(self._diag_table[key])})
 
     def _torus_terms(self, items, k: int, u, e: int):
         """pi([diag(x, 1/x), e]) on the terms `items` ((t, n, b), coeff) of a
@@ -634,15 +648,19 @@ class Representation:
         """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v."""
         out: dict = {}
         for r, pj, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
-            _accumulate(out, Fraction(r, pj), n, b, coeff, self._sigma(key, eps))
+            _accumulate(out, Fraction(r, pj), n, b, coeff if eps == 1 else -coeff,
+                        self._diag_table[key])
         return InducedVector(self.ctx.q, out)
 
     def unit_torus_value(self, u) -> Matrix:
-        """The genuine value of <u> = [diag(u, 1/u), 1] at a unit u (as in
-        ``_torus_terms``), in eigencoordinates: the matrix the torus action
-        attaches to a term at t = 0, n = 0."""
-        (*_, key, eps), = self._torus_terms((((_ZERO, 0, 0), None),), 0, u, 1)
-        return self._sigma(key, eps)
+        """The genuine value of <u> = [diag(u, 1/u), 1] at a unit u (an int or
+        a ``Fraction``), in eigencoordinates: the matrix the torus action
+        attaches to a term at t = 0, n = 0.  There ``_torus_terms`` has no
+        carry and eps = (u, -1)(1, u) = +1, a product of Hilbert symbols of
+        units, so it is sigma(diag(u, u^-1) mod p^l)."""
+        m = self.sigma.modulus
+        u = frac_mod(u, m)
+        return self._diag_table[(u, 0, 0, pow(u, -1, m))]
 
     # -- Whittaker functionals --------------------------------------------------
 
@@ -681,8 +699,8 @@ class Representation:
                 memo_key = (key, eps, b_in, r, pj)
                 z = row.get(memo_key)
                 if z is None:
-                    z = row[memo_key] = (self._sigma(key, eps)[b][b_in]
-                                         * psi_xi.value_int(-r, pj))
+                    z = self._diag_table[key][b][b_in] * psi_xi.value_int(-r, pj)
+                    z = row[memo_key] = z if eps == 1 else -z
                 if not z.is_zero():
                     vals.append(coeff * z)
         return CycValue.sum(vals, self.ctx.q)

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from metaplectic import PadicContext, Representation, builtin_sigma_p3
-
-from helpers import weil_sigma
+from metaplectic import PadicContext, Representation, builtin_sigma_p3, weil_sigma
 
 
 @pytest.fixture(scope="session")
@@ -30,13 +28,13 @@ def rep2(ctx):
 @pytest.fixture(scope="session")
 def weil5(ctx5):
     """The odd Weil representation at p = 5: dim 2, betas 1/5 and 4/5."""
-    return Representation(weil_sigma(ctx5, 2, 4))
+    return Representation(weil_sigma(ctx5, 1))
 
 
 @pytest.fixture(scope="session")
 def weil7():
     """The odd Weil representation at p = 7: dim 3, betas 1/7, 2/7, 4/7."""
-    return Representation(weil_sigma(PadicContext(7), 2, 0))
+    return Representation(weil_sigma(PadicContext(7), 1))
 
 
 @pytest.fixture()

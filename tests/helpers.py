@@ -1,8 +1,7 @@
-"""Test-side helpers built on the public model: the odd Weil data on
-SL(2, Z/p), the value of a model vector at a cover point, the torus
-constant c_xi(a), the per-point Bessel integral, the Fourier inversion
-identity of the Bessel function and a float growth report.  Nothing in the
-library calls them; the tests use them as data and oracles."""
+"""Test-side helpers built on the public model: the value of a model vector
+at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
+the Fourier inversion identity of the Bessel function and a float growth
+report.  Nothing in the library calls them; the tests use them as oracles."""
 
 from fractions import Fraction
 
@@ -21,35 +20,8 @@ from metaplectic.exactnum import (
     torus_coordinates,
     valuation_unit,
 )
-from metaplectic.localchar import hilbert_int, legendre_int
-from metaplectic.repn import SigmaRep, _close_table
+from metaplectic.localchar import hilbert_int
 from metaplectic.zeta import ADDITIVE_DX, MULTIPLICATIVE_DX, bessel_table
-
-
-def weil_sigma(ctx, k: int, j: int, gauss=None) -> SigmaRep:
-    """The odd Weil representation of SL(2, Z/p), of dimension (p - 1)/2
-    (Gerardin, J. Algebra 1977), on the basis delta_t - delta_-t for
-    t = 1..(p - 1)/2: n(1) acts by diag(e(t^2/p)) and w by the matrix
-    c (e(k s t/p) - e(-k s t/p)) indexed by (s, t), with c = e(j/8) g_p/p
-    and g_p = sum over a of (a/p) e(a/p), or the value `gauss` given for
-    it.  The table is the closure of these two generators, validated when
-    ``SigmaRep`` is built; (k, j) = (1, 4) at p = 3, (2, 4) at p = 5 and
-    (2, 0) at p = 7 close."""
-    p, q = ctx.p, ctx.q
-    half = range(1, (p - 1) // 2 + 1)
-    if gauss is None:
-        gauss = CycValue.sum([CycValue.root_of_unity(q, Fraction(a, p)) * legendre_int(p, a)
-                              for a in range(1, p)], q)
-    c = CycValue.root_of_unity(q, Fraction(j, 8)) * gauss * Fraction(1, p)
-    generators = {
-        (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity(q, Fraction(t * t, p)) if s == t
-                                  else CycValue.zero(q) for t in half) for s in half),
-        (0, p - 1, 1, 0): tuple(tuple(
-            c * (CycValue.root_of_unity(q, Fraction(k * s * t, p))
-                 - CycValue.root_of_unity(q, Fraction(-k * s * t, p))) for t in half)
-            for s in half),
-    }
-    return SigmaRep(ctx, 1, (p - 1) // 2, _close_table(ctx, 1, (p - 1) // 2, generators))
 
 
 def evaluate_vector(rep, v, g: MetaElement):

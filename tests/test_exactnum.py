@@ -7,7 +7,6 @@ import pytest
 from metaplectic import (
     CycValue,
     LaurentPoly,
-    NEGATE_S,
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
@@ -514,19 +513,12 @@ class TestLaurentPoly:
         q = p.substitute(S_TO_ONE_MINUS_S)
         assert q.var == Q_POS_S and q.coeffs[1] == Fraction(1, 3)
 
-    def test_negate_s(self):
-        c = CycValue.rational(3, 7)
-        p = LaurentPoly.monomial(3, Q_POS_S, 2, c)
-        q = p.substitute(NEGATE_S)
-        assert q.var == Q_NEG_S and q.coeffs[2] == c
-
     def test_substitution_involution_random(self, ctx, rng):
         for _ in range(40):
             coeffs = {rng.randrange(-4, 5): ctx.cyc_e(Fraction(rng.randrange(0, 9), 9))
                       for _ in range(rng.randrange(1, 4))}
             p = LaurentPoly(3, rng.choice([Q_NEG_S, Q_POS_S]), coeffs)
             assert p.substitute(S_TO_ONE_MINUS_S).substitute(S_TO_ONE_MINUS_S) == p
-            assert p.substitute(NEGATE_S).substitute(NEGATE_S) == p
             assert p.retagged().retagged() == p
 
     def test_retag_preserves_value(self):

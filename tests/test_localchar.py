@@ -14,10 +14,12 @@ from metaplectic import (
     square_class_data,
     weil_alpha,
 )
-from metaplectic.exactnum import PadicContext, p_fractional_part
+from metaplectic.exactnum import PadicContext, frac_unit_part, p_fractional_part
 from metaplectic.localchar import (
     MAX_CONDUCTOR_EXPONENT,
     _gauss_ball_integral,
+    _int_valuation_capped,
+    _sqrt_table,
     chi_psi_int,
     hilbert_frac,
     hilbert_int,
@@ -112,6 +114,45 @@ class TestHilbertSymbol:
     def test_zero_rejected(self, ctx):
         with pytest.raises(ZeroDivisionError):
             hilbert_symbol(ctx.elem(0), ctx.elem(1))
+
+
+def _hilbert_oracle_full_scan(a, b) -> int:
+    """The reference oracle: the same normalization and Hensel certificate
+    as ``hilbert_symbol_oracle``, over every (x, y) mod p^3 (p^6 candidates)."""
+    p = a.ctx.p
+    k = 3
+    modulus = p**k
+
+    def normalize(x) -> int:
+        u = frac_unit_part(x.value, p)
+        ui = u.numerator * pow(u.denominator, -1, modulus * p) % (modulus * p)
+        return p ** (int(x.valuation()) % 2) * ui % (modulus * p)
+
+    a0, b0 = normalize(a), normalize(b)
+    sqrts = _sqrt_table(modulus)
+    for x in range(modulus):
+        for y in range(modulus):
+            z = sqrts.get((a0 * x * x + b0 * y * y) % modulus)
+            if z is None:
+                continue
+            e = min(_int_valuation_capped(2 * c % modulus or modulus, p, k)
+                    for c in (a0 * x, b0 * y, z))
+            if 2 * e + 1 <= k:
+                return 1
+    return -1
+
+
+class TestHilbertOraclePrimitiveScan:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_full_scan(self, p):
+        # units below p^2: all 900 pairs of the p = 3 sweep, and at p = 5
+        # the 1600 pairs of valuation 0 and 1 (both square classes each)
+        ctx = PadicContext(p)
+        sweep = [ctx.elem(Fraction(u) * Fraction(p) ** v)
+                 for v in (range(-2, 3) if p == 3 else (0, 1)) for u in _units(p, 2)]
+        signs = [hilbert_symbol_oracle(a, b) for a in sweep for b in sweep]
+        assert signs == [_hilbert_oracle_full_scan(a, b) for a in sweep for b in sweep]
+        assert -1 in signs and 1 in signs
 
 
 class TestWeilConstant:

@@ -4,12 +4,13 @@ import pytest
 
 from metaplectic import (
     CycValue,
+    EigenBasis,
     MetaElement,
     PadicContext,
     Representation,
     SigmaRep,
     builtin_sigma_p3,
-    eigenbasis,
+    weil_sigma,
 )
 from metaplectic.cover import (
     SL2Element,
@@ -19,6 +20,7 @@ from metaplectic.cover import (
     random_sl2_word,
 )
 from metaplectic.exactnum import ShellPoint, _unit_residues_mod
+from metaplectic.localchar import legendre_int
 from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
@@ -30,7 +32,7 @@ from metaplectic.repn import (
     _key_mul,
 )
 
-from helpers import c_factor, evaluate_vector, weil_sigma
+from helpers import c_factor, evaluate_vector
 
 
 class TestBuiltinSigma:
@@ -125,12 +127,12 @@ class TestValidationAtConstruction:
 
 class TestEigenBasis:
     def test_betas(self, ctx):
-        assert eigenbasis(builtin_sigma_p3(ctx, 1)).betas == [Fraction(1, 3)]
-        assert eigenbasis(builtin_sigma_p3(ctx, 2)).betas == [Fraction(2, 3)]
+        assert EigenBasis(builtin_sigma_p3(ctx, 1)).betas == [Fraction(1, 3)]
+        assert EigenBasis(builtin_sigma_p3(ctx, 2)).betas == [Fraction(2, 3)]
 
     def test_beta_denominators(self, ctx):
         for which in (1, 2):
-            for entry in eigenbasis(builtin_sigma_p3(ctx, which)).entries:
+            for entry in EigenBasis(builtin_sigma_p3(ctx, which)).entries:
                 assert entry.beta.denominator == 3
 
     def test_repeated_character_rejected(self, ctx):
@@ -140,7 +142,7 @@ class TestEigenBasis:
         table = {k: ((m[0][0], zero), (zero, m[0][0])) for k, m in s1.table.items()}
         doubled = SigmaRep(ctx, 1, 2, table)
         with pytest.raises(SigmaValidationError):
-            eigenbasis(doubled)
+            EigenBasis(doubled)
 
 
 class TestSigmaFileFormat:
@@ -407,25 +409,58 @@ class TestInducedVectorSum:
             c + v
 
 
+def _weil_generators(ctx, a):
+    """The generators of ``weil_sigma(ctx, a)`` with g_p written through the
+    canonical sqrt(p): g_p = sqrt(p) e(1/4) for p = 3 mod 4 and g_p = sqrt(p)
+    for p = 1 mod 4."""
+    p = ctx.p
+    half = range(1, (p - 1) // 2 + 1)
+    gauss = ctx.sqrtq() * (ctx.cyc_e(Fraction(1, 4)) if p % 4 == 3 else 1)
+    c = gauss * Fraction(-legendre_int(p, -a), p)
+    return {
+        (1, 1, 0, 1): tuple(tuple(ctx.cyc_e(Fraction(a * t * t, p)) if s == t else ctx.zero()
+                                  for t in half) for s in half),
+        (0, p - 1, 1, 0): tuple(tuple(c * (ctx.cyc_e(Fraction(2 * a * s * t, p))
+                                           - ctx.cyc_e(Fraction(-2 * a * s * t, p)))
+                                      for t in half) for s in half),
+    }
+
+
 class TestWeilData:
+    @pytest.mark.parametrize("p, a", [(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4),
+                                      (7, 1), (7, 3)])
+    def test_builds_with_betas_a_t_squared(self, p, a):
+        # at p = 7, a = 1 is a residue and a = 3 a nonresidue
+        ctx = PadicContext(p)
+        sigma = weil_sigma(ctx, a)  # ``SigmaRep`` validates it
+        assert (sigma.level, sigma.dim) == (1, (p - 1) // 2)
+        assert EigenBasis(sigma).betas == sorted(
+            Fraction(a * t * t % p, p) for t in range(1, (p - 1) // 2 + 1))
+
+    def test_rejects_a_non_unit(self, ctx5):
+        with pytest.raises(ValueError, match="not a unit"):
+            weil_sigma(ctx5, 10)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sqrtq_form_of_c_closes_to_the_same_table(self, p, request):
-        # g_p = sqrt(p) e(1/4) for p = 3 mod 4 and g_p = sqrt(p) for
-        # p = 1 mod 4, with sqrt(p) the canonical ``CycValue.sqrtq``; the
-        # Gauss-sum tables are the weil5/weil7 data and, at p = 3, builtin 1
-        kj = {3: (1, 4), 5: (2, 4), 7: (2, 0)}[p]
+        # the Gauss sum of ``weil_sigma`` against the canonical sqrt(p), for
+        # every unit a at p = 3 and 5 and a residue and a nonresidue at p = 7;
+        # a = 1 at p = 5 and 7 is the weil5/weil7 data
         ctx = PadicContext(p)
-        gauss = CycValue.sqrtq(p)
-        if p % 4 == 3:
-            gauss = gauss * CycValue.root_of_unity(p, Fraction(1, 4))
-        by_sqrtq = weil_sigma(ctx, *kj, gauss=gauss).table
-        by_gauss_sum = (weil_sigma(ctx, *kj) if p == 3 else
-                        request.getfixturevalue({5: "weil5", 7: "weil7"}[p]).sigma).table
-        assert by_sqrtq.keys() == by_gauss_sum.keys()
-        for key, mat in by_gauss_sum.items():
-            assert mat_eq(by_sqrtq[key], mat), key
-        if p == 3:
-            assert by_gauss_sum == builtin_sigma_p3(ctx, 1).table
+        for a in ((1, 3) if p == 7 else range(1, p)):
+            sigma = (request.getfixturevalue({5: "weil5", 7: "weil7"}[p]).sigma
+                     if a == 1 and p > 3 else weil_sigma(ctx, a))
+            by_sqrtq = _close_table(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a))
+            assert by_sqrtq.keys() == sigma.table.keys()
+            for key, mat in sigma.table.items():
+                assert mat_eq(by_sqrtq[key], mat), (a, key)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_builtin_is_the_hand_written_closure(self, ctx, which):
+        # the one-dimensional data written out: n(1) -> e(which/3), w -> 1
+        generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(which, 3)),),),
+                      (0, 2, 1, 0): ((ctx.one(),),)}
+        assert builtin_sigma_p3(ctx, which).table == _close_table(ctx, 1, 1, generators)
 
 
 class TestCanonicalPhi:

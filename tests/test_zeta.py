@@ -919,26 +919,31 @@ class TestZetaFullScanOracle:
                    for x in (Fraction(u, 9) for u in range(1, 81) if u % 3))
 
     @pytest.mark.parametrize("data, conductor, gen", [
-        ("weil5", 0, 0), ("weil5", 1, 1), ("weil5", 1, 3), ("weil7", 0, 0)])
+        ("weil5", 0, 0), ("weil5", 1, 1), ("weil5", 1, 3), ("weil5", 2, 1), ("weil7", 0, 0)])
     def test_weil_data_matches_full_scan(self, request, data, conductor, gen):
         # every basis index of sigma of dimension 2 and 3; on weil5 the
-        # trivial mu fails parity and every polynomial is 0, elsewhere none is
+        # trivial mu fails parity and every polynomial is 0, elsewhere none
+        # is, except that at conductor 2 only the vectors at t = beta_b with
+        # basis index b (added there) give nonzero polynomials
         rep = request.getfixturevalue(data)
         ctx = rep.ctx
         mu = MultChar(ctx, conductor, Fraction(0), gen)
         vectors = [rep.phi(n=n, b=b) for n in (-1, 0, 1) for b in range(rep.dim)] + [
             rep.phi(t=Fraction(1, ctx.p), n=-1, b=1) + rep.phi(n=2, coeff=Fraction(-1, 2)),
         ]
-        nonzero = 0
+        deep = [rep.phi(t=rep.betas[b], n=n, b=b)
+                for b in range(rep.dim) for n in (-1, 0, 1)] if conductor == 2 else []
+        nonzero = []
         for xi in rep.betas:
-            for v in vectors:
+            for v in vectors + deep:
                 z = zeta_function(rep, xi, mu, v)
                 poly, window = _zeta_by_full_scan(rep, xi, mu, v)
                 assert (z.poly, z.window) == (poly, window), (xi, v)
-                nonzero += not poly.is_zero()
+                nonzero.append(not poly.is_zero())
         parity = zeta_parity_holds(rep, mu)
-        assert parity == (data == "weil7" or conductor == 1)
-        assert nonzero == (len(vectors) * len(rep.betas) if parity else 0)
+        assert parity == (data == "weil7" or conductor >= 1)
+        assert nonzero == [parity and (conductor < 2 or i >= len(vectors))
+                           for i in range(len(vectors) + len(deep))] * len(rep.betas)
 
 
 class TestFunctionalEquation:
