@@ -129,13 +129,18 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
     likewise, reduced mod p^4, so v(a0) and v(b0) are 0 or 1.  A nonzero
     solution scales to a primitive one (x, y, z in Z_p, not all in p Z_p),
     and then x or y is a unit: if both lay in p Z_p, z^2 would lie in
-    p^2 Z_p, so z in p Z_p too.  Dividing by that unit makes it 1, so it
-    suffices to test x = 1 with y over Z/p^3, and y = 1 with x over
-    p Z/p^3: p^3 + p^2 candidates.  Hensel's lemma lifts a solution of
-    F = a0 x^2 + b0 y^2 - z^2 mod p^3 once some partial derivative has
-    valuation e with 2e + 1 <= 3; at x = 1 (or y = 1) the partial 2 a0
-    (or 2 b0) has valuation at most 1, so every candidate whose value is
-    a square mod p^3 is certified, and the lift is nonzero."""
+    p^2 Z_p, so z in p Z_p too.  If x is a unit, dividing by it makes
+    x = 1.  If x lies in p Z_p, y is a unit; dividing by it gives
+    z^2 = b0 + a0 x^2 with v(a0 x^2) >= 2, so v(b0) is even, hence 0, and
+    b0 = z^2 mod p is a square mod p, hence a square unit beta^2 (Hensel,
+    p odd).  Then x = 1 solves too: z = (1 + a0)/2 and
+    y = (a0 - 1)/(2 beta) give z^2 - b0 y^2 = (z - beta y)(z + beta y)
+    = 1 * a0.  So it suffices to test x = 1 with y over Z/p^3: p^3
+    candidates.  Hensel's lemma lifts a
+    solution of F = a0 x^2 + b0 y^2 - z^2 mod p^3 once some partial
+    derivative has valuation e with 2e + 1 <= 3; at x = 1 the partial
+    2 a0 has valuation at most 1, so every candidate whose value is a
+    square mod p^3 is certified, and the lift is nonzero."""
     p = a.ctx.p
     k = 3
     modulus = p**k
@@ -149,13 +154,12 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
     a0 = normalize(_as_frac_nonzero(a))
     b0 = normalize(_as_frac_nonzero(b))
     sqrts = _sqrt_table(modulus)
-    candidates = [(1, y) for y in range(modulus)] + [(x, 1) for x in range(0, modulus, p)]
-    for x, y in candidates:
-        z = sqrts.get((a0 * x * x + b0 * y * y) % modulus)
+    for y in range(modulus):  # x = 1
+        z = sqrts.get((a0 + b0 * y * y) % modulus)
         if z is None:
             continue
         e = min(
-            _int_valuation_capped(2 * a0 * x % modulus or modulus, p, k),
+            _int_valuation_capped(2 * a0 % modulus or modulus, p, k),
             _int_valuation_capped(2 * b0 * y % modulus or modulus, p, k),
             _int_valuation_capped(2 * z % modulus or modulus, p, k),
         )

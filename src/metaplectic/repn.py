@@ -626,15 +626,14 @@ class Representation:
         gives t' = r/p^j and (t' - t u^2)/u = -carry/u.  That needs u only
         modulo p^(j + l), so u is an int (the unit itself, or any int
         congruent to it modulo p^(j + l) for every term) or a ``Fraction``
-        unit, first reduced modulo p^(j_max + l).  A t whose denominator has
+        unit, first reduced modulo p^(j_max + l) (``torus_depth``); eps reads
+        u only through its square class, modulo p.  A t whose denominator has
         a part d prime to p is moved by an element of p^l Z_p to c d^-1/p^j,
         which changes neither t' nor h^-1 mod p^l."""
         p, m = self.ctx.p, self.sigma.modulus
         if type(u) is not int:
             items = list(items)
-            pj_max = max((t.denominator // p_split(1, t.denominator, p)[2]
-                          for (t, _, _), _ in items), default=1)
-            u = frac_mod(u, pj_max * m)
+            u = frac_mod(u, p ** self.torus_depth(items))
         u_mod, u_inv = u % m, pow(u, -1, m)
         for (t, n, b), coeff in items:
             rest = p_split(1, t.denominator, p)[2]
@@ -643,6 +642,15 @@ class Representation:
             carry, r = divmod(c * u * u, pj)
             eps = e * hilbert_int(p, k, u, -n, -1) * hilbert_int(p, k - n, 1, 0, u)
             yield r, pj, n - k, b, coeff, (u_mod, -carry * u_inv % m, 0, u_inv), eps
+
+    def torus_depth(self, items) -> int:
+        """l + j, with p^j the largest p-power dividing the denominator of a
+        t among the terms `items` ((t, n, b), coeff), j = 0 for none:
+        ``_torus_terms`` reads the unit u of x = p^k u only modulo p^(l + j)
+        on these terms."""
+        p = self.ctx.p
+        return self.level + max((-p_split(1, t.denominator, p)[0] for (t, _, _), _ in items),
+                                default=0)
 
     def _torus_act(self, items, k: int, u, e: int) -> InducedVector:
         """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v."""

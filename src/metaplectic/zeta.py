@@ -513,8 +513,28 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     |x|^{s-1/2} d*x, emitted shell by shell as 2 q^{n/2} (shell integral) at
     exponent n of q^{-s}.
 
-    Only the shells of v (``InducedVector.shells``) are integrated, each
-    through the refinement gate; W^xi_v(<x>) vanishes on every other shell.
+    Only the shells of v (``InducedVector.shells``) are integrated;
+    W^xi_v(<x>) vanishes on every other shell.  The shell n, on which only
+    v_n = v.shell(n) contributes, goes through the refinement gate at its
+    own level
+
+        L_n = max(l + j_n, m, 1),
+
+    with p^(j_n) the largest p-power dividing the denominator of a t among
+    the terms of v_n (``Representation.torus_depth``).  At x = p^n u the
+    integrand W^xi_{v_n}(<x>) chi_psi(x) mu(x) reads u only modulo p^(L_n):
+
+    - the torus form (``Representation._torus_terms``) reads u modulo
+      p^(j + l) on a term at t = c/p^j: r = c u^2 mod p^j, then the carry
+      (c u^2 - r)/p^j and the sigma key modulo p^l;
+    - its Hilbert signs read u only through its square class, modulo p;
+    - chi_psi mu reads u modulo p^max(1, m) (``_char_factor``).
+
+    So the integrand is constant on each u + p^(L_n) Z_p, the sums at
+    levels L_n and L_n + 1 agree, and the gate accepts after one pass of
+    p^(L_n + 1) - p^(L_n) samples.  The gate still compares the two sums,
+    so a level that were too low would refine or raise, never pass.
+
     The window (``ZetaFunction``) is then known exactly: hi is the smallest
     integer >= h = l + 6 with no nonzero shell above it and shells hi-4..hi
     zero, and lo is its mirror image.  It grows with the support of v and
@@ -524,7 +544,6 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     xi = as_fraction(xi)
     if rep.basis_index_for(xi) is None:
         raise ValueError(f"xi={xi} is not in X(pi)")
-    level = max(rep.level, mu.m) + 1
     parts = {n: v.shell(n) for n in v.shells()}
     char = _char_factor(ctx, mu)
 
@@ -535,7 +554,8 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
         return wv * char(x.k, x.u)
 
     coeffs: dict = {}
-    for n in parts:
+    for n, part in parts.items():
+        level = max(rep.torus_depth(part.terms.items()), mu.m, 1)
         shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
         if not shell.is_zero():
             coeffs[n] = shell * q_half_power(q, n) * 2

@@ -211,6 +211,14 @@ class TestVectors:
         assert rc == 0
         assert out.count("PASS") == 2
 
+    def test_deep_denominator_check_fe(self, capsys, tmp_path):
+        # a t of denominator 3^8: its shell is sampled at level l + 8
+        path = tmp_path / "vectors.txt"
+        path.write_text("phi(t=1/6561, n=0) + phi(t=0, n=1)\n")
+        rc, out, _ = run_cli(capsys, "--command", "check-fe", "--vectors", str(path))
+        assert rc == 0
+        assert out.count("PASS") == 1 and "FAIL" not in out
+
     def test_zeta_far_shell(self, capsys, tmp_path):
         # support beyond the default window [-7, 7] of builtin 1
         path = tmp_path / "vectors.txt"

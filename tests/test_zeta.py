@@ -818,11 +818,73 @@ class TestFarShells:
         assert fe.passed and not fe.lhs.is_zero() and not fe.rhs.is_zero()
 
 
+class TestZetaShellLevels:
+    """Each shell n of v takes one gate pass, at max(l + j, m, 1) with p^j
+    the deepest p-power in a denominator of a t among the terms of
+    v.shell(n): the torus action reads the unit only mod p^(l + j), its
+    Hilbert signs mod p, and chi_psi mu mod p^max(1, m)."""
+
+    @pytest.mark.parametrize("conductor", [0, 1, 2])
+    @pytest.mark.parametrize("data", ["rep1", "weil5"])
+    def test_one_gate_pass_per_shell(self, request, monkeypatch, data, conductor):
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        p, b = ctx.p, rep.dim - 1
+        mu = MultChar(ctx, conductor, Fraction(0), 1 if conductor else 0)
+        passes = []
+        shell_sum = zeta._shell_sum
+
+        def spy(c, f, n, level, measure):
+            passes.append((n, level))
+            return shell_sum(c, f, n, level, measure)
+
+        monkeypatch.setattr(zeta, "_shell_sum", spy)
+        # each vector with its shells and their j; t of denominator 1, p, p^2, p^3
+        vectors = [
+            (rep.phi(n=0), {0: 0}),
+            (rep.phi(t=Fraction(1, p), n=-1)
+             + rep.phi(t=Fraction(2, p**2), n=1, b=b) + rep.phi(n=1), {-1: 1, 1: 2}),
+            (rep.phi(t=Fraction(1, p**3), n=0) + rep.phi(t=Fraction(1, p), n=0, b=b)
+             + rep.phi(n=2, coeff=Fraction(-1, 2)), {0: 3, 2: 0}),
+        ]
+        for xi in rep.betas:
+            for v, shells in vectors:
+                passes.clear()
+                zeta_function(rep, xi, mu, v)
+                assert passes == [(n, max(rep.level + j, conductor, 1))
+                                  for n, j in sorted(shells.items())], (xi, v)
+
+
+class TestDeepDenominator:
+    """A term at t = 1/3^8 on builtin 1 (l = 1): its shell is sampled at
+    level l + 8.  The rule max(l, m) + 1 sampled it at 2 and raised
+    NotLocallyConstantError after three doublings."""
+
+    def test_fe_passes(self, ctx, rep1):
+        mu = MultChar.trivial(ctx)
+        v = rep1.phi(t=Fraction(1, 3**8), n=0) + rep1.phi(n=1)
+        fe = check_fe(rep1, mu, v, XI)
+        assert fe.passed and not fe.lhs.is_zero()
+        # the shell n = 0 against the test's own integral one level deeper
+        part = v.shell(0)
+
+        def f(x):
+            return rep1.whittaker_functional(XI, part, (x.k, x.u, 1)) * chi_psi(ctx.elem(x))
+
+        assert not f(ShellPoint(1, 0, 3)).is_zero()
+        own = integrate_shell(ctx, f, ShellIntegralPlan(0, rep1.level + 8 + 1,
+                                                         MULTIPLICATIVE_DX)) * 2
+        z = zeta_function(rep1, XI, mu, v)
+        assert z.poly.coeffs.get(0, ctx.zero()) == own
+
+
 def _zeta_by_full_scan(rep, xi, mu, v, scan_limit=16, closure_zeros=5):
     """The window-growth scan: integrate every shell of [-(l+6), l+6], then
     grow each end until `closure_zeros` consecutive zero shells close it,
     never past +-scan_limit.  Right whenever the support lies inside the
-    scanned window."""
+    scanned window.  Every shell starts at level max(l, m) + 1 and the gate
+    refines from there, so the oracle does not share the per-shell levels
+    of ``zeta_function``."""
     ctx = rep.ctx
     level = max(rep.level, mu.m) + 1
 
