@@ -111,19 +111,11 @@ def _sqrt_table(modulus: int):
     return table
 
 
-def _int_valuation_capped(n: int, p: int, cap: int) -> int:
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
     """Brute-force Hilbert symbol: solvability of z^2 = a x^2 + b y^2 with
     (x, y, z) != 0, which for b nonsquare is equivalent to a being a norm
     from Q_p(sqrt b), i.e. to a = x^2 - b y^2.  Scans primitive candidates
-    mod p^3 and certifies each by a Hensel-lift validity check.
+    mod p^3.
 
     a and b are first normalized to a0 = a p^(-2 floor(v(a)/2)) and b0
     likewise, reduced mod p^4, so v(a0) and v(b0) are 0 or 1.  A nonzero
@@ -136,11 +128,13 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
     p odd).  Then x = 1 solves too: z = (1 + a0)/2 and
     y = (a0 - 1)/(2 beta) give z^2 - b0 y^2 = (z - beta y)(z + beta y)
     = 1 * a0.  So it suffices to test x = 1 with y over Z/p^3: p^3
-    candidates.  Hensel's lemma lifts a
-    solution of F = a0 x^2 + b0 y^2 - z^2 mod p^3 once some partial
-    derivative has valuation e with 2e + 1 <= 3; at x = 1 the partial
-    2 a0 has valuation at most 1, so every candidate whose value is a
-    square mod p^3 is certified, and the lift is nonzero."""
+    candidates.  Every candidate whose value a0 + b0 y^2 is a square mod
+    p^3 lifts to a solution: Hensel's lemma lifts a solution of
+    F = a0 x^2 + b0 y^2 - z^2 mod p^3 in a variable whose partial
+    derivative has valuation e with 2e + 1 <= 3, moving it only modulo
+    p^(3 - e); at x = 1 the partial 2 a0 has valuation v(a0) <= 1 (p odd),
+    so e <= 1 always holds, and the lift has x = 1 mod p^2, a unit, so it
+    is nonzero."""
     p = a.ctx.p
     k = 3
     modulus = p**k
@@ -153,17 +147,9 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
 
     a0 = normalize(_as_frac_nonzero(a))
     b0 = normalize(_as_frac_nonzero(b))
-    sqrts = _sqrt_table(modulus)
+    squares = _sqrt_table(modulus)
     for y in range(modulus):  # x = 1
-        z = sqrts.get((a0 + b0 * y * y) % modulus)
-        if z is None:
-            continue
-        e = min(
-            _int_valuation_capped(2 * a0 % modulus or modulus, p, k),
-            _int_valuation_capped(2 * b0 * y % modulus or modulus, p, k),
-            _int_valuation_capped(2 * z % modulus or modulus, p, k),
-        )
-        if 2 * e + 1 <= k:
+        if (a0 + b0 * y * y) % modulus in squares:
             return 1
     return -1
 

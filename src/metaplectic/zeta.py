@@ -28,12 +28,12 @@ from .exactnum import (
     as_fraction,
     frac_mod,
     frac_valuation,
+    p_fractional_int,
     q_half_power,
     torus_coordinates,
     valuation_unit,
 )
 from .localchar import (
-    AdditiveCharacter,
     MultChar,
     chi_psi,
     chi_psi_int,
@@ -185,22 +185,30 @@ def _bessel_kernel(rep: Representation, eta: Fraction, b_eta: int, k: int) -> In
     v(y) = k (k < 0), memoized per (eta, k) in ``rep._bessel_kernels``.
 
     The samples are closed translates (``Representation.w_translate``, its
-    own gate against ``act`` included).  The refinement gate compares the
-    vector sums at levels L and L+1, at least as strict as comparing their
-    image under any functional.  Only an accepted kernel is stored; a raise
-    stores nothing, so the next call integrates and raises again."""
+    own gate against ``act`` included).  On a shell k < 0 the character
+    reads the sample's int unit: psi^eta(-y) = psi^eta(-u / p^-k) for
+    y = u p^k.  The refinement gate compares the vector sums at levels L
+    and L+1, at least as strict as comparing their image under any
+    functional.  Only an accepted kernel is stored; a raise stores nothing,
+    so the next call integrates and raises again."""
     key = (eta, k)
     kernel = rep._bessel_kernels.get(key)
     if kernel is None:
         ctx = rep.ctx
         psi_eta = rep.psi.twist(eta)
 
-        def f(y: Fraction) -> InducedVector:
-            return rep.w_translate(b_eta, y) * psi_eta.value(-y)
-
         if k == 0:
+            def f(y: Fraction) -> InducedVector:
+                return rep.w_translate(b_eta, y) * psi_eta.value(-y)
+
             kernel = integrate_ball(ctx, f, 0, max(2, rep.level))
         else:
+            pk = ctx.p**-k
+
+            def f(y: ShellPoint) -> InducedVector:
+                # -y = -u / p^-k
+                return rep.w_translate(b_eta, y) * psi_eta.value_int(-y.u, pk)
+
             kernel = integrate_shell(
                 ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
         rep._bessel_kernels[key] = kernel
@@ -217,7 +225,19 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     with the eigen-coefficient extraction |.|_b.  On the shell y = u_y p^n,
     x = u_x p^n, so x/y is the unit u_x/u_y: sigma(<x/y>) is the torus
     action's ``unit_torus_value`` at u_x u_y^-1 mod p^l, and the Hilbert
-    sign is ``hilbert_int`` on the same ints."""
+    sign is ``hilbert_int`` on the same ints.
+
+    The character reads ints too.  Write x_n/x_d for the scale of psi^xi
+    (xi itself for the canonical ``rep.psi``), e_n/e_d for that scale times
+    eta/xi, x = X/X_d (the ``Fraction`` x itself, so a unit with a
+    denominator prime to p works as well) and y = u_y / P with P = p^-n.
+    Then x^2/y = X^2 P / (X_d^2 u_y) and
+
+        psi^xi(-x^2/y - (eta/xi) y)
+            = psi(-(x_n/x_d) X^2 P / (X_d^2 u_y) - (e_n/e_d) u_y / P)
+            = psi(-(x_n e_d X^2 P^2 + e_n x_d X_d^2 u_y^2) / (x_d X_d^2 e_d P u_y)),
+
+    one int pair per sample, with a positive denominator as u_y > 0."""
     ctx = rep.ctx
     p = ctx.p
     xi = as_fraction(xi)
@@ -231,8 +251,13 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     b_in = rep.basis_index_for(eta)
     if b_out is None or b_in is None:
         raise ValueError("xi and eta must lie in X(pi)")
-    psi_xi = rep.psi.twist(xi)
-    ratio = eta / xi
+    xi_scale = rep.psi.twist(xi).scale
+    eta_scale = xi_scale * (eta / xi)
+    pn = p**-n
+    # psi^xi's argument is -(c + e_n x_den u_y^2) / (den u_y) (docstring)
+    c = xi_scale.numerator * eta_scale.denominator * x.numerator**2 * pn**2
+    x_den = xi_scale.denominator * x.denominator**2
+    den = x_den * eta_scale.denominator * pn
     modulus = rep.sigma.modulus
     ux = frac_mod(ux, modulus)  # an int or a Fraction unit
     ux_inv = pow(ux, -1, modulus)
@@ -244,7 +269,9 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             return coeff
         # (y/x, 1/y) with y/x = u_y/u_x and 1/y = p^-n / u_y
         sign = hilbert_int(p, 0, y.u * ux_inv, -n, uy_inv)
-        value = coeff * psi_xi.value(-x * x / y - ratio * y)
+        num = -(c + eta_scale.numerator * x_den * y.u * y.u)
+        value = coeff * CycValue.root_of_unity_int(
+            ctx.q, *p_fractional_int(num, den * y.u, p))
         return value if sign == 1 else -value
 
     plan = ShellIntegralPlan(n, rep.level + abs(n), ADDITIVE_DX)
@@ -339,7 +366,7 @@ def _char_factor(ctx: PadicContext, mu: MultChar):
 
 
 def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
-                      cache: dict | None = None) -> CycValue:
+                      cache: dict | None = None, char=None) -> CycValue:
     """G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
 
     For v(a) >= n (or a = 0) psi(a y) is trivial on the shell.  Otherwise
@@ -350,16 +377,24 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
 
     since chi_psi(z/a) = chi_psi(z) chi_psi(a) (z, a).  T depends on a only
     through v(a) and the square class of a; `cache` memoizes it (and the
-    untwisted shell integral) across calls with the same ctx, mu and n."""
+    untwisted shell integral) across calls with the same ctx, mu and n.
+
+    Both integrands read the int coordinates of their samples.
+    chi_psi(z) mu(z) at z = u p^k is `char(k, u)` (``_char_factor``; a
+    caller may pass its own, built for the same ctx and mu).  On the shell
+    k = v(a) - n < 0 of T, z = u / p^-k, and [z] is the residue of u mod
+    p^-k over p^-k, so psi(z) = e(u / p^-k): the int pair (u, p^-k)."""
     if cache is None:
         cache = {}
+    if char is None:
+        char = _char_factor(ctx, mu)
     p, q = ctx.p, ctx.q
     a = Fraction(a)
     if a == 0 or frac_valuation(a, p) >= n:
         flat = cache.get(None)
         if flat is None:
             flat = integrate_shell(
-                ctx, lambda y: chi_psi(ctx.elem(y)) * mu.value(y),
+                ctx, lambda y: char(y.k, y.u),
                 ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
             cache[None] = flat
         return flat
@@ -367,18 +402,17 @@ def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
     key = (alpha, square_class_int(p, alpha, ua))
     t = cache.get(key)
     if t is None:
-        psi = AdditiveCharacter(ctx)
+        pk = p ** (n - alpha)
 
         def f(z: ShellPoint) -> CycValue:
-            value = chi_psi(ctx.elem(z)) * mu.value(z) * psi.value(z)
+            value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
             return value if hilbert_int(p, z.k, z.u, alpha, ua) == 1 else -value
 
         # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
         t = integrate_shell(ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1),
                                                       ADDITIVE_DX))
         cache[key] = t
-    mu_inv = CycValue.root_of_unity(q, -mu.value_exponent(a))
-    return t * chi_psi(ctx.elem(a)) * mu_inv * Fraction(q) ** alpha
+    return t * chi_psi(ctx.elem(a)) * mu.inverse().value(a) * Fraction(q) ** alpha
 
 
 def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> CycValue:
@@ -424,7 +458,7 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
             hit = gauss_values.get(key)
             if hit is None:
                 hit = gauss_values[key] = twisted_gauss_sum(
-                    ctx, mu, n, Fraction(num, den), gauss_cache)
+                    ctx, mu, n, Fraction(num, den), gauss_cache, char)
             return hit
 
         def f(u: ShellPoint) -> CycValue:

@@ -18,7 +18,6 @@ from metaplectic.exactnum import PadicContext, frac_unit_part, p_fractional_part
 from metaplectic.localchar import (
     MAX_CONDUCTOR_EXPONENT,
     _gauss_ball_integral,
-    _int_valuation_capped,
     _sqrt_table,
     chi_psi_int,
     hilbert_frac,
@@ -116,9 +115,18 @@ class TestHilbertSymbol:
             hilbert_symbol(ctx.elem(0), ctx.elem(1))
 
 
+def _int_valuation_capped(n: int, p: int, cap: int) -> int:
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _hilbert_oracle_full_scan(a, b) -> int:
-    """The reference oracle: the same normalization and Hensel certificate
-    as ``hilbert_symbol_oracle``, over every (x, y) mod p^3 (p^6 candidates)."""
+    """The reference oracle: the same normalization as
+    ``hilbert_symbol_oracle``, over every (x, y) mod p^3 (p^6 candidates),
+    each certified by a Hensel-lift validity check."""
     p = a.ctx.p
     k = 3
     modulus = p**k

@@ -362,6 +362,25 @@ class TestBesselClosedTorusForm:
                         assert bessel_closed(rep, xi, eta, x) == \
                             _bessel_closed_via_cover(rep, xi, eta, x), (xi, eta, x)
 
+    def test_weil_data_matches_cover_route_oracle(self, weil5):
+        # sigma(<u>) is not scalar on this data, so a wrong unit in the int
+        # psi argument of the closed sum shows; x has a Fraction unit with a
+        # denominator prime to p, and a square and a non-square int unit
+        p = weil5.ctx.p
+        xis = [r.xi for r in weil5.spectrum().reps]
+        nonzero = 0
+        for xi in xis:
+            for eta in xis:
+                for n in range(-1, -4, -1):
+                    points = [Fraction(-2, 7) * Fraction(p) ** n,
+                              ShellPoint(1, n, p), ShellPoint(2, n, p)]
+                    for x in points:
+                        value = bessel_closed(weil5, xi, eta, x)
+                        assert value == _bessel_closed_via_cover(weil5, xi, eta, x), \
+                            (xi, eta, x)
+                        nonzero += not value.is_zero()
+        assert nonzero
+
     def test_weil_data_direct_agrees_with_closed(self, weil5):
         # sigma(<u>) is not the identity on this data, so a wrong unit in the
         # closed sum's torus value shows; the builtins cannot see it
@@ -619,13 +638,15 @@ class TestTwistedGaussSum:
     def test_every_branch_against_definition(self, ctx, ctx5, p, m, p_exponent, gen):
         # v(a) < 0, 0 <= v(a) < n and v(a) >= n, over both unit square
         # classes and both valuation parities, several units per class so
-        # the prefactor chi_psi(a) mu(a)^{-1} is exercised within a class
+        # the prefactor chi_psi(a) mu(a)^{-1} is exercised within a class,
+        # one of them with a denominator prime to p.  At p = 3, m = 2 the
+        # shells run to n = 3, the deepest a conductor-2 gamma factor reads
         c = ctx if p == 3 else ctx5
         mu = MultChar(c, m, p_exponent, gen)
-        units = [u for u in range(1, 2 * p) if u % p]
-        for n in (1, 2):
+        units = [u for u in range(1, 2 * p) if u % p] + [Fraction(-2, 7)]
+        for n in ((1, 2, 3) if (p, m) == (3, 2) else (1, 2)):
             cache: dict = {}
-            points = [Fraction(0)] + [Fraction(u) * Fraction(p) ** alpha
+            points = [Fraction(0)] + [u * Fraction(p) ** alpha
                                       for alpha in range(-1, n + 2) for u in units]
             for a in points:
                 assert twisted_gauss_sum(c, mu, n, a, cache) == \
