@@ -6,7 +6,7 @@ Run:  python demos/01_exact_arithmetic.py
 
 from fractions import Fraction
 
-from metaplectic import CycValue, LaurentPoly, PadicContext, Q_NEG_S, S_TO_ONE_MINUS_S
+from metaplectic import CycValue, LaurentPoly, PadicContext, Q_NEG_S
 
 ctx = PadicContext(3)
 
@@ -31,6 +31,6 @@ print("sqrt(q) * sqrt(q) =", s * s, " sqrt(q) == e(-1/4) g:", s == ctx.cyc_e(Fra
 print("\n== Laurent polynomials in q^{-s} ==")
 P = LaurentPoly(3, Q_NEG_S, {0: ctx.cyc(Fraction(4, 3)), 1: gauss})
 print("P =", P)
-Q = P.substitute(S_TO_ONE_MINUS_S)
+Q = P.one_minus_s()
 print("P(1-s) =", Q)
-print("double substitution returns P:", Q.substitute(S_TO_ONE_MINUS_S) == P)
+print("double substitution returns P:", Q.one_minus_s() == P)

@@ -10,7 +10,6 @@ from .exactnum import (
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
-    S_TO_ONE_MINUS_S,
     q_half_power,
 )
 from .localchar import (

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import invariants
-from .exactnum import CycValue, LaurentPoly, PadicContext, _is_prime
+from .exactnum import CycValue, LaurentPoly, PadicContext
 from .localchar import MultChar
 from .repn import InducedVector, Representation, SigmaRep, builtin_sigma_p3, sigma_from_dict
 from .zeta import bessel_table, check_fe, gamma_factor, zeta_function
@@ -144,12 +144,6 @@ def default_vectors(rep: Representation) -> dict:
 # -- configuration ----------------------------------------------------------------
 
 
-def build_context(args) -> PadicContext:
-    if not _is_prime(args.p) or args.p < 3:
-        raise ConfigError(f"--p must be an odd prime, got {args.p}")
-    return PadicContext(args.p)
-
-
 def _configured(what: str, build, invalid=()):
     """build(), with unreadable input, malformed JSON, a record missing a
     field and the exception types `invalid` reported as a ConfigError."""
@@ -168,13 +162,14 @@ def _read(path: str, parse=json.load):
         return parse(fh)
 
 
+def build_context(args) -> PadicContext:
+    return _configured(f"--p {args.p}", lambda: PadicContext(args.p), invalid=(ValueError,))
+
+
 def build_sigma(ctx: PadicContext, source: str) -> SigmaRep:
     if source in ("builtin1", "builtin2"):
-        which = int(source[-1])
-        if ctx.p != 3:
-            raise ConfigError(
-                f"builtin sigma '{source}' requires p = 3, got p = {ctx.p}")
-        return builtin_sigma_p3(ctx, which)
+        return _configured(f"builtin sigma {source!r}",
+                           lambda: builtin_sigma_p3(ctx, int(source[-1])), invalid=(ValueError,))
     return _configured(f"sigma table {source!r}",
                        lambda: sigma_from_dict(ctx, _read(source)))
 

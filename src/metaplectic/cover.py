@@ -121,10 +121,6 @@ class MetaElement:
     eps: int
 
     @classmethod
-    def lift(cls, g: SL2Element, eps: int = 1) -> "MetaElement":
-        return cls(g, eps)
-
-    @classmethod
     def identity(cls, ctx) -> "MetaElement":
         return cls(SL2Element.identity(ctx), 1)
 
@@ -143,10 +139,6 @@ class MetaElement:
     @classmethod
     def w(cls, ctx) -> "MetaElement":
         return cls(SL2Element.w(ctx), 1)
-
-    @property
-    def ctx(self) -> PadicContext:
-        return self.g.ctx
 
     def __mul__(self, other: "MetaElement") -> "MetaElement":
         gh = self.g * other.g
@@ -221,7 +213,7 @@ class SplittingError(AssertionError):
     """The candidate Kubota splitting failed its property gate."""
 
 
-def validate_kubota_splitting(ctx: PadicContext, rng, trials: int = 200) -> None:
+def validate_kubota_splitting(ctx: PadicContext, rng, trials: int) -> None:
     """Property gate: s(g) s(h) {g, h} = s(gh) on random integral pairs."""
     for _ in range(trials):
         g = random_integral_sl2(ctx, rng)

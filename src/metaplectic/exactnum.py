@@ -35,8 +35,6 @@ INFINITY = math.inf
 Q_NEG_S = "q^-s"
 Q_POS_S = "q^s"
 
-S_TO_ONE_MINUS_S = "S_TO_ONE_MINUS_S"
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -58,10 +56,8 @@ class PadicContext:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.p < 3:
-            raise ValueError("even residue characteristic is not supported (p must be odd)")
+        if self.p < 3 or not _is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not an odd prime")
 
     @property
     def q(self) -> int:
@@ -191,9 +187,6 @@ class KElement:
         if self.value == 0:
             return Fraction(0)
         return Fraction(self.ctx.q) ** (-self.valuation())
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def __repr__(self):
         return f"KElement({self.value}, p={self.ctx.p})"
@@ -700,11 +693,7 @@ class LaurentPoly:
             raise ValueError("mismatched Laurent variables")
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            s = out.get(n, CycValue.zero(self.q)) + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
+            out[n] = out.get(n, CycValue.zero(self.q)) + c
         return LaurentPoly(self.q, self.var, out)
 
     def __neg__(self):
@@ -733,16 +722,10 @@ class LaurentPoly:
             return NotImplemented
         return self.q == other.q and self.var == other.var and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.q, self.var, frozenset(self.coeffs.items())))
-
-    def substitute(self, rule: str) -> "LaurentPoly":
-        """Formal substitution of s by ``S_TO_ONE_MINUS_S``: s -> 1-s.  In the
-        q^{-s} variable a term c*(q^{-s})^n becomes c*q^{-n}*(q^{s})^n, and
-        symmetrically."""
+    def one_minus_s(self) -> "LaurentPoly":
+        """The formal substitution s -> 1-s.  In the q^{-s} variable a term
+        c*(q^{-s})^n becomes c*q^{-n}*(q^{s})^n, and symmetrically."""
         other = Q_POS_S if self.var == Q_NEG_S else Q_NEG_S
-        if rule != S_TO_ONE_MINUS_S:
-            raise ValueError(f"unknown substitution rule {rule!r}")
         sign = -1 if self.var == Q_NEG_S else 1
         out = {n: c * Fraction(self.q) ** (sign * n) for n, c in self.coeffs.items()}
         return LaurentPoly(self.q, other, out)

@@ -66,9 +66,6 @@ def mat_scale(A: Matrix, c) -> Matrix:
 def mat_is_zero(A: Matrix) -> bool:
     return all(a.is_zero() for row in A for a in row)
 
-def mat_eq(A: Matrix, B: Matrix) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
 def mat_inverse(A: Matrix) -> Matrix:
     d = len(A)
     q = A[0][0].q
@@ -131,13 +128,13 @@ class SigmaRep:
         length table[k h] = table[k] table[h] for every pair (k, h)."""
         m = self.modulus
         ident = self.table.get((1, 0, 0, 1))
-        if ident is None or not mat_eq(ident, mat_identity(self.ctx.q, self.dim)):
+        if ident != mat_identity(self.ctx.q, self.dim):
             raise SigmaValidationError("table is not the identity at the identity")
         for gkey in (self.n_key(1), (0, m - 1, 1, 0)):
             gval = self.table[gkey]
             for key, val in self.table.items():
                 prod = self.table.get(_key_mul(key, gkey, m))
-                if prod is None or not mat_eq(mat_mul(val, gval), prod):
+                if prod != mat_mul(val, gval):
                     raise SigmaValidationError(
                         f"table is not multiplicative at {key} * {gkey}")
 
@@ -149,7 +146,7 @@ class SigmaRep:
         ident = mat_identity(self.ctx.q, self.dim)
         stride = p ** (l - 1)
         nontrivial = any(
-            not mat_eq(self.table[key], ident)
+            self.table[key] != ident
             for key in self.table
             if all((e - o) % stride == 0 for e, o in zip(key, (1, 0, 0, 1)))
         )
@@ -281,11 +278,10 @@ def sigma_to_dict(sigma: SigmaRep) -> dict:
     ``sigma_from_dict``."""
     entries = []
     for (a, b, c, d), mat in sorted(sigma.table.items()):
-        rep = [[[[expo.numerator, expo.denominator], [coeff.numerator, coeff.denominator]]
-                for coeff, expo in cell.terms()]
-               for row in mat for cell in row]
-        # reshape the flat cell list back into rows
-        rep = [rep[i * sigma.dim:(i + 1) * sigma.dim] for i in range(sigma.dim)]
+        rep = [[[[[expo.numerator, expo.denominator], [coeff.numerator, coeff.denominator]]
+                 for coeff, expo in cell.terms()]
+                for cell in row]
+               for row in mat]
         entries.append({"matrix": [[a, b], [c, d]], "rep": rep})
     return {"p": sigma.ctx.p, "l": sigma.level, "dim": sigma.dim, "entries": entries}
 
@@ -294,7 +290,6 @@ def sigma_to_dict(sigma: SigmaRep) -> dict:
 
 @dataclass(frozen=True)
 class EigenEntry:
-    index: int
     beta: Fraction          # sigma(n(a)) acts by psi(beta * a) on this line
     vector: tuple           # column vector in the original coordinates
 
@@ -327,7 +322,7 @@ class EigenBasis:
             col = next(c for c in range(d)
                        if any(not proj[r][c].is_zero() for r in range(d)))
             vector = tuple(proj[r][col] for r in range(d))
-            entries.append(EigenEntry(len(entries), beta, vector))
+            entries.append(EigenEntry(beta, vector))
         if len(entries) != d:
             raise SigmaValidationError(
                 f"{len(entries)} unipotent characters for dimension {d}: one repeats")
@@ -344,18 +339,15 @@ class EigenBasis:
 
 def _accumulate(out: dict, t: Fraction, n: int, b: int, coeff: CycValue, mat: Matrix) -> None:
     """Add coeff * sum over b2 of mat[b2][b] phi^{n(t)<p^n>}_{b2} to the terms
-    in out, dropping keys whose coefficient cancels to zero."""
+    in out; a coefficient that cancels to zero stays, for ``InducedVector``
+    to drop."""
     for b2, row in enumerate(mat):
         c = row[b]
         if c.is_zero():
             continue
         key = (t, n, b2)
         prev = out.get(key)
-        s = coeff * c if prev is None else prev + coeff * c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        out[key] = coeff * c if prev is None else prev + coeff * c
 
 
 class InducedVector:
@@ -375,13 +367,6 @@ class InducedVector:
     @classmethod
     def zero(cls, q: int) -> "InducedVector":
         return cls(q, {})
-
-    @classmethod
-    def basis(cls, q: int, t=Fraction(0), n: int = 0, b: int = 0, coeff=None) -> "InducedVector":
-        c = coeff if coeff is not None else CycValue.one(q)
-        if not isinstance(c, CycValue):
-            c = CycValue.rational(q, c)
-        return cls(q, {(Fraction(t), int(n), int(b)): c})
 
     @classmethod
     def sum(cls, vectors, q: int) -> "InducedVector":
@@ -415,9 +400,6 @@ class InducedVector:
     def __neg__(self) -> "InducedVector":
         return InducedVector(self.q, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled(self, c) -> "InducedVector":
         return InducedVector(self.q, {k: v * c for k, v in self.terms.items()})
 
@@ -425,9 +407,6 @@ class InducedVector:
 
     def __eq__(self, other):
         return isinstance(other, InducedVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -507,8 +486,11 @@ class Representation:
         torus action at x = 1."""
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
-        v = InducedVector.basis(self.ctx.q, Fraction(t), n, b, coeff)
-        return self._torus_act(v.terms.items(), 0, 1, 1)
+        q = self.ctx.q
+        c = CycValue.one(q) if coeff is None else coeff
+        if not isinstance(c, CycValue):
+            c = CycValue.rational(q, c)
+        return self._torus_act([((Fraction(t), int(n), int(b)), c)], 0, 1, 1)
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -726,7 +708,7 @@ class Representation:
         use; only a scalar action is remembered."""
         if self._central_sign is None:
             v = self.phi(b=0)
-            acted = self.act(MetaElement.lift(SL2Element.of(self.ctx, -1, 0, 0, -1), 1), v)
+            acted = self.act(MetaElement(SL2Element.of(self.ctx, -1, 0, 0, -1), 1), v)
             key = (Fraction(0), 0, 0)
             if set(acted.terms) != {key}:
                 raise ArithmeticError("central element did not act by a scalar")

@@ -13,7 +13,7 @@ equation are carried explicitly, never folded into measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -22,7 +22,6 @@ from .exactnum import (
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
-    S_TO_ONE_MINUS_S,
     ShellPoint,
     _unit_residues_mod,
     as_fraction,
@@ -49,6 +48,11 @@ MULTIPLICATIVE_DX = "MULTIPLICATIVE_DX"
 
 class NotLocallyConstantError(ArithmeticError):
     pass
+
+
+class SamplingBudgetError(ArithmeticError):
+    """The first gate pass at the caller's level would take more samples
+    than ``_MAX_GATE_SAMPLES``; nothing was evaluated."""
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,14 @@ def _gated(compute, p: int, level: int, what: str):
     `compute(level)` returns both sums from one evaluation pass over the
     level+1 samples, whose first part is the level sample set, so every
     sample of an attempt is evaluated once.  The budget is checked before
-    each pass."""
+    each pass: over it, the first pass raises ``SamplingBudgetError`` and a
+    refinement ``NotLocallyConstantError``."""
+    if p**level > _MAX_GATE_SAMPLES:
+        raise SamplingBudgetError(
+            f"{what}: level {level} needs {p**level} samples, over the budget of "
+            f"{_MAX_GATE_SAMPLES}")
     for attempt in range(3):
-        if p**level > _MAX_GATE_SAMPLES:
+        if attempt and p**level > _MAX_GATE_SAMPLES:
             raise NotLocallyConstantError(
                 f"{what}: refinement level {level} exceeds the sampling budget")
         v1, v2 = compute(level)
@@ -365,54 +374,65 @@ def _char_factor(ctx: PadicContext, mu: MultChar):
     return char
 
 
-def twisted_gauss_sum(ctx: PadicContext, mu: MultChar, n: int, a,
-                      cache: dict | None = None, char=None) -> CycValue:
-    """G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
+def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
+    """(num, den) -> G_n(num/den) for ints num and den > 0, memoized, where
 
-    For v(a) >= n (or a = 0) psi(a y) is trivial on the shell.  Otherwise
-    y = z/a gives
+        G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
+
+    For v(a) >= n (or a = 0) psi(a y) is trivial on the shell, and G_n(a) is
+    the one untwisted shell integral.  Otherwise y = z/a gives
 
         G_n(a) = q^v(a) chi_psi(a) mu(a)^{-1} T(v(a), class(a)),
         T = integral over v(z) = v(a) - n of chi_psi(z) mu(z) (z, a) psi(z) dz,
 
-    since chi_psi(z/a) = chi_psi(z) chi_psi(a) (z, a).  T depends on a only
-    through v(a) and the square class of a; `cache` memoizes it (and the
-    untwisted shell integral) across calls with the same ctx, mu and n.
+    since chi_psi(z/a) = chi_psi(z) chi_psi(a) (z, a).  So G_n(a) depends on
+    a only through v(a) and its unit mod p^max(1, m), and T only through
+    v(a) and the square class of a: each is integrated once per key.
 
-    Both integrands read the int coordinates of their samples.
-    chi_psi(z) mu(z) at z = u p^k is `char(k, u)` (``_char_factor``; a
-    caller may pass its own, built for the same ctx and mu).  On the shell
+    Both integrands read the int coordinates of their samples: chi_psi(z)
+    mu(z) at z = u p^k is ``_char_factor``'s char(k, u), and on the shell
     k = v(a) - n < 0 of T, z = u / p^-k, and [z] is the residue of u mod
     p^-k over p^-k, so psi(z) = e(u / p^-k): the int pair (u, p^-k)."""
-    if cache is None:
-        cache = {}
-    if char is None:
-        char = _char_factor(ctx, mu)
     p, q = ctx.p, ctx.q
-    a = Fraction(a)
-    if a == 0 or frac_valuation(a, p) >= n:
-        flat = cache.get(None)
-        if flat is None:
-            flat = integrate_shell(
-                ctx, lambda y: char(y.k, y.u),
-                ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
-            cache[None] = flat
-        return flat
-    alpha, ua = valuation_unit(a.numerator, a.denominator, p, p)
-    key = (alpha, square_class_int(p, alpha, ua))
-    t = cache.get(key)
-    if t is None:
-        pk = p ** (n - alpha)
+    modulus = p ** max(1, mu.m)
+    mu_inv = mu.inverse()
+    char = _char_factor(ctx, mu)
+    values: dict = {}
+    ts: dict = {}
 
-        def f(z: ShellPoint) -> CycValue:
-            value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
-            return value if hilbert_int(p, z.k, z.u, alpha, ua) == 1 else -value
+    def t_integral(alpha: int, ua: int) -> CycValue:
+        key = (alpha, square_class_int(p, alpha, ua))
+        hit = ts.get(key)
+        if hit is None:
+            pk = p ** (n - alpha)
 
-        # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
-        t = integrate_shell(ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1),
-                                                      ADDITIVE_DX))
-        cache[key] = t
-    return t * chi_psi(ctx.elem(a)) * mu.inverse().value(a) * Fraction(q) ** alpha
+            def f(z: ShellPoint) -> CycValue:
+                value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
+                return value if hilbert_int(p, z.k, z.u, alpha, ua) == 1 else -value
+
+            # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
+            hit = ts[key] = integrate_shell(
+                ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1), ADDITIVE_DX))
+        return hit
+
+    def gauss(num: int, den: int) -> CycValue:
+        key = valuation_unit(num, den, p, modulus) if num else None
+        if key is not None and key[0] >= n:
+            key = None  # psi(a y) = 1 on the shell
+        hit = values.get(key)
+        if hit is None:
+            if key is None:
+                hit = integrate_shell(ctx, lambda y: char(y.k, y.u),
+                                      ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
+            else:
+                alpha, u = key
+                a = Fraction(num, den)
+                hit = (t_integral(alpha, u % p) * chi_psi(ctx.elem(a)) * mu_inv.value(a)
+                       * Fraction(q) ** alpha)
+            values[key] = hit
+        return hit
+
+    return gauss
 
 
 def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> CycValue:
@@ -430,12 +450,11 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
             c(u) chi_psi(u) mu(u) G_n(-(xi u^2 + eta)) d*u
 
     with c(u) the (xi, eta) eigen-coefficient of sigma(<u>) and G_n the
-    twisted Gauss sum of ``twisted_gauss_sum``: about q^n work instead of
+    twisted Gauss sum of ``twisted_gauss_sums``: about q^n work instead of
     q^(2n).  Before a deep coefficient is accepted, the shell passes the
     two-method Bessel spot check (direct == closed at two probes).  The
     integrands read the int coordinates of their ``ShellPoint`` samples."""
     ctx = rep.ctx
-    p = ctx.p
     xi = as_fraction(xi)
     eta = as_fraction(eta)
     table = bessel_table(rep, xi, eta)
@@ -444,28 +463,16 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
     if n >= rep.level:
         table._ensure_shell_checked(-n)
         b_xi, b_eta = rep.basis_index_for(xi), rep.basis_index_for(eta)
-        gauss_cache: dict = {}
-        gauss_values: dict = {}
-        modulus = p ** max(1, mu.m)
+        gauss = twisted_gauss_sums(ctx, mu, n)
         # a = -(xi u^2 + eta) = num / den
         xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
         den = xd * ed
-
-        def gauss(u: int) -> CycValue:
-            # G_n(a) depends on a only through v(a) and a's unit mod p^max(1, m)
-            num = -(xn * u * u * ed + en * xd)
-            key = valuation_unit(num, den, p, modulus) if num else None
-            hit = gauss_values.get(key)
-            if hit is None:
-                hit = gauss_values[key] = twisted_gauss_sum(
-                    ctx, mu, n, Fraction(num, den), gauss_cache, char)
-            return hit
 
         def f(u: ShellPoint) -> CycValue:
             c = rep.unit_torus_value(u.u)[b_xi][b_eta]
             if c.is_zero():
                 return c
-            return c * char(0, u.u) * gauss(u.u)
+            return c * char(0, u.u) * gauss(-(xn * u.u * u.u * ed + en * xd), den)
 
         # G_n(a) depends on a mod p^n, hence on u mod p^(n + level)
         level = max(n + rep.level, mu.m, 1)
@@ -614,7 +621,6 @@ class FEReport:
     vacuous_parity: bool
     xi: Fraction
     mu_record: dict
-    gamma_factors: dict = field(default_factory=dict)
 
 
 def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
@@ -630,21 +636,18 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
     q = ctx.q
     xi = as_fraction(xi)
     w = MetaElement.w(ctx)
-    lhs = zeta_function(rep, xi, mu, rep.act(w, v)).poly.retagged()
+    zeta_lhs = zeta_function(rep, xi, mu, rep.act(w, v))
+    lhs = zeta_lhs.poly.retagged()
     mu_inv = mu.inverse()
     rhs = LaurentPoly.zero(q, Q_POS_S)
-    gammas = {}
     for eta_rep in rep.spectrum().dedup:
-        gf = gamma_factor(rep, xi, eta_rep.xi, mu)
-        gammas[eta_rep.xi] = gf
-        gpoly = gf.poly
+        gpoly = gamma_factor(rep, xi, eta_rep.xi, mu).poly
         if corrupt_gamma is not None:
             gpoly = gpoly + LaurentPoly.constant(q, Q_POS_S, corrupt_gamma)
-        z = zeta_function(rep, eta_rep.xi, mu_inv, v).poly.substitute(S_TO_ONE_MINUS_S)
+        z = zeta_function(rep, eta_rep.xi, mu_inv, v).poly.one_minus_s()
         rhs = rhs + Fraction(1, 4) * eta_rep.abs_value * (gpoly * z)
     residual = lhs - rhs
-    vacuous = not zeta_parity_holds(rep, mu)
+    vacuous = not zeta_lhs.parity_ok
     if vacuous and not (lhs.is_zero() and rhs.is_zero()):
         raise ArithmeticError("parity predicts vanishing but a side is nonzero")
-    return FEReport(lhs, rhs, residual, residual.is_zero(), vacuous, xi,
-                    mu.spec_record(), gammas)
+    return FEReport(lhs, rhs, residual, residual.is_zero(), vacuous, xi, mu.spec_record())

@@ -319,6 +319,20 @@ def test_golden_json_bytes(capsys, command, sigma, mu):
     assert out == (GOLDEN / f"{command}-{sigma}-{mu}.json").read_text()
 
 
+@pytest.mark.parametrize("command", ["check-fe", "gamma"])
+def test_golden_weil5_json_bytes(capsys, tmp_path, weil5, command):
+    """`check-fe` and `gamma` JSON on the p = 5 odd Weil table (dim 2), read
+    through --sigma with the conductor-1 character, byte for byte as
+    recorded in golden/<command>-weil5-quadratic1.json.  The builtin
+    goldens are 1 x 1, so only these see the matrix paths."""
+    path = tmp_path / "weil5.json"
+    path.write_text(json.dumps(sigma_to_dict(weil5.sigma)))
+    rc, out, _ = run_cli(capsys, "--p", "5", "--sigma", str(path), "--command", command,
+                         "--mu", GOLDEN_MU["quadratic1"], "--output", "json")
+    assert rc == 0
+    assert out == (GOLDEN / f"{command}-weil5-quadratic1.json").read_text()
+
+
 @pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])
 def test_golden_bessel_json_bytes(capsys, sigma):
     """`bessel` JSON (it ignores --mu), byte for byte as recorded in

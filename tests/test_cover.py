@@ -72,7 +72,7 @@ class TestMetaElement:
 
     def test_minus_identity_is_central(self, ctx, rng):
         for eps in (1, -1):
-            z = MetaElement.lift(SL2Element.of(ctx, -1, 0, 0, -1), eps)
+            z = MetaElement(SL2Element.of(ctx, -1, 0, 0, -1), eps)
             for _ in range(100):
                 x = random_sl2_word(ctx, rng)
                 a, b = z * x, x * z
@@ -149,7 +149,7 @@ class TestCosetDecomposition:
         for _ in range(60):
             m = random_sl2_word(ctx, rng)
             h = random_integral_sl2(ctx, rng)
-            m2 = MetaElement.lift(h, 1) * m
+            m2 = MetaElement(h, 1) * m
             d1 = coset_decompose(m)
             d2 = coset_decompose(m2)
             assert (d1.t, d1.n) == (d2.t, d2.n)

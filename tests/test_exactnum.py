@@ -10,7 +10,6 @@ from metaplectic import (
     PadicContext,
     Q_NEG_S,
     Q_POS_S,
-    S_TO_ONE_MINUS_S,
     q_half_power,
 )
 from metaplectic.exactnum import (
@@ -504,13 +503,13 @@ class TestLevelIndependence:
 class TestLaurentPoly:
     def test_constant_fixed_under_substitution(self):
         p = LaurentPoly.constant(3, Q_NEG_S, 1)
-        q = p.substitute(S_TO_ONE_MINUS_S)
+        q = p.one_minus_s()
         assert q.var == Q_POS_S
         assert q.coeffs[0] == 1
 
     def test_substitution_example(self):
         p = LaurentPoly.monomial(3, Q_NEG_S, 1, 1)
-        q = p.substitute(S_TO_ONE_MINUS_S)
+        q = p.one_minus_s()
         assert q.var == Q_POS_S and q.coeffs[1] == Fraction(1, 3)
 
     def test_substitution_involution_random(self, ctx, rng):
@@ -518,7 +517,7 @@ class TestLaurentPoly:
             coeffs = {rng.randrange(-4, 5): ctx.cyc_e(Fraction(rng.randrange(0, 9), 9))
                       for _ in range(rng.randrange(1, 4))}
             p = LaurentPoly(3, rng.choice([Q_NEG_S, Q_POS_S]), coeffs)
-            assert p.substitute(S_TO_ONE_MINUS_S).substitute(S_TO_ONE_MINUS_S) == p
+            assert p.one_minus_s().one_minus_s() == p
             assert p.retagged().retagged() == p
 
     def test_retag_preserves_value(self):

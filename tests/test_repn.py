@@ -24,7 +24,6 @@ from metaplectic.localchar import legendre_int
 from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
-    mat_eq,
     mat_is_zero,
     sigma_from_dict,
     sigma_to_dict,
@@ -183,8 +182,8 @@ class TestGenuineEvaluation:
 
     def test_multiplicative(self, ctx, rep1, rng):
         for _ in range(300):
-            g = MetaElement.lift(random_integral_sl2(ctx, rng), rng.choice([1, -1]))
-            h = MetaElement.lift(random_integral_sl2(ctx, rng), rng.choice([1, -1]))
+            g = MetaElement(random_integral_sl2(ctx, rng), rng.choice([1, -1]))
+            h = MetaElement(random_integral_sl2(ctx, rng), rng.choice([1, -1]))
             lhs = rep1.genuine_eval(g * h)[0][0]
             rhs = rep1.genuine_eval(g)[0][0] * rep1.genuine_eval(h)[0][0]
             assert lhs == rhs
@@ -223,6 +222,18 @@ class TestAction:
         v2 = rep1.phi(n=1)
         lhs = rep1.act(g, v1 + v2.scaled(ctx.cyc(5)))
         assert lhs == rep1.act(g, v1) + rep1.act(g, v2).scaled(ctx.cyc(5))
+
+    def test_images_that_cancel_leave_no_term(self, weil5):
+        # pi(w) phi_0 and pi(w) phi_1 share the key k; with c chosen to cancel
+        # it, pi(w)(phi_0 + c phi_1) lacks k and keeps no zero coefficient
+        w = MetaElement.w(weil5.ctx)
+        a0, a1 = weil5.act(w, weil5.phi(b=0)), weil5.act(w, weil5.phi(b=1))
+        k = next(key for key in a0.terms if key in a1.terms)
+        c = -a0.terms[k] / a1.terms[k]
+        acted = weil5.act(w, weil5.phi(b=0) + weil5.phi(b=1, coeff=c))
+        assert k not in acted.terms and acted.terms
+        assert all(not coeff.is_zero() for coeff in acted.terms.values())
+        assert acted == a0 + a1 * c
 
     def test_vector_evaluation_matches_action(self, ctx, rep1, rng):
         # phi(g) = [pi(g) phi](e): evaluation agrees with acting then reading e
@@ -361,8 +372,7 @@ class TestTorusClosedForm:
     def test_unit_torus_value(self, ctx, rep1, rep2):
         for rep in (rep1, rep2):
             for u in (1, 2, 4, 5, 7, 8, -1, 22, Fraction(2, 5), Fraction(-7, 11)):
-                assert mat_eq(rep.unit_torus_value(u),
-                              rep.genuine_eval(MetaElement.torus(ctx, u)))
+                assert rep.unit_torus_value(u) == rep.genuine_eval(MetaElement.torus(ctx, u))
 
 
 class TestInducedVectorSum:
@@ -453,7 +463,7 @@ class TestWeilData:
             by_sqrtq = _close_table(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a))
             assert by_sqrtq.keys() == sigma.table.keys()
             for key, mat in sigma.table.items():
-                assert mat_eq(by_sqrtq[key], mat), (a, key)
+                assert by_sqrtq[key] == mat, (a, key)
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_builtin_is_the_hand_written_closure(self, ctx, which):
@@ -475,7 +485,7 @@ class TestCanonicalPhi:
                     assert rep.act(MetaElement.identity(ctx), v) == v
                     for (t2, _, _) in v.terms:
                         assert 0 <= t2 < 1 and t2.denominator in (1, 3, 9)
-                    raw = InducedVector.basis(ctx.q, t, n)
+                    raw = InducedVector(ctx.q, {(t, n, 0): ctx.one()})
                     assert v == decomposition_act(rep, MetaElement.identity(ctx), raw)
                     assert rep.whittaker_functional(xi, v) == \
                         rep.whittaker_functional(xi, raw)

@@ -7,11 +7,13 @@ from metaplectic import (
     MULTIPLICATIVE_DX,
     AdditiveCharacter,
     CycValue,
+    EigenBasis,
     LaurentPoly,
     MetaElement,
     MultChar,
     Representation,
     ShellIntegralPlan,
+    SigmaRep,
     bessel_closed,
     bessel_direct,
     bessel_table,
@@ -35,10 +37,12 @@ from metaplectic.exactnum import (
 from metaplectic.zeta import (
     BesselTable,
     NotLocallyConstantError,
-    twisted_gauss_sum,
+    SamplingBudgetError,
+    twisted_gauss_sums,
     zeta_parity_holds,
 )
 from metaplectic.localchar import hilbert_frac, legendre_int
+from metaplectic.repn import mat_mul
 
 from helpers import (
     bessel_growth_report,
@@ -149,10 +153,24 @@ class TestShellIntegral:
             calls.append(x)
             return ctx5.one()
 
-        with pytest.raises(NotLocallyConstantError):
+        with pytest.raises(SamplingBudgetError):
             integrate_shell(ctx5, f, ShellIntegralPlan(0, 8, MULTIPLICATIVE_DX))
-        with pytest.raises(NotLocallyConstantError):
+        with pytest.raises(SamplingBudgetError):
             integrate_ball(ctx5, f, 0, 8)
+        assert calls == []
+
+    def test_over_budget_vector_evaluates_nothing(self, rep1, monkeypatch):
+        # phi(t=1/3^11) puts its shell at level l + 11 = 12, over the budget
+        # 3^11 before the first pass: the gate raises SamplingBudgetError,
+        # naming the level and the sample count, with no integrand evaluated
+        rep = Representation(rep1.sigma)
+        calls = []
+        functional = rep.whittaker_functional
+        monkeypatch.setattr(rep, "whittaker_functional",
+                            lambda *args: calls.append(args) or functional(*args))
+        v = rep.phi(t=Fraction(1, 3**11))
+        with pytest.raises(SamplingBudgetError, match=f"level 12 needs {3**12} samples"):
+            zeta_function(rep, XI, MultChar.trivial(rep.ctx), v)
         assert calls == []
 
 
@@ -635,7 +653,8 @@ class TestTwistedGaussSum:
         (5, 0, Fraction(1, 2), 0),
         (5, 1, Fraction(1, 4), 1),
     ])
-    def test_every_branch_against_definition(self, ctx, ctx5, p, m, p_exponent, gen):
+    def test_every_branch_against_definition(self, ctx, ctx5, monkeypatch, p, m, p_exponent,
+                                              gen):
         # v(a) < 0, 0 <= v(a) < n and v(a) >= n, over both unit square
         # classes and both valuation parities, several units per class so
         # the prefactor chi_psi(a) mu(a)^{-1} is exercised within a class,
@@ -644,15 +663,20 @@ class TestTwistedGaussSum:
         c = ctx if p == 3 else ctx5
         mu = MultChar(c, m, p_exponent, gen)
         units = [u for u in range(1, 2 * p) if u % p] + [Fraction(-2, 7)]
+        shell_integrals = []
+        integrate = zeta.integrate_shell
+        monkeypatch.setattr(zeta, "integrate_shell",
+                            lambda *args: shell_integrals.append(args) or integrate(*args))
         for n in ((1, 2, 3) if (p, m) == (3, 2) else (1, 2)):
-            cache: dict = {}
+            shell_integrals.clear()
+            gauss = twisted_gauss_sums(c, mu, n)
             points = [Fraction(0)] + [u * Fraction(p) ** alpha
                                       for alpha in range(-1, n + 2) for u in units]
             for a in points:
-                assert twisted_gauss_sum(c, mu, n, a, cache) == \
+                assert gauss(a.numerator, a.denominator) == \
                     _direct_gauss_sum(c, mu, n, a), (n, a)
-            # one untwisted entry, one T per (v(a) < n, unit square class)
-            assert len(cache) == 1 + 2 * (n + 1)
+            # one untwisted integral, one T per (v(a) < n, unit square class)
+            assert len(shell_integrals) == 1 + 2 * (n + 1)
 
 
 def _gamma_via_bessel_table(rep, xi, mu, n):
@@ -1094,6 +1118,50 @@ class TestFunctionalEquationWeilData:
             fe = check_fe(rep, mu, v, xi)
             assert fe.passed and not fe.vacuous_parity, xi
             assert fe.lhs.support() == [0, 1], xi
+
+
+def _conjugated_by_ones(rep):
+    """The representation of U sigma U^-1, with U the upper unitriangular
+    matrix of ones: the same representation in a basis where the unipotent
+    eigenvectors are the columns of U, so the eigenbasis change is not
+    diagonal and its inverse needs elimination."""
+    ctx, d = rep.ctx, rep.dim
+    one, zero = ctx.one(), ctx.zero()
+    u = tuple(tuple(one if j >= i else zero for j in range(d)) for i in range(d))
+    u_inv = tuple(tuple(one if j == i else -one if j == i + 1 else zero for j in range(d))
+                  for i in range(d))
+    table = {key: mat_mul(u, mat_mul(m, u_inv)) for key, m in rep.sigma.table.items()}
+    return Representation(SigmaRep(ctx, rep.level, d, table))
+
+
+class TestNonDiagonalEigenbasis:
+    """The odd Weil data conjugated into a basis where ``EigenBasis`` has a
+    non-diagonal change of basis; every result must be that of the data."""
+
+    @pytest.mark.parametrize("data", ["weil5", "weil7"])
+    def test_same_betas_gammas_and_fe(self, request, data):
+        rep = request.getfixturevalue(data)
+        conj = _conjugated_by_ones(rep)
+        change = EigenBasis(conj.sigma).change
+        assert any(not change[i][j].is_zero()
+                   for i in range(rep.dim) for j in range(rep.dim) if i != j)
+        assert conj.betas == rep.betas
+        ctx = rep.ctx
+        v = rep.phi() + rep.phi(n=1, b=1)
+        w = conj.phi() + conj.phi(n=1, b=1)
+        mus = [MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
+               MultChar(ctx, 2, Fraction(0), 1)]
+        for mu in mus:
+            # at p = 7 a conductor-2 gamma costs 0.5-1 s per pair and
+            # representation, so the pair check_fe reads stands for all nine
+            pairs = ([(rep.betas[0], rep.betas[0])] if (ctx.p, mu.m) == (7, 2)
+                     else [(xi, eta) for xi in rep.betas for eta in rep.betas])
+            for xi, eta in pairs:
+                assert gamma_factor(conj, xi, eta, mu).poly == \
+                    gamma_factor(rep, xi, eta, mu).poly, (mu.m, xi, eta)
+            for xi in rep.spectrum().dedup:
+                fe = check_fe(conj, mu, w, xi.xi)
+                assert fe.passed and fe.lhs == check_fe(rep, mu, v, xi.xi).lhs, (mu.m, xi)
 
 
 class TestFourierInversion:
