@@ -8,7 +8,6 @@ Run:  python demos/04_whittaker_model.py
 from fractions import Fraction
 
 from metaplectic import (
-    EigenBasis,
     MetaElement,
     PadicContext,
     Representation,
@@ -27,8 +26,7 @@ print("strong cuspidality, sum of sigma(n(x)) over x mod 3 (zero):",
       sigma.strong_cuspidality_sum())
 
 print("\n== eigenbasis and spectrum ==")
-basis = EigenBasis(sigma)
-print("unipotent characters beta:", basis.betas)
+print("unipotent characters beta:", sigma.betas)
 rep = Representation(sigma)
 spec = rep.spectrum()
 print("spectrum representatives:",

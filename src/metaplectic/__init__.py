@@ -33,7 +33,6 @@ from .cover import (
     validate_kubota_splitting,
 )
 from .repn import (
-    EigenBasis,
     InducedVector,
     Representation,
     SigmaRep,

@@ -48,17 +48,16 @@ def mat_identity(q: int, d: int) -> Matrix:
     return tuple(tuple(CycValue.one(q) if i == j else CycValue.zero(q) for j in range(d))
                  for i in range(d))
 
-def mat_zero(q: int, d: int) -> Matrix:
-    z = CycValue.zero(q)
-    return tuple(tuple(z for _ in range(d)) for _ in range(d))
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     d = len(A)
     return tuple(tuple(CycValue.sum([A[i][k] * B[k][j] for k in range(d)])
                        for j in range(d)) for i in range(d))
 
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+def mat_sum(mats, q: int) -> Matrix:
+    """The entrywise sum of a nonempty list of square matrices."""
+    d = len(mats[0])
+    return tuple(tuple(CycValue.sum([m[i][j] for m in mats], q) for j in range(d))
+                 for i in range(d))
 
 def mat_scale(A: Matrix, c) -> Matrix:
     return tuple(tuple(a * c for a in row) for row in A)
@@ -105,8 +104,13 @@ class SigmaValidationError(ValueError):
 
 class SigmaRep:
     """A strongly cuspidal representation table on SL(2, Z/p^l) of conductor
-    exactly l, valid by construction: ``validate`` runs once, here, and the
-    table is kept read-only, so no reader needs to check it again."""
+    exactly l with multiplicity one, valid by construction: ``validate`` runs
+    once, here, and ends by diagonalizing the upper-unipotent action
+    (``_diagonalize``).  Valid does not mean irreducible: a reducible table
+    with distinct unipotent characters passes.  ``eigen_table`` is the table
+    in the basis of the columns of ``change``, where n(a) acts on line b by
+    psi(betas[b] a); it and ``table`` are read-only, so no reader needs to
+    check them again."""
 
     def __init__(self, ctx: PadicContext, level: int, dim: int, table: dict):
         self.ctx = ctx
@@ -157,10 +161,7 @@ class SigmaRep:
 
     def strong_cuspidality_sum(self) -> Matrix:
         p, l = self.ctx.p, self.level
-        acc = mat_zero(self.ctx.q, self.dim)
-        for c in range(p):
-            acc = mat_add(acc, self.table[self.n_key(c * p ** (l - 1))])
-        return acc
+        return mat_sum([self.table[self.n_key(c * p ** (l - 1))] for c in range(p)], self.ctx.q)
 
     def validate(self) -> None:
         order = sl2_group_order(self.ctx.p, self.level)
@@ -173,6 +174,35 @@ class SigmaRep:
             raise SigmaValidationError(
                 "strong cuspidality fails: sum of table(n(x)) over "
                 f"x in p^{self.level - 1}Z/p^{self.level}Z is nonzero")
+        self._diagonalize()
+
+    def _diagonalize(self) -> None:
+        """Set ``betas``, ``change`` and ``eigen_table``.  The projections
+        P_beta = p^-l sum_x psi(-beta x) sigma(n(x)) of a valid table are
+        orthogonal idempotents that sum to I, so their ranks sum to `dim`: if
+        `dim` of them are nonzero, each has rank one, and fewer means a
+        character repeats.  Strong cuspidality gives each beta the exact
+        denominator p^level (n(p^(level-1)) fixes no line)."""
+        q, d, pl = self.ctx.q, self.dim, self.modulus
+        psi = AdditiveCharacter(self.ctx)
+        betas, vectors = [], []
+        for j in range(pl):
+            beta = Fraction(j, pl)
+            proj = mat_sum([mat_scale(self.table[self.n_key(x)], psi.value(-beta * x))
+                            for x in range(pl)], q)
+            if mat_is_zero(proj):
+                continue
+            col = next(c for c in range(d) if any(not proj[r][c].is_zero() for r in range(d)))
+            betas.append(beta)
+            vectors.append(tuple(proj[r][col] * Fraction(1, pl) for r in range(d)))
+        if len(betas) != d:
+            raise SigmaValidationError(
+                f"{len(betas)} unipotent characters for dimension {d}: one repeats")
+        self.betas = tuple(betas)
+        self.change = tuple(tuple(vectors[j][i] for j in range(d)) for i in range(d))
+        change_inv = mat_inverse(self.change)
+        self.eigen_table = types.MappingProxyType(
+            {key: mat_mul(change_inv, mat_mul(mat, self.change)) for key, mat in self.table.items()})
 
 
 def _close_table(ctx: PadicContext, level: int, dim: int, generators: dict) -> dict:
@@ -202,16 +232,16 @@ def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
         n(1) -> diag(e(a t^2/p)),
         w -> c (e(2 a s t/p) - e(-2 a s t/p)) at (s, t),
 
-    c = -((-a)/p) g_p/p and g_p = sum over x of (x/p) e(x/p).  The table is
-    the closure of these two generators, validated by ``SigmaRep``; its
+    c = -((-a)/p) g_p/p and g_p = sum over x of (x/p) e(x/p), which is
+    sqrt(p) (``CycValue.sqrtq``) times e(1/4) when p = 3 mod 4.  The table
+    is the closure of these two generators, validated by ``SigmaRep``; its
     betas are the [a t^2/p]."""
     p, q = ctx.p, ctx.q
     if a % p == 0:
         raise ValueError(f"a = {a} is not a unit mod {p}")
     dim = (p - 1) // 2
     half = range(1, dim + 1)
-    gauss = CycValue.sum([CycValue.root_of_unity_int(q, x, p) * legendre_int(p, x)
-                          for x in range(1, p)], q)
+    gauss = CycValue.sqrtq(q) * (CycValue.root_of_unity_int(q, 1, 4) if p % 4 == 3 else 1)
     c = gauss * Fraction(-legendre_int(p, -a), p)
     generators = {
         (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity_int(q, a * t * t, p) if s == t
@@ -261,15 +291,10 @@ def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
         rep = entry["rep"]
         if len(rep) != dim or any(len(row) != dim for row in rep):
             raise SigmaValidationError(f"entry {key} has a rep block of wrong shape")
-        mat = tuple(
-            tuple(
-                CycValue.sum(
-                    [CycValue.root_of_unity(ctx.q, Fraction(en, ed)) * Fraction(cn, cd)
-                     for (en, ed), (cn, cd) in cell] or [CycValue.zero(ctx.q)],
-                    ctx.q)
-                for cell in row)
-            for row in rep)
-        table[key] = mat
+        table[key] = tuple(tuple(
+            CycValue.sum([CycValue.root_of_unity(ctx.q, Fraction(en, ed)) * Fraction(cn, cd)
+                          for (en, ed), (cn, cd) in cell], ctx.q)
+            for cell in row) for row in rep)
     return SigmaRep(ctx, level, dim, table)
 
 
@@ -284,55 +309,6 @@ def sigma_to_dict(sigma: SigmaRep) -> dict:
                for row in mat]
         entries.append({"matrix": [[a, b], [c, d]], "rep": rep})
     return {"p": sigma.ctx.p, "l": sigma.level, "dim": sigma.dim, "entries": entries}
-
-
-# -- eigenbasis ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenEntry:
-    beta: Fraction          # sigma(n(a)) acts by psi(beta * a) on this line
-    vector: tuple           # column vector in the original coordinates
-
-
-class EigenBasis:
-    """Diagonalizing data for the upper-unipotent action of a strongly
-    cuspidal sigma: one line per character a -> psi(beta * a).
-
-    The projections P_beta = p^-l sum_x psi(-beta x) sigma(n(x)) of a valid
-    sigma are orthogonal idempotents that sum to I, so their ranks sum to
-    `dim`: if `dim` of them are nonzero, each has rank one, and fewer means
-    a character repeats.  Strong cuspidality gives each beta the exact
-    denominator p^level (n(p^(level-1)) fixes no line)."""
-
-    def __init__(self, sigma: SigmaRep):
-        ctx = sigma.ctx
-        p, l, d = ctx.p, sigma.level, sigma.dim
-        pl = p**l
-        psi = AdditiveCharacter(ctx)
-        entries = []
-        for j in range(pl):
-            beta = Fraction(j, pl)
-            proj = mat_zero(ctx.q, d)
-            for x in range(pl):
-                character = psi.value(-beta * x)
-                proj = mat_add(proj, mat_scale(sigma.table[sigma.n_key(x)], character))
-            proj = mat_scale(proj, Fraction(1, pl))
-            if mat_is_zero(proj):
-                continue
-            col = next(c for c in range(d)
-                       if any(not proj[r][c].is_zero() for r in range(d)))
-            vector = tuple(proj[r][col] for r in range(d))
-            entries.append(EigenEntry(beta, vector))
-        if len(entries) != d:
-            raise SigmaValidationError(
-                f"{len(entries)} unipotent characters for dimension {d}: one repeats")
-        self.entries = entries
-        self.change = tuple(tuple(entries[j].vector[i] for j in range(d)) for i in range(d))
-        self.change_inv = mat_inverse(self.change)
-
-    @property
-    def betas(self):
-        return [e.beta for e in self.entries]
 
 
 # -- induced vectors ----------------------------------------------------------
@@ -452,14 +428,11 @@ class Representation:
         if self.ctx.p not in _SPLITTING_GATE_PASSED:
             validate_kubota_splitting(self.ctx, random.Random(_SPLITTING_GATE_SEED), trials=128)
             _SPLITTING_GATE_PASSED.add(self.ctx.p)
-        basis = EigenBasis(sigma)
-        self.betas = basis.betas
+        self.betas = sigma.betas
         self._beta_index = {beta: b for b, beta in enumerate(self.betas)}
-        # sigma in eigencoordinates; a genuine sign is applied where an entry is read
-        self._diag_table = {
-            key: mat_mul(basis.change_inv, mat_mul(mat, basis.change))
-            for key, mat in sigma.table.items()
-        }
+        # sigma in eigencoordinates, a plain dict for the per-sample lookups;
+        # a genuine sign is applied where an entry is read
+        self._diag_table = dict(sigma.eigen_table)
         self._twists: dict = {}
         reps = []
         p = self.ctx.p
@@ -668,31 +641,29 @@ class Representation:
             self._twists[xi] = hit
         return hit
 
-    def whittaker_functional(self, xi, v: InducedVector, torus=None) -> CycValue:
-        """l^xi(v); on basis vectors psi^xi(-t) when n = 0 and the basis index
-        matches the character of xi, else 0.
+    def whittaker_functional(self, xi, v: InducedVector, torus=(0, 1, 1)) -> CycValue:
+        """l^xi(pi([diag(x, 1/x), e]) v) for torus = (k, u, e), x = p^k u (u as
+        in ``_torus_terms``); l^xi(v) by default.  On basis vectors l^xi is
+        psi^xi(-t) when n = 0 and the basis index matches the character of
+        xi, else 0.
 
-        With torus = (k, u, e), l^xi(pi([diag(x, 1/x), e]) v) for x = p^k u
-        (u as in ``_torus_terms``): only the terms of v on the shell n = k
-        reach n = 0 (``InducedVector.shells``), and each adds its entry of
-        the b_xi row of the torus action; no acted vector is built."""
+        Only the terms of v on the shell n = k reach n = 0
+        (``InducedVector.shells``), and each adds its entry of the b_xi row of
+        the torus action; no acted vector is built.  At x = 1 the torus action
+        fixes every term: key I, eps = +1 and r/p^j = [t], so the sum is that
+        of l^xi(v)."""
         b, psi_xi, row = self._twist(as_fraction(xi))
         vals = []
-        if torus is None:
-            for (t, n, b2), coeff in v.terms.items():
-                if n == 0 and b2 == b:
-                    vals.append(coeff * psi_xi.value_int(-t.numerator, t.denominator))
-        else:
-            k, u, e = torus
-            shell = (item for item in v.terms.items() if item[0][1] == k)
-            for r, pj, _, b_in, coeff, key, eps in self._torus_terms(shell, k, u, e):
-                memo_key = (key, eps, b_in, r, pj)
-                z = row.get(memo_key)
-                if z is None:
-                    z = self._diag_table[key][b][b_in] * psi_xi.value_int(-r, pj)
-                    z = row[memo_key] = z if eps == 1 else -z
-                if not z.is_zero():
-                    vals.append(coeff * z)
+        k, u, e = torus
+        shell = (item for item in v.terms.items() if item[0][1] == k)
+        for r, pj, _, b_in, coeff, key, eps in self._torus_terms(shell, k, u, e):
+            memo_key = (key, eps, b_in, r, pj)
+            z = row.get(memo_key)
+            if z is None:
+                z = self._diag_table[key][b][b_in] * psi_xi.value_int(-r, pj)
+                z = row[memo_key] = z if eps == 1 else -z
+            if not z.is_zero():
+                vals.append(coeff * z)
         return CycValue.sum(vals, self.ctx.q)
 
     def whittaker_function(self, xi, v: InducedVector, g: MetaElement) -> CycValue:

@@ -4,6 +4,8 @@ import pytest
 
 from metaplectic import PadicContext, Representation, builtin_sigma_p3, weil_sigma
 
+from helpers import norm_sigma
+
 
 @pytest.fixture(scope="session")
 def ctx():
@@ -35,6 +37,13 @@ def weil5(ctx5):
 def weil7():
     """The odd Weil representation at p = 7: dim 3, betas 1/7, 2/7, 4/7."""
     return Representation(weil_sigma(PadicContext(7), 1))
+
+
+@pytest.fixture(scope="session")
+def norm3(ctx):
+    """The norm-form data at p = 3, k = 1: dim 2, betas 1/3 and 2/3 in the
+    two square classes, omega(-1) = -1."""
+    return Representation(norm_sigma(ctx, 1))
 
 
 @pytest.fixture()

@@ -181,6 +181,13 @@ class TestConfigErrors:
         assert rc == 2 and err.startswith("configuration error:")
         assert "invalid vector term" in err
 
+    def test_vectors_file_with_only_comments(self, capsys, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("# no vector here\n\n# nor here\n")
+        rc, _, err = run_cli(capsys, "--command", "zeta", "--vectors", str(path))
+        assert rc == 2 and err.startswith("configuration error:")
+        assert "no vector expressions found" in err
+
     @pytest.mark.parametrize("text", ["{bad", '{"p": 3, "l": 1}'],
                              ids=["bad-json", "missing-field"])
     def test_malformed_sigma_file(self, capsys, tmp_path, text):

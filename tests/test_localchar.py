@@ -18,6 +18,7 @@ from metaplectic.exactnum import PadicContext, frac_unit_part, p_fractional_part
 from metaplectic.localchar import (
     MAX_CONDUCTOR_EXPONENT,
     _gauss_ball_integral,
+    _primitive_root,
     _sqrt_table,
     chi_psi_int,
     hilbert_frac,
@@ -26,6 +27,8 @@ from metaplectic.localchar import (
     square_class_int,
 )
 from metaplectic.invariants import check_characters, random_nonzero
+
+from helpers import characters
 
 
 class TestAdditiveCharacter:
@@ -284,6 +287,31 @@ class TestSquareClass:
         assert len(classes) == 4
 
 
+def _prime_factors(n: int) -> set:
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+class TestPrimitiveRoot:
+    def test_lift_when_the_root_mod_p_fails_mod_p_squared(self):
+        # 40487 is the first prime whose least primitive root 5 has
+        # 5^(p-1) = 1 mod p^2, so mod p^2 the root moves to 5 + p; at
+        # p = 3, 5 and 7 the least root mod p also generates mod p^2
+        p = 40487
+        assert _primitive_root(p, 1) == 5
+        assert pow(5, p - 1, p * p) == 1
+        g = _primitive_root(p, 2)
+        assert g == 5 + p
+        order = p * (p - 1)
+        assert pow(g, order, p * p) == 1
+        assert all(pow(g, order // r, p * p) != 1 for r in _prime_factors(order))
+
+
 class TestMultChar:
     def test_trivial(self, ctx):
         mu = MultChar.trivial(ctx)
@@ -355,21 +383,6 @@ def _units(p: int, m: int):
     return [u for u in range(1, p**m) if u % p]
 
 
-def _characters(ctx, m: int):
-    """Every character of exact conductor exponent m, for two values of mu(p)."""
-    if m == 0:
-        return [MultChar(ctx, 0, e) for e in (Fraction(0), Fraction(1, 4))]
-    order = ctx.p ** (m - 1) * (ctx.p - 1)
-    out = []
-    for gen in range(order):
-        for e in (Fraction(0), Fraction(1, 4)):
-            try:
-                out.append(MultChar(ctx, m, e, gen))
-            except ValueError:   # conductor below m
-                pass
-    return out
-
-
 class TestIntCharacters:
     """The int entry points against the Fraction/KElement functions and the
     Hilbert oracle, over complete residue sweeps."""
@@ -418,7 +431,7 @@ class TestIntCharacters:
 
     @pytest.mark.parametrize("m", range(MAX_CONDUCTOR_EXPONENT + 1))
     def test_mu_exponent_int(self, ctx, m):
-        chars = _characters(ctx, m)
+        chars = characters(ctx, m, (Fraction(0), Fraction(1, 4)))
         assert chars
         for mu in chars:
             for u in _units(3, max(m, 1)):

@@ -4,7 +4,6 @@ import pytest
 
 from metaplectic import (
     CycValue,
-    EigenBasis,
     MetaElement,
     PadicContext,
     Representation,
@@ -126,22 +125,22 @@ class TestValidationAtConstruction:
 
 class TestEigenBasis:
     def test_betas(self, ctx):
-        assert EigenBasis(builtin_sigma_p3(ctx, 1)).betas == [Fraction(1, 3)]
-        assert EigenBasis(builtin_sigma_p3(ctx, 2)).betas == [Fraction(2, 3)]
+        assert builtin_sigma_p3(ctx, 1).betas == (Fraction(1, 3),)
+        assert builtin_sigma_p3(ctx, 2).betas == (Fraction(2, 3),)
 
     def test_beta_denominators(self, ctx):
         for which in (1, 2):
-            for entry in EigenBasis(builtin_sigma_p3(ctx, which)).entries:
-                assert entry.beta.denominator == 3
+            for beta in builtin_sigma_p3(ctx, which).betas:
+                assert beta.denominator == 3
 
     def test_repeated_character_rejected(self, ctx):
-        # sigma + sigma has a rank-2 unipotent eigenprojection
+        # sigma + sigma has a rank-2 unipotent eigenprojection; the
+        # constructor itself rejects it
         s1 = builtin_sigma_p3(ctx, 1)
         zero = CycValue.zero(3)
         table = {k: ((m[0][0], zero), (zero, m[0][0])) for k, m in s1.table.items()}
-        doubled = SigmaRep(ctx, 1, 2, table)
-        with pytest.raises(SigmaValidationError):
-            EigenBasis(doubled)
+        with pytest.raises(SigmaValidationError, match="one repeats"):
+            SigmaRep(ctx, 1, 2, table)
 
 
 class TestSigmaFileFormat:
@@ -164,6 +163,18 @@ class TestSigmaFileFormat:
         data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
         data["entries"][0]["matrix"] = [[1, 1], [1, 1]]
         with pytest.raises(SigmaValidationError):
+            sigma_from_dict(ctx, data)
+
+    def test_rejects_missing_entry(self, ctx):
+        data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
+        data["entries"].pop()
+        with pytest.raises(SigmaValidationError, match="table has 23 entries, expected 24"):
+            sigma_from_dict(ctx, data)
+
+    def test_rejects_rep_block_of_wrong_shape(self, ctx):
+        data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
+        data["entries"][0]["rep"][0].append([])
+        with pytest.raises(SigmaValidationError, match="rep block of wrong shape"):
             sigma_from_dict(ctx, data)
 
     def test_rejects_wrong_p(self, ctx, ctx5):
@@ -420,12 +431,13 @@ class TestInducedVectorSum:
 
 
 def _weil_generators(ctx, a):
-    """The generators of ``weil_sigma(ctx, a)`` with g_p written through the
-    canonical sqrt(p): g_p = sqrt(p) e(1/4) for p = 3 mod 4 and g_p = sqrt(p)
-    for p = 1 mod 4."""
+    """The generators of ``weil_sigma(ctx, a)`` with g_p written as the
+    direct sum of (x/p) e(x/p) over x mod p; the library takes g_p from the
+    canonical sqrt(p), times e(1/4) for p = 3 mod 4."""
     p = ctx.p
     half = range(1, (p - 1) // 2 + 1)
-    gauss = ctx.sqrtq() * (ctx.cyc_e(Fraction(1, 4)) if p % 4 == 3 else 1)
+    gauss = CycValue.sum([ctx.cyc_e(Fraction(x, p)) * legendre_int(p, x) for x in range(1, p)],
+                         ctx.q)
     c = gauss * Fraction(-legendre_int(p, -a), p)
     return {
         (1, 1, 0, 1): tuple(tuple(ctx.cyc_e(Fraction(a * t * t, p)) if s == t else ctx.zero()
@@ -444,8 +456,8 @@ class TestWeilData:
         ctx = PadicContext(p)
         sigma = weil_sigma(ctx, a)  # ``SigmaRep`` validates it
         assert (sigma.level, sigma.dim) == (1, (p - 1) // 2)
-        assert EigenBasis(sigma).betas == sorted(
-            Fraction(a * t * t % p, p) for t in range(1, (p - 1) // 2 + 1))
+        assert sigma.betas == tuple(sorted(
+            Fraction(a * t * t % p, p) for t in range(1, (p - 1) // 2 + 1)))
 
     def test_rejects_a_non_unit(self, ctx5):
         with pytest.raises(ValueError, match="not a unit"):
@@ -453,17 +465,17 @@ class TestWeilData:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sqrtq_form_of_c_closes_to_the_same_table(self, p, request):
-        # the Gauss sum of ``weil_sigma`` against the canonical sqrt(p), for
-        # every unit a at p = 3 and 5 and a residue and a nonresidue at p = 7;
-        # a = 1 at p = 5 and 7 is the weil5/weil7 data
+        # the sqrt(p) form of c in ``weil_sigma`` against the direct Gauss
+        # sum, for every unit a at p = 3 and 5 and a residue and a nonresidue
+        # at p = 7; a = 1 at p = 5 and 7 is the weil5/weil7 data
         ctx = PadicContext(p)
         for a in ((1, 3) if p == 7 else range(1, p)):
             sigma = (request.getfixturevalue({5: "weil5", 7: "weil7"}[p]).sigma
                      if a == 1 and p > 3 else weil_sigma(ctx, a))
-            by_sqrtq = _close_table(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a))
-            assert by_sqrtq.keys() == sigma.table.keys()
+            by_sum = _close_table(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a))
+            assert by_sum.keys() == sigma.table.keys()
             for key, mat in sigma.table.items():
-                assert by_sqrtq[key] == mat, (a, key)
+                assert by_sum[key] == mat, (a, key)
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_builtin_is_the_hand_written_closure(self, ctx, which):

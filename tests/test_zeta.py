@@ -7,7 +7,6 @@ from metaplectic import (
     MULTIPLICATIVE_DX,
     AdditiveCharacter,
     CycValue,
-    EigenBasis,
     LaurentPoly,
     MetaElement,
     MultChar,
@@ -38,18 +37,22 @@ from metaplectic.zeta import (
     BesselTable,
     NotLocallyConstantError,
     SamplingBudgetError,
+    gamma_support_bound,
     twisted_gauss_sums,
     zeta_parity_holds,
 )
 from metaplectic.localchar import hilbert_frac, legendre_int
+from metaplectic.cover import SL2Element
 from metaplectic.repn import mat_mul
 
 from helpers import (
     bessel_growth_report,
     bessel_per_point,
     c_factor,
+    characters,
     evaluate_vector,
     fourier_inversion_check,
+    norm_sigma,
 )
 
 XI = Fraction(1, 3)
@@ -272,6 +275,12 @@ class TestBessel:
             assert bessel_direct(rep1, XI, XI, Fraction(u)) == oracle
             assert oracle == 1
 
+    def test_direct_rejects_eta_outside_spectrum_and_zero(self, rep1):
+        with pytest.raises(ValueError, match="not in X"):
+            bessel_direct(rep1, XI, Fraction(2, 3), Fraction(1))
+        with pytest.raises(ZeroDivisionError, match="x != 0"):
+            bessel_direct(rep1, XI, XI, 0)
+
     def test_two_methods_agree_shell_minus_one(self, rep1):
         for u in (1, 2, 4, 5, 7, 8):
             x = Fraction(u, 3)
@@ -379,6 +388,11 @@ class TestBesselClosedTorusForm:
                     for x in points:
                         assert bessel_closed(rep, xi, eta, x) == \
                             _bessel_closed_via_cover(rep, xi, eta, x), (xi, eta, x)
+
+    def test_rejects_xi_or_eta_outside_spectrum(self, rep1):
+        for xi, eta in ((Fraction(2, 3), XI), (XI, Fraction(2, 3))):
+            with pytest.raises(ValueError, match="must lie in X"):
+                bessel_closed(rep1, xi, eta, Fraction(1, 3))
 
     def test_weil_data_matches_cover_route_oracle(self, weil5):
         # sigma(<u>) is not scalar on this data, so a wrong unit in the int
@@ -679,11 +693,11 @@ class TestTwistedGaussSum:
             assert len(shell_integrals) == 1 + 2 * (n + 1)
 
 
-def _gamma_via_bessel_table(rep, xi, mu, n):
-    """The oracle: gamma(n) as the shell integral of J chi_psi mu over
-    |x| = q^n, with every Bessel value taken from the BesselTable."""
+def _gamma_via_bessel_table(rep, xi, eta, mu, n):
+    """The oracle: gamma(n) as the shell integral of J^{xi,eta} chi_psi mu
+    over |x| = q^n, with every Bessel value taken from the BesselTable."""
     ctx = rep.ctx
-    table = bessel_table(rep, xi, xi)
+    table = bessel_table(rep, xi, eta)
 
     def f(x):
         j = table.value(x)
@@ -707,7 +721,7 @@ class TestGammaDeepShells:
         bound = 2 * max(rep.level, mu.m) - rep.level
         for n in range(rep.level, bound + 2):
             assert gamma_coefficient(rep, xi, xi, mu, n) == \
-                _gamma_via_bessel_table(rep, xi, mu, n), n
+                _gamma_via_bessel_table(rep, xi, xi, mu, n), n
 
     def test_conductor_two_matches_oracle(self, rep1):
         mu = MultChar(rep1.ctx, 2, Fraction(0), 2)
@@ -715,7 +729,7 @@ class TestGammaDeepShells:
         values = {n: gamma_coefficient(rep1, XI, XI, mu, n)
                   for n in range(rep1.level, bound + 1)}
         for n, value in values.items():
-            assert value == _gamma_via_bessel_table(rep1, XI, mu, n), n
+            assert value == _gamma_via_bessel_table(rep1, XI, XI, mu, n), n
         assert not values[1].is_zero()  # the comparison is not vacuous
 
     def test_conductor_two_vanishes_above_bound(self, rep1):
@@ -733,17 +747,20 @@ class TestGammaDeepShells:
         mu = MultChar(rep.ctx, 3, Fraction(0), gen)
         values = {n: gamma_coefficient(rep, xi, xi, mu, n) for n in range(rep.level, 4)}
         for n, value in values.items():
-            assert value == _gamma_via_bessel_table(rep, xi, mu, n), n
+            assert value == _gamma_via_bessel_table(rep, xi, xi, mu, n), n
         assert not values[2].is_zero()  # a nonzero deep shell
 
     def test_weil_data_matches_oracle(self, weil5):
         # sigma(<u>) is not the identity on this data, so a wrong unit in the
-        # deep integrand's torus value shows; the builtins cannot see it
+        # deep integrand's torus value shows; the builtins cannot see it.
+        # sigma(<u>) is not diagonal either, so on the pairs xi != eta a
+        # transposed eigen-coefficient index shows too
         mu = MultChar(weil5.ctx, 2, Fraction(0), 1)
         for xi in weil5.betas:
-            value = gamma_coefficient(weil5, xi, xi, mu, 1)
-            assert value == _gamma_via_bessel_table(weil5, xi, mu, 1), xi
-            assert not value.is_zero(), xi
+            for eta in weil5.betas:
+                value = gamma_coefficient(weil5, xi, eta, mu, 1)
+                assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, 1), (xi, eta)
+                assert not value.is_zero(), (xi, eta)
 
 
 class TestGamma:
@@ -1097,6 +1114,12 @@ class TestFunctionalEquation:
         assert fe.passed and not fe.vacuous_parity
         assert fe.lhs.support() == [4]
 
+    def test_nonzero_side_against_parity_raises(self, rep1, monkeypatch):
+        # a parity that wrongly predicts vanishing on a non-vacuous case
+        monkeypatch.setattr(zeta, "zeta_parity_holds", lambda rep, mu: False)
+        with pytest.raises(ArithmeticError, match="parity predicts vanishing"):
+            check_fe(rep1, MultChar.trivial(rep1.ctx), rep1.phi(), XI)
+
     def test_parity_vacuous_flagged(self, ctx, rep1):
         mu1 = MultChar(ctx, 1, Fraction(0), 1)
         fe = check_fe(rep1, mu1, rep1.phi(), XI)
@@ -1135,14 +1158,14 @@ def _conjugated_by_ones(rep):
 
 
 class TestNonDiagonalEigenbasis:
-    """The odd Weil data conjugated into a basis where ``EigenBasis`` has a
-    non-diagonal change of basis; every result must be that of the data."""
+    """The odd Weil data conjugated into a basis where ``SigmaRep.change`` is
+    not diagonal; every result must be that of the data."""
 
     @pytest.mark.parametrize("data", ["weil5", "weil7"])
     def test_same_betas_gammas_and_fe(self, request, data):
         rep = request.getfixturevalue(data)
         conj = _conjugated_by_ones(rep)
-        change = EigenBasis(conj.sigma).change
+        change = conj.sigma.change
         assert any(not change[i][j].is_zero()
                    for i in range(rep.dim) for j in range(rep.dim) if i != j)
         assert conj.betas == rep.betas
@@ -1188,3 +1211,117 @@ class TestFourierInversion:
         lhs, rhs = fourier_inversion_check(rep, xi, v, a)
         assert lhs == rhs, a
         assert not lhs.is_zero()
+
+
+class TestNormFormData:
+    """The norm-form data at p = 3 (``helpers.norm_sigma``): dimension 2,
+    betas 1/3 and 2/3 in the two square classes, so the sums over eta in
+    ``check_fe`` have two terms and the gamma matrix is 2 x 2."""
+
+    def test_two_square_classes(self, norm3):
+        assert norm3.betas == (Fraction(1, 3), Fraction(2, 3))
+        assert [r.xi for r in norm3.spectrum().dedup] == list(norm3.betas)
+        assert norm3.central_sign_minus_one() == -1
+
+    def test_functional_equation_on_both_classes(self, ctx, norm3):
+        mus = [MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
+               MultChar(ctx, 0, Fraction(1, 2))]
+        vectors = [norm3.phi(), norm3.phi(n=1, b=1),
+                   norm3.phi(t=Fraction(1, 3)) + norm3.phi(n=-1)]
+        nonzero = 0
+        for mu in mus:
+            for v in vectors:
+                for xi in norm3.spectrum().dedup:
+                    fe = check_fe(norm3, mu, v, xi.xi)
+                    assert fe.passed, (mu.spec_record(), v, xi.xi)
+                    nonzero += not fe.vacuous_parity and not fe.lhs.is_zero()
+        assert nonzero == 6
+
+    def test_gamma_coefficients_match_bessel_table_oracle(self, ctx, norm3):
+        # every (xi, eta) pair, cross-class ones included, at conductors 0..2
+        cross = 0
+        for mu in (mu for m in range(3) for mu in characters(ctx, m, (0,))):
+            for xi in norm3.betas:
+                for eta in norm3.betas:
+                    for n in range(gamma_support_bound(norm3, mu) + 1):
+                        value = gamma_coefficient(norm3, xi, eta, mu, n)
+                        assert value == _gamma_via_bessel_table(norm3, xi, eta, mu, n), \
+                            (mu.spec_record(), xi, eta, n)
+                        cross += xi != eta and not value.is_zero()
+        assert cross  # the cross-class comparisons are not all of zeros
+
+    def test_theta_squared_one_rejected(self, ctx):
+        # theta^2 = 1 gives distinct betas but a reducible table
+        with pytest.raises(ValueError, match="reducible"):
+            norm_sigma(ctx, 2)
+
+
+class TestGammaInvolution:
+    """Gamma_mu(s) times Gamma_{mu^-1}(1 - s) is omega_pi(-1) times the
+    identity matrix over the square classes of X(pi).
+
+    The functional equation (``check_fe``) says, for every v,
+
+        Z(s, mu, l^xi, pi(w) v)
+            = (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, v).
+
+    Apply it to pi(w) v, and then once more, at 1 - s and mu^-1, to each
+    Z(1-s, mu^-1, l^eta, pi(w) v).  As pi(w)^2 = pi([-I, 1]) = omega_pi(-1),
+
+        omega_pi(-1) Z(s, mu, l^xi, v) = sum_zeta M^{xi,zeta}(s) Z(s, mu, l^zeta, v),
+        M^{xi,zeta}(s) = sum_eta (|eta| |zeta| / 16)
+                         Gamma^{xi,eta}_mu(s) Gamma^{eta,zeta}_{mu^-1}(1 - s),
+
+    so M = omega_pi(-1) I where the functionals Z(s, mu, l^zeta, .) are
+    independent; every |xi| is q^l here.  When the parity
+    omega_pi(-1) = (chi_psi mu)(-1) fails every zeta integral vanishes and
+    the equation says nothing; M is 0 then."""
+
+    @staticmethod
+    def _matrix(rep, mu):
+        classes = rep.spectrum().dedup
+        q = rep.ctx.q
+        out, cross = {}, 0
+        for xi in classes:
+            for zeta_ in classes:
+                total = LaurentPoly.zero(q, Q_POS_S)
+                for eta in classes:
+                    term = (gamma_factor(rep, xi.xi, eta.xi, mu).poly
+                            * gamma_factor(rep, eta.xi, zeta_.xi, mu.inverse())
+                            .poly.one_minus_s().retagged())
+                    cross += xi != zeta_ and not term.is_zero()
+                    total = total + (eta.abs_value * zeta_.abs_value / 16) * term
+                out[xi.xi, zeta_.xi] = total
+        return out, cross
+
+    def test_w_squared_is_minus_one(self, ctx):
+        w = MetaElement.w(ctx)
+        assert w * w == MetaElement(SL2Element.of(ctx, -1, 0, 0, -1), 1)
+
+    @pytest.mark.parametrize("data, p_exponents, max_conductor, count", [
+        ("rep1", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
+        ("rep2", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
+        ("norm3", (0,), 2, 6),
+        ("weil5", (0, Fraction(1, 4)), 1, 8),
+        ("weil7", (0,), 1, 6),
+    ], ids=["rep1", "rep2", "norm3", "weil5", "weil7"])
+    def test_identity(self, request, data, p_exponents, max_conductor, count):
+        rep = request.getfixturevalue(data)
+        q = rep.ctx.q
+        mus = [mu for m in range(max_conductor + 1)
+               for mu in characters(rep.ctx, m, p_exponents)]
+        assert len(mus) == count
+        omega = rep.central_sign_minus_one()
+        parities, cross = set(), 0
+        for mu in mus:
+            parity = zeta_parity_holds(rep, mu)
+            parities.add(parity)
+            matrix, c = self._matrix(rep, mu)
+            cross += c
+            for (xi, zeta_), value in matrix.items():
+                expected = omega if parity and xi == zeta_ else CycValue.zero(q)
+                assert value == LaurentPoly.constant(q, Q_POS_S, expected), \
+                    (mu.spec_record(), xi, zeta_)
+        assert parities == {True, False}
+        # on norm3 off-diagonal products are nonzero and cancel in the sum
+        assert (cross > 0) == (data == "norm3")
