@@ -249,9 +249,11 @@ def cmd_gamma(rep: Representation, args):
             gf = gamma_factor(rep, xi_rep.xi, eta_rep.xi, mu)
             cases.append({"xi": str(xi_rep.xi), "eta": str(eta_rep.xi),
                           "support_bound": gf.support_bound,
+                          "zero_by_theorem": list(gf.zero_by_theorem),
                           "poly": poly_to_json(gf.poly)})
+            proven = ", ".join(map(str, gf.zero_by_theorem)) or "none"
             lines += [f"Gamma^(xi={xi_rep.xi}, eta={eta_rep.xi})(s), "
-                      f"support <= {gf.support_bound}:",
+                      f"support <= {gf.support_bound}, zero by theorem: {proven}:",
                       "  " + poly_to_text(gf.poly)]
     return {"command": "gamma", "mu": mu.spec_record(), "cases": cases}, lines, 0
 
@@ -336,6 +338,7 @@ def cmd_check_invariants(rep: Representation, args):
          lambda: invariants.check_whittaker_equivariance(rep, rng, trials // 4)),
         ("bessel-agreement", lambda: invariants.check_bessel_agreement(rep)),
         ("shell-vanishing", lambda: invariants.check_shell_vanishing(rep)),
+        ("gamma-involution", lambda: invariants.check_gamma_involution(rep)),
     )
     results = [_suite(name, fn) for name, fn in suites]
     lines = [f"{'PASS' if r['pass'] else 'FAIL'}  {r['suite']}: {r['detail']}"

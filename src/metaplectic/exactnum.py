@@ -313,6 +313,11 @@ def _unit_residues_mod(n: int):
     return tuple(t for t in range(1, n) if math.gcd(t, n) == 1)
 
 
+# The samples one pass of ``zeta``'s refinement gate may take, compared with
+# p**level; ``localchar.max_conductor_exponent`` derives its cap from it.
+MAX_GATE_SAMPLES = 3**11
+
+
 class CycValue:
     """An exact element of Q(zeta_N) for a level N determined by the roots
     present; always kept in canonical form.

@@ -4,12 +4,13 @@ otherwise returns a one-line detail of what it checked."""
 
 from fractions import Fraction
 
-from .exactnum import PadicContext
+from .exactnum import LaurentPoly, PadicContext, Q_POS_S
 from .localchar import MultChar, chi_psi, hilbert_symbol, hilbert_symbol_oracle, weil_alpha
 from .cover import (MetaElement, cocycle, decompose_meta, random_sl2_word, random_unit,
                     validate_kubota_splitting)
 from .repn import Representation
-from .zeta import bessel_table, gamma_coefficient, gamma_support_bound
+from .zeta import (bessel_table, gamma_coefficient, gamma_involution_defects,
+                   gamma_support_bound, zeta_parity_holds)
 
 
 def random_nonzero(p: int, rng) -> Fraction:
@@ -109,3 +110,35 @@ def check_shell_vanishing(rep: Representation) -> str:
         if not gamma_coefficient(rep, xi, xi, mu, n).is_zero():
             raise AssertionError(f"gamma({n}) != 0")
     return f"gamma({bound + 1}) = gamma(-1) = 0"
+
+
+def check_gamma_involution(rep: Representation) -> str:
+    """Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1) I, scaled by
+    |eta| |zeta| / 16, over every pair of square classes
+    (``zeta.gamma_involution_defects``, where the identity is derived), for
+    the trivial character, the unramified one with mu(p) = -1 and the
+    conductor-1 characters sending the generator to e(1/(p - 1)) and to -1.
+    Each Gamma is a full scan of ``gamma_coefficient`` over 0..M, never
+    ``gamma_factor``, whose early exit relies on the corollary checked
+    here: with one square class and the parity holding, Gamma_mu is a
+    single monomial."""
+    ctx = rep.ctx
+    chars = (MultChar.trivial(ctx), MultChar(ctx, 0, Fraction(1, 2)),
+             MultChar(ctx, 1, 0, 1), MultChar(ctx, 1, 0, (ctx.p - 1) // 2))
+    mus = list({mu.cache_key(): mu for mu in chars}.values())
+    scans: dict = {}
+
+    def gamma(xi, eta, mu):
+        key = (xi, eta, mu.cache_key())
+        if key not in scans:
+            scans[key] = LaurentPoly(ctx.q, Q_POS_S, {
+                n: gamma_coefficient(rep, xi, eta, mu, n)
+                for n in range(gamma_support_bound(rep, mu) + 1)})
+        return scans[key]
+
+    for mu in mus:
+        for (xi, zeta_), value in gamma_involution_defects(rep, mu, gamma).items():
+            raise AssertionError(f"involution fails for {mu!r} at ({xi}, {zeta_}): {value!r}")
+    holding = sum(zeta_parity_holds(rep, mu) for mu in mus)
+    k = len(rep.spectrum().dedup)
+    return f"{len(mus)} characters ({holding} with parity), {k} x {k} class matrix"

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
+    MAX_GATE_SAMPLES,
     CycValue,
     KElement,
     PadicContext,
@@ -299,7 +300,16 @@ def _dlog_table(p: int, m: int):
     return g, order, table
 
 
-MAX_CONDUCTOR_EXPONENT = 3
+def max_conductor_exponent(p: int) -> int:
+    """The largest m with p^(2m) <= ``MAX_GATE_SAMPLES``: 5 at p = 3, 3 at
+    p = 5 and p = 7.  For m >= l the deepest gamma shell M = 2m - l is
+    sampled at level M + l = 2m, and so is the Bessel spot check on shell
+    -M (kernel and closed sum), so a larger m would pass construction only
+    to meet ``SamplingBudgetError`` at its first deep gamma factor."""
+    m = 0
+    while p ** (2 * m + 2) <= MAX_GATE_SAMPLES:
+        m += 1
+    return m
 
 
 class MultChar:
@@ -316,9 +326,10 @@ class MultChar:
                  generator_exponent: int = 0):
         if conductor_exponent < 0:
             raise ValueError("conductor exponent must be >= 0")
-        if conductor_exponent > MAX_CONDUCTOR_EXPONENT:
+        cap = max_conductor_exponent(ctx.p)
+        if conductor_exponent > cap:
             raise ValueError(f"conductor exponent {conductor_exponent} exceeds the cap "
-                             f"{MAX_CONDUCTOR_EXPONENT}")
+                             f"{cap} at p = {ctx.p}")
         self.ctx = ctx
         self.m = int(conductor_exponent)
         self.p_exponent = Fraction(p_exponent) % 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
+    MAX_GATE_SAMPLES,
     CycValue,
     LaurentPoly,
     PadicContext,
@@ -52,7 +53,7 @@ class NotLocallyConstantError(ArithmeticError):
 
 class SamplingBudgetError(ArithmeticError):
     """The first gate pass at the caller's level would take more samples
-    than ``_MAX_GATE_SAMPLES``; nothing was evaluated."""
+    than ``MAX_GATE_SAMPLES``; nothing was evaluated."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,6 @@ def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
             _sample_sum(vals, q) * (scale / q))
 
 
-_MAX_GATE_SAMPLES = 3**11  # samples one gate pass may take, compared with p**level
-
-
 def _gated(compute, p: int, level: int, what: str):
     """Locally-constant refinement gate: accept once the sums at level and
     level+1 agree; on mismatch double the level, twice at most.
@@ -102,12 +100,12 @@ def _gated(compute, p: int, level: int, what: str):
     sample of an attempt is evaluated once.  The budget is checked before
     each pass: over it, the first pass raises ``SamplingBudgetError`` and a
     refinement ``NotLocallyConstantError``."""
-    if p**level > _MAX_GATE_SAMPLES:
+    if p**level > MAX_GATE_SAMPLES:
         raise SamplingBudgetError(
             f"{what}: level {level} needs {p**level} samples, over the budget of "
-            f"{_MAX_GATE_SAMPLES}")
+            f"{MAX_GATE_SAMPLES}")
     for attempt in range(3):
-        if attempt and p**level > _MAX_GATE_SAMPLES:
+        if attempt and p**level > MAX_GATE_SAMPLES:
             raise NotLocallyConstantError(
                 f"{what}: refinement level {level} exceeds the sampling budget")
         v1, v2 = compute(level)
@@ -492,13 +490,17 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
 
 @dataclass
 class GammaFactor:
-    """Gamma factor as a polynomial in q^s with its coefficient provenance."""
+    """Gamma factor as a polynomial in q^s with its coefficient provenance:
+    `coefficients` holds gamma(n) for every n in 0..support_bound, and the
+    shells listed in `zero_by_theorem` hold zeros proven by the unit theorem
+    (``gamma_factor``), not computed ones."""
 
     poly: LaurentPoly
     coefficients: dict
     xi: Fraction
     eta: Fraction
     support_bound: int
+    zero_by_theorem: tuple = ()
 
 
 def gamma_support_bound(rep: Representation, mu: MultChar) -> int:
@@ -506,9 +508,103 @@ def gamma_support_bound(rep: Representation, mu: MultChar) -> int:
     return 2 * max(rep.level, mu.m) - rep.level
 
 
+def gamma_involution_defects(rep: Representation, mu: MultChar, gamma) -> dict:
+    """The entries where the gamma factors of mu and mu^-1 break the
+    identity M = omega_pi(-1) I (M = 0 when the parity of
+    ``zeta_parity_holds`` fails), with
+
+        M^{xi,zeta}(s) = sum_eta (|eta| |zeta| / 16)
+                         Gamma^{xi,eta}_mu(s) Gamma^{eta,zeta}_{mu^-1}(1 - s),
+
+    xi, eta and zeta running over the square-class representatives of
+    X(pi), and gamma(xi, eta, chi) returning Gamma^{xi,eta}_chi as a
+    ``LaurentPoly`` in q^s.  Returns {(xi, zeta): M^{xi,zeta}} over the
+    failing entries, so an empty dict means the identity holds.
+
+    The identity is the functional equation (``check_fe``) applied twice.
+    For every v,
+
+        Z(s, mu, l^xi, pi(w) v)
+            = (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, v).
+
+    Apply it to pi(w) v, and then once more, at 1 - s and mu^-1, to each
+    Z(1-s, mu^-1, l^eta, pi(w) v).  As pi(w)^2 = pi([-I, 1]) = omega_pi(-1),
+
+        omega_pi(-1) Z(s, mu, l^xi, v) = sum_zeta M^{xi,zeta}(s) Z(s, mu, l^zeta, v),
+
+    so M = omega_pi(-1) I where the functionals Z(s, mu, l^zeta, .) are
+    independent; every |xi| is q^l.  When the parity fails every zeta
+    integral vanishes and the equation says nothing; M is 0 then, as
+    Gamma_mu itself vanishes (substitute x -> -x).
+
+    Corollary, the unit theorem: with one square class, independence needs
+    only one v with Z(s, mu, l^xi, v) != 0, which exists when the parity
+    holds, and the identity reads
+
+        (|xi|^2 / 16) Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1).
+
+    Both factors are Laurent polynomials in q^s (the gamma factor is
+    entire), and their product is a nonzero constant, so each is a unit of
+    C[q^s, q^-s]: one monomial c q^{ns}, the two at the same n.  With
+    several classes det Gamma_mu is a monomial; nothing here says its
+    entries are."""
+    q = rep.ctx.q
+    classes = rep.spectrum().dedup
+    mu_inv = mu.inverse()
+    unit = rep.central_sign_minus_one() if zeta_parity_holds(rep, mu) else CycValue.zero(q)
+    defects = {}
+    for xi in classes:
+        for zeta_ in classes:
+            total = LaurentPoly.zero(q, Q_POS_S)
+            for eta in classes:
+                term = (gamma(xi.xi, eta.xi, mu)
+                        * gamma(eta.xi, zeta_.xi, mu_inv).one_minus_s().retagged())
+                total = total + (eta.abs_value * zeta_.abs_value / 16) * term
+            if total != LaurentPoly.constant(q, Q_POS_S, unit if xi == zeta_ else 0):
+                defects[xi.xi, zeta_.xi] = total
+    return defects
+
+
+def _scan_to_monomial(rep: Representation, xi: Fraction, mu: MultChar,
+                      bound: int) -> GammaFactor:
+    """Gamma^{xi,xi}_mu from gamma(0), gamma(1), ... up to the first nonzero
+    one; the shells after it are zero by theorem (``gamma_factor``).
+    ArithmeticError if gamma(0..bound) are all zero."""
+    q = rep.ctx.q
+    coeffs = {}
+    for n in range(bound + 1):
+        coeffs[n] = gamma_coefficient(rep, xi, xi, mu, n)
+        if not coeffs[n].is_zero():
+            later = tuple(range(n + 1, bound + 1))
+            coeffs.update(dict.fromkeys(later, CycValue.zero(q)))
+            return GammaFactor(LaurentPoly(q, Q_POS_S, coeffs), coeffs, xi, xi, bound, later)
+    raise ArithmeticError(f"Gamma^({xi},{xi}) of {mu!r} has no nonzero coefficient in "
+                          f"0..{bound}, against the unit theorem")
+
+
 def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     """Assemble Gamma^{xi,eta}(s) = sum_{n=0}^{M} gamma(n) q^{ns} with
-    M = ``gamma_support_bound``; entire in s by construction."""
+    M = ``gamma_support_bound``; entire in s by construction.
+
+    Data with several square classes, characters that fail the parity
+    (``zeta_parity_holds``) and pairs other than the class representative
+    with itself are scanned in full: every gamma(n), 0 <= n <= M, is
+    computed.  A datum with one square class where the parity holds stops
+    at its monomial.  By the unit theorem (``gamma_involution_defects``),
+
+        (|xi|^2 / 16) Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1),
+
+    Gamma_mu = Gamma^{xi,xi}_mu has exactly one nonzero coefficient.  So
+    the scan stops at the first nonzero gamma(n1), Gamma_{mu^-1} is scanned
+    up to its own first nonzero coefficient (or read from the cache), and
+    the pair is accepted only if the identity above holds exactly: that
+    certificate is a constant only if both monomials sit at n1, and its
+    value fixes the product of the two coefficients, so a wrong value of
+    one of them cannot pass.  The shells n1 + 1..M are then zero by
+    theorem: `coefficients` holds them as zeros and `zero_by_theorem`
+    lists them.  A scan that finds no nonzero coefficient, or whose
+    certificate fails, raises ArithmeticError and caches nothing; a
+    certified Gamma_{mu^-1} is cached along with Gamma_mu."""
     xi = as_fraction(xi)
     eta = as_fraction(eta)
     key = (xi, eta, mu.cache_key())
@@ -516,9 +612,24 @@ def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     if hit is not None:
         return hit
     bound = gamma_support_bound(rep, mu)
-    coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n) for n in range(bound + 1)}
-    poly = LaurentPoly(rep.ctx.q, Q_POS_S, {n: c for n, c in coeffs.items() if not c.is_zero()})
-    out = GammaFactor(poly, coeffs, xi, eta, bound)
+    classes = rep.spectrum().dedup
+    if len(classes) == 1 and classes[0].xi == xi == eta and zeta_parity_holds(rep, mu):
+        out = _scan_to_monomial(rep, xi, mu, bound)
+        mu_inv = mu.inverse()
+        inv_key = (xi, xi, mu_inv.cache_key())
+        inv = rep._gamma_cache.get(inv_key)
+        if inv is None:
+            inv = out if inv_key == key else _scan_to_monomial(rep, xi, mu_inv, bound)
+        polys = {mu.cache_key(): out.poly, mu_inv.cache_key(): inv.poly}
+        defects = gamma_involution_defects(rep, mu, lambda a, b, chi: polys[chi.cache_key()])
+        if defects:
+            raise ArithmeticError(
+                f"unit-theorem certificate fails for {mu!r} at xi={xi}: "
+                f"(|xi|^2/16) Gamma_mu(s) Gamma_mu^-1(1-s) = {defects[xi, xi]!r}")
+        rep._gamma_cache[inv_key] = inv
+    else:
+        coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n) for n in range(bound + 1)}
+        out = GammaFactor(LaurentPoly(rep.ctx.q, Q_POS_S, coeffs), coeffs, xi, eta, bound)
     rep._gamma_cache[key] = out
     return out
 

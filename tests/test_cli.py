@@ -92,7 +92,7 @@ class TestCheckInvariants:
         assert rc == 0
         for suite in ("cocycle", "kubota-splitting", "coset-roundtrip", "characters",
                       "hilbert-oracle", "whittaker-equivariance", "bessel-agreement",
-                      "shell-vanishing"):
+                      "shell-vanishing", "gamma-involution"):
             assert f"PASS  {suite}" in out
 
     def test_json_output(self, capsys):

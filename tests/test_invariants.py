@@ -69,6 +69,17 @@ def _gamma_shifted(monkeypatch, rep):
                         lambda rep, xi, eta, mu, n: gamma_coefficient(rep, xi, eta, mu, n - 2))
 
 
+def _gamma_corrupted_once(monkeypatch, rep):
+    # one coefficient off by one: gamma(0) of the trivial character
+    gamma_coefficient = invariants.gamma_coefficient
+
+    def faulty(rep, xi, eta, mu, n):
+        value = gamma_coefficient(rep, xi, eta, mu, n)
+        return value + 1 if n == 0 and mu.is_trivial() else value
+
+    monkeypatch.setattr(invariants, "gamma_coefficient", faulty)
+
+
 # suite -> (planted fault, run of the suite, words of its counterexample)
 GROUP_FAULTS = {
     "cocycle": (_sign_by_lower_entry,
@@ -99,6 +110,9 @@ REP_FAULTS = {
     "shell-vanishing": (_gamma_shifted,
                         lambda rep, rng: invariants.check_shell_vanishing(rep),
                         r"gamma\(2\) != 0"),
+    "gamma-involution": (_gamma_corrupted_once,
+                         lambda rep, rng: invariants.check_gamma_involution(rep),
+                         r"involution fails for MultChar\(trivial, p=3\) at \(1/3, 1/3\)"),
 }
 
 
@@ -141,7 +155,7 @@ def test_failed_suite_reported(monkeypatch, capsys, ctx):
     assert {suite["suite"]: suite["pass"] for suite in report["suites"]} == {
         "cocycle": False, "kubota-splitting": True, "coset-roundtrip": True,
         "characters": True, "hilbert-oracle": True, "whittaker-equivariance": True,
-        "bessel-agreement": True, "shell-vanishing": True,
+        "bessel-agreement": True, "shell-vanishing": True, "gamma-involution": True,
     }
     (failed,) = [suite for suite in report["suites"] if not suite["pass"]]
     assert "2-cocycle identity fails" in failed["detail"]

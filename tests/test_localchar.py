@@ -16,7 +16,6 @@ from metaplectic import (
 )
 from metaplectic.exactnum import PadicContext, frac_unit_part, p_fractional_part
 from metaplectic.localchar import (
-    MAX_CONDUCTOR_EXPONENT,
     _gauss_ball_integral,
     _primitive_root,
     _sqrt_table,
@@ -24,6 +23,7 @@ from metaplectic.localchar import (
     hilbert_frac,
     hilbert_int,
     legendre_int,
+    max_conductor_exponent,
     square_class_int,
 )
 from metaplectic.invariants import check_characters, random_nonzero
@@ -343,9 +343,15 @@ class TestMultChar:
             # the quadratic character mod 9 is trivial on 1 + P: conductor 1
             MultChar(ctx, 2, Fraction(0), 3)
 
-    def test_conductor_cap(self, ctx):
-        with pytest.raises(ValueError):
-            MultChar(ctx, 4, Fraction(0), 1)
+    def test_conductor_cap(self, ctx, ctx5):
+        # the largest m with p^(2m) <= MAX_GATE_SAMPLES = 3^11
+        assert [max_conductor_exponent(p) for p in (3, 5, 7, 11)] == [5, 3, 3, 2]
+        assert MultChar(ctx, 5, Fraction(0), 1).m == 5
+        with pytest.raises(ValueError, match="exceeds the cap 5 at p = 3"):
+            MultChar(ctx, 6, Fraction(0), 1)
+        assert MultChar(ctx5, 3, Fraction(0), 1).m == 3
+        with pytest.raises(ValueError, match="exceeds the cap 3 at p = 5"):
+            MultChar(ctx5, 4, Fraction(0), 1)
 
     def test_inverse(self, ctx, rng):
         mu = MultChar(ctx, 2, Fraction(1, 4), 1)
@@ -429,11 +435,13 @@ class TestIntCharacters:
                 assert chi_psi_int(ctx, v, u) == chi_psi(ctx.elem(x)), x
                 assert chi_psi_int(ctx, v, -u) == chi_psi(ctx.elem(-x)), -x
 
-    @pytest.mark.parametrize("m", range(MAX_CONDUCTOR_EXPONENT + 1))
+    @pytest.mark.parametrize("m", range(max_conductor_exponent(3) + 1))
     def test_mu_exponent_int(self, ctx, m):
+        # every m up to the p = 3 cap; every character for m <= 3, and an
+        # even stride of about 24 of the 72 (m = 4) and 216 (m = 5) above
         chars = characters(ctx, m, (Fraction(0), Fraction(1, 4)))
         assert chars
-        for mu in chars:
+        for mu in chars[::max(1, len(chars) // 24)]:
             for u in _units(3, max(m, 1)):
                 for v in range(-2, 3):
                     x = Fraction(u) * Fraction(3) ** v

@@ -596,7 +596,7 @@ class TestBesselKernel:
             calls.append(y)
             return translate(b, y) * (1 + y)
 
-        monkeypatch.setattr(zeta, "_MAX_GATE_SAMPLES", 3**3)
+        monkeypatch.setattr(zeta, "MAX_GATE_SAMPLES", 3**3)
         with monkeypatch.context() as faulty:
             faulty.setattr(rep, "w_translate", mutated)
             for attempt in range(1, 3):
@@ -1256,72 +1256,127 @@ class TestNormFormData:
             norm_sigma(ctx, 2)
 
 
+_FULL_SCANS: dict = {}
+
+
+def full_scan(rep, xi, eta, mu) -> dict:
+    """gamma(n) for every n in 0..M from ``gamma_coefficient``: the oracle
+    of ``gamma_factor``'s early exit, memoized per representation."""
+    key = (rep, xi, eta, mu.cache_key())
+    if key not in _FULL_SCANS:
+        _FULL_SCANS[key] = {n: gamma_coefficient(rep, xi, eta, mu, n)
+                            for n in range(gamma_support_bound(rep, mu) + 1)}
+    return _FULL_SCANS[key]
+
+
+# data, mu(p) = e(x) for x in the tuple, conductors 0..max, count
+INVOLUTION_CASES = [
+    ("rep1", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
+    ("rep2", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
+    ("norm3", (0,), 2, 6),
+    ("weil5", (0, Fraction(1, 4)), 1, 8),
+    ("weil7", (0,), 1, 6),
+]
+INVOLUTION_IDS = [case[0] for case in INVOLUTION_CASES]
+
+
+def _involution_chars(rep, p_exponents, max_conductor, count):
+    mus = [mu for m in range(max_conductor + 1)
+           for mu in characters(rep.ctx, m, p_exponents)]
+    assert len(mus) == count
+    return mus
+
+
 class TestGammaInvolution:
-    """Gamma_mu(s) times Gamma_{mu^-1}(1 - s) is omega_pi(-1) times the
-    identity matrix over the square classes of X(pi).
-
-    The functional equation (``check_fe``) says, for every v,
-
-        Z(s, mu, l^xi, pi(w) v)
-            = (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, v).
-
-    Apply it to pi(w) v, and then once more, at 1 - s and mu^-1, to each
-    Z(1-s, mu^-1, l^eta, pi(w) v).  As pi(w)^2 = pi([-I, 1]) = omega_pi(-1),
-
-        omega_pi(-1) Z(s, mu, l^xi, v) = sum_zeta M^{xi,zeta}(s) Z(s, mu, l^zeta, v),
-        M^{xi,zeta}(s) = sum_eta (|eta| |zeta| / 16)
-                         Gamma^{xi,eta}_mu(s) Gamma^{eta,zeta}_{mu^-1}(1 - s),
-
-    so M = omega_pi(-1) I where the functionals Z(s, mu, l^zeta, .) are
-    independent; every |xi| is q^l here.  When the parity
-    omega_pi(-1) = (chi_psi mu)(-1) fails every zeta integral vanishes and
-    the equation says nothing; M is 0 then."""
-
-    @staticmethod
-    def _matrix(rep, mu):
-        classes = rep.spectrum().dedup
-        q = rep.ctx.q
-        out, cross = {}, 0
-        for xi in classes:
-            for zeta_ in classes:
-                total = LaurentPoly.zero(q, Q_POS_S)
-                for eta in classes:
-                    term = (gamma_factor(rep, xi.xi, eta.xi, mu).poly
-                            * gamma_factor(rep, eta.xi, zeta_.xi, mu.inverse())
-                            .poly.one_minus_s().retagged())
-                    cross += xi != zeta_ and not term.is_zero()
-                    total = total + (eta.abs_value * zeta_.abs_value / 16) * term
-                out[xi.xi, zeta_.xi] = total
-        return out, cross
+    """The identity of ``zeta.gamma_involution_defects``, derived there from
+    the functional equation and pi(w)^2 = omega_pi(-1): over the square
+    classes of X(pi), Gamma_mu(s) Gamma_{mu^-1}(1 - s) with the weights
+    |eta| |zeta| / 16 is omega_pi(-1) I, and 0 when the parity fails.  Every
+    Gamma here is a full scan of ``gamma_coefficient``, so this tests the
+    theorem that ``gamma_factor``'s early exit relies on."""
 
     def test_w_squared_is_minus_one(self, ctx):
         w = MetaElement.w(ctx)
         assert w * w == MetaElement(SL2Element.of(ctx, -1, 0, 0, -1), 1)
 
-    @pytest.mark.parametrize("data, p_exponents, max_conductor, count", [
-        ("rep1", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
-        ("rep2", (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2, 24),
-        ("norm3", (0,), 2, 6),
-        ("weil5", (0, Fraction(1, 4)), 1, 8),
-        ("weil7", (0,), 1, 6),
-    ], ids=["rep1", "rep2", "norm3", "weil5", "weil7"])
+    @pytest.mark.parametrize("data, p_exponents, max_conductor, count", INVOLUTION_CASES,
+                             ids=INVOLUTION_IDS)
     def test_identity(self, request, data, p_exponents, max_conductor, count):
         rep = request.getfixturevalue(data)
         q = rep.ctx.q
-        mus = [mu for m in range(max_conductor + 1)
-               for mu in characters(rep.ctx, m, p_exponents)]
-        assert len(mus) == count
-        omega = rep.central_sign_minus_one()
+        classes = [r.xi for r in rep.spectrum().dedup]
+
+        def gamma(xi, eta, mu):
+            return LaurentPoly(q, Q_POS_S, full_scan(rep, xi, eta, mu))
+
         parities, cross = set(), 0
-        for mu in mus:
-            parity = zeta_parity_holds(rep, mu)
-            parities.add(parity)
-            matrix, c = self._matrix(rep, mu)
-            cross += c
-            for (xi, zeta_), value in matrix.items():
-                expected = omega if parity and xi == zeta_ else CycValue.zero(q)
-                assert value == LaurentPoly.constant(q, Q_POS_S, expected), \
-                    (mu.spec_record(), xi, zeta_)
+        for mu in _involution_chars(rep, p_exponents, max_conductor, count):
+            parities.add(zeta_parity_holds(rep, mu))
+            assert zeta.gamma_involution_defects(rep, mu, gamma) == {}, mu.spec_record()
+            cross += sum(not gamma(xi, eta, mu).is_zero()
+                         and not gamma(eta, zeta_, mu.inverse()).is_zero()
+                         for xi in classes for eta in classes for zeta_ in classes
+                         if xi != zeta_)
         assert parities == {True, False}
         # on norm3 off-diagonal products are nonzero and cancel in the sum
         assert (cross > 0) == (data == "norm3")
+
+
+class TestGammaEarlyExit:
+    """``gamma_factor`` stops a one-class datum where the parity holds at its
+    monomial, certified by the unit theorem; the full scan is the oracle."""
+
+    @pytest.mark.parametrize("data, p_exponents, max_conductor, count", INVOLUTION_CASES,
+                             ids=INVOLUTION_IDS)
+    def test_equals_full_scan(self, request, data, p_exponents, max_conductor, count):
+        rep = request.getfixturevalue(data)
+        fresh = Representation(rep.sigma)  # cold caches, early exit included
+        classes = [r.xi for r in rep.spectrum().dedup]
+        for mu in _involution_chars(rep, p_exponents, max_conductor, count):
+            parity = zeta_parity_holds(rep, mu)
+            for xi in classes:
+                for eta in classes:
+                    full = full_scan(rep, xi, eta, mu)
+                    gf = gamma_factor(fresh, xi, eta, mu)
+                    assert gf.coefficients == full, (mu.spec_record(), xi, eta)
+                    nonzero = [n for n, c in full.items() if not c.is_zero()]
+                    if not parity:
+                        assert nonzero == [] and gf.zero_by_theorem == ()
+                    elif len(classes) > 1:
+                        assert gf.zero_by_theorem == ()
+                    else:
+                        (n1,) = nonzero
+                        assert gf.zero_by_theorem == tuple(range(n1 + 1, gf.support_bound + 1))
+
+    @pytest.mark.parametrize("fault", ["double", "zero"])
+    def test_wrong_coefficient_raises_and_caches_nothing(self, ctx, rep1, monkeypatch, fault):
+        mu = MultChar(ctx, 2, Fraction(0), 2)  # parity holds; gamma(1) is the monomial
+        assert zeta_parity_holds(rep1, mu)
+        rep = Representation(rep1.sigma)
+        coefficient = zeta.gamma_coefficient
+
+        def faulty(rep, xi, eta, chi, n):
+            value = coefficient(rep, xi, eta, chi, n)
+            if fault == "zero":
+                return CycValue.zero(ctx.q)
+            return value * 2 if chi.cache_key() == mu.cache_key() else value
+
+        match = "certificate fails" if fault == "double" else "no nonzero coefficient"
+        with monkeypatch.context() as patched:
+            patched.setattr(zeta, "gamma_coefficient", faulty)
+            with pytest.raises(ArithmeticError, match=match):
+                gamma_factor(rep, XI, XI, mu)
+            assert (XI, XI, mu.cache_key()) not in rep._gamma_cache
+            assert rep._gamma_cache == {}
+        assert gamma_factor(rep, XI, XI, mu).coefficients == full_scan(rep1, XI, XI, mu)
+
+    def test_conductor_above_the_old_cap(self, rep1):
+        # m = 4 at p = 3 was refused by the old cap of 3 for every p; the
+        # scan stops at gamma(3), and gamma(4..7) are zero by theorem
+        mu = MultChar(rep1.ctx, 4, Fraction(0), 2)
+        assert zeta_parity_holds(rep1, mu)
+        gf = gamma_factor(Representation(rep1.sigma), XI, XI, mu)
+        assert gf.support_bound == 7
+        assert gf.poly.support() == [3]
+        assert gf.zero_by_theorem == (4, 5, 6, 7)
+        assert sorted(gf.coefficients) == list(range(8))
