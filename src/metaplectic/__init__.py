@@ -33,10 +33,13 @@ from .cover import (
     validate_kubota_splitting,
 )
 from .repn import (
+    SIGMA_NAMES,
     InducedVector,
     Representation,
     SigmaRep,
     builtin_sigma_p3,
+    named_sigma,
+    norm_sigma,
     sigma_from_dict,
     weil_sigma,
 )

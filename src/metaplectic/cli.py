@@ -26,7 +26,8 @@ from fractions import Fraction
 from . import invariants
 from .exactnum import CycValue, LaurentPoly, PadicContext
 from .localchar import MultChar
-from .repn import InducedVector, Representation, SigmaRep, builtin_sigma_p3, sigma_from_dict
+from .repn import (SIGMA_NAMES, InducedVector, Representation, SigmaRep, SigmaValidationError,
+                   named_sigma, sigma_from_dict)
 from .zeta import bessel_table, check_fe, gamma_factor, zeta_function
 
 
@@ -167,9 +168,10 @@ def build_context(args) -> PadicContext:
 
 
 def build_sigma(ctx: PadicContext, source: str) -> SigmaRep:
-    if source in ("builtin1", "builtin2"):
-        return _configured(f"builtin sigma {source!r}",
-                           lambda: builtin_sigma_p3(ctx, int(source[-1])), invalid=(ValueError,))
+    """A name in ``SIGMA_NAMES``, else a path to a sigma table file."""
+    if source in SIGMA_NAMES:
+        return _configured(f"sigma {source!r}", lambda: named_sigma(ctx, source),
+                           invalid=(SigmaValidationError,))
     return _configured(f"sigma table {source!r}",
                        lambda: sigma_from_dict(ctx, _read(source)))
 
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "metaplectic double cover of SL(2, Q_p)")
     parser.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
     parser.add_argument("--sigma", default="builtin1",
-                        help="builtin1 | builtin2 | path to a sigma table file")
+                        help=" | ".join(sorted(SIGMA_NAMES)) + " | path to a sigma table file")
     parser.add_argument("--mu", default="trivial",
                         help="'trivial', an inline JSON character record, or @file")
     parser.add_argument("--vectors", default=None,

@@ -76,40 +76,55 @@ def check_hilbert_oracle(ctx: PadicContext) -> str:
     return f"{len(sweep) ** 2} pairs vs oracle"
 
 
+def _classes(rep: Representation) -> list:
+    """The xi of every square class of X(pi), one representative each."""
+    return [r.xi for r in rep.spectrum().dedup]
+
+
 def check_whittaker_equivariance(rep: Representation, rng, samples: int) -> str:
-    """l^xi(pi(n(a)) v) = psi^xi(a) l^xi(v), a in [-3p^2, 3p^2] p^-{0,1,2}."""
+    """l^xi(pi(n(a)) v) = psi^xi(a) l^xi(v), a in [-3p^2, 3p^2] p^-{0,1,2},
+    `samples` draws for each square class xi; the detail counts them all."""
     ctx, p = rep.ctx, rep.ctx.p
-    xi = rep.spectrum().dedup[0].xi
-    psi_xi = rep.psi.twist(xi)
-    for _ in range(samples):
-        a = Fraction(rng.randrange(-3 * p**2, 3 * p**2 + 1), p ** rng.randrange(0, 3))
-        v = rep.phi(t=Fraction(rng.randrange(0, p**2), p**2), n=rng.choice([-1, 0, 1]))
-        lhs = rep.whittaker_functional(xi, rep.act(MetaElement.n(ctx, a), v))
-        if lhs != psi_xi.value(a) * rep.whittaker_functional(xi, v):
-            raise AssertionError(f"equivariance fails at a={a}")
-    return f"{samples} pairs"
+    classes = _classes(rep)
+    for xi in classes:
+        psi_xi = rep.psi.twist(xi)
+        for _ in range(samples):
+            a = Fraction(rng.randrange(-3 * p**2, 3 * p**2 + 1), p ** rng.randrange(0, 3))
+            v = rep.phi(t=Fraction(rng.randrange(0, p**2), p**2), n=rng.choice([-1, 0, 1]))
+            lhs = rep.whittaker_functional(xi, rep.act(MetaElement.n(ctx, a), v))
+            if lhs != psi_xi.value(a) * rep.whittaker_functional(xi, v):
+                raise AssertionError(f"equivariance fails at xi={xi}, a={a}")
+    return f"{samples * len(classes)} pairs"
 
 
 def check_bessel_agreement(rep: Representation) -> str:
-    """Direct and closed Bessel values agree on the shells -level-1, -level."""
-    xi = rep.spectrum().dedup[0].xi
-    table = bessel_table(rep, xi, xi)
-    try:
-        n = table.validate_agreement(range(-rep.level - 1, -rep.level + 1), per_shell=2)
-    except ArithmeticError as exc:
-        raise AssertionError(str(exc)) from exc
+    """Direct and closed Bessel values agree on the shells -level-1, -level,
+    for every pair (xi, eta) of square classes."""
+    classes = _classes(rep)
+    n = 0
+    for xi in classes:
+        for eta in classes:
+            try:
+                n += bessel_table(rep, xi, eta).validate_agreement(
+                    range(-rep.level - 1, -rep.level + 1), per_shell=2)
+            except ArithmeticError as exc:
+                raise AssertionError(f"({xi}, {eta}): {exc}") from exc
     return f"{n} points, two methods"
 
 
 def check_shell_vanishing(rep: Representation) -> str:
-    """gamma(n) = 0 just above the support bound and at n = -1 (trivial mu)."""
+    """gamma(n) = 0 just above the support bound and at n = -1 (trivial mu),
+    for every pair (xi, eta) of square classes."""
     mu = MultChar.trivial(rep.ctx)
-    xi = rep.spectrum().dedup[0].xi
+    classes = _classes(rep)
     bound = gamma_support_bound(rep, mu)
-    for n in (bound + 1, -1):
-        if not gamma_coefficient(rep, xi, xi, mu, n).is_zero():
-            raise AssertionError(f"gamma({n}) != 0")
-    return f"gamma({bound + 1}) = gamma(-1) = 0"
+    for xi in classes:
+        for eta in classes:
+            for n in (bound + 1, -1):
+                if not gamma_coefficient(rep, xi, eta, mu, n).is_zero():
+                    raise AssertionError(f"gamma({n}) != 0 at ({xi}, {eta})")
+    k = len(classes)
+    return f"gamma({bound + 1}) = gamma(-1) = 0, {k} x {k} class matrix"
 
 
 def check_gamma_involution(rep: Representation) -> str:
@@ -140,5 +155,5 @@ def check_gamma_involution(rep: Representation) -> str:
         for (xi, zeta_), value in gamma_involution_defects(rep, mu, gamma).items():
             raise AssertionError(f"involution fails for {mu!r} at ({xi}, {zeta_}): {value!r}")
     holding = sum(zeta_parity_holds(rep, mu) for mu in mus)
-    k = len(rep.spectrum().dedup)
+    k = len(_classes(rep))
     return f"{len(mus)} characters ({holding} with parity), {k} x {k} class matrix"

@@ -253,16 +253,102 @@ def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
     return SigmaRep(ctx, 1, dim, _close_table(ctx, 1, dim, generators))
 
 
+def norm_sigma(ctx, k: int) -> SigmaRep:
+    """The cuspidal representation of SL(2, Z/p) from the norm form of
+    E = F_p(sqrt(eps)), eps the smallest nonresidue (Piatetski-Shapiro,
+    Complex Representations of GL(2, K) for Finite Fields K, 1983): level 1
+    and dimension p - 1.
+
+    U = {N = 1} is cyclic of order p + 1; g is its first element of order
+    p + 1 in the scan x0, then x1, and theta(g^j) = e(k j/(p + 1)).  The
+    basis is a = 1..p - 1, x_a the first element of norm a in the same scan,
+    and with tr(x ybar) = 2(x0 y0 - eps x1 y1):
+
+        n(1) -> diag(e(a/p)),
+        w -> M[a'][a] = -(1/p) sum over N(y) = a of e(-tr(x_a' ybar)/p) theta(y/x_a).
+
+    So the betas are the a/p, which fall in both square classes.  theta^2 = 1
+    (2k = 0 mod p + 1) gives a reducible table with distinct betas, which
+    ``SigmaRep`` would accept, so it raises ``ValueError`` here."""
+    p, q = ctx.p, ctx.q
+    if 2 * k % (p + 1) == 0:
+        raise ValueError(f"theta^2 = 1 for k = {k} at p = {p}: the table is reducible")
+    eps = _smallest_nonresidue(p)
+    scan = [(x0, x1) for x0 in range(p) for x1 in range(p) if (x0, x1) != (0, 0)]
+
+    def norm(x):
+        return (x[0] * x[0] - eps * x[1] * x[1]) % p
+
+    def mul(x, y):
+        return ((x[0] * y[0] + eps * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def powers(x):
+        out = [(1, 0)]
+        while mul(out[-1], x) != (1, 0):
+            out.append(mul(out[-1], x))
+        return out
+
+    g = next(x for x in scan if norm(x) == 1 and len(powers(x)) == p + 1)
+    log = {z: j for j, z in enumerate(powers(g))}
+    first = {}
+    for x in scan:
+        first.setdefault(norm(x), x)
+
+    def theta_of_quotient(y, x):
+        n_inv = pow(norm(x), -1, p)
+        z = mul(y, (x[0] * n_inv % p, -x[1] * n_inv % p))
+        return CycValue.root_of_unity_int(q, k * log[z], p + 1)
+
+    basis = range(1, p)
+    w = tuple(tuple(
+        CycValue.sum([CycValue.root_of_unity_int(
+            q, -2 * (first[a2][0] * y[0] - eps * first[a2][1] * y[1]), p)
+            * theta_of_quotient(y, first[a]) for y in scan if norm(y) == a], q)
+        * Fraction(-1, p) for a in basis) for a2 in basis)
+    generators = {
+        (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity_int(q, a, p) if a == a2
+                                  else CycValue.zero(q) for a in basis) for a2 in basis),
+        (0, p - 1, 1, 0): w,
+    }
+    return SigmaRep(ctx, 1, p - 1, _close_table(ctx, 1, p - 1, generators))
+
+
+# name -> (p, builder, argument): the data the command line, CI and the test
+# fixtures read by name, each built by ``named_sigma``
+SIGMA_NAMES = types.MappingProxyType({
+    "builtin1": (3, weil_sigma, 1),
+    "builtin2": (3, weil_sigma, 2),
+    "weil5": (5, weil_sigma, 1),
+    "weil7": (7, weil_sigma, 1),
+    "norm3": (3, norm_sigma, 1),
+    "norm5": (5, norm_sigma, 1),
+})
+
+
+def _require_p(ctx: PadicContext, p: int) -> None:
+    """The p check of both sigma sources, a name and a table file."""
+    if p != ctx.p:
+        raise SigmaValidationError(f"table requires p = {p}, context has p = {ctx.p}")
+
+
+def named_sigma(ctx: PadicContext, name: str) -> SigmaRep:
+    """The datum `name` of ``SIGMA_NAMES``.  A name whose p is not ctx.p
+    raises ``SigmaValidationError`` before anything is built."""
+    p, build, argument = SIGMA_NAMES[name]
+    _require_p(ctx, p)
+    return build(ctx, argument)
+
+
 def builtin_sigma_p3(ctx: PadicContext, which: int) -> SigmaRep:
     """The two one-dimensional strongly cuspidal representations of
-    SL(2, Z/3), the odd Weil data ``weil_sigma(ctx, which)``: n(a) ->
-    e(which * a / 3) and w -> 1.  Only exists for p = 3 (SL(2, F_p) is
-    perfect for p > 3)."""
+    SL(2, Z/3), the odd Weil data ``weil_sigma(ctx, which)`` named
+    builtin1 and builtin2: n(a) -> e(which * a / 3) and w -> 1.  Only
+    exists for p = 3 (SL(2, F_p) is perfect for p > 3)."""
     if ctx.p != 3:
         raise ValueError("the builtin one-dimensional data requires p = 3")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    return weil_sigma(ctx, which)
+    return named_sigma(ctx, f"builtin{which}")
 
 
 def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
@@ -277,8 +363,7 @@ def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
     The loader checks each entry's determinant and shape; ``SigmaRep``
     then validates multiplicativity (complete, against the generators),
     conductor exactness and strong cuspidality."""
-    if int(data["p"]) != ctx.p:
-        raise SigmaValidationError(f"table is for p={data['p']}, context has p={ctx.p}")
+    _require_p(ctx, int(data["p"]))
     level = int(data["l"])
     dim = int(data["dim"])
     modulus = ctx.p**level

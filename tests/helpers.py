@@ -1,9 +1,9 @@
 """Test-side helpers built on the public model: the value of a model vector
 at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
 the Fourier inversion identity of the Bessel function, a float growth
-report, the characters of one conductor, and the norm-form data
-``norm_sigma``, whose spectrum has two square classes.  Nothing in the
-library calls them; the tests use them as oracles and as test data."""
+report and the characters of one conductor.  Nothing in the library calls
+them; the tests use them as oracles.  The data the tests run on are the
+named data of ``metaplectic.repn.SIGMA_NAMES``."""
 
 from fractions import Fraction
 
@@ -23,8 +23,7 @@ from metaplectic.exactnum import (
     torus_coordinates,
     valuation_unit,
 )
-from metaplectic.localchar import _smallest_nonresidue, hilbert_int
-from metaplectic.repn import SigmaRep, _close_table
+from metaplectic.localchar import hilbert_int
 from metaplectic.zeta import ADDITIVE_DX, MULTIPLICATIVE_DX, bessel_table
 
 
@@ -160,63 +159,3 @@ def characters(ctx, m: int, p_exponents) -> list:
             except ValueError:  # conductor below m
                 pass
     return out
-
-
-def norm_sigma(ctx, k: int) -> SigmaRep:
-    """The cuspidal representation of SL(2, Z/p) from the norm form of
-    E = F_p(sqrt(eps)), eps the smallest nonresidue (Piatetski-Shapiro,
-    Complex Representations of GL(2, K) for Finite Fields K, 1983): level 1
-    and dimension p - 1.
-
-    U = {N = 1} is cyclic of order p + 1; g is its first element of order
-    p + 1 in the scan x0, then x1, and theta(g^j) = e(k j/(p + 1)).  The
-    basis is a = 1..p - 1, x_a the first element of norm a in the same scan,
-    and with tr(x ybar) = 2(x0 y0 - eps x1 y1):
-
-        n(1) -> diag(e(a/p)),
-        w -> M[a'][a] = -(1/p) sum over N(y) = a of e(-tr(x_a' ybar)/p) theta(y/x_a).
-
-    So the betas are the a/p, which fall in both square classes.  theta^2 = 1
-    (2k = 0 mod p + 1) gives a reducible table with distinct betas, which
-    ``SigmaRep`` would accept, so it raises ``ValueError`` here."""
-    p, q = ctx.p, ctx.q
-    if 2 * k % (p + 1) == 0:
-        raise ValueError(f"theta^2 = 1 for k = {k} at p = {p}: the table is reducible")
-    eps = _smallest_nonresidue(p)
-    scan = [(x0, x1) for x0 in range(p) for x1 in range(p) if (x0, x1) != (0, 0)]
-
-    def norm(x):
-        return (x[0] * x[0] - eps * x[1] * x[1]) % p
-
-    def mul(x, y):
-        return ((x[0] * y[0] + eps * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
-
-    def powers(x):
-        out = [(1, 0)]
-        while mul(out[-1], x) != (1, 0):
-            out.append(mul(out[-1], x))
-        return out
-
-    g = next(x for x in scan if norm(x) == 1 and len(powers(x)) == p + 1)
-    log = {z: j for j, z in enumerate(powers(g))}
-    first = {}
-    for x in scan:
-        first.setdefault(norm(x), x)
-
-    def theta_of_quotient(y, x):
-        n_inv = pow(norm(x), -1, p)
-        z = mul(y, (x[0] * n_inv % p, -x[1] * n_inv % p))
-        return CycValue.root_of_unity_int(q, k * log[z], p + 1)
-
-    basis = range(1, p)
-    w = tuple(tuple(
-        CycValue.sum([CycValue.root_of_unity_int(
-            q, -2 * (first[a2][0] * y[0] - eps * first[a2][1] * y[1]), p)
-            * theta_of_quotient(y, first[a]) for y in scan if norm(y) == a], q)
-        * Fraction(-1, p) for a in basis) for a2 in basis)
-    generators = {
-        (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity_int(q, a, p) if a == a2
-                                  else CycValue.zero(q) for a in basis) for a2 in basis),
-        (0, p - 1, 1, 0): w,
-    }
-    return SigmaRep(ctx, 1, p - 1, _close_table(ctx, 1, p - 1, generators))

@@ -43,6 +43,11 @@ class TestExampleCommand:
         rc, _, err = run_cli(capsys, "--p", "5")
         assert rc == 2 and "requires p = 3" in err
 
+    def test_rejects_name_with_wrong_p(self, capsys):
+        # --p is never inferred from the name
+        rc, _, err = run_cli(capsys, "--sigma", "weil5")
+        assert rc == 2 and "p = 5" in err and "p = 3" in err
+
 
 class TestCheckFe:
     def test_table_output_passes(self, capsys):
@@ -326,18 +331,28 @@ def test_golden_json_bytes(capsys, command, sigma, mu):
     assert out == (GOLDEN / f"{command}-{sigma}-{mu}.json").read_text()
 
 
-@pytest.mark.parametrize("command", ["check-fe", "gamma"])
-def test_golden_weil5_json_bytes(capsys, tmp_path, weil5, command):
-    """`check-fe` and `gamma` JSON on the p = 5 odd Weil table (dim 2), read
-    through --sigma with the conductor-1 character, byte for byte as
-    recorded in golden/<command>-weil5-quadratic1.json.  The builtin
-    goldens are 1 x 1, so only these see the matrix paths."""
-    path = tmp_path / "weil5.json"
-    path.write_text(json.dumps(sigma_to_dict(weil5.sigma)))
-    rc, out, _ = run_cli(capsys, "--p", "5", "--sigma", str(path), "--command", command,
+def _assert_named_golden(capsys, p, sigma, command):
+    rc, out, _ = run_cli(capsys, "--p", p, "--sigma", sigma, "--command", command,
                          "--mu", GOLDEN_MU["quadratic1"], "--output", "json")
     assert rc == 0
-    assert out == (GOLDEN / f"{command}-weil5-quadratic1.json").read_text()
+    assert out == (GOLDEN / f"{command}-{sigma}-quadratic1.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["check-fe", "gamma"])
+def test_golden_weil5_json_bytes(capsys, command):
+    """`check-fe` and `gamma` JSON on the p = 5 odd Weil table (dim 2), read
+    by its name with the conductor-1 character, byte for byte as recorded
+    in golden/<command>-weil5-quadratic1.json.  The builtin goldens are
+    1 x 1, so these and the norm3 goldens see the matrix paths."""
+    _assert_named_golden(capsys, "5", "weil5", command)
+
+
+@pytest.mark.parametrize("command", ["check-fe", "gamma"])
+def test_golden_norm3_json_bytes(capsys, command):
+    """The same on the norm-form table at p = 3 (dim 2), whose two square
+    classes make the sums over eta two terms and the gamma matrix 2 x 2:
+    golden/<command>-norm3-quadratic1.json."""
+    _assert_named_golden(capsys, "3", "norm3", command)
 
 
 @pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])

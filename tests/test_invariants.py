@@ -3,10 +3,11 @@ planted in what it checks, so a suite that silently checks nothing fails."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from metaplectic import CycValue, MetaElement, Representation, builtin_sigma_p3
+from metaplectic import CycValue, MetaElement, Representation, builtin_sigma_p3, named_sigma
 from metaplectic import cover, invariants, zeta
 from metaplectic.cli import main
 
@@ -140,11 +141,67 @@ def test_rep_suite_catches_fault(monkeypatch, ctx, suite):
 @pytest.mark.parametrize("data", ["weil5", "weil7"])
 @pytest.mark.parametrize("suite", sorted(REP_FAULTS))
 def test_rep_suite_passes_on_weil_data(request, suite, data):
-    # the representation suites beyond p = 3, dim 1; the full
-    # check-invariants command at p = 5 takes minutes, almost all of it in
-    # the characters suite
+    # the representation suites beyond p = 3, dim 1, on the session
+    # fixtures; CI runs the full check-invariants command on the named data
+    # weil5, weil7 and norm5
     _, run, _ = REP_FAULTS[suite]
     run(request.getfixturevalue(data), random.Random(1))
+
+
+SECOND_CLASS = Fraction(2, 3)  # the second square class of norm3, after 1/3
+
+
+def _functional_off_on_second_class(monkeypatch, rep):
+    functional = rep.whittaker_functional
+
+    def faulty(xi, v, *torus):
+        value = functional(xi, v, *torus)
+        return value + 1 if xi == SECOND_CLASS else value
+
+    monkeypatch.setattr(rep, "whittaker_functional", faulty)
+
+
+def _closed_bessel_off_on_second_class(monkeypatch, rep):
+    bessel_closed = zeta.bessel_closed
+
+    def faulty(rep, xi, eta, x):
+        value = bessel_closed(rep, xi, eta, x)
+        return value + 1 if xi == SECOND_CLASS else value
+
+    monkeypatch.setattr(zeta, "bessel_closed", faulty)
+
+
+def _gamma_off_on_second_class(monkeypatch, rep):
+    # not a shift: for the trivial character every gamma of norm3 is zero
+    gamma_coefficient = invariants.gamma_coefficient
+
+    def faulty(rep, xi, eta, mu, n):
+        value = gamma_coefficient(rep, xi, eta, mu, n)
+        return value + 1 if xi == SECOND_CLASS else value
+
+    monkeypatch.setattr(invariants, "gamma_coefficient", faulty)
+
+
+# suite -> (fault planted on the second square class only, its counterexample)
+SECOND_CLASS_FAULTS = {
+    "whittaker-equivariance": (_functional_off_on_second_class,
+                               "equivariance fails at xi=2/3"),
+    "bessel-agreement": (_closed_bessel_off_on_second_class,
+                         r"\(2/3, 1/3\): Bessel methods disagree"),
+    "shell-vanishing": (_gamma_off_on_second_class, r"gamma\(2\) != 0 at \(2/3, 1/3\)"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SECOND_CLASS_FAULTS))
+def test_rep_suite_reads_every_class(monkeypatch, ctx, norm3, suite):
+    # a suite that read only the first class, 1/3, would pass with the fault
+    plant, counterexample = SECOND_CLASS_FAULTS[suite]
+    _, run, _ = REP_FAULTS[suite]
+    run(norm3, random.Random(1))  # sound
+    rep = Representation(named_sigma(ctx, "norm3"))
+    plant(monkeypatch, rep)
+    with pytest.raises(AssertionError, match=counterexample):
+        run(rep, random.Random(1))
 
 
 def test_failed_suite_reported(monkeypatch, capsys, ctx):

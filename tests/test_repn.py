@@ -1,14 +1,18 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from metaplectic import (
+    SIGMA_NAMES,
     CycValue,
     MetaElement,
     PadicContext,
     Representation,
     SigmaRep,
     builtin_sigma_p3,
+    named_sigma,
     weil_sigma,
 )
 from metaplectic.cover import (
@@ -181,6 +185,38 @@ class TestSigmaFileFormat:
         data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
         with pytest.raises(SigmaValidationError):
             sigma_from_dict(ctx5, data)
+
+
+# the first 16 hex digits of sha256(json.dumps(sigma_to_dict(s))) of each
+# named datum, as recorded when the names were introduced
+NAMED_DIGESTS = {
+    "builtin1": "169c05c5460c9f1f",
+    "builtin2": "b2b69c4e1da5253e",
+    "weil5": "221f8818472705fe",
+    "weil7": "6baef338d3c95715",
+    "norm3": "f7a4b37a11b798aa",
+    "norm5": "d07d2936e862aef4",
+}
+
+
+class TestNamedSigma:
+    """Every datum of ``SIGMA_NAMES``: its table bytes, pinned, and the
+    file door's round trip, which no longer sees p = 5 or 7 otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
+    def test_table_bytes_and_file_roundtrip(self, name):
+        ctx = PadicContext(SIGMA_NAMES[name][0])
+        sigma = named_sigma(ctx, name)
+        data = sigma_to_dict(sigma)
+        assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == NAMED_DIGESTS[name]
+        assert sigma_from_dict(ctx, data).table == sigma.table
+
+    def test_name_and_file_refuse_another_p_alike(self, ctx, ctx5):
+        message = "table requires p = 3, context has p = 5"
+        with pytest.raises(SigmaValidationError, match=message):
+            named_sigma(ctx5, "norm3")
+        with pytest.raises(SigmaValidationError, match=message):
+            sigma_from_dict(ctx5, sigma_to_dict(named_sigma(ctx, "norm3")))
 
 
 class TestGenuineEvaluation:

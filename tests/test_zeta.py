@@ -22,6 +22,7 @@ from metaplectic import (
     gamma_factor,
     integrate_ball,
     integrate_shell,
+    norm_sigma,
     zeta_function,
 )
 from metaplectic import zeta
@@ -52,7 +53,6 @@ from helpers import (
     characters,
     evaluate_vector,
     fourier_inversion_check,
-    norm_sigma,
 )
 
 XI = Fraction(1, 3)
@@ -1214,9 +1214,9 @@ class TestFourierInversion:
 
 
 class TestNormFormData:
-    """The norm-form data at p = 3 (``helpers.norm_sigma``): dimension 2,
-    betas 1/3 and 2/3 in the two square classes, so the sums over eta in
-    ``check_fe`` have two terms and the gamma matrix is 2 x 2."""
+    """The norm-form data norm3 (``repn.norm_sigma`` at p = 3, k = 1):
+    dimension 2, betas 1/3 and 2/3 in the two square classes, so the sums
+    over eta in ``check_fe`` have two terms and the gamma matrix is 2 x 2."""
 
     def test_two_square_classes(self, norm3):
         assert norm3.betas == (Fraction(1, 3), Fraction(2, 3))
