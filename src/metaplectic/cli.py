@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import invariants
 from .exactnum import CycValue, LaurentPoly, PadicContext
 from .localchar import MultChar
-from .repn import (SIGMA_NAMES, InducedVector, Representation, SigmaRep, SigmaValidationError,
+from .repn import (SIGMA_NAMES, InducedVector, Representation, SigmaPrimeError, SigmaRep,
                    named_sigma, sigma_from_dict)
 from .zeta import bessel_table, check_fe, gamma_factor, zeta_function
 
@@ -168,12 +168,13 @@ def build_context(args) -> PadicContext:
 
 
 def build_sigma(ctx: PadicContext, source: str) -> SigmaRep:
-    """A name in ``SIGMA_NAMES``, else a path to a sigma table file."""
+    """A name in ``SIGMA_NAMES``, else a path to a sigma table file; a datum
+    for another p is a configuration error through either door."""
     if source in SIGMA_NAMES:
         return _configured(f"sigma {source!r}", lambda: named_sigma(ctx, source),
-                           invalid=(SigmaValidationError,))
+                           invalid=(SigmaPrimeError,))
     return _configured(f"sigma table {source!r}",
-                       lambda: sigma_from_dict(ctx, _read(source)))
+                       lambda: sigma_from_dict(ctx, _read(source)), invalid=(SigmaPrimeError,))
 
 
 def build_mu(ctx: PadicContext, spec: str) -> MultChar:

@@ -102,6 +102,10 @@ class SigmaValidationError(ValueError):
     pass
 
 
+class SigmaPrimeError(SigmaValidationError):
+    """A sigma datum for another p than the context's, not an invalid table."""
+
+
 class SigmaRep:
     """A strongly cuspidal representation table on SL(2, Z/p^l) of conductor
     exactly l with multiplicity one, valid by construction: ``validate`` runs
@@ -328,12 +332,12 @@ SIGMA_NAMES = types.MappingProxyType({
 def _require_p(ctx: PadicContext, p: int) -> None:
     """The p check of both sigma sources, a name and a table file."""
     if p != ctx.p:
-        raise SigmaValidationError(f"table requires p = {p}, context has p = {ctx.p}")
+        raise SigmaPrimeError(f"table requires p = {p}, context has p = {ctx.p}")
 
 
 def named_sigma(ctx: PadicContext, name: str) -> SigmaRep:
     """The datum `name` of ``SIGMA_NAMES``.  A name whose p is not ctx.p
-    raises ``SigmaValidationError`` before anything is built."""
+    raises ``SigmaPrimeError`` before anything is built."""
     p, build, argument = SIGMA_NAMES[name]
     _require_p(ctx, p)
     return build(ctx, argument)
@@ -515,9 +519,8 @@ class Representation:
             _SPLITTING_GATE_PASSED.add(self.ctx.p)
         self.betas = sigma.betas
         self._beta_index = {beta: b for b, beta in enumerate(self.betas)}
-        # sigma in eigencoordinates, a plain dict for the per-sample lookups;
-        # a genuine sign is applied where an entry is read
-        self._diag_table = dict(sigma.eigen_table)
+        # sigma in eigencoordinates; a genuine sign is applied where an entry is read
+        self._eigen_table = sigma.eigen_table
         self._twists: dict = {}
         reps = []
         p = self.ctx.p
@@ -553,16 +556,20 @@ class Representation:
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
 
-    def basis_index_for(self, xi) -> int | None:
+    def basis_index_for(self, xi) -> int:
         """The eigenbasis index b with psi^xi agreeing with the b-th character
-        on Z_p, i.e. xi - beta_b integral, i.e. [xi] = beta_b; None if xi is
-        outside X(pi)."""
-        return self._beta_index.get(p_fractional_part(as_fraction(xi), self.ctx.p))
+        on Z_p, i.e. [xi] = beta_b: the one membership check for X(pi), so an
+        xi outside it raises ValueError here, before any reader uses it."""
+        xi = as_fraction(xi)
+        b = self._beta_index.get(p_fractional_part(xi, self.ctx.p))
+        if b is None:
+            raise ValueError(f"xi={xi} is not in X(pi)")
+        return b
 
     def genuine_eval(self, x: MetaElement) -> Matrix:
         """The genuine extension of sigma at an integral cover element, in
         eigencoordinates: eps * s(g) * table(g mod p^l)."""
-        mat = self._diag_table[x.g.reduce_mod(self.sigma.modulus)]
+        mat = self._eigen_table[x.g.reduce_mod(self.sigma.modulus)]
         if x.eps * kubota_split(x.g) == 1:
             return mat
         return tuple(tuple(-a for a in row) for row in mat)
@@ -646,7 +653,7 @@ class Representation:
         """(shell, pi(w n(y)) phi_b) from ``_w_coset``, unchecked."""
         t, n, key, eps = self._w_coset(y)
         return n, InducedVector(self.ctx.q, {(t, n, b2): row[b] if eps == 1 else -row[b]
-                                             for b2, row in enumerate(self._diag_table[key])})
+                                             for b2, row in enumerate(self._eigen_table[key])})
 
     def _torus_terms(self, items, k: int, u, e: int):
         """pi([diag(x, 1/x), e]) on the terms `items` ((t, n, b), coeff) of a
@@ -697,7 +704,7 @@ class Representation:
         out: dict = {}
         for r, pj, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
             _accumulate(out, Fraction(r, pj), n, b, coeff if eps == 1 else -coeff,
-                        self._diag_table[key])
+                        self._eigen_table[key])
         return InducedVector(self.ctx.q, out)
 
     def unit_torus_value(self, u) -> Matrix:
@@ -708,7 +715,7 @@ class Representation:
         units, so it is sigma(diag(u, u^-1) mod p^l)."""
         m = self.sigma.modulus
         u = frac_mod(u, m)
-        return self._diag_table[(u, 0, 0, pow(u, -1, m))]
+        return self._eigen_table[(u, 0, 0, pow(u, -1, m))]
 
     # -- Whittaker functionals --------------------------------------------------
 
@@ -719,11 +726,7 @@ class Representation:
         (key, eps, b_in, r, D)."""
         hit = self._twists.get(xi)
         if hit is None:
-            b = self.basis_index_for(xi)
-            if b is None:
-                raise ValueError(f"xi={xi} is not in X(pi); no Whittaker functional instantiated")
-            hit = (b, self.psi.twist(xi), {})
-            self._twists[xi] = hit
+            hit = self._twists[xi] = (self.basis_index_for(xi), self.psi.twist(xi), {})
         return hit
 
     def whittaker_functional(self, xi, v: InducedVector, torus=(0, 1, 1)) -> CycValue:
@@ -745,7 +748,7 @@ class Representation:
             memo_key = (key, eps, b_in, r, pj)
             z = row.get(memo_key)
             if z is None:
-                z = self._diag_table[key][b][b_in] * psi_xi.value_int(-r, pj)
+                z = self._eigen_table[key][b][b_in] * psi_xi.value_int(-r, pj)
                 z = row[memo_key] = z if eps == 1 else -z
             if not z.is_zero():
                 vals.append(coeff * z)

@@ -168,9 +168,8 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     ctx = rep.ctx
     xi = as_fraction(xi)
     eta = as_fraction(eta)
+    rep.basis_index_for(xi)  # outside X(pi) raises, also before the v(x) > 0 shortcut
     b_eta = rep.basis_index_for(eta)
-    if b_eta is None:
-        raise ValueError(f"eta={eta} is not in X(pi)")
     if isinstance(x, MetaElement):
         if x.g.a != 0 or x.g.d != 0:
             raise ValueError(f"bessel_direct needs an antidiagonal element, got {x!r}")
@@ -234,11 +233,10 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     action's ``unit_torus_value`` at u_x u_y^-1 mod p^l, and the Hilbert
     sign is ``hilbert_int`` on the same ints.
 
-    The character reads ints too.  Write x_n/x_d for the scale of psi^xi
-    (xi itself for the canonical ``rep.psi``), e_n/e_d for that scale times
-    eta/xi, x = X/X_d (the ``Fraction`` x itself, so a unit with a
-    denominator prime to p works as well) and y = u_y / P with P = p^-n.
-    Then x^2/y = X^2 P / (X_d^2 u_y) and
+    The character reads ints too.  The scales of psi^xi and psi^eta are
+    xi = x_n/x_d and eta = e_n/e_d; write x = X/X_d (the ``Fraction`` x
+    itself, so a unit with a denominator prime to p works as well) and
+    y = u_y / P with P = p^-n.  Then x^2/y = X^2 P / (X_d^2 u_y) and
 
         psi^xi(-x^2/y - (eta/xi) y)
             = psi(-(x_n/x_d) X^2 P / (X_d^2 u_y) - (e_n/e_d) u_y / P)
@@ -256,15 +254,11 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             f"closed Bessel formula needs v(x) <= -{rep.level}, got {n}")
     b_out = rep.basis_index_for(xi)
     b_in = rep.basis_index_for(eta)
-    if b_out is None or b_in is None:
-        raise ValueError("xi and eta must lie in X(pi)")
-    xi_scale = rep.psi.twist(xi).scale
-    eta_scale = xi_scale * (eta / xi)
     pn = p**-n
     # psi^xi's argument is -(c + e_n x_den u_y^2) / (den u_y) (docstring)
-    c = xi_scale.numerator * eta_scale.denominator * x.numerator**2 * pn**2
-    x_den = xi_scale.denominator * x.denominator**2
-    den = x_den * eta_scale.denominator * pn
+    c = xi.numerator * eta.denominator * x.numerator**2 * pn**2
+    x_den = xi.denominator * x.denominator**2
+    den = x_den * eta.denominator * pn
     modulus = rep.sigma.modulus
     ux = frac_mod(ux, modulus)  # an int or a Fraction unit
     ux_inv = pow(ux, -1, modulus)
@@ -276,7 +270,7 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             return coeff
         # (y/x, 1/y) with y/x = u_y/u_x and 1/y = p^-n / u_y
         sign = hilbert_int(p, 0, y.u * ux_inv, -n, uy_inv)
-        num = -(c + eta_scale.numerator * x_den * y.u * y.u)
+        num = -(c + eta.numerator * x_den * y.u * y.u)
         value = coeff * CycValue.root_of_unity_int(
             ctx.q, *p_fractional_int(num, den * y.u, p))
         return value if sign == 1 else -value
@@ -296,12 +290,14 @@ class BesselTable:
     spot check (``_ensure_shell_checked``), so the closed sum is evaluated
     only as the check's witness; a shell whose check failed stays
     unchecked, so every later lookup there repeats the check and raises
-    again."""
+    again.  Its pair's indices `b_xi` and `b_eta` are resolved on construction."""
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
         self.xi = as_fraction(xi)
         self.eta = as_fraction(eta)
+        self.b_xi = rep.basis_index_for(self.xi)
+        self.b_eta = rep.basis_index_for(self.eta)
         self._values: dict = {}
         self._checked_shells: set = set()
 
@@ -348,8 +344,7 @@ def bessel_table(rep: Representation, xi, eta) -> BesselTable:
     key = (as_fraction(xi), as_fraction(eta))
     table = rep._bessel_tables.get(key)
     if table is None:
-        table = BesselTable(rep, *key)
-        rep._bessel_tables[key] = table
+        table = rep._bessel_tables[key] = BesselTable(rep, *key)
     return table
 
 
@@ -460,7 +455,7 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
 
     if n >= rep.level:
         table._ensure_shell_checked(-n)
-        b_xi, b_eta = rep.basis_index_for(xi), rep.basis_index_for(eta)
+        b_xi, b_eta = table.b_xi, table.b_eta
         gauss = twisted_gauss_sums(ctx, mu, n)
         # a = -(xi u^2 + eta) = num / den
         xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
@@ -694,8 +689,7 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     ctx = rep.ctx
     q = ctx.q
     xi = as_fraction(xi)
-    if rep.basis_index_for(xi) is None:
-        raise ValueError(f"xi={xi} is not in X(pi)")
+    rep.basis_index_for(xi)  # outside X(pi) raises, even for v = 0
     parts = {n: v.shell(n) for n in v.shells()}
     char = _char_factor(ctx, mu)
 

@@ -48,12 +48,9 @@ def c_factor(rep, xi, a) -> CycValue:
     ctx = rep.ctx
     a = as_fraction(a)
     xi = as_fraction(xi)
-    if rep.basis_index_for(xi) is None:
-        raise ValueError(f"xi={xi} is not in X(pi)")
+    rep.basis_index_for(xi)  # outside X(pi) raises
     target = a * a * xi
     b2 = rep.basis_index_for(target)
-    if b2 is None:
-        raise ValueError(f"a^2 xi = {target} is not in X(pi)")
     torus = MetaElement.torus(ctx, a)
     psi_t = rep.psi.twist(target)
     v1 = rep.phi(b=b2)

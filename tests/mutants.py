@@ -1,0 +1,117 @@
+"""Mutation gate: small faults in the library that named tests must catch.
+
+    python tests/mutants.py
+
+Each mutant is (name, file under src/, exact old text, new text, test ids).
+The script first runs the union of the test ids on the unchanged src/,
+where they must pass.  Then, for each mutant, it copies src/ to a temporary
+directory, replaces the old text, which must occur exactly once in its file,
+and runs only the mutant's test ids against the copy (pytest's `pythonpath`
+option pointed at it).  A mutant is killed when those tests fail.
+
+The exit status is 1 if a mutant survives, if its old text does not occur
+exactly once (a refactor that moves the code must move the mutant along), or
+if pytest stops for any reason other than failing tests; 0 when every mutant
+is killed.  Standard library only; pytest runs in a subprocess.  The file
+is not named test_*, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant("torus-drops-hilbert-factor", "metaplectic/repn.py",
+           "eps = e * hilbert_int(p, k, u, -n, -1) * hilbert_int(p, k - n, 1, 0, u)",
+           "eps = e * hilbert_int(p, k - n, 1, 0, u)",
+           ("tests/test_repn.py::TestTorusClosedForm::test_matches_decomposition",)),
+    Mutant("torus-t-u-for-t-u-squared", "metaplectic/repn.py",
+           "carry, r = divmod(c * u * u, pj)",
+           "carry, r = divmod(c * u, pj)",
+           ("tests/test_repn.py::TestTorusClosedForm::test_matches_decomposition",)),
+    Mutant("deep-gamma-transposed-eigen-index", "metaplectic/zeta.py",
+           "c = rep.unit_torus_value(u.u)[b_xi][b_eta]",
+           "c = rep.unit_torus_value(u.u)[b_eta][b_xi]",
+           ("tests/test_zeta.py::TestGammaDeepShells::test_weil_data_matches_oracle",)),
+    Mutant("cyc-no-level-normalization", "metaplectic/exactnum.py",
+           "        if n != 1:\n            g = math.gcd(n, *coeffs)\n",
+           "        if False:\n            g = math.gcd(n, *coeffs)\n",
+           ("tests/test_exactnum.py::TestLevelIndependence::"
+            "test_equal_values_are_interchangeable_keys",
+            "tests/test_exactnum.py::TestLevelIndependence::test_value_through_a_higher_level")),
+    Mutant("check-fe-first-class-only", "metaplectic/zeta.py",
+           "for eta_rep in rep.spectrum().dedup:",
+           "for eta_rep in rep.spectrum().dedup[:1]:",
+           ("tests/test_zeta.py::TestNormFormData::test_functional_equation_on_both_classes",)),
+    Mutant("bessel-direct-skips-xi-before-shortcut", "metaplectic/zeta.py",
+           "    rep.basis_index_for(xi)  # outside X(pi) raises, also before the v(x) > 0 "
+           "shortcut\n",
+           "",
+           ("tests/test_zeta.py::TestOneMembershipDoor::"
+            "test_every_entry_point_raises_and_caches_nothing[xi]",)),
+)
+
+
+def _pytest(src: Path, tests) -> int:
+    """pytest's exit status on `tests`, with the package imported from `src`."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *tests]
+    return subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', or why the mutant does not count as killed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(tmp)
+        path = src / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"stale: the old text occurs {count} times in src/{mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        status = _pytest(src, mutant.tests)
+    if status == 0:
+        return "SURVIVED"
+    return "killed" if status == 1 else f"pytest exit status {status}, not a test failure"
+
+
+def main() -> int:
+    control = sorted({t for m in MUTANTS for t in m.tests})
+    status = _pytest(ROOT / "src", control)
+    if status != 0:
+        print(f"the mutants' tests fail on the unchanged library (pytest exit status {status})")
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        verdict = run(mutant)
+        failed += verdict != "killed"
+        print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -141,6 +141,18 @@ class TestSigmaFiles:
         assert cases and all(case["pass"] for case in cases)
         assert any(case["lhs"]["terms"] for case in cases)
 
+    @pytest.mark.parametrize("door", ["name", "file"])
+    def test_wrong_p_is_a_configuration_error(self, capsys, tmp_path, norm3, door):
+        # the same p check through both doors; any other invalid table file is
+        # a failed stage (test_reject_non_cuspidal_file)
+        source = "norm3"
+        if door == "file":
+            source = str(tmp_path / "norm3.json")
+            Path(source).write_text(json.dumps(sigma_to_dict(norm3.sigma)))
+        rc, _, err = run_cli(capsys, "--p", "5", "--sigma", source, "--command", "gamma")
+        assert rc == 2 and err.startswith("configuration error:")
+        assert "SigmaPrimeError: table requires p = 3, context has p = 5" in err
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "--sigma", "/nonexistent/sigma.json")
         assert rc == 2

@@ -148,12 +148,6 @@ class TestEigenBasis:
 
 
 class TestSigmaFileFormat:
-    def test_roundtrip(self, ctx):
-        s1 = builtin_sigma_p3(ctx, 1)
-        data = sigma_to_dict(s1)
-        again = sigma_from_dict(ctx, data)
-        assert again.table == s1.table
-
     def test_rejects_non_cuspidal(self, ctx):
         data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
         constant_one_cell = [[[0, 1], [1, 1]]]  # single term: 1 * e(0)
@@ -555,8 +549,9 @@ class TestSpectrum:
     def test_membership(self, rep1):
         assert rep1.basis_index_for(Fraction(1, 3)) == 0
         assert rep1.basis_index_for(Fraction(4, 3)) == 0     # 1/3 + 1
-        assert rep1.basis_index_for(Fraction(2, 3)) is None
-        assert rep1.basis_index_for(Fraction(1, 9)) is None
+        for xi in (Fraction(2, 3), Fraction(1, 9)):
+            with pytest.raises(ValueError, match=rf"^xi={xi} is not in X\(pi\)$"):
+                rep1.basis_index_for(xi)
 
 
 class TestSplittingGate:
@@ -644,7 +639,7 @@ class TestCFactor:
             assert lhs == rhs
 
     def test_rejects_outside_spectrum(self, rep1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^xi=2/3 is not in X\(pi\)$"):
             c_factor(rep1, Fraction(2, 3), 1)
 
 

@@ -391,7 +391,7 @@ class TestBesselClosedTorusForm:
 
     def test_rejects_xi_or_eta_outside_spectrum(self, rep1):
         for xi, eta in ((Fraction(2, 3), XI), (XI, Fraction(2, 3))):
-            with pytest.raises(ValueError, match="must lie in X"):
+            with pytest.raises(ValueError, match=r"^xi=2/3 is not in X\(pi\)$"):
                 bessel_closed(rep1, xi, eta, Fraction(1, 3))
 
     def test_weil_data_matches_cover_route_oracle(self, weil5):
@@ -421,6 +421,35 @@ class TestBesselClosedTorusForm:
             for eta in xis:
                 table = BesselTable(weil5, xi, eta)
                 assert table.validate_agreement([-1, -2], per_shell=2) == 4, (xi, eta)
+
+
+class TestOneMembershipDoor:
+    @pytest.mark.parametrize("outside", ["xi", "eta"])
+    def test_every_entry_point_raises_and_caches_nothing(self, rep1, outside):
+        # builtin1 has X(pi) = 1/3 + Z_3, and 2/3 is the other unit square
+        # class; x = 3 reaches bessel_direct's v(x) > 0 shortcut.  An entry
+        # point that reads one class is called with the one outside X(pi).
+        rep = Representation(rep1.sigma)
+        bad = Fraction(2, 3)
+        xi, eta = (bad, XI) if outside == "xi" else (XI, bad)
+        mu = MultChar.trivial(rep.ctx)
+        calls = {
+            "bessel_direct x=3": lambda: bessel_direct(rep, xi, eta, 3),
+            "bessel_direct x=1/3": lambda: bessel_direct(rep, xi, eta, Fraction(1, 3)),
+            "bessel_closed": lambda: bessel_closed(rep, xi, eta, Fraction(1, 3)),
+            "bessel_table": lambda: bessel_table(rep, xi, eta),
+            "gamma_coefficient n=-1": lambda: gamma_coefficient(rep, xi, eta, mu, -1),
+            "gamma_coefficient n=1": lambda: gamma_coefficient(rep, xi, eta, mu, 1),
+            "gamma_factor": lambda: gamma_factor(rep, xi, eta, mu),
+            "zeta_function": lambda: zeta_function(rep, bad, mu, rep.phi()),
+            "whittaker_functional": lambda: rep.whittaker_functional(bad, rep.phi()),
+            "check_fe": lambda: check_fe(rep, mu, rep.phi(), bad),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=r"^xi=2/3 is not in X\(pi\)$"):
+                call()
+            assert not rep._bessel_tables and not rep._gamma_cache, name
+            assert not rep._bessel_kernels, name
 
 
 def _bessel_via_cover_products(rep, xi, eta, g):
