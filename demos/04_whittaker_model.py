@@ -22,8 +22,8 @@ print(f"table on SL(2, Z/3): {len(sigma.table)} elements, dimension {sigma.dim},
       f"conductor {sigma.level}")
 print("sigma(n(1)) =", sigma.table[(1, 1, 0, 1)][0][0], "   sigma(w) =",
       sigma.table[(0, 2, 1, 0)][0][0])
-print("strong cuspidality, sum of sigma(n(x)) over x mod 3 (zero):",
-      sigma.strong_cuspidality_sum())
+print("denominators of the betas (each 3 = p^l: strongly cuspidal of conductor 1):",
+      [beta.denominator for beta in sigma.betas])
 
 print("\n== eigenbasis and spectrum ==")
 print("unipotent characters beta:", sigma.betas)

@@ -108,85 +108,70 @@ class SigmaPrimeError(SigmaValidationError):
 
 class SigmaRep:
     """A strongly cuspidal representation table on SL(2, Z/p^l) of conductor
-    exactly l with multiplicity one, valid by construction: ``validate`` runs
-    once, here, and ends by diagonalizing the upper-unipotent action
-    (``_diagonalize``).  Valid does not mean irreducible: a reducible table
-    with distinct unipotent characters passes.  ``eigen_table`` is the table
-    in the basis of the columns of ``change``, where n(a) acts on line b by
-    psi(betas[b] a); it and ``table`` are read-only, so no reader needs to
-    check them again."""
+    exactly l with multiplicity one, valid by construction.  Only the images
+    of the generators n(1) and w are read from `table`; ``__init__`` closes
+    them over SL(2, Z/p^l) and checks every other entry given against the
+    closure, then ``_diagonalize`` decides strong cuspidality, conductor and
+    multiplicity one from the upper-unipotent action.  Valid does not mean
+    irreducible: a reducible table with distinct unipotent characters
+    passes.  ``eigen_table`` is the table in the basis of the columns of
+    ``change``, where n(a) acts on line b by psi(betas[b] a); it and
+    ``table`` are read-only, so no reader needs to check them again."""
 
     def __init__(self, ctx: PadicContext, level: int, dim: int, table: dict):
+        """Breadth-first closure from the identity: each edge k -> k g, g in
+        {n(1), w}, costs one product, which either sets the new key k g or
+        must equal the value already there.  If every edge agrees, the
+        closure is a homomorphism on the group n(1) and w generate, which is
+        SL(2, Z/p^l): by induction on word length, closed[k h] =
+        closed[k] closed[h] for every pair (k, h)."""
         self.ctx = ctx
         self.level = level
         self.dim = dim
-        self.modulus = ctx.p**level
-        self.table = types.MappingProxyType(dict(table))
-        self.validate()
+        self.modulus = m = ctx.p**level
+        generators = []
+        for gkey in (self.n_key(1), (0, m - 1, 1, 0)):
+            if gkey not in table:
+                raise SigmaValidationError(f"table has no entry at the generator {gkey}")
+            generators.append((gkey, table[gkey]))
+        ident = (1, 0, 0, 1)
+        closed = {ident: mat_identity(ctx.q, dim)}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for key in frontier:
+                for gkey, gval in generators:
+                    nk = _key_mul(key, gkey, m)
+                    prod = mat_mul(closed[key], gval)
+                    prev = closed.get(nk)
+                    if prev is None:
+                        closed[nk] = prod
+                        new.append(nk)
+                    elif prev != prod:
+                        raise SigmaValidationError(
+                            f"table is not multiplicative at {key} * {gkey}")
+            frontier = new
+        for key, mat in table.items():
+            if closed.get(key) != mat:
+                raise SigmaValidationError(
+                    f"table is not multiplicative: the entry at {key} differs from "
+                    "the closure of the generator images")
+        self.table = types.MappingProxyType(closed)
+        self._diagonalize()
 
     def n_key(self, x: int):
         return (1, x % self.modulus, 0, 1)
 
-    # -- invariant checks ----------------------------------------------------
-
-    def check_homomorphism(self) -> None:
-        """Complete multiplicativity check: table[I] = I and
-        table[k g] = table[k] table[g] for every key k and each generator g
-        in {n(1), w}.  These generate SL(2, Z/p^l), so by induction on word
-        length table[k h] = table[k] table[h] for every pair (k, h)."""
-        m = self.modulus
-        ident = self.table.get((1, 0, 0, 1))
-        if ident != mat_identity(self.ctx.q, self.dim):
-            raise SigmaValidationError("table is not the identity at the identity")
-        for gkey in (self.n_key(1), (0, m - 1, 1, 0)):
-            gval = self.table[gkey]
-            for key, val in self.table.items():
-                prod = self.table.get(_key_mul(key, gkey, m))
-                if prod != mat_mul(val, gval):
-                    raise SigmaValidationError(
-                        f"table is not multiplicative at {key} * {gkey}")
-
-    def check_conductor(self) -> None:
-        """Conductor is exactly `level`: the table is keyed mod p^level (so it
-        is trivial one level deeper) and must be nontrivial on the subgroup
-        congruent to 1 mod p^(level-1)."""
-        p, l = self.ctx.p, self.level
-        ident = mat_identity(self.ctx.q, self.dim)
-        stride = p ** (l - 1)
-        nontrivial = any(
-            self.table[key] != ident
-            for key in self.table
-            if all((e - o) % stride == 0 for e, o in zip(key, (1, 0, 0, 1)))
-        )
-        if not nontrivial:
-            raise SigmaValidationError(
-                f"claimed conductor {l} but the table is trivial on the "
-                f"congruence subgroup of level {l - 1}")
-
-    def strong_cuspidality_sum(self) -> Matrix:
-        p, l = self.ctx.p, self.level
-        return mat_sum([self.table[self.n_key(c * p ** (l - 1))] for c in range(p)], self.ctx.q)
-
-    def validate(self) -> None:
-        order = sl2_group_order(self.ctx.p, self.level)
-        if len(self.table) != order:
-            raise SigmaValidationError(
-                f"table has {len(self.table)} entries, expected {order}")
-        self.check_homomorphism()
-        self.check_conductor()
-        if not mat_is_zero(self.strong_cuspidality_sum()):
-            raise SigmaValidationError(
-                "strong cuspidality fails: sum of table(n(x)) over "
-                f"x in p^{self.level - 1}Z/p^{self.level}Z is nonzero")
-        self._diagonalize()
-
     def _diagonalize(self) -> None:
         """Set ``betas``, ``change`` and ``eigen_table``.  The projections
-        P_beta = p^-l sum_x psi(-beta x) sigma(n(x)) of a valid table are
+        P_beta = p^-l sum_x psi(-beta x) sigma(n(x)) of a homomorphism are
         orthogonal idempotents that sum to I, so their ranks sum to `dim`: if
         `dim` of them are nonzero, each has rank one, and fewer means a
-        character repeats.  Strong cuspidality gives each beta the exact
-        denominator p^level (n(p^(level-1)) fixes no line)."""
+        character repeats.  n(p^(l-1)) acts on the line of beta by
+        psi(beta p^(l-1)), so the sum over c of sigma(n(c p^(l-1))) is zero,
+        which is strong cuspidality, exactly when every beta has the
+        denominator p^l.  Then n(p^(l-1)), which is 1 mod p^(l-1), acts
+        nontrivially, so the conductor is exactly l."""
         q, d, pl = self.ctx.q, self.dim, self.modulus
         psi = AdditiveCharacter(self.ctx)
         betas, vectors = [], []
@@ -196,6 +181,11 @@ class SigmaRep:
                             for x in range(pl)], q)
             if mat_is_zero(proj):
                 continue
+            if beta.denominator != pl:
+                raise SigmaValidationError(
+                    f"strong cuspidality fails: the unipotent character {beta} has "
+                    f"denominator {beta.denominator}, not p^{self.level}, so n(p^(l-1)) "
+                    f"fixes a line: sigma is not strongly cuspidal of conductor {self.level}")
             col = next(c for c in range(d) if any(not proj[r][c].is_zero() for r in range(d)))
             betas.append(beta)
             vectors.append(tuple(proj[r][col] * Fraction(1, pl) for r in range(d)))
@@ -207,25 +197,6 @@ class SigmaRep:
         change_inv = mat_inverse(self.change)
         self.eigen_table = types.MappingProxyType(
             {key: mat_mul(change_inv, mat_mul(mat, self.change)) for key, mat in self.table.items()})
-
-
-def _close_table(ctx: PadicContext, level: int, dim: int, generators: dict) -> dict:
-    """BFS closure of a generator->matrix assignment into a full table, each
-    key set once; ``SigmaRep`` decides whether it is a homomorphism."""
-    modulus = ctx.p**level
-    ident_key = (1, 0, 0, 1)
-    table = {ident_key: mat_identity(ctx.q, dim)}
-    frontier = [ident_key]
-    while frontier:
-        new = []
-        for key in frontier:
-            for gkey, gval in generators.items():
-                nk = _key_mul(key, gkey, modulus)
-                if nk not in table:
-                    table[nk] = mat_mul(table[key], gval)
-                    new.append(nk)
-        frontier = new
-    return table
 
 
 def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
@@ -254,7 +225,7 @@ def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
                                            - CycValue.root_of_unity_int(q, -2 * a * s * t, p))
                                       for t in half) for s in half),
     }
-    return SigmaRep(ctx, 1, dim, _close_table(ctx, 1, dim, generators))
+    return SigmaRep(ctx, 1, dim, generators)
 
 
 def norm_sigma(ctx, k: int) -> SigmaRep:
@@ -314,7 +285,7 @@ def norm_sigma(ctx, k: int) -> SigmaRep:
                                   else CycValue.zero(q) for a in basis) for a2 in basis),
         (0, p - 1, 1, 0): w,
     }
-    return SigmaRep(ctx, 1, p - 1, _close_table(ctx, 1, p - 1, generators))
+    return SigmaRep(ctx, 1, p - 1, generators)
 
 
 # name -> (p, builder, argument): the data the command line, CI and the test
@@ -364,9 +335,11 @@ def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
                              [[exp_num, exp_den], [coeff_num, coeff_den]]
                       meaning sum coeff * e(2 pi i exp)}]}
 
-    The loader checks each entry's determinant and shape; ``SigmaRep``
-    then validates multiplicativity (complete, against the generators),
-    conductor exactness and strong cuspidality."""
+    The loader checks each entry's determinant and shape, and that the file
+    has one entry per element of SL(2, Z/p^l); ``SigmaRep``, which reads
+    only the generator entries, then checks every entry against the closure
+    of the generators, and strong cuspidality of conductor l and
+    multiplicity one through the unipotent characters."""
     _require_p(ctx, int(data["p"]))
     level = int(data["l"])
     dim = int(data["dim"])
@@ -384,6 +357,9 @@ def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
             CycValue.sum([CycValue.root_of_unity(ctx.q, Fraction(en, ed)) * Fraction(cn, cd)
                           for (en, ed), (cn, cd) in cell], ctx.q)
             for cell in row) for row in rep)
+    order = sl2_group_order(ctx.p, level)
+    if len(table) != order:
+        raise SigmaValidationError(f"table has {len(table)} entries, expected {order}")
     return SigmaRep(ctx, level, dim, table)
 
 

@@ -65,6 +65,21 @@ MUTANTS = (
            "",
            ("tests/test_zeta.py::TestOneMembershipDoor::"
             "test_every_entry_point_raises_and_caches_nothing[xi]",)),
+    Mutant("sigma-closure-skips-edge-check", "metaplectic/repn.py",
+           "                    elif prev != prod:\n",
+           "                    elif False:\n",
+           ("tests/test_repn.py::TestValidationAtConstruction::"
+            "test_builtin_generators_with_w_negated_not_multiplicative",)),
+    Mutant("sigma-skips-given-entries", "metaplectic/repn.py",
+           "            if closed.get(key) != mat:\n",
+           "            if False:\n",
+           ("tests/test_repn.py::TestHomomorphismCheck::test_every_single_corruption_rejected",)),
+    Mutant("sigma-skips-beta-denominator", "metaplectic/repn.py",
+           "            if beta.denominator != pl:\n",
+           "            if False:\n",
+           ("tests/test_repn.py::TestValidationAtConstruction::"
+            "test_builtin_plus_trivial_rejected_as_not_cuspidal",
+            "tests/test_repn.py::TestStrongCuspidality::test_trivial_representation_fails")),
 )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,9 +29,12 @@ from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
     mat_is_zero,
+    mat_mul,
+    mat_scale,
+    mat_sum,
     sigma_from_dict,
     sigma_to_dict,
-    _close_table,
+    sl2_group_order,
     _key_mul,
 )
 
@@ -69,8 +73,13 @@ class TestBuiltinSigma:
 
 class TestHomomorphismCheck:
     def test_builtins_pass(self, ctx):
+        # the closure is multiplicative on every pair of keys, not only on
+        # the generator edges it checks
         for which in (1, 2):
-            builtin_sigma_p3(ctx, which).check_homomorphism()
+            table = builtin_sigma_p3(ctx, which).table
+            for k1, m1 in table.items():
+                for k2, m2 in table.items():
+                    assert table[_key_mul(k1, k2, 3)] == mat_mul(m1, m2)
 
     def test_every_single_corruption_rejected(self, ctx):
         s1 = builtin_sigma_p3(ctx, 1)
@@ -78,13 +87,25 @@ class TestHomomorphismCheck:
             table = dict(s1.table)
             table[key] = ((-mat[0][0],),)
             with pytest.raises(SigmaValidationError):
-                SigmaRep(ctx, 1, 1, table).check_homomorphism()
+                SigmaRep(ctx, 1, 1, table)
+
+    @pytest.mark.parametrize("key", [(1, 2, 0, 1), (1, 1, 0, 1), (0, 4, 1, 0)],
+                             ids=["non-generator", "n(1)", "w"])
+    def test_single_corruption_rejected_on_weil5(self, ctx5, weil5, key):
+        # dim 2: one entry scaled by e(1/5), every other entry left valid
+        table = dict(weil5.sigma.table)
+        table[key] = mat_scale(table[key], ctx5.cyc_e(Fraction(1, 5)))
+        with pytest.raises(SigmaValidationError, match="not multiplicative"):
+            SigmaRep(ctx5, 1, 2, table)
 
 
 class TestStrongCuspidality:
     def test_builtins(self, ctx):
-        assert mat_is_zero(builtin_sigma_p3(ctx, 1).strong_cuspidality_sum())
-        assert mat_is_zero(builtin_sigma_p3(ctx, 2).strong_cuspidality_sum())
+        # the unipotent sum itself, which ``SigmaRep`` decides through the
+        # denominators of the betas
+        for which in (1, 2):
+            sigma = builtin_sigma_p3(ctx, which)
+            assert mat_is_zero(mat_sum([sigma.table[sigma.n_key(c)] for c in range(3)], 3))
 
     def test_trivial_representation_fails(self, ctx):
         one = ((CycValue.one(3),),)
@@ -107,12 +128,17 @@ class TestValidationAtConstruction:
 
     def test_builtin_generators_with_w_negated_not_multiplicative(self, ctx):
         # w lies in the commutator subgroup of SL(2, Z/3), so w -> -1 extends
-        # to no homomorphism; the closure still fills all 24 keys
+        # to no homomorphism: an edge of the closure disagrees
         generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(1, 3)),),),
                       (0, 2, 1, 0): ((-CycValue.one(3),),)}
-        table = _close_table(ctx, 1, 1, generators)
-        assert len(table) == 24
         with pytest.raises(SigmaValidationError, match="not multiplicative"):
+            SigmaRep(ctx, 1, 1, generators)
+
+    @pytest.mark.parametrize("missing", [(1, 1, 0, 1), (0, 2, 1, 0)], ids=["n(1)", "w"])
+    def test_missing_generator_named(self, ctx, missing):
+        table = dict(builtin_sigma_p3(ctx, 1).table)
+        del table[missing]
+        with pytest.raises(SigmaValidationError, match=re.escape(str(missing))):
             SigmaRep(ctx, 1, 1, table)
 
     def test_table_is_read_only(self, ctx):
@@ -204,6 +230,15 @@ class TestNamedSigma:
         data = sigma_to_dict(sigma)
         assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == NAMED_DIGESTS[name]
         assert sigma_from_dict(ctx, data).table == sigma.table
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
+    def test_closes_from_its_two_generator_images(self, name):
+        ctx = PadicContext(SIGMA_NAMES[name][0])
+        sigma = named_sigma(ctx, name)
+        generators = {k: sigma.table[k] for k in (sigma.n_key(1), (0, sigma.modulus - 1, 1, 0))}
+        closed = SigmaRep(ctx, sigma.level, sigma.dim, generators).table
+        assert len(closed) == sl2_group_order(ctx.p, sigma.level)
+        assert closed == sigma.table
 
     def test_name_and_file_refuse_another_p_alike(self, ctx, ctx5):
         message = "table requires p = 3, context has p = 5"
@@ -502,7 +537,7 @@ class TestWeilData:
         for a in ((1, 3) if p == 7 else range(1, p)):
             sigma = (request.getfixturevalue({5: "weil5", 7: "weil7"}[p]).sigma
                      if a == 1 and p > 3 else weil_sigma(ctx, a))
-            by_sum = _close_table(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a))
+            by_sum = SigmaRep(ctx, 1, (p - 1) // 2, _weil_generators(ctx, a)).table
             assert by_sum.keys() == sigma.table.keys()
             for key, mat in sigma.table.items():
                 assert by_sum[key] == mat, (a, key)
@@ -512,7 +547,7 @@ class TestWeilData:
         # the one-dimensional data written out: n(1) -> e(which/3), w -> 1
         generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(which, 3)),),),
                       (0, 2, 1, 0): ((ctx.one(),),)}
-        assert builtin_sigma_p3(ctx, which).table == _close_table(ctx, 1, 1, generators)
+        assert builtin_sigma_p3(ctx, which).table == SigmaRep(ctx, 1, 1, generators).table
 
 
 class TestCanonicalPhi:

@@ -783,13 +783,15 @@ class TestGammaDeepShells:
         # sigma(<u>) is not the identity on this data, so a wrong unit in the
         # deep integrand's torus value shows; the builtins cannot see it.
         # sigma(<u>) is not diagonal either, so on the pairs xi != eta a
-        # transposed eigen-coefficient index shows too
-        mu = MultChar(weil5.ctx, 2, Fraction(0), 1)
-        for xi in weil5.betas:
-            for eta in weil5.betas:
-                value = gamma_coefficient(weil5, xi, eta, mu, 1)
-                assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, 1), (xi, eta)
-                assert not value.is_zero(), (xi, eta)
+        # transposed eigen-coefficient index shows too.  At conductor 3 the
+        # shell n = 2 compares nonzero values as well, not zeros
+        for m, n in ((2, 1), (3, 2)):
+            mu = MultChar(weil5.ctx, m, Fraction(0), 1)
+            for xi in weil5.betas:
+                for eta in weil5.betas:
+                    value = gamma_coefficient(weil5, xi, eta, mu, n)
+                    assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, n), (m, xi, eta)
+                    assert not value.is_zero(), (m, xi, eta)
 
 
 class TestGamma:
@@ -1097,6 +1099,27 @@ class TestZetaFullScanOracle:
         assert parity == (data == "weil7" or conductor >= 1)
         assert nonzero == [parity and (conductor < 2 or i >= len(vectors))
                            for i in range(len(vectors) + len(deep))] * len(rep.betas)
+
+    def test_norm3_matches_full_scan(self, ctx, norm3):
+        # two square classes; of the 56 cases only the conductor-1 mu gives
+        # nonzero polynomials: the trivial and the unramified mu fail parity,
+        # and the conductor-2 mu integrates to zero on these vectors
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
+               MultChar(ctx, 0, Fraction(1, 2)), MultChar(ctx, 2, Fraction(0), 1))
+        vectors = [norm3.phi(n=n, b=b) for n in (-1, 0, 1) for b in range(2)] + [
+            norm3.phi(t=Fraction(1, 3)) + norm3.phi(n=-1, b=1)]
+        nonzero = []
+        for mu in mus:
+            count = 0
+            for xi_rep in norm3.spectrum().dedup:
+                for v in vectors:
+                    z = zeta_function(norm3, xi_rep.xi, mu, v)
+                    poly, window = _zeta_by_full_scan(norm3, xi_rep.xi, mu, v)
+                    assert (z.poly, z.window) == (poly, window), (mu.spec_record(), xi_rep.xi, v)
+                    count += not poly.is_zero()
+            nonzero.append(count)
+        assert [zeta_parity_holds(norm3, mu) for mu in mus] == [False, True, False, True]
+        assert nonzero == [0, 7, 0, 0]
 
 
 class TestFunctionalEquation:
