@@ -101,20 +101,24 @@ _ATOM = re.compile(
 
 def parse_vector_expression(rep: Representation, text: str) -> InducedVector:
     """Signed rational combinations of atoms phi(t=<rational>, n=<int>, b=<index>);
-    a zero denominator or a basis index >= dim is a ConfigError."""
+    a zero denominator, a basis index >= dim, a sign with no term after it
+    and two terms with no + or - between them are ConfigErrors."""
     out = InducedVector.zero(rep.ctx.q)
     pos = 0
     text = text.strip()
     if not text:
         raise ConfigError("empty vector expression")
     while pos < len(text):
-        sign = 1
+        sign, signed = 1, False
         while pos < len(text) and text[pos] in "+- \t":
             if text[pos] == "-":
                 sign = -sign
+            signed = signed or text[pos] in "+-"
             pos += 1
         if pos >= len(text):
-            break
+            raise ConfigError(f"sign with no term after it in {text!r}")
+        if pos and not signed:
+            raise ConfigError(f"missing + or - before {text[pos:]!r}")
         start, coeff = pos, "1"
         m = re.match(r"(\d+(?:/\d+)?)\s*\*\s*", text[pos:])
         if m:

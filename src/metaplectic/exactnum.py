@@ -4,10 +4,11 @@ Three layers, all exact:
 
 * ``KElement`` -- a rational number viewed inside Q_p, with valuation and
   unit-part accessors: the argument type of the character API
-  (``chi_psi``, ``hilbert_symbol``, ``weil_alpha``).  Every p-adic number
-  in this package is an exact rational, so no precision management is ever
-  needed; shell sample points are ``ShellPoint``s, which also carry their
-  valuation and unit as ints.
+  (``chi_psi``, ``hilbert_symbol``, ``weil_alpha``).  Every other p-adic
+  argument in this package is an exact rational, an ``int`` or a
+  ``Fraction``, so no precision management is ever needed; shell sample
+  points are ``ShellPoint``s, which also carry their valuation and unit as
+  ints.
 * ``CycValue`` -- an element of Q(zeta_N) for a dynamically chosen
   root-of-unity level N, kept in a canonical cyclotomic basis, so equal
   values compare and hash equal.  Half-integer powers of q need no extra
@@ -192,13 +193,17 @@ class KElement:
         return f"KElement({self.value}, p={self.ctx.p})"
 
 
-def as_fraction(x) -> Fraction:
-    """The rational behind an argument given as a ``KElement`` or as any
-    rational (int, Fraction, numeric string); a ``Fraction``, such as a
-    ``ShellPoint`` with its int coordinates, is returned as it is."""
-    if isinstance(x, KElement):
-        x = x.value
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact_int(value, what: str) -> int:
+    """`value` as an int, for a field that must be an integer: a value that
+    is not equal to its int (1.9, or the string "2") raises ValueError
+    instead of being truncated, and so does an infinite float."""
+    try:
+        n = int(value)
+    except OverflowError:
+        n = None
+    if n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------

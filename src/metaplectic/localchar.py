@@ -21,7 +21,7 @@ from .exactnum import (
     CycValue,
     KElement,
     PadicContext,
-    as_fraction,
+    exact_int,
     frac_mod,
     frac_unit_part,
     frac_valuation,
@@ -40,11 +40,9 @@ class AdditiveCharacter:
     scale: Fraction = Fraction(1)
 
     def twist(self, xi) -> "AdditiveCharacter":
-        xi = as_fraction(xi)
         return AdditiveCharacter(self.ctx, self.scale * xi)
 
     def value(self, a) -> CycValue:
-        a = as_fraction(a)
         return self.value_int(a.numerator, a.denominator)
 
     def value_int(self, num: int, den: int) -> CycValue:
@@ -146,20 +144,15 @@ def hilbert_symbol_oracle(a: KElement, b: KElement) -> int:
         ui = u.numerator * pow(u.denominator, -1, modulus * p) % (modulus * p)
         return p ** (int(v) % 2) * ui % (modulus * p) or modulus * p  # nonzero residue
 
-    a0 = normalize(_as_frac_nonzero(a))
-    b0 = normalize(_as_frac_nonzero(b))
+    if a.value == 0 or b.value == 0:
+        raise ZeroDivisionError("Hilbert symbol of zero")
+    a0 = normalize(a.value)
+    b0 = normalize(b.value)
     squares = _sqrt_table(modulus)
     for y in range(modulus):  # x = 1
         if (a0 + b0 * y * y) % modulus in squares:
             return 1
     return -1
-
-
-def _as_frac_nonzero(x) -> Fraction:
-    f = as_fraction(x)
-    if f == 0:
-        raise ZeroDivisionError("Hilbert symbol of zero")
-    return f
 
 
 def square_class_int(p: int, v: int, u: int):
@@ -324,14 +317,15 @@ class MultChar:
 
     def __init__(self, ctx: PadicContext, conductor_exponent: int, p_exponent=Fraction(0),
                  generator_exponent: int = 0):
-        if conductor_exponent < 0:
+        m = exact_int(conductor_exponent, "conductor exponent")
+        generator_exponent = exact_int(generator_exponent, "generator exponent")
+        if m < 0:
             raise ValueError("conductor exponent must be >= 0")
         cap = max_conductor_exponent(ctx.p)
-        if conductor_exponent > cap:
-            raise ValueError(f"conductor exponent {conductor_exponent} exceeds the cap "
-                             f"{cap} at p = {ctx.p}")
+        if m > cap:
+            raise ValueError(f"conductor exponent {m} exceeds the cap {cap} at p = {ctx.p}")
         self.ctx = ctx
-        self.m = int(conductor_exponent)
+        self.m = m
         self.p_exponent = Fraction(p_exponent) % 1
         self._modulus = ctx.p**self.m
         if self.m == 0:
@@ -340,7 +334,7 @@ class MultChar:
         else:
             _, order, self._dlog = _dlog_table(ctx.p, self.m)
             self._order = order
-            self.generator_exponent = int(generator_exponent) % order
+            self.generator_exponent = generator_exponent % order
             self._validate_conductor()
 
     def _validate_conductor(self):
@@ -375,7 +369,7 @@ class MultChar:
         return CycValue.root_of_unity(self.ctx.q, self.exponent_int(v, u))
 
     def value(self, x) -> CycValue:
-        return CycValue.root_of_unity(self.ctx.q, self.value_exponent(as_fraction(x)))
+        return CycValue.root_of_unity(self.ctx.q, self.value_exponent(x))
 
     def inverse(self) -> "MultChar":
         return MultChar(self.ctx, self.m, -self.p_exponent, -self.generator_exponent)
@@ -395,13 +389,15 @@ class MultChar:
              value_at_p_denominator_of_exponent, generator_image_exponent}
 
         where mu(p) = e(num/den) and the generator of (Z/p^m)^x maps to
-        e(generator_image_exponent / phi(p^m))."""
+        e(generator_image_exponent / phi(p^m)).  Every field must be an
+        integer (``exact_int``)."""
         return cls(
             ctx,
-            int(record["conductor_exponent"]),
-            Fraction(int(record["value_at_p_numerator_of_exponent"]),
-                     int(record["value_at_p_denominator_of_exponent"])),
-            int(record.get("generator_image_exponent", 0)),
+            record["conductor_exponent"],
+            Fraction(exact_int(record["value_at_p_numerator_of_exponent"], "mu(p) numerator"),
+                     exact_int(record["value_at_p_denominator_of_exponent"],
+                               "mu(p) denominator")),
+            record.get("generator_image_exponent", 0),
         )
 
     def spec_record(self) -> dict:

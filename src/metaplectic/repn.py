@@ -19,7 +19,7 @@ from .exactnum import (
     CycValue,
     PadicContext,
     ShellPoint,
-    as_fraction,
+    exact_int,
     frac_mod,
     p_fractional_part,
     p_split,
@@ -521,13 +521,14 @@ class Representation:
         n(t)<p^n> = n(s) n([t])<p^n> with s = t - [t] integral, so the vector
         is sum over b2 of sigma(n(-s))[b2][b] phi^{n([t])<p^n>}_{b2}, the
         torus action at x = 1."""
+        n, b = exact_int(n, "shell exponent n"), exact_int(b, "basis index b")
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
         q = self.ctx.q
         c = CycValue.one(q) if coeff is None else coeff
         if not isinstance(c, CycValue):
             c = CycValue.rational(q, c)
-        return self._torus_act([((Fraction(t), int(n), int(b)), c)], 0, 1, 1)
+        return self._torus_act([((Fraction(t), n, b), c)], 0, 1, 1)
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -536,7 +537,6 @@ class Representation:
         """The eigenbasis index b with psi^xi agreeing with the b-th character
         on Z_p, i.e. [xi] = beta_b: the one membership check for X(pi), so an
         xi outside it raises ValueError here, before any reader uses it."""
-        xi = as_fraction(xi)
         b = self._beta_index.get(p_fractional_part(xi, self.ctx.p))
         if b is None:
             raise ValueError(f"xi={xi} is not in X(pi)")
@@ -599,7 +599,6 @@ class Representation:
         neither a dropped sign nor a wrong unit).  A disagreement raises
         ``ArithmeticError`` and leaves the shell unchecked, so the next call
         there raises again."""
-        y = as_fraction(y)
         shell, closed = self._w_closed(b, y)
         if (b, shell) not in self._w_checked:
             probe = ShellPoint(_smallest_nonresidue(self.ctx.p), shell, self.ctx.p)
@@ -716,7 +715,7 @@ class Representation:
         the torus action; no acted vector is built.  At x = 1 the torus action
         fixes every term: key I, eps = +1 and r/p^j = [t], so the sum is that
         of l^xi(v)."""
-        b, psi_xi, row = self._twist(as_fraction(xi))
+        b, psi_xi, row = self._twist(xi)
         vals = []
         k, u, e = torus
         shell = (item for item in v.terms.items() if item[0][1] == k)

@@ -25,7 +25,6 @@ from .exactnum import (
     Q_POS_S,
     ShellPoint,
     _unit_residues_mod,
-    as_fraction,
     frac_mod,
     frac_valuation,
     p_fractional_int,
@@ -166,8 +165,6 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     integrated once per shell (``_bessel_kernel``); D then acts through the
     torus form of ``Representation.whittaker_functional``."""
     ctx = rep.ctx
-    xi = as_fraction(xi)
-    eta = as_fraction(eta)
     rep.basis_index_for(xi)  # outside X(pi) raises, also before the v(x) > 0 shortcut
     b_eta = rep.basis_index_for(eta)
     if isinstance(x, MetaElement):
@@ -176,7 +173,7 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
         torus = x * MetaElement.w(ctx).inverse()
         coord, e = torus.g.a, torus.eps
     else:
-        coord, e = as_fraction(x), 1
+        coord, e = x, 1
         if coord == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
     k, u = torus_coordinates(coord, ctx.p)
@@ -245,9 +242,6 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     one int pair per sample, with a positive denominator as u_y > 0."""
     ctx = rep.ctx
     p = ctx.p
-    xi = as_fraction(xi)
-    eta = as_fraction(eta)
-    x = as_fraction(x)
     n, ux = torus_coordinates(x, p)
     if n > -rep.level:
         raise ValueError(
@@ -287,17 +281,16 @@ class BesselTable:
     every x on the shell and every xi, and `_values` memoizes the scalars.
     On the shells v(x) <= -level, where the closed shell sum
     (``bessel_closed``) also holds, a lookup first passes the two-method
-    spot check (``_ensure_shell_checked``), so the closed sum is evaluated
-    only as the check's witness; a shell whose check failed stays
-    unchecked, so every later lookup there repeats the check and raises
-    again.  Its pair's indices `b_xi` and `b_eta` are resolved on construction."""
+    spot check (``check_shell``), so the closed sum is evaluated only as the
+    check's witness.  Its pair's indices `b_xi` and `b_eta` are resolved on
+    construction."""
 
     def __init__(self, rep: Representation, xi, eta):
         self.rep = rep
-        self.xi = as_fraction(xi)
-        self.eta = as_fraction(eta)
-        self.b_xi = rep.basis_index_for(self.xi)
-        self.b_eta = rep.basis_index_for(self.eta)
+        self.xi = xi
+        self.eta = eta
+        self.b_xi = rep.basis_index_for(xi)
+        self.b_eta = rep.basis_index_for(eta)
         self._values: dict = {}
         self._checked_shells: set = set()
 
@@ -306,34 +299,29 @@ class BesselTable:
         if hit is None:
             n = frac_valuation(x, self.rep.ctx.p)
             if n <= -self.rep.level:
-                self._ensure_shell_checked(int(n))
+                self.check_shell(n)
             hit = self._values[x] = bessel_direct(self.rep, self.xi, self.eta, x)
         return hit
 
-    def _ensure_shell_checked(self, n: int) -> None:
-        """Two-method spot check at two points, once per closed-formula shell."""
-        if n not in self._checked_shells:
-            self.validate_agreement([n], per_shell=2)
-
-    def validate_agreement(self, shells, per_shell: int = 4) -> int:
-        """Exact direct == closed comparison at the first `per_shell` unit
-        residues mod p^2 on each shell; the agreed values are kept and the
-        shells count as checked.  Returns the number of points checked."""
+    def check_shell(self, n: int) -> None:
+        """The two-method spot check of the shell n <= -level, once per
+        shell: direct == closed exactly at the first two unit residues mod
+        p^2.  The values that agree are kept, and the shell is marked
+        checked only once both probes agree; a disagreement raises
+        ArithmeticError and leaves it unmarked, so the next check there
+        runs, and raises, again."""
+        if n in self._checked_shells:
+            return
         p = self.rep.ctx.p
-        checked = 0
-        for n in shells:
-            for u in _unit_residues_mod(p**2)[:per_shell]:
-                x = ShellPoint(u, n, p)
-                direct = bessel_direct(self.rep, self.xi, self.eta, x)
-                closed = bessel_closed(self.rep, self.xi, self.eta, x)
-                if direct != closed:
-                    raise ArithmeticError(
-                        f"Bessel methods disagree at x={x}: direct {direct!r}, "
-                        f"closed {closed!r}")
-                self._values[x] = direct
-                checked += 1
-            self._checked_shells.add(n)
-        return checked
+        for u in _unit_residues_mod(p**2)[:2]:
+            x = ShellPoint(u, n, p)
+            direct = bessel_direct(self.rep, self.xi, self.eta, x)
+            closed = bessel_closed(self.rep, self.xi, self.eta, x)
+            if direct != closed:
+                raise ArithmeticError(
+                    f"Bessel methods disagree at x={x}: direct {direct!r}, closed {closed!r}")
+            self._values[x] = direct
+        self._checked_shells.add(n)
 
     def shell_values(self, n: int, level: int) -> dict:
         p = self.rep.ctx.p
@@ -341,7 +329,7 @@ class BesselTable:
 
 
 def bessel_table(rep: Representation, xi, eta) -> BesselTable:
-    key = (as_fraction(xi), as_fraction(eta))
+    key = (xi, eta)
     table = rep._bessel_tables.get(key)
     if table is None:
         table = rep._bessel_tables[key] = BesselTable(rep, *key)
@@ -448,13 +436,11 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
     two-method Bessel spot check (direct == closed at two probes).  The
     integrands read the int coordinates of their ``ShellPoint`` samples."""
     ctx = rep.ctx
-    xi = as_fraction(xi)
-    eta = as_fraction(eta)
     table = bessel_table(rep, xi, eta)
     char = _char_factor(ctx, mu)
 
     if n >= rep.level:
-        table._ensure_shell_checked(-n)
+        table.check_shell(-n)
         b_xi, b_eta = table.b_xi, table.b_eta
         gauss = twisted_gauss_sums(ctx, mu, n)
         # a = -(xi u^2 + eta) = num / den
@@ -600,8 +586,6 @@ def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     lists them.  A scan that finds no nonzero coefficient, or whose
     certificate fails, raises ArithmeticError and caches nothing; a
     certified Gamma_{mu^-1} is cached along with Gamma_mu."""
-    xi = as_fraction(xi)
-    eta = as_fraction(eta)
     key = (xi, eta, mu.cache_key())
     hit = rep._gamma_cache.get(key)
     if hit is not None:
@@ -688,7 +672,6 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     bounds nothing."""
     ctx = rep.ctx
     q = ctx.q
-    xi = as_fraction(xi)
     rep.basis_index_for(xi)  # outside X(pi) raises, even for v = 0
     parts = {n: v.shell(n) for n in v.shells()}
     char = _char_factor(ctx, mu)
@@ -739,7 +722,6 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
     gamma coefficient, for negative controls."""
     ctx = rep.ctx
     q = ctx.q
-    xi = as_fraction(xi)
     w = MetaElement.w(ctx)
     zeta_lhs = zeta_function(rep, xi, mu, rep.act(w, v))
     lhs = zeta_lhs.poly.retagged()

@@ -19,7 +19,6 @@ from metaplectic.cover import decompose_meta
 from metaplectic.exactnum import (
     ShellPoint,
     _unit_residues_mod,
-    as_fraction,
     torus_coordinates,
     valuation_unit,
 )
@@ -46,8 +45,8 @@ def c_factor(rep, xi, a) -> CycValue:
     """The constant c_xi(a) with l^xi(pi(<a>) v) = c_xi(a) l^{a^2 xi}(v),
     computed on one test vector and verified on an independent second."""
     ctx = rep.ctx
-    a = as_fraction(a)
-    xi = as_fraction(xi)
+    a = Fraction(a)
+    xi = Fraction(xi)
     rep.basis_index_for(xi)  # outside X(pi) raises
     target = a * a * xi
     b2 = rep.basis_index_for(target)
@@ -70,13 +69,12 @@ def bessel_per_point(rep, xi, eta, x) -> CycValue:
     form, over the same support and sampling levels as
     ``zeta.bessel_direct``, but with no kernel shared between points."""
     ctx = rep.ctx
-    xi, eta = as_fraction(xi), as_fraction(eta)
     b_eta = rep.basis_index_for(eta)
     if isinstance(x, MetaElement):
         torus = x * MetaElement.w(ctx).inverse()
         coord, e = torus.g.a, torus.eps
     else:
-        coord, e = as_fraction(x), 1
+        coord, e = x, 1
     k, u = torus_coordinates(coord, ctx.p)
     if k > 0:
         return CycValue.zero(ctx.q)
@@ -102,8 +100,8 @@ def fourier_inversion_check(rep, xi, v, a):
     W^eta_v(<y>) can be nonzero."""
     ctx = rep.ctx
     p, q = ctx.p, ctx.q
-    xi = as_fraction(xi)
-    a = as_fraction(a)
+    xi = Fraction(xi)
+    a = Fraction(a)
     va, ua = valuation_unit(a.numerator, a.denominator, p, p)
     lhs = rep.whittaker_function(xi, v, MetaElement.torus(ctx, a) * MetaElement.w(ctx))
     rhs = CycValue.zero(q)

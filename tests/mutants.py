@@ -80,6 +80,37 @@ MUTANTS = (
            ("tests/test_repn.py::TestValidationAtConstruction::"
             "test_builtin_plus_trivial_rejected_as_not_cuspidal",
             "tests/test_repn.py::TestStrongCuspidality::test_trivial_representation_fails")),
+    Mutant("bessel-closed-torus-drops-x-unit", "metaplectic/zeta.py",
+           "coeff = rep.unit_torus_value(ux * uy_inv)[b_out][b_in]",
+           "coeff = rep.unit_torus_value(uy_inv)[b_out][b_in]",
+           ("tests/test_zeta.py::TestBesselClosedTorusForm::"
+            "test_weil_data_direct_agrees_with_closed",)),
+    Mutant("gamma-early-exit-skips-certificate", "metaplectic/zeta.py",
+           "        if defects:\n",
+           "        if False:\n",
+           ("tests/test_zeta.py::TestGammaEarlyExit::"
+            "test_wrong_coefficient_raises_and_caches_nothing",)),
+    Mutant("zeta-one-level-for-every-shell", "metaplectic/zeta.py",
+           "level = max(rep.torus_depth(part.terms.items()), mu.m, 1)",
+           "level = max(rep.level, mu.m) + 1",
+           ("tests/test_zeta.py::TestZetaShellLevels::test_one_gate_pass_per_shell",)),
+    Mutant("refinement-gate-accepts-anything", "metaplectic/zeta.py",
+           "        if v1 == v2:\n",
+           "        if True:\n",
+           ("tests/test_zeta.py::TestShellIntegral::test_refinement_gate_failure",)),
+    Mutant("w-translate-skips-act-gate", "metaplectic/repn.py",
+           "                if value != oracle:\n",
+           "                if False:\n",
+           ("tests/test_zeta.py::TestWTranslateGate::test_mutated_closed_form_raises",)),
+    Mutant("genuine-eval-drops-kubota-sign", "metaplectic/repn.py",
+           "if x.eps * kubota_split(x.g) == 1:",
+           "if x.eps == 1:",
+           ("tests/test_repn.py::TestGenuineEvaluation::test_multiplicative",)),
+    Mutant("bessel-spot-check-marks-before-probes", "metaplectic/zeta.py",
+           "        for u in _unit_residues_mod(p**2)[:2]:\n",
+           "        self._checked_shells.add(n)\n"
+           "        for u in _unit_residues_mod(p**2)[:2]:\n",
+           ("tests/test_zeta.py::TestBessel::test_failed_spot_check_is_not_remembered",)),
 )
 
 

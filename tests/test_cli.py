@@ -180,8 +180,16 @@ class TestConfigErrors:
          "value_at_p_denominator_of_exponent": 0},
         {"conductor_exponent": 7, "value_at_p_numerator_of_exponent": 0,
          "value_at_p_denominator_of_exponent": 1},
+        # 1.9 and 1.5 were truncated to 1 and 1, "2" was read as 2
+        {"conductor_exponent": 1.9, "value_at_p_numerator_of_exponent": 0,
+         "value_at_p_denominator_of_exponent": 1, "generator_image_exponent": 1.5},
+        {"conductor_exponent": "2", "value_at_p_numerator_of_exponent": 0,
+         "value_at_p_denominator_of_exponent": 1, "generator_image_exponent": 1},
+        {"conductor_exponent": float("inf"), "value_at_p_numerator_of_exponent": 0,
+         "value_at_p_denominator_of_exponent": 1},
     ], ids=["mu-not-a-record", "mu-non-integer-field", "mu-zero-denominator",
-            "mu-exponent-over-cap"])
+            "mu-exponent-over-cap", "mu-fractional-field", "mu-numeric-string-field",
+            "mu-infinite-field"])
     def test_malformed_mu_record(self, capsys, record):
         rc, _, err = run_cli(capsys, "--command", "gamma", "--mu", json.dumps(record))
         assert rc == 2 and err.startswith("configuration error:")
@@ -197,6 +205,16 @@ class TestConfigErrors:
         rc, _, err = run_cli(capsys, "--command", command, "--vectors", str(path))
         assert rc == 2 and err.startswith("configuration error:")
         assert "invalid vector term" in err
+
+    @pytest.mark.parametrize("line", ["-", "phi() -", "phi() phi(n=1)"],
+                             ids=["signs-only", "trailing-sign", "missing-operator"])
+    @pytest.mark.parametrize("command", ["zeta", "check-fe"])
+    def test_malformed_vector_combination(self, capsys, tmp_path, command, line):
+        # each line passed as the zero vector, phi() or phi() + phi(n=1) before
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"phi()\n{line}\n")
+        rc, out, err = run_cli(capsys, "--command", command, "--vectors", str(path))
+        assert rc == 2 and err.startswith("configuration error:") and not out
 
     def test_vectors_file_with_only_comments(self, capsys, tmp_path):
         path = tmp_path / "vectors.txt"

@@ -16,7 +16,6 @@ from metaplectic.exactnum import (
     INFINITY,
     ShellPoint,
     _unit_residues_mod,
-    as_fraction,
     frac_unit_part,
     frac_valuation,
     p_fractional_int,
@@ -257,7 +256,6 @@ class TestIntPoints:
                     assert (x.k, x.u) == (k, u) == torus_coordinates(x, p)
                     assert type(x + 1) is Fraction and type(-x) is Fraction
                     assert type(Fraction(x)) is Fraction and {x: 1}[plain] == 1
-                    assert as_fraction(x) is x  # its ints reach the callee
 
 
 class TestCycValue:

@@ -116,6 +116,9 @@ class TestHilbertSymbol:
     def test_zero_rejected(self, ctx):
         with pytest.raises(ZeroDivisionError):
             hilbert_symbol(ctx.elem(0), ctx.elem(1))
+        for a, b in ((0, 1), (1, 0)):
+            with pytest.raises(ZeroDivisionError, match="Hilbert symbol of zero"):
+                hilbert_symbol_oracle(ctx.elem(a), ctx.elem(b))
 
 
 def _int_valuation_capped(n: int, p: int, cap: int) -> int:
@@ -359,6 +362,17 @@ class TestMultChar:
         for _ in range(30):
             x = random_nonzero(3, rng)
             assert mu.value(x) * inv.value(x) == 1
+
+    def test_integer_fields_checked_not_truncated(self, ctx):
+        for args in ((1.9, 0, 1), (2, 0, 1.5), ("2", 0, 1), (1, 0, "1")):
+            with pytest.raises(ValueError, match="must be an integer"):
+                MultChar(ctx, *args)
+        assert MultChar(ctx, 2.0, 0, Fraction(5)).cache_key() == \
+            MultChar(ctx, 2, 0, 5).cache_key()
+        record = {"conductor_exponent": 1, "value_at_p_numerator_of_exponent": 0.5,
+                  "value_at_p_denominator_of_exponent": 1}
+        with pytest.raises(ValueError, match="must be an integer"):
+            MultChar.from_spec(ctx, record)
 
     def test_from_spec_roundtrip(self, ctx):
         mu = MultChar(ctx, 2, Fraction(3, 8), 5)

@@ -568,6 +568,14 @@ class TestCanonicalPhi:
                         rep.whittaker_functional(xi, raw)
 
 
+    def test_integer_fields_checked_not_truncated(self, rep1):
+        # phi(n=1.5) was phi(n=1), phi(b=0.7) was phi(b=0)
+        for kwargs in ({"n": 1.5}, {"b": 0.7}, {"n": "1"}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                rep1.phi(**kwargs)
+        assert rep1.phi(n=1.0, b=Fraction(0)) == rep1.phi(n=1)
+
+
 class TestSpectrum:
     def test_representatives(self, ctx, rep1, rep2):
         spec1 = rep1.spectrum()

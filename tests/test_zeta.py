@@ -10,6 +10,7 @@ from metaplectic import (
     LaurentPoly,
     MetaElement,
     MultChar,
+    PadicContext,
     Representation,
     ShellIntegralPlan,
     SigmaRep,
@@ -22,6 +23,7 @@ from metaplectic import (
     gamma_factor,
     integrate_ball,
     integrate_shell,
+    named_sigma,
     norm_sigma,
     zeta_function,
 )
@@ -38,6 +40,7 @@ from metaplectic.zeta import (
     BesselTable,
     NotLocallyConstantError,
     SamplingBudgetError,
+    _bessel_kernel,
     gamma_support_bound,
     twisted_gauss_sums,
     zeta_parity_holds,
@@ -335,7 +338,13 @@ class TestBessel:
 
     def test_table_consistency_gate(self, rep1):
         table = bessel_table(rep1, XI, XI)
-        assert table.validate_agreement([-2, -1], per_shell=2) == 4
+        for n in (-2, -1):
+            table.check_shell(n)
+        assert {-2, -1} <= table._checked_shells
+        for n in (-2, -1):
+            for u in (1, 2):  # the first two unit residues mod 9 are the probes
+                x = ShellPoint(u, n, 3)
+                assert table._values[x] == bessel_closed(rep1, XI, XI, x), x
         assert table.value(Fraction(1, 3)) == bessel_closed(rep1, XI, XI, Fraction(1, 3))
 
 
@@ -420,7 +429,9 @@ class TestBesselClosedTorusForm:
         for xi in xis:
             for eta in xis:
                 table = BesselTable(weil5, xi, eta)
-                assert table.validate_agreement([-1, -2], per_shell=2) == 4, (xi, eta)
+                for n in (-1, -2):
+                    table.check_shell(n)
+                assert table._checked_shells == {-1, -2}, (xi, eta)
 
 
 class TestOneMembershipDoor:
@@ -792,6 +803,31 @@ class TestGammaDeepShells:
                     value = gamma_coefficient(weil5, xi, eta, mu, n)
                     assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, n), (m, xi, eta)
                     assert not value.is_zero(), (m, xi, eta)
+
+
+class TestShallowGammaIsKernelZeta:
+    """On a shallow shell 0 <= n < l, J^{xi,eta}(<x>w) at |x| = q^n is
+    W^xi_K(<x>) for the Bessel kernel K = K_eta(-n) (``bessel_direct``), so
+    gamma(n) is the coefficient at exponent -n of Z(s, mu, l^xi, K); both
+    sides sample the shell at level max(l + n, m, 1)."""
+
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "norm3", "norm5", "weil7"])
+    def test_gamma_coefficient_is_kernel_zeta_coefficient(self, request, data):
+        rep = (Representation(named_sigma(PadicContext(5), "norm5")) if data == "norm5"
+               else request.getfixturevalue(data))
+        ctx = rep.ctx
+        chars = [mu for m in range(3) for mu in characters(ctx, m, (0, Fraction(1, 2)))[:4]]
+        nonzero = 0
+        for xi in rep.betas:
+            for eta in rep.betas:
+                for mu in chars:
+                    for n in range(rep.level):
+                        kernel = _bessel_kernel(rep, eta, rep.basis_index_for(eta), -n)
+                        zeta_poly = zeta_function(rep, xi, mu, kernel).poly
+                        gamma = gamma_coefficient(rep, xi, eta, mu, n)
+                        assert gamma == zeta_poly.coeffs.get(-n, ctx.zero()), (xi, eta, mu, n)
+                        nonzero += not gamma.is_zero()
+        assert nonzero
 
 
 class TestGamma:
