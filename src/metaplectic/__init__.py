@@ -38,6 +38,7 @@ from .repn import (
     Representation,
     SigmaRep,
     builtin_sigma_p3,
+    elliptic_sigma,
     named_sigma,
     norm_sigma,
     sigma_from_dict,

@@ -136,8 +136,8 @@ def check_gamma_involution(rep: Representation) -> str:
     conductor-1 characters sending the generator to e(1/(p - 1)) and to -1.
     Each Gamma is a full scan of ``gamma_coefficient`` over 0..M, never
     ``gamma_factor``, whose early exit relies on the corollary checked
-    here: with one square class and the parity holding, Gamma_mu is a
-    single monomial."""
+    here: with the parity holding, the class matrix Gamma_mu is one
+    constant matrix times one power of q^s."""
     ctx = rep.ctx
     chars = (MultChar.trivial(ctx), MultChar(ctx, 0, Fraction(1, 2)),
              MultChar(ctx, 1, 0, 1), MultChar(ctx, 1, 0, (ctx.p - 1) // 2))

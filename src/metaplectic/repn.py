@@ -10,6 +10,7 @@ upper-unipotent action, which makes the Whittaker functionals diagonal.
 
 from __future__ import annotations
 
+import itertools
 import random
 import types
 from dataclasses import dataclass
@@ -288,6 +289,80 @@ def norm_sigma(ctx, k: int) -> SigmaRep:
     return SigmaRep(ctx, 1, p - 1, generators)
 
 
+def elliptic_sigma(ctx, k: int) -> SigmaRep:
+    """The regular elliptic representation of SL(2, Z/9) of the unramified
+    torus (Shalika, Representations of the two by two unimodular group over
+    local fields, thesis, 1966): level 2 and dimension 6, the datum on which
+    the level-dependent formulas see l = 2.
+
+    The keys are the 648 tuples (a, b, c, d) with ad - bc = 1 mod 9, scanned
+    in lexicographic order, and eps = 2.  K1 = {g = I + 3X} is abelian with
+    the character psi_beta(g) = e((X21 + eps X12)/3), and its centralizer
+    T = {(x, y, eps y, x) : x^2 - eps y^2 = 1 mod 9} is cyclic of order 12.
+    g0 is the first element of T of order 12 in the scan, and
+    theta(g0^j) = e(k j/12).  theta and psi_beta agree on T n K1 = <g0^4>
+    iff k = r mod 3 for psi_beta(g0^4) = e(r/3) (k = 1, 4, 7, 10 mod 12);
+    any other k raises ``ValueError``.  Then
+
+        chi(h) = theta(t) psi_beta(t^-1 h),  t in T with t = h mod 3,
+
+    is a character of H = T K1, of order 108, and h lies in H iff h mod 3
+    lies in T mod 3.  With r_1..r_6 the first fits of the scan as
+    representatives of G/H,
+
+        sigma(g)[i][j] = chi(r_i^-1 g r_j) if that lies in H, and 0 otherwise.
+
+    Only the images of n(1) and w go to ``SigmaRep``, which closes them.  The
+    betas are the j/9 with 3 not dividing j, in the square classes of 1/9
+    and 2/9; omega_pi(-1) is -1 for k = 1, 7 and +1 for k = 4, 10."""
+    if ctx.p != 3:
+        raise ValueError("the elliptic datum of level 2 requires p = 3")
+    q, eps, mod, ident = ctx.q, 2, 9, (1, 0, 0, 1)
+    keys = [g for g in itertools.product(range(mod), repeat=4)
+            if (g[0] * g[3] - g[1] * g[2]) % mod == 1]
+
+    def inverse(g):
+        a, b, c, d = g
+        return (d, -b % mod, -c % mod, a)
+
+    def psi_exponent(g):
+        # psi_beta(g) = e(psi_exponent(g)/3) for g = I + 3X in K1
+        return (g[2] // 3 + eps * (g[1] // 3)) % 3
+
+    def powers(x):
+        out = [ident]
+        while _key_mul(out[-1], x, mod) != ident:
+            out.append(_key_mul(out[-1], x, mod))
+        return out
+
+    torus = [g for g in keys if g[3] == g[0] and g[2] == eps * g[1] % mod]
+    cycle = powers(next(t for t in torus if len(powers(t)) == 12))
+    if (k - psi_exponent(cycle[4])) % 3:
+        raise ValueError(f"theta and psi_beta disagree on T n K1 for k = {k}")
+    log = {t: j for j, t in enumerate(cycle)}
+    lift = {tuple(x % 3 for x in t): t for t in torus}
+
+    def chi(h):
+        """chi(h) = e(chi(h)/36), or None outside H."""
+        t = lift.get(tuple(x % 3 for x in h))
+        if t is None:
+            return None
+        return 3 * k * log[t] + 12 * psi_exponent(_key_mul(inverse(t), h, mod))
+
+    reps = []
+    for g in keys:
+        if all(chi(_key_mul(inverse(r), g, mod)) is None for r in reps):
+            reps.append(g)
+
+    def image(g):
+        cells = [[chi(_key_mul(_key_mul(inverse(ri), g, mod), rj, mod)) for rj in reps]
+                 for ri in reps]
+        return tuple(tuple(CycValue.zero(q) if e is None else CycValue.root_of_unity_int(q, e, 36)
+                           for e in row) for row in cells)
+
+    return SigmaRep(ctx, 2, len(reps), {g: image(g) for g in ((1, 1, 0, 1), (0, 8, 1, 0))})
+
+
 # name -> (p, builder, argument): the data the command line, CI and the test
 # fixtures read by name, each built by ``named_sigma``
 SIGMA_NAMES = types.MappingProxyType({
@@ -297,6 +372,7 @@ SIGMA_NAMES = types.MappingProxyType({
     "weil7": (7, weil_sigma, 1),
     "norm3": (3, norm_sigma, 1),
     "norm5": (5, norm_sigma, 1),
+    "elliptic9": (3, elliptic_sigma, 1),
 })
 
 

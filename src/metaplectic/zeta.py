@@ -473,8 +473,8 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
 class GammaFactor:
     """Gamma factor as a polynomial in q^s with its coefficient provenance:
     `coefficients` holds gamma(n) for every n in 0..support_bound, and the
-    shells listed in `zero_by_theorem` hold zeros proven by the unit theorem
-    (``gamma_factor``), not computed ones."""
+    shells listed in `zero_by_theorem` hold zeros proven by the certified
+    class matrix (``gamma_factor``), not computed ones."""
 
     poly: LaurentPoly
     coefficients: dict
@@ -518,17 +518,35 @@ def gamma_involution_defects(rep: Representation, mu: MultChar, gamma) -> dict:
     integral vanishes and the equation says nothing; M is 0 then, as
     Gamma_mu itself vanishes (substitute x -> -x).
 
-    Corollary, the unit theorem: with one square class, independence needs
-    only one v with Z(s, mu, l^xi, v) != 0, which exists when the parity
-    holds, and the identity reads
+    Independence, when the parity holds, has two halves.
+    (i) Only its own class sees phi(t, n, b): Z(s, mu, l^zeta, phi(t, n, b))
+    is 0 unless zeta lies in the square class of beta_b.  At x = p^k u the
+    torus form (``Representation._torus_terms``) sends the term through
+    sigma at the key (u, -carry/u, 0, 1/u) = diag(u, 1/u) n(-carry/u^2).
+    In eigencoordinates sigma(n(y)) is diagonal, and sigma(diag(u, 1/u))
+    maps the beta-line to the beta u^-2-line, as diag(u, 1/u)^-1 n(a)
+    diag(u, 1/u) = n(u^-2 a).  l^zeta reads only the line of [zeta], so
+    W^zeta(<x>) of phi(t, n, b) vanishes unless [zeta] = beta_b u^-2 for a
+    unit u, and so does its zeta integral.
+    (ii) Each class zeta has some phi(t, n, b) with Z(s, mu, l^zeta, .) != 0
+    when the parity holds: the one-class claim, that some vector has a
+    nonzero zeta integral, applied to each class (not proven here, and
+    tested on every datum with two classes).
+    A relation sum_zeta c_zeta(s) Z(s, mu, l^zeta, .) = 0, evaluated at the
+    witness of zeta, keeps only its own term by (i), so c_zeta = 0.
 
-        (|xi|^2 / 16) Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1).
-
-    Both factors are Laurent polynomials in q^s (the gamma factor is
-    entire), and their product is a nonzero constant, so each is a unit of
-    C[q^s, q^-s]: one monomial c q^{ns}, the two at the same n.  With
-    several classes det Gamma_mu is a monomial; nothing here says its
-    entries are."""
+    Corollary, the certified class matrix: write X = q^s, P = Gamma_mu(s) as
+    a k x k matrix in X and Q = Gamma_{mu^-1}(1 - s) in X^-1, and let C be
+    P's coefficient at its lowest power X^n1 and C'' Q's coefficient at its
+    highest power X^-n1'.  If (q^2l / 16) C C'' X^(n1 - n1') = omega_pi(-1) I,
+    then n1 = n1', C'' is invertible and P = C X^n1 exactly.  For write
+    P = X^n1 (C + A) and Q = X^-n1 (C'' + B), A with only positive powers of
+    X and B with only negative ones; the identity gives
+    A C'' + C B + A B = 0.  If A != 0 has top degree a, the X^a coefficient
+    is A_a C'' alone, which is not 0; so A = 0, and C B = 0 gives B = 0.
+    With one square class this is the unit theorem: Gamma_mu is one
+    monomial c q^{ns}, and Gamma_{mu^-1} one at the same n.  With several,
+    every entry is c q^{n1 s} or 0, at the one shell n1 of the matrix."""
     q = rep.ctx.q
     classes = rep.spectrum().dedup
     mu_inv = mu.inverse()
@@ -546,69 +564,73 @@ def gamma_involution_defects(rep: Representation, mu: MultChar, gamma) -> dict:
     return defects
 
 
-def _scan_to_monomial(rep: Representation, xi: Fraction, mu: MultChar,
-                      bound: int) -> GammaFactor:
-    """Gamma^{xi,xi}_mu from gamma(0), gamma(1), ... up to the first nonzero
-    one; the shells after it are zero by theorem (``gamma_factor``).
-    ArithmeticError if gamma(0..bound) are all zero."""
+def _scan(rep: Representation, pairs, mu: MultChar, bound: int, stop: bool) -> dict:
+    """{(xi, eta): Gamma^{xi,eta}_mu} for every pair in `pairs`, from
+    gamma(0), gamma(1), ... computed shell by shell for all pairs at once.
+    Without `stop` every shell 0..bound is computed.  With `stop` the scan
+    ends at the first shell n1 where some pair is nonzero: n1 + 1..bound
+    are zeros, listed in `zero_by_theorem`, and ArithmeticError is raised
+    if every pair is zero on 0..bound (``gamma_factor``)."""
     q = rep.ctx.q
-    coeffs = {}
+    coeffs = {pair: {} for pair in pairs}
+    later = ()
     for n in range(bound + 1):
-        coeffs[n] = gamma_coefficient(rep, xi, xi, mu, n)
-        if not coeffs[n].is_zero():
+        for (xi, eta), column in coeffs.items():
+            column[n] = gamma_coefficient(rep, xi, eta, mu, n)
+        if stop and any(not column[n].is_zero() for column in coeffs.values()):
             later = tuple(range(n + 1, bound + 1))
-            coeffs.update(dict.fromkeys(later, CycValue.zero(q)))
-            return GammaFactor(LaurentPoly(q, Q_POS_S, coeffs), coeffs, xi, xi, bound, later)
-    raise ArithmeticError(f"Gamma^({xi},{xi}) of {mu!r} has no nonzero coefficient in "
-                          f"0..{bound}, against the unit theorem")
+            for column in coeffs.values():
+                column.update(dict.fromkeys(later, CycValue.zero(q)))
+            break
+    else:
+        if stop:
+            raise ArithmeticError(f"{mu!r}: no nonzero coefficient in 0..{bound}")
+    return {pair: GammaFactor(LaurentPoly(q, Q_POS_S, column), column, *pair, bound, later)
+            for pair, column in coeffs.items()}
 
 
 def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     """Assemble Gamma^{xi,eta}(s) = sum_{n=0}^{M} gamma(n) q^{ns} with
     M = ``gamma_support_bound``; entire in s by construction.
 
-    Data with several square classes, characters that fail the parity
-    (``zeta_parity_holds``) and pairs other than the class representative
-    with itself are scanned in full: every gamma(n), 0 <= n <= M, is
-    computed.  A datum with one square class where the parity holds stops
-    at its monomial.  By the unit theorem (``gamma_involution_defects``),
+    When xi and eta are both square-class representatives of X(pi) and the
+    parity holds (``zeta_parity_holds``), the whole k x k class matrix
+    Gamma_mu is scanned shell by shell up to its first shell n1 with a
+    nonzero entry, and so is Gamma_{mu^-1} (once, when mu = mu^-1).  The
+    two are accepted only if the identity of ``gamma_involution_defects``
 
-        (|xi|^2 / 16) Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1),
+        sum_eta (|eta| |zeta| / 16) Gamma^{xi,eta}_mu(s)
+            Gamma^{eta,zeta}_{mu^-1}(1 - s) = omega_pi(-1) [xi = zeta]
 
-    Gamma_mu = Gamma^{xi,xi}_mu has exactly one nonzero coefficient.  So
-    the scan stops at the first nonzero gamma(n1), Gamma_{mu^-1} is scanned
-    up to its own first nonzero coefficient (or read from the cache), and
-    the pair is accepted only if the identity above holds exactly: that
-    certificate is a constant only if both monomials sit at n1, and its
-    value fixes the product of the two coefficients, so a wrong value of
-    one of them cannot pass.  The shells n1 + 1..M are then zero by
-    theorem: `coefficients` holds them as zeros and `zero_by_theorem`
-    lists them.  A scan that finds no nonzero coefficient, or whose
-    certificate fails, raises ArithmeticError and caches nothing; a
-    certified Gamma_{mu^-1} is cached along with Gamma_mu."""
+    holds exactly on the scanned leading coefficients.  By the corollary
+    there, it then holds only if both leading shells are n1, and it forces
+    Gamma_mu = C q^{n1 s} with C its coefficient matrix at n1, and a wrong
+    value in one of the two leading matrices cannot pass.  The shells n1 + 1..M are zero by
+    theorem: `coefficients` holds them as zeros and `zero_by_theorem` lists
+    them.  A matrix with no nonzero coefficient, or one that fails the
+    certificate, raises ArithmeticError and caches nothing; a certified
+    pair of matrices is cached entry by entry, both characters.
+
+    Every other pair, and every pair when the parity fails, is scanned in
+    full: every gamma(n), 0 <= n <= M, is computed."""
     key = (xi, eta, mu.cache_key())
     hit = rep._gamma_cache.get(key)
     if hit is not None:
         return hit
     bound = gamma_support_bound(rep, mu)
-    classes = rep.spectrum().dedup
-    if len(classes) == 1 and classes[0].xi == xi == eta and zeta_parity_holds(rep, mu):
-        out = _scan_to_monomial(rep, xi, mu, bound)
-        mu_inv = mu.inverse()
-        inv_key = (xi, xi, mu_inv.cache_key())
-        inv = rep._gamma_cache.get(inv_key)
-        if inv is None:
-            inv = out if inv_key == key else _scan_to_monomial(rep, xi, mu_inv, bound)
-        polys = {mu.cache_key(): out.poly, mu_inv.cache_key(): inv.poly}
-        defects = gamma_involution_defects(rep, mu, lambda a, b, chi: polys[chi.cache_key()])
+    classes = [r.xi for r in rep.spectrum().dedup]
+    if xi in classes and eta in classes and zeta_parity_holds(rep, mu):
+        pairs = [(a, b) for a in classes for b in classes]
+        chars = {chi.cache_key(): chi for chi in (mu, mu.inverse())}
+        found = {(a, b, ck): gf for ck, chi in chars.items()
+                 for (a, b), gf in _scan(rep, pairs, chi, bound, True).items()}
+        defects = gamma_involution_defects(
+            rep, mu, lambda a, b, chi: found[a, b, chi.cache_key()].poly)
         if defects:
-            raise ArithmeticError(
-                f"unit-theorem certificate fails for {mu!r} at xi={xi}: "
-                f"(|xi|^2/16) Gamma_mu(s) Gamma_mu^-1(1-s) = {defects[xi, xi]!r}")
-        rep._gamma_cache[inv_key] = inv
-    else:
-        coeffs = {n: gamma_coefficient(rep, xi, eta, mu, n) for n in range(bound + 1)}
-        out = GammaFactor(LaurentPoly(rep.ctx.q, Q_POS_S, coeffs), coeffs, xi, eta, bound)
+            raise ArithmeticError(f"class-matrix certificate fails for {mu!r}: {defects!r}")
+        rep._gamma_cache.update(found)
+        return found[key]
+    out = _scan(rep, [(xi, eta)], mu, bound, False)[xi, eta]
     rep._gamma_cache[key] = out
     return out
 

@@ -3,17 +3,22 @@ at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
 the Fourier inversion identity of the Bessel function, a float growth
 report and the characters of one conductor.  Nothing in the library calls
 them; the tests use them as oracles.  The data the tests run on are the
-named data of ``metaplectic.repn.SIGMA_NAMES``."""
+named data of ``metaplectic.repn.SIGMA_NAMES``, each built once
+(``named_sigma_once``)."""
 
+import functools
 from fractions import Fraction
 
 from metaplectic import (
+    SIGMA_NAMES,
     CycValue,
     MetaElement,
     MultChar,
+    PadicContext,
     ShellIntegralPlan,
     integrate_ball,
     integrate_shell,
+    named_sigma,
 )
 from metaplectic.cover import decompose_meta
 from metaplectic.exactnum import (
@@ -24,6 +29,14 @@ from metaplectic.exactnum import (
 )
 from metaplectic.localchar import hilbert_int
 from metaplectic.zeta import ADDITIVE_DX, MULTIPLICATIVE_DX, bessel_table
+
+
+@functools.cache
+def named_sigma_once(name: str):
+    """The datum `name` of ``SIGMA_NAMES``, built once per test session: the
+    session fixtures and the table tests share it (the elliptic datum takes
+    about 1.3 s to build)."""
+    return named_sigma(PadicContext(SIGMA_NAMES[name][0]), name)
 
 
 def evaluate_vector(rep, v, g: MetaElement):

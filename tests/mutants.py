@@ -90,6 +90,15 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_zeta.py::TestGammaEarlyExit::"
             "test_wrong_coefficient_raises_and_caches_nothing",)),
+    Mutant("gamma-deep-threshold-at-one", "metaplectic/zeta.py",
+           "    if n >= rep.level:\n",
+           "    if n >= 1:\n",
+           ("tests/test_zeta.py::TestEllipticData::"
+            "test_gamma_coefficients_match_bessel_table_oracle",)),
+    Mutant("gamma-scan-stops-on-first-pair-only", "metaplectic/zeta.py",
+           "if stop and any(not column[n].is_zero() for column in coeffs.values()):",
+           "if stop and not next(iter(coeffs.values()))[n].is_zero():",
+           ("tests/test_zeta.py::TestGammaEarlyExit::test_equals_full_scan[elliptic9]",)),
     Mutant("zeta-one-level-for-every-shell", "metaplectic/zeta.py",
            "level = max(rep.torus_depth(part.terms.items()), mu.m, 1)",
            "level = max(rep.level, mu.m) + 1",

@@ -13,6 +13,7 @@ from metaplectic import (
     Representation,
     SigmaRep,
     builtin_sigma_p3,
+    elliptic_sigma,
     named_sigma,
     weil_sigma,
 )
@@ -38,7 +39,7 @@ from metaplectic.repn import (
     _key_mul,
 )
 
-from helpers import c_factor, evaluate_vector
+from helpers import c_factor, evaluate_vector, named_sigma_once
 
 
 class TestBuiltinSigma:
@@ -216,7 +217,12 @@ NAMED_DIGESTS = {
     "weil7": "6baef338d3c95715",
     "norm3": "f7a4b37a11b798aa",
     "norm5": "d07d2936e862aef4",
+    "elliptic9": "3ee997e808b5b650",
 }
+
+
+def _digest(sigma) -> str:
+    return hashlib.sha256(json.dumps(sigma_to_dict(sigma)).encode()).hexdigest()[:16]
 
 
 class TestNamedSigma:
@@ -225,20 +231,29 @@ class TestNamedSigma:
 
     @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
     def test_table_bytes_and_file_roundtrip(self, name):
-        ctx = PadicContext(SIGMA_NAMES[name][0])
-        sigma = named_sigma(ctx, name)
-        data = sigma_to_dict(sigma)
-        assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == NAMED_DIGESTS[name]
-        assert sigma_from_dict(ctx, data).table == sigma.table
+        sigma = named_sigma_once(name)
+        assert _digest(sigma) == NAMED_DIGESTS[name]
+        assert sigma_from_dict(sigma.ctx, sigma_to_dict(sigma)).table == sigma.table
 
     @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
     def test_closes_from_its_two_generator_images(self, name):
-        ctx = PadicContext(SIGMA_NAMES[name][0])
-        sigma = named_sigma(ctx, name)
+        sigma = named_sigma_once(name)
+        ctx = sigma.ctx
         generators = {k: sigma.table[k] for k in (sigma.n_key(1), (0, sigma.modulus - 1, 1, 0))}
         closed = SigmaRep(ctx, sigma.level, sigma.dim, generators).table
         assert len(closed) == sl2_group_order(ctx.p, sigma.level)
         assert closed == sigma.table
+
+    def test_elliptic_theta_at_k_four_and_refusals(self, ctx, ctx5, elliptic9k4):
+        # k = 4 is the other sign of omega_pi(-1); a theta that disagrees
+        # with psi_beta on T n K1, or another p, is refused before any
+        # table is built
+        assert _digest(elliptic9k4.sigma) == "af30920841780f05"
+        for k in (0, 2, 3):
+            with pytest.raises(ValueError, match="disagree on T n K1"):
+                elliptic_sigma(ctx, k)
+        with pytest.raises(ValueError, match="requires p = 3"):
+            elliptic_sigma(ctx5, 1)
 
     def test_name_and_file_refuse_another_p_alike(self, ctx, ctx5):
         message = "table requires p = 3, context has p = 5"

@@ -10,7 +10,6 @@ from metaplectic import (
     LaurentPoly,
     MetaElement,
     MultChar,
-    PadicContext,
     Representation,
     ShellIntegralPlan,
     SigmaRep,
@@ -23,7 +22,6 @@ from metaplectic import (
     gamma_factor,
     integrate_ball,
     integrate_shell,
-    named_sigma,
     norm_sigma,
     zeta_function,
 )
@@ -536,7 +534,7 @@ class TestBesselDirectTranslates:
             assert bessel_direct(rep1, XI, XI, x).is_zero()
         assert calls == []
 
-    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "weil7"])
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "weil7", "elliptic9"])
     def test_closed_form_matches_act(self, request, data):
         # y = 0, the ints 1..2p^2, every unit mod p^3 on the shells -3..1
         # and units with a denominator prime to p; the Weil data see a
@@ -811,10 +809,11 @@ class TestShallowGammaIsKernelZeta:
     gamma(n) is the coefficient at exponent -n of Z(s, mu, l^xi, K); both
     sides sample the shell at level max(l + n, m, 1)."""
 
-    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "norm3", "norm5", "weil7"])
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "norm3", "norm5", "weil7",
+                                      "elliptic9"])
     def test_gamma_coefficient_is_kernel_zeta_coefficient(self, request, data):
-        rep = (Representation(named_sigma(PadicContext(5), "norm5")) if data == "norm5"
-               else request.getfixturevalue(data))
+        # elliptic9 has the first shallow shell n = 1 < l = 2
+        rep = request.getfixturevalue(data)
         ctx = rep.ctx
         chars = [mu for m in range(3) for mu in characters(ctx, m, (0, Fraction(1, 2)))[:4]]
         nonzero = 0
@@ -1136,6 +1135,22 @@ class TestZetaFullScanOracle:
         assert nonzero == [parity and (conductor < 2 or i >= len(vectors))
                            for i in range(len(vectors) + len(deep))] * len(rep.betas)
 
+    def test_elliptic9_matches_full_scan(self, ctx, elliptic9):
+        # level 2: every shell of the oracle samples at level max(2, m) + 1;
+        # a vector at t = 1/9 on one class and basis vectors on both
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 2, Fraction(0), 1))
+        vectors = [elliptic9.phi(n=1), elliptic9.phi(n=-1, b=1),
+                   elliptic9.phi(t=Fraction(1, 9)) + elliptic9.phi(n=2, b=3)]
+        nonzero = 0
+        for mu in mus:
+            for xi_rep in elliptic9.spectrum().dedup:
+                for v in vectors:
+                    z = zeta_function(elliptic9, xi_rep.xi, mu, v)
+                    poly, window = _zeta_by_full_scan(elliptic9, xi_rep.xi, mu, v)
+                    assert (z.poly, z.window) == (poly, window), (mu.spec_record(), xi_rep.xi, v)
+                    nonzero += not poly.is_zero()
+        assert nonzero
+
     def test_norm3_matches_full_scan(self, ctx, norm3):
         # two square classes; of the 56 cases only the conductor-1 mu gives
         # nonzero polynomials: the trivial and the unramified mu fail parity,
@@ -1344,6 +1359,105 @@ class TestNormFormData:
             norm_sigma(ctx, 2)
 
 
+class TestEllipticData:
+    """The regular elliptic data elliptic9 (``repn.elliptic_sigma`` at k = 1,
+    and k = 4): level 2, dimension 6, so the support bound 2 max(l, m) - l,
+    the deep threshold n >= l, the closed Bessel shells v(x) <= -l and the
+    kernel levels all see l = 2, and gamma(1) is a shallow shell."""
+
+    def test_spectrum(self, elliptic9, elliptic9k4):
+        betas = tuple(Fraction(j, 9) for j in range(9) if j % 3)
+        for rep, omega in ((elliptic9, -1), (elliptic9k4, 1)):
+            assert (rep.level, rep.dim, rep.betas) == (2, 6, betas)
+            assert [r.xi for r in rep.spectrum().dedup] == [Fraction(1, 9), Fraction(2, 9)]
+            assert rep.central_sign_minus_one() == omega
+
+    def test_leading_class_matrix_is_anti_diagonal_at_m_equal_l(self, ctx, elliptic9):
+        # the one datum whose leading class matrix is not diagonal: at m = 2
+        # only the cross-class entries are nonzero, both at n1 = 0
+        mu = MultChar(ctx, 2, Fraction(0), 1)
+        assert zeta_parity_holds(elliptic9, mu)
+        classes = [r.xi for r in elliptic9.spectrum().dedup]
+        support = [[gamma_factor(elliptic9, xi, eta, mu).poly.support() for eta in classes]
+                   for xi in classes]
+        assert support == [[[], [0]], [[0], []]]
+
+    def test_functional_equation_on_both_classes(self, ctx, elliptic9):
+        # one character per conductor 1..3 with the parity holding; the
+        # vectors sit at basis indices of both square classes.  At m = 3 the
+        # leading gamma shell is the shallow n1 = 1, and only the last
+        # vector gives a nonzero side there
+        mus = [MultChar(ctx, 1, Fraction(0), 1), MultChar(ctx, 2, Fraction(0), 1),
+               MultChar(ctx, 3, Fraction(0), 1)]
+        vectors = [elliptic9.phi() + elliptic9.phi(n=1, b=1),
+                   elliptic9.phi(t=Fraction(1, 9), n=-1, b=2) + elliptic9.phi(b=3),
+                   elliptic9.phi(t=Fraction(1, 3), n=1) + elliptic9.phi(t=Fraction(1, 3), b=1)]
+        nonzero = 0
+        for mu in mus:
+            assert zeta_parity_holds(elliptic9, mu)
+            for v in vectors:
+                for xi in elliptic9.spectrum().dedup:
+                    fe = check_fe(elliptic9, mu, v, xi.xi)
+                    assert fe.passed, (mu.spec_record(), v, xi.xi)
+                    nonzero += not fe.lhs.is_zero()
+        assert nonzero == 7
+
+    def test_gamma_coefficients_match_bessel_table_oracle(self, ctx, elliptic9):
+        # every class pair and shell at conductors 1 and 2: the shallow
+        # shells n < 2 against the defining integral, the deep n = 2 too
+        nonzero = 0
+        for mu in (MultChar(ctx, 1, Fraction(0), 1), MultChar(ctx, 2, Fraction(0), 1)):
+            for xi in (r.xi for r in elliptic9.spectrum().dedup):
+                for eta in (r.xi for r in elliptic9.spectrum().dedup):
+                    for n in range(gamma_support_bound(elliptic9, mu) + 1):
+                        value = gamma_coefficient(elliptic9, xi, eta, mu, n)
+                        assert value == _gamma_via_bessel_table(elliptic9, xi, eta, mu, n), \
+                            (mu.spec_record(), xi, eta, n)
+                        nonzero += not value.is_zero()
+        assert nonzero
+
+
+class TestClassIndependence:
+    """Both halves of the independence of the functionals Z(s, mu, l^zeta, .)
+    over the square classes zeta (``zeta.gamma_involution_defects``), on
+    every datum with two classes and every character of conductor <= 2
+    (<= 1 at p = 5) where the parity holds:
+
+    (i) Z(s, mu, l^zeta, phi(t, n, b)) = 0 unless zeta lies in the square
+        class of beta_b;
+    (ii) each class zeta has some phi(t, n, b) with a nonzero zeta integral.
+
+    The vectors have t in {0} and the units over p and p^2, n in -1..1 and
+    every b; at p = 5 the units over p^2 are left out (each of those zeta
+    integrals samples 500 points).  At m = 2 every phi(0, n, b) on the norm
+    data has a zero integral, so (ii) needs t != 0 there."""
+
+    @pytest.mark.parametrize("data", ["norm3", "norm5", "elliptic9"])
+    def test_own_class_only_and_a_witness_per_class(self, request, data):
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        p = ctx.p
+        ts = [Fraction(0)] + [Fraction(u, p**j) for j in ((1, 2) if p == 3 else (1,))
+                              for u in _unit_residues_mod(p**j)]
+        reps, classes = rep.spectrum().reps, rep.spectrum().dedup
+        mus = [mu for m in range(2 if p == 5 else 3) for mu in characters(ctx, m, (0,))
+               if zeta_parity_holds(rep, mu)]
+        assert mus
+        for mu in mus:
+            witnessed = set()
+            for t in ts:
+                for n in (-1, 0, 1):
+                    for b in range(rep.dim):
+                        v = rep.phi(t=t, n=n, b=b)
+                        for zeta_ in classes:
+                            z = zeta_function(rep, zeta_.xi, mu, v).poly
+                            if zeta_.square_class != reps[b].square_class:
+                                assert z.is_zero(), (mu.spec_record(), t, n, b, zeta_.xi)
+                            elif not z.is_zero():
+                                witnessed.add(zeta_.xi)
+            assert witnessed == {r.xi for r in classes}, mu.spec_record()
+
+
 _FULL_SCANS: dict = {}
 
 
@@ -1364,6 +1478,9 @@ INVOLUTION_CASES = [
     ("norm3", (0,), 2, 6),
     ("weil5", (0, Fraction(1, 4)), 1, 8),
     ("weil7", (0,), 1, 6),
+    ("norm5", (0,), 1, 4),
+    ("elliptic9", (0,), 3, 18),
+    ("elliptic9k4", (0,), 2, 6),
 ]
 INVOLUTION_IDS = [case[0] for case in INVOLUTION_CASES]
 
@@ -1406,13 +1523,15 @@ class TestGammaInvolution:
                          for xi in classes for eta in classes for zeta_ in classes
                          if xi != zeta_)
         assert parities == {True, False}
-        # on norm3 off-diagonal products are nonzero and cancel in the sum
-        assert (cross > 0) == (data == "norm3")
+        # on the norm data off-diagonal products are nonzero and cancel in
+        # the sum
+        assert (cross > 0) == data.startswith("norm")
 
 
 class TestGammaEarlyExit:
-    """``gamma_factor`` stops a one-class datum where the parity holds at its
-    monomial, certified by the unit theorem; the full scan is the oracle."""
+    """``gamma_factor`` stops the class matrix where the parity holds at its
+    first shell n1 with a nonzero entry, certified by the identity of
+    ``zeta.gamma_involution_defects``; the full scan is the oracle."""
 
     @pytest.mark.parametrize("data, p_exponents, max_conductor, count", INVOLUTION_CASES,
                              ids=INVOLUTION_IDS)
@@ -1422,19 +1541,17 @@ class TestGammaEarlyExit:
         classes = [r.xi for r in rep.spectrum().dedup]
         for mu in _involution_chars(rep, p_exponents, max_conductor, count):
             parity = zeta_parity_holds(rep, mu)
+            # the shells where some entry of the class matrix is nonzero
+            shells = sorted({n for xi in classes for eta in classes
+                             for n, c in full_scan(rep, xi, eta, mu).items() if not c.is_zero()})
+            assert len(shells) == parity, mu.spec_record()  # one leading shell, or none
             for xi in classes:
                 for eta in classes:
-                    full = full_scan(rep, xi, eta, mu)
                     gf = gamma_factor(fresh, xi, eta, mu)
-                    assert gf.coefficients == full, (mu.spec_record(), xi, eta)
-                    nonzero = [n for n, c in full.items() if not c.is_zero()]
-                    if not parity:
-                        assert nonzero == [] and gf.zero_by_theorem == ()
-                    elif len(classes) > 1:
-                        assert gf.zero_by_theorem == ()
-                    else:
-                        (n1,) = nonzero
-                        assert gf.zero_by_theorem == tuple(range(n1 + 1, gf.support_bound + 1))
+                    assert gf.coefficients == full_scan(rep, xi, eta, mu), \
+                        (mu.spec_record(), xi, eta)
+                    later = range(shells[0] + 1, gf.support_bound + 1) if parity else ()
+                    assert gf.zero_by_theorem == tuple(later), (mu.spec_record(), xi, eta)
 
     @pytest.mark.parametrize("fault", ["double", "zero"])
     def test_wrong_coefficient_raises_and_caches_nothing(self, ctx, rep1, monkeypatch, fault):
@@ -1457,6 +1574,27 @@ class TestGammaEarlyExit:
             assert (XI, XI, mu.cache_key()) not in rep._gamma_cache
             assert rep._gamma_cache == {}
         assert gamma_factor(rep, XI, XI, mu).coefficients == full_scan(rep1, XI, XI, mu)
+
+    def test_wrong_cross_class_entry_raises_and_caches_nothing(self, ctx, elliptic9,
+                                                               monkeypatch):
+        # at m = l = 2 the leading class matrix is anti-diagonal: a doubled
+        # cross-class entry of Gamma_mu breaks the certificate, also for a
+        # call that asks for a diagonal entry, which is zero
+        mu = MultChar(ctx, 2, Fraction(0), 1)
+        rep = Representation(elliptic9.sigma)
+        xi, eta = Fraction(1, 9), Fraction(2, 9)
+        coefficient = zeta.gamma_coefficient
+
+        def faulty(rep, a, b, chi, n):
+            value = coefficient(rep, a, b, chi, n)
+            return value * 2 if (a, b, chi.cache_key()) == (xi, eta, mu.cache_key()) else value
+
+        with monkeypatch.context() as patched:
+            patched.setattr(zeta, "gamma_coefficient", faulty)
+            with pytest.raises(ArithmeticError, match="certificate fails"):
+                gamma_factor(rep, eta, eta, mu)
+            assert rep._gamma_cache == {}
+        assert gamma_factor(rep, xi, eta, mu).coefficients == full_scan(elliptic9, xi, eta, mu)
 
     def test_conductor_above_the_old_cap(self, rep1):
         # m = 4 at p = 3 was refused by the old cap of 3 for every p; the
