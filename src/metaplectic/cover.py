@@ -18,74 +18,101 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .exactnum import PadicContext, frac_mod, frac_valuation, p_fractional_part
+from .exactnum import INFINITY, PadicContext, p_fractional_int, p_split
 from .localchar import hilbert_frac
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _ratio(x):
+    """(numerator, denominator) of a rational, an int or a ``Fraction``
+    (anything else is coerced through ``Fraction`` once)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
-@dataclass(frozen=True)
 class SL2Element:
     """A determinant-one 2x2 matrix over Q_p with exact rational entries.
+
+    The form is fraction-free: four int numerators na, nb, nc, nd over one
+    int denominator den > 0, always in lowest terms (the gcd of all five is
+    1), so equal matrices have equal fields and hash equal, and the matrix is
+    integral at p exactly when p does not divide den.  Products, inverses,
+    coset parts and Kubota signs run on these ints; ``a``, ``b``, ``c``,
+    ``d``, ``entries()`` and ``repr`` give the ``Fraction`` view.
 
     ``of`` is the constructor for arbitrary entries and checks ad - bc = 1;
     the other constructors, products, inverses and coset parts have
     determinant 1 by construction and skip the check."""
 
-    ctx: PadicContext
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("ctx", "na", "nb", "nc", "nd", "den")
 
     @classmethod
     def of(cls, ctx, a, b, c, d) -> "SL2Element":
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        if a * d - b * c != 1:
+        ratios = [_ratio(x) for x in (a, b, c, d)]
+        den = lcm(*(r[1] for r in ratios))
+        na, nb, nc, nd = (num * (den // r_den) for num, r_den in ratios)
+        if na * nd - nb * nc != den * den:
             raise ValueError("matrix does not have determinant 1")
-        return cls(ctx, a, b, c, d)
+        return _lowest(ctx, na, nb, nc, nd, den)
 
     @classmethod
     def identity(cls, ctx) -> "SL2Element":
-        return cls(ctx, _ONE, _ZERO, _ZERO, _ONE)
+        return _lowest(ctx, 1, 0, 0, 1, 1)
 
     @classmethod
     def n(cls, ctx, x) -> "SL2Element":
-        return cls(ctx, _ONE, Fraction(x), _ZERO, _ONE)
+        num, den = _ratio(x)
+        return _lowest(ctx, den, num, 0, den, den)
 
     @classmethod
     def n_lower(cls, ctx, x) -> "SL2Element":
-        return cls(ctx, _ONE, _ZERO, Fraction(x), _ONE)
+        num, den = _ratio(x)
+        return _lowest(ctx, den, 0, num, den, den)
 
     @classmethod
     def torus(cls, ctx, y) -> "SL2Element":
-        y = Fraction(y)
-        return cls(ctx, y, _ZERO, _ZERO, 1 / y)
+        # diag(s/t, t/s) = diag(s^2, t^2) / (s t)
+        s, t = _ratio(y)
+        if s == 0:
+            raise ZeroDivisionError("torus element of 0")
+        return _lowest(ctx, s * s, 0, 0, t * t, s * t)
 
     @classmethod
     def w(cls, ctx) -> "SL2Element":
-        return cls(ctx, _ZERO, Fraction(-1), _ONE, _ZERO)
+        return _lowest(ctx, 0, -1, 1, 0, 1)
 
     def __mul__(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element(
-            self.ctx,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.na, self.nb, self.nc, self.nd
+        e, f, g, h = other.na, other.nb, other.nc, other.nd
+        return _lowest(self.ctx, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                       self.den * other.den)
 
     def inverse(self) -> "SL2Element":
-        return SL2Element(self.ctx, self.d, -self.b, -self.c, self.a)
+        return _lowest(self.ctx, self.nd, -self.nb, -self.nc, self.na, self.den)
 
     def is_integral(self) -> bool:
-        p = self.ctx.p
-        return all(e.denominator % p != 0 for e in (self.a, self.b, self.c, self.d))
+        return self.den % self.ctx.p != 0
 
     def is_diagonal(self) -> bool:
-        return self.b == 0 and self.c == 0
+        return self.nb == 0 and self.nc == 0
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.nc, self.den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.nd, self.den)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -94,23 +121,53 @@ class SL2Element:
         """Entries as integers modulo p^l; requires an integral matrix."""
         if not self.is_integral():
             raise ValueError("matrix is not integral at p")
-        return tuple(frac_mod(e, modulus) for e in self.entries())
+        inv = pow(self.den, -1, modulus)
+        return tuple(x * inv % modulus for x in (self.na, self.nb, self.nc, self.nd))
+
+    def _key(self):
+        return (self.na, self.nb, self.nc, self.nd, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, SL2Element):
+            return NotImplemented
+        return self.ctx == other.ctx and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
+def _lowest(ctx, na, nb, nc, nd, den) -> SL2Element:
+    """The element (na, nb; nc, nd) / den, for ints with den != 0 and
+    determinant one, brought to lowest terms with den > 0."""
+    if den != 1:
+        g = gcd(na, nb, nc, nd, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            na, nb, nc, nd, den = na // g, nb // g, nc // g, nd // g, den // g
+    x = object.__new__(SL2Element)
+    x.ctx, x.na, x.nb, x.nc, x.nd, x.den = ctx, na, nb, nc, nd, den
+    return x
+
+
 def chi_entry(g: SL2Element) -> Fraction:
     """chi(g) = c if c != 0 else d; never zero on SL2."""
-    return g.c if g.c != 0 else g.d
+    return Fraction(g.nc or g.nd, g.den)
 
 
 def cocycle(g: SL2Element, h: SL2Element, gh: SL2Element | None = None) -> int:
-    """The 2-cocycle {g, h} = (chi(gh)/chi(g), chi(gh)/chi(h))."""
+    """The 2-cocycle {g, h} = (chi(gh)/chi(g), chi(gh)/chi(h)).
+
+    The ratios are taken on the chi numerators; the common denominators
+    cancel up to the factors den(g)/den(gh) and den(h)/den(gh)."""
     if gh is None:
         gh = g * h
-    x = chi_entry(gh)
-    return hilbert_frac(g.ctx.p, x / chi_entry(g), x / chi_entry(h))
+    x = gh.nc or gh.nd
+    return hilbert_frac(g.ctx.p, Fraction(x * g.den, gh.den * (g.nc or g.nd)),
+                        Fraction(x * h.den, gh.den * (h.nc or h.nd)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +218,9 @@ def kubota_split(h: SL2Element) -> int:
     if not h.is_integral():
         raise ValueError("Kubota splitting is only defined on integral matrices")
     p = h.ctx.p
-    if h.c != 0 and frac_valuation(h.c, p) > 0:
-        return hilbert_frac(p, h.c, h.d)
+    # den is prime to p here, so v(c) = v(nc)
+    if h.nc != 0 and h.nc % p == 0:
+        return hilbert_frac(p, Fraction(h.nc, h.den), Fraction(h.nd, h.den))
     return 1
 
 
@@ -226,8 +284,22 @@ def validate_kubota_splitting(ctx: PadicContext, rng, trials: int) -> None:
 
 def coset_rep(ctx: PadicContext, t: Fraction, n: int) -> SL2Element:
     """The representative n(t) diag(p^n, p^-n) = [[p^n, t p^-n], [0, p^-n]]."""
-    pn = Fraction(ctx.p) ** n
-    return SL2Element(ctx, pn, t / pn, _ZERO, 1 / pn)
+    tn, td = _ratio(t)
+    return _coset_rep(ctx, tn, td, n)
+
+
+def _scales(p: int, n: int):
+    """(p^|n|, x, y) with (x, y) = (1, p^2n) for n >= 0 and (p^-2n, 1) for
+    n < 0: over the denominator p^|n|, p^-n is x / p^|n| and p^n is
+    y / p^|n|."""
+    pn = p ** abs(n)
+    return (pn, 1, pn * pn) if n >= 0 else (pn, pn * pn, 1)
+
+
+def _coset_rep(ctx: PadicContext, tn: int, td: int, n: int) -> SL2Element:
+    """``coset_rep`` at t = tn/td, td > 0: (td y, tn x; 0, td x) / (td p^|n|)."""
+    pn, x, y = _scales(ctx.p, n)
+    return _lowest(ctx, td * y, tn * x, 0, td * x, td * pn)
 
 
 @dataclass(frozen=True)
@@ -253,26 +325,26 @@ def coset_decompose(x: MetaElement | SL2Element) -> CosetDecomposition:
     g = x.g if isinstance(x, MetaElement) else x
     ctx = g.ctx
     p = ctx.p
-    va = frac_valuation(g.a, p)
-    vc = frac_valuation(g.c, p)
+    A, B, C, D, E = g.na, g.nb, g.nc, g.nd, g.den
+    va = p_split(A, E, p)[0] if A else INFINITY
+    vc = p_split(C, E, p)[0] if C else INFINITY
     n = int(min(va, vc))
-    p2n = Fraction(p) ** (2 * n)
-    if vc <= va:
-        t = p_fractional_part(g.d * p2n / g.c, p)
+    # t = [d p^2n / c] or [b p^2n / a]; the denominator E cancels
+    num, div = (D, C) if vc <= va else (B, A)
+    if n >= 0:
+        num *= p ** (2 * n)
     else:
-        t = p_fractional_part(g.b * p2n / g.a, p)
-    pn = Fraction(p) ** n
-    # h = g * rep^{-1}, rep^{-1} = [[p^-n, -t p^-n], [0, p^n]]
-    h = SL2Element(
-        ctx,
-        g.a / pn,
-        -g.a * t / pn + g.b * pn,
-        g.c / pn,
-        -g.c * t / pn + g.d * pn,
-    )
+        div *= p ** (-2 * n)
+    if div < 0:
+        num, div = -num, -div
+    tc, pm = p_fractional_int(num, div, p)
+    # h = g * rep^{-1}, rep^{-1} = [[p^-n, -t p^-n], [0, p^n]], over E pm p^|n|
+    pn, sx, sy = _scales(p, n)
+    h = _lowest(ctx, A * pm * sx, B * pm * sy - A * tc * sx,
+                C * pm * sx, D * pm * sy - C * tc * sx, E * pm * pn)
     if not h.is_integral():
         raise ArithmeticError(f"coset decomposition produced a non-integral part for {g!r}")
-    return CosetDecomposition(h, t, n, cocycle(h, coset_rep(ctx, t, n), g))
+    return CosetDecomposition(h, Fraction(tc, pm), n, cocycle(h, _coset_rep(ctx, tc, pm, n), g))
 
 
 def decompose_meta(x: MetaElement):

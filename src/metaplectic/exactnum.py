@@ -166,7 +166,16 @@ def torus_coordinates(x: Fraction, p: int):
     denominator prime to p."""
     if type(x) is ShellPoint:
         return x.k, x.u
-    k, n, d = p_split(x.numerator, x.denominator, p)
+    return ratio_torus_coordinates(x.numerator, x.denominator, p)
+
+
+def ratio_torus_coordinates(num: int, den: int, p: int):
+    """``torus_coordinates`` of num/den, for ints num != 0 and den > 0 (not
+    necessarily coprime)."""
+    k, n, d = p_split(num, den, p)
+    if d != 1:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
     return k, n if d == 1 else Fraction(n, d)
 
 

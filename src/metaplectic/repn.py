@@ -24,6 +24,7 @@ from .exactnum import (
     frac_mod,
     p_fractional_part,
     p_split,
+    ratio_torus_coordinates,
     torus_coordinates,
     valuation_unit,
 )
@@ -637,7 +638,8 @@ class Representation:
         normalizes the representative system, which gives that data in closed
         form (``_torus_terms``); any other g goes through ``decompose_meta``."""
         if g.g.is_diagonal():
-            return self._torus_act(v.terms.items(), *torus_coordinates(g.g.a, self.ctx.p), g.eps)
+            return self._torus_act(v.terms.items(),
+                                   *ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps)
         ginv = g.inverse()
         out: dict = {}
         for (t, n, b), coeff in v.terms.items():
@@ -810,7 +812,7 @@ class Representation:
         form of ``whittaker_functional``."""
         if g.g.is_diagonal():
             return self.whittaker_functional(
-                xi, v, (*torus_coordinates(g.g.a, self.ctx.p), g.eps))
+                xi, v, (*ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps))
         return self.whittaker_functional(xi, self.act(g, v))
 
     def central_sign_minus_one(self) -> CycValue:

@@ -29,6 +29,7 @@ from .exactnum import (
     frac_valuation,
     p_fractional_int,
     q_half_power,
+    ratio_torus_coordinates,
     torus_coordinates,
     valuation_unit,
 )
@@ -168,15 +169,14 @@ def bessel_direct(rep: Representation, xi, eta, x) -> CycValue:
     rep.basis_index_for(xi)  # outside X(pi) raises, also before the v(x) > 0 shortcut
     b_eta = rep.basis_index_for(eta)
     if isinstance(x, MetaElement):
-        if x.g.a != 0 or x.g.d != 0:
+        if x.g.na != 0 or x.g.nd != 0:
             raise ValueError(f"bessel_direct needs an antidiagonal element, got {x!r}")
         torus = x * MetaElement.w(ctx).inverse()
-        coord, e = torus.g.a, torus.eps
+        (k, u), e = ratio_torus_coordinates(torus.g.na, torus.g.den, ctx.p), torus.eps
     else:
-        coord, e = x, 1
-        if coord == 0:
+        if x == 0:
             raise ZeroDivisionError("Bessel function needs x != 0")
-    k, u = torus_coordinates(coord, ctx.p)
+        (k, u), e = torus_coordinates(x, ctx.p), 1
     if k > 0:
         return CycValue.zero(ctx.q)
     return rep.whittaker_functional(xi, _bessel_kernel(rep, eta, b_eta, k), (k, u, e))

@@ -1,8 +1,9 @@
 """Test-side helpers built on the public model: the value of a model vector
 at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
 the Fourier inversion identity of the Bessel function, a float growth
-report and the characters of one conductor.  Nothing in the library calls
-them; the tests use them as oracles.  The data the tests run on are the
+report, the characters of one conductor and a ``Fraction``-entry
+reference of the cover arithmetic.  Nothing in the library calls them; the
+tests use them as oracles.  The data the tests run on are the
 named data of ``metaplectic.repn.SIGMA_NAMES``, each built once
 (``named_sigma_once``)."""
 
@@ -24,10 +25,12 @@ from metaplectic.cover import decompose_meta
 from metaplectic.exactnum import (
     ShellPoint,
     _unit_residues_mod,
+    frac_valuation,
+    p_fractional_part,
     torus_coordinates,
     valuation_unit,
 )
-from metaplectic.localchar import hilbert_int
+from metaplectic.localchar import hilbert_frac, hilbert_int
 from metaplectic.zeta import ADDITIVE_DX, MULTIPLICATIVE_DX, bessel_table
 
 
@@ -166,4 +169,94 @@ def characters(ctx, m: int, p_exponents) -> list:
                 out.append(MultChar(ctx, m, x, gen))
             except ValueError:  # conductor below m
                 pass
+    return out
+
+
+# -- Fraction-entry reference of the cover -------------------------------------
+# The cover arithmetic as it ran on one ``Fraction`` per entry, the oracle of
+# the fraction-free ``SL2Element``.  A matrix is a tuple (a, b, c, d) of
+# Fractions; the Hilbert symbol is the library's own ``hilbert_frac``.
+
+def ref_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def ref_inverse(x):
+    a, b, c, d = x
+    return (d, -b, -c, a)
+
+
+def ref_is_integral(p: int, x) -> bool:
+    return all(e.denominator % p != 0 for e in x)
+
+
+def ref_cocycle(p: int, g, h) -> int:
+    """{g, h} = (chi(gh)/chi(g), chi(gh)/chi(h)), chi = c if c != 0 else d."""
+    def chi(x):
+        return x[2] if x[2] != 0 else x[3]
+
+    x = chi(ref_mul(g, h))
+    return hilbert_frac(p, x / chi(g), x / chi(h))
+
+
+def ref_kubota_split(p: int, h) -> int:
+    if not ref_is_integral(p, h):
+        raise ValueError("Kubota splitting is only defined on integral matrices")
+    c, d = h[2], h[3]
+    return hilbert_frac(p, c, d) if c != 0 and frac_valuation(c, p) > 0 else 1
+
+
+def ref_coset_rep(p: int, t: Fraction, n: int):
+    pn = Fraction(p) ** n
+    return (pn, t / pn, Fraction(0), 1 / pn)
+
+
+def ref_coset_decompose(p: int, g):
+    """(h, t, n, eps_track) of g = h * n(t) diag(p^n, p^-n)."""
+    a, b, c, d = g
+    va, vc = frac_valuation(a, p), frac_valuation(c, p)
+    n = int(min(va, vc))
+    p2n = Fraction(p) ** (2 * n)
+    t = p_fractional_part(d * p2n / c if vc <= va else b * p2n / a, p)
+    pn = Fraction(p) ** n
+    h = (a / pn, -a * t / pn + b * pn, c / pn, -c * t / pn + d * pn)
+    return h, t, n, ref_cocycle(p, h, ref_coset_rep(p, t, n))
+
+
+def random_cover_word(p: int, rng, length: int = 5):
+    """A random word in n(x), n_lower(x), diag(y, 1/y) and w: a list of
+    (constructor name, argument) pairs, with signed rational parameters whose
+    denominators mix powers of p with numbers prime to p (2, 4, 2p, ...)."""
+    dens = (1, 2, 4, p, p * p, 2 * p, 3 * p if p != 3 else 5)
+    word = []
+    for _ in range(length):
+        kind = rng.choice(("n", "n_lower", "torus", "w"))
+        if kind == "w":
+            word.append(("w", None))
+            continue
+        num = rng.randrange(-2 * p * p, 2 * p * p + 1)
+        if kind == "torus" and num == 0:
+            num = -1
+        word.append((kind, Fraction(num, rng.choice(dens))))
+    return word
+
+
+def ref_generator(kind: str, x):
+    one, zero = Fraction(1), Fraction(0)
+    if kind == "n":
+        return (one, x, zero, one)
+    if kind == "n_lower":
+        return (one, zero, x, one)
+    if kind == "torus":
+        return (x, zero, zero, 1 / x)
+    return (zero, Fraction(-1), one, zero)
+
+
+def ref_word(word):
+    """The reference matrix of a ``random_cover_word``."""
+    out = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for kind, x in word:
+        out = ref_mul(out, ref_generator(kind, x))
     return out

@@ -120,6 +120,20 @@ MUTANTS = (
            "        self._checked_shells.add(n)\n"
            "        for u in _unit_residues_mod(p**2)[:2]:\n",
            ("tests/test_zeta.py::TestBessel::test_failed_spot_check_is_not_remembered",)),
+    Mutant("sl2-skips-gcd-normalization", "metaplectic/cover.py",
+           "        if g != 1:\n            na, nb, nc, nd, den = ",
+           "        if den < 0:\n            na, nb, nc, nd, den = ",
+           ("tests/test_cover.py::TestCanonicalForm::"
+            "test_routes_to_the_same_matrix_compare_and_hash_equal",)),
+    Mutant("sl2-integral-reads-a-numerator", "metaplectic/cover.py",
+           "return self.den % self.ctx.p != 0",
+           "return self.na % self.ctx.p != 0",
+           ("tests/test_cover.py::TestCanonicalForm::"
+            "test_is_integral_exactly_when_denominator_prime_to_p",)),
+    Mutant("coset-decompose-swaps-row-scales", "metaplectic/cover.py",
+           "D * pm * sy - C * tc * sx, E * pm * pn)",
+           "D * pm * sx - C * tc * sy, E * pm * pn)",
+           ("tests/test_cover.py::TestFractionFreeAgainstReference::test_coset_decompose[5]",)),
 )
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from metaplectic import (
     MetaElement,
+    PadicContext,
     SL2Element,
     chi_entry,
     cocycle,
@@ -13,8 +15,20 @@ from metaplectic import (
     kubota_split,
     validate_kubota_splitting,
 )
-from metaplectic.cover import random_integral_sl2, random_sl2_word, random_unit
+from metaplectic.cover import coset_rep, random_integral_sl2, random_sl2_word, random_unit
 from metaplectic.invariants import check_cocycle, check_coset_roundtrip
+
+from helpers import (
+    random_cover_word,
+    ref_cocycle,
+    ref_coset_decompose,
+    ref_coset_rep,
+    ref_inverse,
+    ref_is_integral,
+    ref_kubota_split,
+    ref_mul,
+    ref_word,
+)
 
 
 class TestChiEntry:
@@ -155,3 +169,142 @@ class TestCosetDecomposition:
             assert (d1.t, d1.n) == (d2.t, d2.n)
             quotient = m2.g * m.g.inverse()
             assert quotient.is_integral()
+
+
+def _build(ctx, word) -> SL2Element:
+    g = SL2Element.identity(ctx)
+    for kind, x in word:
+        g = g * (SL2Element.w(ctx) if kind == "w" else getattr(SL2Element, kind)(ctx, x))
+    return g
+
+
+def _assert_lowest_terms(g: SL2Element):
+    assert g.den > 0
+    assert math.gcd(g.na, g.nb, g.nc, g.nd, g.den) == 1
+
+
+class TestFractionFreeAgainstReference:
+    """The int-numerator SL2Element against the Fraction-entry reference of
+    ``helpers``, on seeded random words at p = 3, 5, 7 with negative and
+    non-integral entries and denominators both p-powers and prime to p."""
+
+    PRIMES = (3, 5, 7)
+
+    def _pairs(self, p, count, seed=0):
+        rng = random.Random(1000 * p + seed)
+        ctx = PadicContext(p)
+        for _ in range(count):
+            word = random_cover_word(p, rng, rng.randrange(1, 7))
+            g = _build(ctx, word)
+            yield ctx, g, ref_word(word)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_product_and_inverse(self, p):
+        pairs = list(self._pairs(p, 80))
+        for (_, g, rg), (_, h, rh) in zip(pairs, pairs[1:]):
+            _assert_lowest_terms(g)
+            assert g.entries() == rg
+            prod = g * h
+            _assert_lowest_terms(prod)
+            assert prod.entries() == ref_mul(rg, rh)
+            inv = g.inverse()
+            _assert_lowest_terms(inv)
+            assert inv.entries() == ref_inverse(rg)
+            assert g * inv == SL2Element.identity(g.ctx)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_cocycle(self, p):
+        pairs = list(self._pairs(p, 80, seed=1))
+        for (_, g, rg), (_, h, rh) in zip(pairs, pairs[1:]):
+            assert cocycle(g, h) == ref_cocycle(p, rg, rh)
+            assert cocycle(g, h, g * h) == ref_cocycle(p, rg, rh)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_kubota_split(self, p):
+        seen = set()
+        for ctx, g, rg in self._pairs(p, 120, seed=2):
+            assert g.is_integral() == ref_is_integral(p, rg)
+            if ref_is_integral(p, rg):
+                seen.add(kubota_split(g))
+                assert kubota_split(g) == ref_kubota_split(p, rg)
+            else:
+                with pytest.raises(ValueError):
+                    kubota_split(g)
+        rng = random.Random(p)
+        for _ in range(60):
+            g = random_integral_sl2(PadicContext(p), rng)
+            assert kubota_split(g) == ref_kubota_split(p, g.entries())
+            seen.add(kubota_split(g))
+        assert seen == {1, -1}
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_coset_rep(self, p):
+        ctx = PadicContext(p)
+        for t in (Fraction(0), Fraction(1, p), Fraction(p - 1, p**2), Fraction(7, p**3)):
+            for n in range(-3, 4):
+                rep = coset_rep(ctx, t, n)
+                _assert_lowest_terms(rep)
+                assert rep.entries() == ref_coset_rep(p, t, n)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_coset_decompose(self, p):
+        for _, g, rg in self._pairs(p, 120, seed=3):
+            dec = coset_decompose(g)
+            h, t, n, eps = ref_coset_decompose(p, rg)
+            _assert_lowest_terms(dec.h)
+            assert (dec.h.entries(), dec.t, dec.n, dec.eps_track) == (h, t, n, eps)
+            assert type(dec.t) is Fraction and type(dec.n) is int
+
+
+class TestCanonicalForm:
+    def test_routes_to_the_same_matrix_compare_and_hash_equal(self, ctx):
+        one = SL2Element.identity(ctx)
+        routes = (
+            SL2Element.torus(ctx, 3) * SL2Element.torus(ctx, Fraction(1, 3)),
+            SL2Element.torus(ctx, Fraction(-2, 9)) * SL2Element.torus(ctx, Fraction(-9, 2)),
+            SL2Element.n(ctx, Fraction(1, 2)) * SL2Element.n(ctx, Fraction(-1, 2)),
+            SL2Element.w(ctx) * SL2Element.w(ctx) * SL2Element.w(ctx) * SL2Element.w(ctx),
+            SL2Element.of(ctx, Fraction(2, 4), 0, 0, 2) * SL2Element.torus(ctx, 2),
+        )
+        for g in routes:
+            assert g == one and hash(g) == hash(one)
+            assert (g.na, g.nb, g.nc, g.nd, g.den) == (1, 0, 0, 1, 1)
+        assert len({one, *routes}) == 1
+        assert SL2Element.n(ctx, 1) == SL2Element.n(ctx, Fraction(1, 2)) * SL2Element.n(ctx, Fraction(1, 2))
+        assert SL2Element.of(ctx, 2, 0, 0, Fraction(1, 2)) == SL2Element.torus(ctx, 2)
+        assert SL2Element.n(ctx, 1) != SL2Element.n_lower(ctx, 1)
+        assert SL2Element.identity(ctx) != SL2Element.identity(PadicContext(5))
+
+    def test_negative_torus_has_positive_denominator(self, ctx):
+        g = SL2Element.torus(ctx, Fraction(-2, 3))
+        assert (g.na, g.nb, g.nc, g.nd, g.den) == (-4, 0, 0, -9, 6)
+        assert g.entries() == (Fraction(-2, 3), 0, 0, Fraction(-3, 2))
+
+    def test_is_integral_exactly_when_denominator_prime_to_p(self, ctx):
+        cases = {
+            SL2Element.torus(ctx, 2): True,             # 2 and 1/2
+            SL2Element.n(ctx, Fraction(5, 4)): True,
+            SL2Element.torus(ctx, Fraction(2, 3)): False,
+            SL2Element.n(ctx, Fraction(1, 3)): False,
+            SL2Element.n(ctx, Fraction(1, 6)): False,
+            # 3 / 3 = 1: a numerator divisible by p with the same p in den
+            SL2Element.torus(ctx, 3) * SL2Element.n(ctx, Fraction(1, 3)): False,
+            SL2Element.torus(ctx, 3) * SL2Element.torus(ctx, Fraction(1, 3)): True,
+        }
+        for g, integral in cases.items():
+            assert g.is_integral() is integral, g
+            assert (g.den % ctx.p != 0) is integral
+            assert ref_is_integral(ctx.p, g.entries()) is integral
+
+    def test_of_refuses_determinant_other_than_one(self, ctx):
+        for entries in ((1, 0, 0, 2), (Fraction(1, 2), 0, 0, 1), (1, 1, 1, 1),
+                        (Fraction(1, 2), Fraction(1, 3), 0, 3)):
+            with pytest.raises(ValueError, match="determinant 1"):
+                SL2Element.of(ctx, *entries)
+        g = SL2Element.of(ctx, Fraction(1, 2), Fraction(1, 3), 0, 2)
+        assert (g.na, g.nb, g.nc, g.nd, g.den) == (3, 2, 0, 12, 6)
+
+    def test_repr_and_chi_entry_read_the_fraction_view(self, ctx):
+        g = SL2Element.n(ctx, Fraction(1, 2)) * SL2Element.torus(ctx, Fraction(-2, 3))
+        assert repr(g) == "[[-2/3, -3/4], [0, -3/2]]"
+        assert chi_entry(g) == Fraction(-3, 2) and type(chi_entry(g)) is Fraction
