@@ -130,14 +130,15 @@ def check_shell_vanishing(rep: Representation) -> str:
 
 def check_gamma_involution(rep: Representation) -> str:
     """Gamma_mu(s) Gamma_{mu^-1}(1 - s) = omega_pi(-1) I, scaled by
-    |eta| |zeta| / 16, over every pair of square classes
-    (``zeta.gamma_involution_defects``, where the identity is derived), for
-    the trivial character, the unramified one with mu(p) = -1 and the
-    conductor-1 characters sending the generator to e(1/(p - 1)) and to -1.
-    Each Gamma is a full scan of ``gamma_coefficient`` over 0..M, never
-    ``gamma_factor``, whose early exit relies on the corollary checked
-    here: with the parity holding, the class matrix Gamma_mu is one
-    constant matrix times one power of q^s."""
+    q^2l / 16, over every pair of square-class representatives
+    (``zeta.gamma_involution_defects`` with `rows` and `mids` both the
+    representatives; the identity is derived there, for any choice of
+    them), for the trivial character, the unramified one with mu(p) = -1
+    and the conductor-1 characters sending the generator to e(1/(p - 1))
+    and to -1.  Each Gamma is a full scan of ``gamma_coefficient`` over
+    0..M, never ``gamma_factor``, whose certified early exit relies on the
+    corollary checked here: with the parity holding, the class matrix
+    Gamma_mu is one constant matrix times one power of q^s."""
     ctx = rep.ctx
     chars = (MultChar.trivial(ctx), MultChar(ctx, 0, Fraction(1, 2)),
              MultChar(ctx, 1, 0, 1), MultChar(ctx, 1, 0, (ctx.p - 1) // 2))
@@ -152,9 +153,10 @@ def check_gamma_involution(rep: Representation) -> str:
                 for n in range(gamma_support_bound(rep, mu) + 1)})
         return scans[key]
 
+    rows = _classes(rep)  # the representatives, as rows and as mids
     for mu in mus:
-        for (xi, zeta_), value in gamma_involution_defects(rep, mu, gamma).items():
+        for (xi, zeta_), value in gamma_involution_defects(rep, mu, gamma, rows, rows).items():
             raise AssertionError(f"involution fails for {mu!r} at ({xi}, {zeta_}): {value!r}")
     holding = sum(zeta_parity_holds(rep, mu) for mu in mus)
-    k = len(_classes(rep))
+    k = len(rows)
     return f"{len(mus)} characters ({holding} with parity), {k} x {k} class matrix"

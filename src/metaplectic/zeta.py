@@ -474,7 +474,8 @@ class GammaFactor:
     """Gamma factor as a polynomial in q^s with its coefficient provenance:
     `coefficients` holds gamma(n) for every n in 0..support_bound, and the
     shells listed in `zero_by_theorem` hold zeros proven by the certified
-    class matrix (``gamma_factor``), not computed ones."""
+    class matrix (``gamma_factor``), not computed ones.  Where the parity
+    fails the list is empty: every coefficient was computed, and is zero."""
 
     poly: LaurentPoly
     coefficients: dict
@@ -489,34 +490,89 @@ def gamma_support_bound(rep: Representation, mu: MultChar) -> int:
     return 2 * max(rep.level, mu.m) - rep.level
 
 
-def gamma_involution_defects(rep: Representation, mu: MultChar, gamma) -> dict:
+def gamma_involution_defects(rep: Representation, mu: MultChar, gamma, rows, mids) -> dict:
     """The entries where the gamma factors of mu and mu^-1 break the
     identity M = omega_pi(-1) I (M = 0 when the parity of
     ``zeta_parity_holds`` fails), with
 
-        M^{xi,zeta}(s) = sum_eta (|eta| |zeta| / 16)
+        M^{xi,zeta}(s) = (q^2l / 16) sum_eta
                          Gamma^{xi,eta}_mu(s) Gamma^{eta,zeta}_{mu^-1}(1 - s),
 
-    xi, eta and zeta running over the square-class representatives of
-    X(pi), and gamma(xi, eta, chi) returning Gamma^{xi,eta}_chi as a
-    ``LaurentPoly`` in q^s.  Returns {(xi, zeta): M^{xi,zeta}} over the
+    xi and zeta running over `rows` and eta over `mids`, each a list of one
+    xi of X(pi) per square class (any one: see "Any representatives"
+    below), and gamma(xi, eta, chi) returning Gamma^{xi,eta}_chi as a
+    ``LaurentPoly`` in q^s.  The weight is |eta| |zeta| / 16, and every xi
+    of X(pi) has |xi| = q^l.  Returns {(xi, zeta): M^{xi,zeta}} over the
     failing entries, so an empty dict means the identity holds.
 
     The identity is the functional equation (``check_fe``) applied twice.
     For every v,
 
         Z(s, mu, l^xi, pi(w) v)
-            = (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, v).
+            = (1/4) sum_eta |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, v),
 
-    Apply it to pi(w) v, and then once more, at 1 - s and mu^-1, to each
+    with eta over one xi per square class.  Apply it over `mids` to pi(w) v,
+    and then once more, at 1 - s and mu^-1 and over `rows`, to each
     Z(1-s, mu^-1, l^eta, pi(w) v).  As pi(w)^2 = pi([-I, 1]) = omega_pi(-1),
 
         omega_pi(-1) Z(s, mu, l^xi, v) = sum_zeta M^{xi,zeta}(s) Z(s, mu, l^zeta, v),
 
-    so M = omega_pi(-1) I where the functionals Z(s, mu, l^zeta, .) are
-    independent; every |xi| is q^l.  When the parity fails every zeta
-    integral vanishes and the equation says nothing; M is 0 then, as
-    Gamma_mu itself vanishes (substitute x -> -x).
+    so M = omega_pi(-1) I where the functionals Z(s, mu, l^zeta, .), zeta
+    in `rows`, are independent.  When the parity fails every zeta integral
+    vanishes and the equation says nothing; M is 0 then, as Gamma_mu itself
+    vanishes (substitute x -> -x).
+
+    Any representatives.  Two xi of X(pi) in one square class differ by the
+    square of a unit a (both have valuation -l).  In the cover, with the
+    cocycle of ``cover``,
+
+        <a><b> = <ab> (a, b),   <a>^-1 = <a^-1> (a, -1),
+        w <a> w^-1 = <a^-1>,     <a> n(y) <a>^-1 = n(a^2 y),
+
+    and chi_psi(ab) = chi_psi(a) chi_psi(b) (a, b) with chi_psi(a^2) = 1,
+    so chi_psi(a)^2 = (a, a) = (a, -1).  By multiplicity one,
+    l^eta o pi(<a>) = c_eta(a) l^{a^2 eta} for a constant c_eta(a) != 0
+    (``c_factor`` in tests/helpers.py).
+    (1) Bessel.  Put y -> a^-2 y in the integral of W^xi_v(g n(y))
+    psi^{a^2 eta}(-y) dy that defines J^{xi,a^2 eta}(g) l^{a^2 eta}(v)
+    (``bessel_direct``): n(a^-2 y) = <a>^-1 n(y) <a> makes it
+    |a|^-2 J^{xi,eta}(g <a>^-1) l^eta(pi(<a>) v), so
+
+        J^{xi,a^2 eta}(g) = |a|^-2 c_eta(a) J^{xi,eta}(g <a>^-1).
+
+    At g = <x> w, <x> w <a>^-1 = <x> w <a^-1> (a, -1) = <xa> w (x, a)(a, -1),
+    and pi is genuine: J^{xi,a^2 eta}(<x> w) = |a|^-2 c_eta(a) (x, a)(a, -1)
+    J^{xi,eta}(<xa> w).
+    (2) Gamma.  Gamma^{xi,eta}_mu(s) is 2 times the integral of
+    J^{xi,eta}(<x> w) chi_psi(x) mu(x) |x|^{s-1/2} d*x.  Put x = y/a: the
+    signs (x, a)(a, -1) = (y, a)(a^-1, a)(a, -1) = (y, a) and the (y, a) of
+    chi_psi(y/a) = chi_psi(y) chi_psi(a^-1) (y, a) cancel, and
+
+        Gamma^{xi,a^2 eta}_mu(s)
+            = |a|^{-3/2-s} c_eta(a) chi_psi(a^-1) mu(a)^-1 Gamma^{xi,eta}_mu(s).
+
+    (3) Zeta.  W^{a^2 zeta}_v(<x>) = c_zeta(a)^-1 W^zeta_v(<a><x>)
+    = c_zeta(a)^-1 (a, x) W^zeta_v(<ax>), and x = y/a leaves the sign
+    (a, y)(a, a^-1)(y, a) = (a, -1):
+
+        Z(s, mu, l^{a^2 zeta}, v)
+            = |a|^{1/2-s} c_zeta(a)^-1 (a, -1) chi_psi(a^-1) mu(a)^-1 Z(s, mu, l^zeta, v).
+
+    (4) By (2) and (3) at 1 - s and mu^-1, the term
+    |a^2 eta| Gamma^{xi,a^2 eta}_mu(s) Z(1 - s, mu^-1, l^{a^2 eta}, v) is
+    |eta| Gamma^{xi,eta}_mu(s) Z(1 - s, mu^-1, l^eta, v) times
+    |a|^2 |a|^{-3/2-s} |a|^{s-1/2} c_eta(a) c_eta(a)^-1 mu(a)^-1 mu(a)
+    chi_psi(a^-1)^2 (a, -1) = (a^-1, -1)(a, -1) = 1.  So each term of the
+    sum does not depend on which eta stands for its class, and the
+    functional equation holds over any representatives.  The same
+    substitution with <a> on the left, W^{a^2 xi}_v(g) = c_xi(a)^-1
+    W^xi_v(<a> g), scales both sides of the equation at a^2 xi by the
+    constant of (3), so it holds at every xi of X(pi).  By (3),
+    Z(s, mu, l^{a^2 zeta}, .) is a nonzero constant times
+    Z(s, mu, l^zeta, .), so the functionals over `rows` are independent as
+    they are over the class representatives.  And (2), with the constant of
+    (3) for a change of xi, gives every matrix over `rows` and `mids` the
+    support of the class matrix.
 
     Independence, when the parity holds, has two halves.
     (i) Only its own class sees phi(t, n, b): Z(s, mu, l^zeta, phi(t, n, b))
@@ -536,103 +592,117 @@ def gamma_involution_defects(rep: Representation, mu: MultChar, gamma) -> dict:
     witness of zeta, keeps only its own term by (i), so c_zeta = 0.
 
     Corollary, the certified class matrix: write X = q^s, P = Gamma_mu(s) as
-    a k x k matrix in X and Q = Gamma_{mu^-1}(1 - s) in X^-1, and let C be
-    P's coefficient at its lowest power X^n1 and C'' Q's coefficient at its
-    highest power X^-n1'.  If (q^2l / 16) C C'' X^(n1 - n1') = omega_pi(-1) I,
-    then n1 = n1', C'' is invertible and P = C X^n1 exactly.  For write
-    P = X^n1 (C + A) and Q = X^-n1 (C'' + B), A with only positive powers of
-    X and B with only negative ones; the identity gives
-    A C'' + C B + A B = 0.  If A != 0 has top degree a, the X^a coefficient
-    is A_a C'' alone, which is not 0; so A = 0, and C B = 0 gives B = 0.
-    With one square class this is the unit theorem: Gamma_mu is one
-    monomial c q^{ns}, and Gamma_{mu^-1} one at the same n.  With several,
-    every entry is c q^{n1 s} or 0, at the one shell n1 of the matrix."""
+    a k x k matrix in X (`rows` by `mids`) and Q = Gamma_{mu^-1}(1 - s)
+    (`mids` by `rows`) in X^-1, and let C be P's coefficient at its lowest
+    power X^n1 and C'' Q's coefficient at its highest power X^-n1'.  If
+    (q^2l / 16) C C'' X^(n1 - n1') = omega_pi(-1) I, then n1 = n1', C'' is
+    invertible and P = C X^n1 exactly.  For write P = X^n1 (C + A) and
+    Q = X^-n1 (C'' + B), A with only positive powers of X and B with only
+    negative ones; the identity gives A C'' + C B + A B = 0.  If A != 0 has
+    top degree a, the X^a coefficient is A_a C'' alone, which is not 0; so
+    A = 0, and C B = 0 gives B = 0.  With one square class this is the unit
+    theorem: Gamma_mu is one monomial c q^{ns}, and Gamma_{mu^-1} one at the
+    same n.  With several, every entry is c q^{n1 s} or 0, at the one shell
+    n1 of the matrix."""
     q = rep.ctx.q
-    classes = rep.spectrum().dedup
+    weight = Fraction(q) ** (2 * rep.level) / 16
     mu_inv = mu.inverse()
     unit = rep.central_sign_minus_one() if zeta_parity_holds(rep, mu) else CycValue.zero(q)
     defects = {}
-    for xi in classes:
-        for zeta_ in classes:
+    for xi in rows:
+        for zeta_ in rows:
             total = LaurentPoly.zero(q, Q_POS_S)
-            for eta in classes:
-                term = (gamma(xi.xi, eta.xi, mu)
-                        * gamma(eta.xi, zeta_.xi, mu_inv).one_minus_s().retagged())
-                total = total + (eta.abs_value * zeta_.abs_value / 16) * term
+            for eta in mids:
+                term = gamma(xi, eta, mu) * gamma(eta, zeta_, mu_inv).one_minus_s().retagged()
+                total = total + weight * term
             if total != LaurentPoly.constant(q, Q_POS_S, unit if xi == zeta_ else 0):
-                defects[xi.xi, zeta_.xi] = total
+                defects[xi, zeta_] = total
     return defects
 
 
-def _scan(rep: Representation, pairs, mu: MultChar, bound: int, stop: bool) -> dict:
+def _scan(rep: Representation, pairs, mu: MultChar, bound: int) -> dict:
     """{(xi, eta): Gamma^{xi,eta}_mu} for every pair in `pairs`, from
-    gamma(0), gamma(1), ... computed shell by shell for all pairs at once.
-    Without `stop` every shell 0..bound is computed.  With `stop` the scan
-    ends at the first shell n1 where some pair is nonzero: n1 + 1..bound
-    are zeros, listed in `zero_by_theorem`, and ArithmeticError is raised
-    if every pair is zero on 0..bound (``gamma_factor``)."""
+    gamma(0), gamma(1), ... computed shell by shell for all pairs at once,
+    up to the first shell n1 where some pair is nonzero: n1 + 1..bound are
+    zeros, listed in `zero_by_theorem`, which only a certificate
+    (``gamma_factor``) makes true.  A scan that finds every pair zero runs
+    to `bound`."""
     q = rep.ctx.q
     coeffs = {pair: {} for pair in pairs}
-    later = ()
     for n in range(bound + 1):
         for (xi, eta), column in coeffs.items():
             column[n] = gamma_coefficient(rep, xi, eta, mu, n)
-        if stop and any(not column[n].is_zero() for column in coeffs.values()):
-            later = tuple(range(n + 1, bound + 1))
-            for column in coeffs.values():
-                column.update(dict.fromkeys(later, CycValue.zero(q)))
+        if any(not column[n].is_zero() for column in coeffs.values()):
             break
-    else:
-        if stop:
-            raise ArithmeticError(f"{mu!r}: no nonzero coefficient in 0..{bound}")
+    later = tuple(range(n + 1, bound + 1))
+    for column in coeffs.values():
+        column.update(dict.fromkeys(later, CycValue.zero(q)))
     return {pair: GammaFactor(LaurentPoly(q, Q_POS_S, column), column, *pair, bound, later)
             for pair, column in coeffs.items()}
+
+
+def _representatives(rep: Representation, xi) -> list:
+    """One xi of X(pi) per square class, in the order of
+    ``spectrum().dedup``: its representatives, with xi in place of the one
+    of its own class.  An xi outside X(pi) raises ValueError."""
+    own = rep.spectrum().reps[rep.basis_index_for(xi)].square_class
+    return [xi if r.square_class == own else r.xi for r in rep.spectrum().dedup]
 
 
 def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     """Assemble Gamma^{xi,eta}(s) = sum_{n=0}^{M} gamma(n) q^{ns} with
     M = ``gamma_support_bound``; entire in s by construction.
 
-    When xi and eta are both square-class representatives of X(pi) and the
-    parity holds (``zeta_parity_holds``), the whole k x k class matrix
-    Gamma_mu is scanned shell by shell up to its first shell n1 with a
-    nonzero entry, and so is Gamma_{mu^-1} (once, when mu = mu^-1).  The
-    two are accepted only if the identity of ``gamma_involution_defects``
+    Where the parity holds (``zeta_parity_holds``), let R1 be the
+    square-class representatives of X(pi) with xi in place of the one of
+    its own class, and R2 the same with eta.  Gamma_mu on R1 x R2 is
+    scanned shell by shell up to its first shell n1 with a nonzero entry,
+    and so is Gamma_{mu^-1} on R2 x R1 (the union of both, once, when
+    mu = mu^-1).  The two are accepted only if the identity of
+    ``gamma_involution_defects``
 
-        sum_eta (|eta| |zeta| / 16) Gamma^{xi,eta}_mu(s)
-            Gamma^{eta,zeta}_{mu^-1}(1 - s) = omega_pi(-1) [xi = zeta]
+        sum_{eta' in R2} (q^2l / 16) Gamma^{xi',eta'}_mu(s)
+            Gamma^{eta',zeta}_{mu^-1}(1 - s) = omega_pi(-1) [xi' = zeta]
 
-    holds exactly on the scanned leading coefficients.  By the corollary
-    there, it then holds only if both leading shells are n1, and it forces
-    Gamma_mu = C q^{n1 s} with C its coefficient matrix at n1, and a wrong
-    value in one of the two leading matrices cannot pass.  The shells n1 + 1..M are zero by
-    theorem: `coefficients` holds them as zeros and `zero_by_theorem` lists
-    them.  A matrix with no nonzero coefficient, or one that fails the
-    certificate, raises ArithmeticError and caches nothing; a certified
-    pair of matrices is cached entry by entry, both characters.
+    holds exactly on the scanned leading coefficients, for xi' and zeta in
+    R1; it holds with any representatives, as that docstring proves.  By
+    the corollary there, it then holds only if both leading shells are n1,
+    and it forces Gamma_mu = C q^{n1 s} with C its coefficient matrix at
+    n1, and a wrong value in one of the two leading matrices cannot pass.
+    The shells n1 + 1..M are zero by theorem: `coefficients` holds them as
+    zeros and `zero_by_theorem` lists them.  A matrix with no nonzero
+    coefficient makes the left side 0, not omega_pi(-1) I, and fails the
+    certificate; a failure raises ArithmeticError and caches nothing, and
+    certified matrices are cached entry by entry, both characters.  With
+    xi and eta both representatives, R1 = R2 are the representatives, and
+    the scans are those of the one class matrix.
 
-    Every other pair, and every pair when the parity fails, is scanned in
-    full: every gamma(n), 0 <= n <= M, is computed."""
+    Where the parity fails, Gamma_mu vanishes (substitute x -> -x): the
+    pair alone is scanned, every gamma(n), 0 <= n <= M, is computed and
+    must be zero, and a nonzero one raises ArithmeticError and caches
+    nothing."""
     key = (xi, eta, mu.cache_key())
-    hit = rep._gamma_cache.get(key)
-    if hit is not None:
-        return hit
+    if key in rep._gamma_cache:
+        return rep._gamma_cache[key]
     bound = gamma_support_bound(rep, mu)
-    classes = [r.xi for r in rep.spectrum().dedup]
-    if xi in classes and eta in classes and zeta_parity_holds(rep, mu):
-        pairs = [(a, b) for a in classes for b in classes]
-        chars = {chi.cache_key(): chi for chi in (mu, mu.inverse())}
-        found = {(a, b, ck): gf for ck, chi in chars.items()
-                 for (a, b), gf in _scan(rep, pairs, chi, bound, True).items()}
+    if zeta_parity_holds(rep, mu):
+        rows, mids = _representatives(rep, xi), _representatives(rep, eta)
+        # per character its pairs: R1 x R2 for mu, R2 x R1 for mu^-1, one union if equal
+        scans: dict = {}
+        for chi, left, right in ((mu, rows, mids), (mu.inverse(), mids, rows)):
+            _, pairs = scans.setdefault(chi.cache_key(), (chi, {}))
+            pairs.update(dict.fromkeys((a, b) for a in left for b in right))
+        found = {(a, b, ck): gf for ck, (chi, pairs) in scans.items()
+                 for (a, b), gf in _scan(rep, pairs, chi, bound).items()}
         defects = gamma_involution_defects(
-            rep, mu, lambda a, b, chi: found[a, b, chi.cache_key()].poly)
-        if defects:
-            raise ArithmeticError(f"class-matrix certificate fails for {mu!r}: {defects!r}")
-        rep._gamma_cache.update(found)
-        return found[key]
-    out = _scan(rep, [(xi, eta)], mu, bound, False)[xi, eta]
-    rep._gamma_cache[key] = out
-    return out
+            rep, mu, lambda a, b, chi: found[a, b, chi.cache_key()].poly, rows, mids)
+    else:  # Gamma_mu vanishes: every nonzero entry is a defect
+        found = {key: _scan(rep, [(xi, eta)], mu, bound)[xi, eta]}
+        defects = {k: gf.poly for k, gf in found.items() if not gf.poly.is_zero()}
+    if defects:
+        raise ArithmeticError(f"gamma certificate fails for {mu!r}: {defects!r}")
+    rep._gamma_cache.update(found)
+    return found[key]
 
 
 # -- zeta functions ----------------------------------------------------------------

@@ -58,7 +58,8 @@ MUTANTS = (
     Mutant("check-fe-first-class-only", "metaplectic/zeta.py",
            "for eta_rep in rep.spectrum().dedup:",
            "for eta_rep in rep.spectrum().dedup[:1]:",
-           ("tests/test_zeta.py::TestNormFormData::test_functional_equation_on_both_classes",)),
+           ("tests/test_zeta.py::TestNormFormData::test_functional_equation_on_both_classes",
+            "tests/test_zeta.py::TestEllipticData::test_functional_equation_on_both_classes")),
     Mutant("bessel-direct-skips-xi-before-shortcut", "metaplectic/zeta.py",
            "    rep.basis_index_for(xi)  # outside X(pi) raises, also before the v(x) > 0 "
            "shortcut\n",
@@ -86,8 +87,8 @@ MUTANTS = (
            ("tests/test_zeta.py::TestBesselClosedTorusForm::"
             "test_weil_data_direct_agrees_with_closed",)),
     Mutant("gamma-early-exit-skips-certificate", "metaplectic/zeta.py",
-           "        if defects:\n",
-           "        if False:\n",
+           "    if defects:\n",
+           "    if False:\n",
            ("tests/test_zeta.py::TestGammaEarlyExit::"
             "test_wrong_coefficient_raises_and_caches_nothing",)),
     Mutant("gamma-deep-threshold-at-one", "metaplectic/zeta.py",
@@ -96,9 +97,28 @@ MUTANTS = (
            ("tests/test_zeta.py::TestEllipticData::"
             "test_gamma_coefficients_match_bessel_table_oracle",)),
     Mutant("gamma-scan-stops-on-first-pair-only", "metaplectic/zeta.py",
-           "if stop and any(not column[n].is_zero() for column in coeffs.values()):",
-           "if stop and not next(iter(coeffs.values()))[n].is_zero():",
+           "if any(not column[n].is_zero() for column in coeffs.values()):",
+           "if not next(iter(coeffs.values()))[n].is_zero():",
            ("tests/test_zeta.py::TestGammaEarlyExit::test_equals_full_scan[elliptic9]",)),
+    Mutant("gamma-certifies-representatives-only", "metaplectic/zeta.py",
+           "return [xi if r.square_class == own else r.xi for r in rep.spectrum().dedup]",
+           "return [r.xi for r in rep.spectrum().dedup]",
+           ("tests/test_zeta.py::TestGammaEarlyExit::"
+            "test_every_pair_of_betas_equals_full_scan[weil5]",)),
+    Mutant("gamma-parity-failure-skips-zero-check", "metaplectic/zeta.py",
+           "defects = {k: gf.poly for k, gf in found.items() if not gf.poly.is_zero()}",
+           "defects = {}",
+           ("tests/test_zeta.py::TestGammaEarlyExit::"
+            "test_nonzero_coefficient_against_parity_raises_and_caches_nothing",)),
+    Mutant("gamma-support-bound-level-one", "metaplectic/zeta.py",
+           "return 2 * max(rep.level, mu.m) - rep.level",
+           "return 2 * max(rep.level, mu.m) - 1",
+           ("tests/test_zeta.py::TestEllipticData::test_support_bound_reads_the_level",)),
+    Mutant("bessel-closed-guard-at-level-one", "metaplectic/zeta.py",
+           "    if n > -rep.level:\n",
+           "    if n > -1:\n",
+           ("tests/test_zeta.py::TestEllipticData::"
+            "test_closed_bessel_needs_shells_at_or_below_minus_level",)),
     Mutant("zeta-one-level-for-every-shell", "metaplectic/zeta.py",
            "level = max(rep.torus_depth(part.terms.items()), mu.m, 1)",
            "level = max(rep.level, mu.m) + 1",

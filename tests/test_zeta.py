@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -1276,11 +1277,16 @@ class TestNonDiagonalEigenbasis:
         v = rep.phi() + rep.phi(n=1, b=1)
         w = conj.phi() + conj.phi(n=1, b=1)
         mus = [MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
-               MultChar(ctx, 2, Fraction(0), 1)]
+               MultChar(ctx, 2, Fraction(0), 1), MultChar(ctx, 2, Fraction(0), 2)]
         for mu in mus:
-            # at p = 7 a conductor-2 gamma costs 0.5-1 s per pair and
-            # representation, so the pair check_fe reads stands for all nine
-            pairs = ([(rep.betas[0], rep.betas[0])] if (ctx.p, mu.m) == (7, 2)
+            # where the parity fails every gamma is zero, but each pair is
+            # still a full scan of every shell: about 1.1 s per pair and
+            # representation for the generator-1 character of conductor 2 at
+            # p = 7, so there the pair check_fe reads stands for all nine.
+            # Where it holds, every pair is certified, off the class
+            # representatives too
+            carve_out = (ctx.p, mu.m) == (7, 2) and not zeta_parity_holds(rep, mu)
+            pairs = ([(rep.betas[0], rep.betas[0])] if carve_out
                      else [(xi, eta) for xi in rep.betas for eta in rep.betas])
             for xi, eta in pairs:
                 assert gamma_factor(conj, xi, eta, mu).poly == \
@@ -1372,6 +1378,21 @@ class TestEllipticData:
             assert [r.xi for r in rep.spectrum().dedup] == [Fraction(1, 9), Fraction(2, 9)]
             assert rep.central_sign_minus_one() == omega
 
+    def test_support_bound_reads_the_level(self, ctx, elliptic9):
+        # M = 2 max(l, m) - l with l = 2: 4 at m = 3, and 2 at m <= 2
+        bounds = [gamma_support_bound(elliptic9, MultChar(ctx, m, Fraction(0), 1))
+                  for m in (1, 2, 3)]
+        assert bounds == [2, 2, 4]
+
+    def test_closed_bessel_needs_shells_at_or_below_minus_level(self, elliptic9):
+        # v(x) = -1 is a shallow shell at level 2: the closed sum does not
+        # hold there and is refused, while v(x) = -2 is computed
+        xi = Fraction(1, 9)
+        with pytest.raises(ValueError, match=r"needs v\(x\) <= -2, got -1$"):
+            bessel_closed(elliptic9, xi, xi, Fraction(1, 3))
+        assert bessel_closed(elliptic9, xi, xi, Fraction(1, 9)) == \
+            bessel_direct(elliptic9, xi, xi, Fraction(1, 9))
+
     def test_leading_class_matrix_is_anti_diagonal_at_m_equal_l(self, ctx, elliptic9):
         # the one datum whose leading class matrix is not diagonal: at m = 2
         # only the cross-class entries are nonzero, both at n1 = 0
@@ -1458,6 +1479,42 @@ class TestClassIndependence:
             assert witnessed == {r.xi for r in classes}, mu.spec_record()
 
 
+class TestRepresentativeChange:
+    """The substitutions behind "Any representatives" in
+    ``zeta.gamma_involution_defects``, for a unit a (so |a| = 1 and
+    (a, -1) = 1) and the c-factor of l^eta o pi(<a>) = c_eta(a) l^{a^2 eta}:
+
+        Gamma^{xi,a^2 eta}_mu = c_eta(a) chi_psi(a^-1) mu(a)^-1 Gamma^{xi,eta}_mu,
+        Z(s, mu, l^{a^2 eta}, v) = c_eta(a)^-1 chi_psi(a^-1) mu(a)^-1 Z(s, mu, l^eta, v),
+
+    coefficient by coefficient, for every beta eta, every unit a in 2..p-1
+    and every character of conductor <= 1."""
+
+    @pytest.mark.parametrize("data", ["weil5", "norm5", "elliptic9"])
+    def test_gamma_and_zeta_scale_by_one_constant(self, request, data):
+        rep = request.getfixturevalue(data)
+        ctx = rep.ctx
+        classes = [r.xi for r in rep.spectrum().dedup]
+        v = rep.phi() + rep.phi(n=1, b=1)
+        nonzero = 0
+        for mu in (mu for m in range(2) for mu in characters(ctx, m, (0,))):
+            for eta in rep.betas:
+                for a in range(2, ctx.p):
+                    common = chi_psi(ctx.elem(Fraction(1, a))) * mu.value(a).inverse()
+                    c = c_factor(rep, eta, a)
+                    for xi in classes:
+                        for n in range(gamma_support_bound(rep, mu) + 1):
+                            value = gamma_coefficient(rep, xi, a * a * eta, mu, n)
+                            assert value == c * common * gamma_coefficient(rep, xi, eta, mu, n), \
+                                (mu.spec_record(), xi, eta, a, n)
+                            nonzero += not value.is_zero()
+                    z = zeta_function(rep, a * a * eta, mu, v).poly
+                    assert z == c.inverse() * common * zeta_function(rep, eta, mu, v).poly, \
+                        (mu.spec_record(), eta, a)
+                    nonzero += not z.is_zero()
+        assert nonzero
+
+
 _FULL_SCANS: dict = {}
 
 
@@ -1517,7 +1574,8 @@ class TestGammaInvolution:
         parities, cross = set(), 0
         for mu in _involution_chars(rep, p_exponents, max_conductor, count):
             parities.add(zeta_parity_holds(rep, mu))
-            assert zeta.gamma_involution_defects(rep, mu, gamma) == {}, mu.spec_record()
+            assert zeta.gamma_involution_defects(rep, mu, gamma, classes, classes) == {}, \
+                mu.spec_record()
             cross += sum(not gamma(xi, eta, mu).is_zero()
                          and not gamma(eta, zeta_, mu.inverse()).is_zero()
                          for xi in classes for eta in classes for zeta_ in classes
@@ -1526,6 +1584,53 @@ class TestGammaInvolution:
         # on the norm data off-diagonal products are nonzero and cancel in
         # the sum
         assert (cross > 0) == data.startswith("norm")
+
+    @pytest.mark.parametrize("data, max_conductor, count, choices, holding", [
+        ("weil5", 1, 4, 2, 2), ("weil7", 1, 6, 3, 3), ("norm5", 1, 4, 4, 2),
+        ("elliptic9", 2, 6, 9, 3)], ids=["weil5", "weil7", "norm5", "elliptic9"])
+    def test_identity_on_every_choice_of_representatives(self, request, data, max_conductor,
+                                                         count, choices, holding):
+        # `rows` and `mids` each run over every set with one beta per square
+        # class, so the entries of Gamma_mu off the class representatives
+        # are in the identity too
+        rep = request.getfixturevalue(data)
+        spectrum = rep.spectrum()
+        sets = [list(choice) for choice in itertools.product(*(
+            [r.xi for r in spectrum.reps if r.square_class == cls.square_class]
+            for cls in spectrum.dedup))]
+        assert len(sets) == choices
+
+        def gamma(xi, eta, mu):
+            return LaurentPoly(rep.ctx.q, Q_POS_S, full_scan(rep, xi, eta, mu))
+
+        mus = _involution_chars(rep, (0,), max_conductor, count)
+        for mu in mus:
+            for rows in sets:
+                for mids in sets:
+                    assert zeta.gamma_involution_defects(rep, mu, gamma, rows, mids) == {}, \
+                        (mu.spec_record(), rows, mids)
+        assert sum(zeta_parity_holds(rep, mu) for mu in mus) == holding
+
+
+def _assert_gammas_equal_full_scans(rep, mus, xis):
+    """Every cold ``gamma_factor`` over xis x xis equals the full scan, with
+    the shells after the leading shell n1 of the class matrix listed as
+    zero by theorem where the parity holds, and none where it fails."""
+    fresh = Representation(rep.sigma)  # cold caches, early exit included
+    classes = [r.xi for r in rep.spectrum().dedup]
+    for mu in mus:
+        parity = zeta_parity_holds(rep, mu)
+        # the shells where some entry of the class matrix is nonzero
+        shells = sorted({n for xi in classes for eta in classes
+                         for n, c in full_scan(rep, xi, eta, mu).items() if not c.is_zero()})
+        assert len(shells) == parity, mu.spec_record()  # one leading shell, or none
+        for xi in xis:
+            for eta in xis:
+                gf = gamma_factor(fresh, xi, eta, mu)
+                assert gf.coefficients == full_scan(rep, xi, eta, mu), \
+                    (mu.spec_record(), xi, eta)
+                later = range(shells[0] + 1, gf.support_bound + 1) if parity else ()
+                assert gf.zero_by_theorem == tuple(later), (mu.spec_record(), xi, eta)
 
 
 class TestGammaEarlyExit:
@@ -1537,21 +1642,29 @@ class TestGammaEarlyExit:
                              ids=INVOLUTION_IDS)
     def test_equals_full_scan(self, request, data, p_exponents, max_conductor, count):
         rep = request.getfixturevalue(data)
-        fresh = Representation(rep.sigma)  # cold caches, early exit included
         classes = [r.xi for r in rep.spectrum().dedup]
-        for mu in _involution_chars(rep, p_exponents, max_conductor, count):
-            parity = zeta_parity_holds(rep, mu)
-            # the shells where some entry of the class matrix is nonzero
-            shells = sorted({n for xi in classes for eta in classes
-                             for n, c in full_scan(rep, xi, eta, mu).items() if not c.is_zero()})
-            assert len(shells) == parity, mu.spec_record()  # one leading shell, or none
-            for xi in classes:
-                for eta in classes:
-                    gf = gamma_factor(fresh, xi, eta, mu)
-                    assert gf.coefficients == full_scan(rep, xi, eta, mu), \
-                        (mu.spec_record(), xi, eta)
-                    later = range(shells[0] + 1, gf.support_bound + 1) if parity else ()
-                    assert gf.zero_by_theorem == tuple(later), (mu.spec_record(), xi, eta)
+        _assert_gammas_equal_full_scans(
+            rep, _involution_chars(rep, p_exponents, max_conductor, count), classes)
+
+    @pytest.mark.parametrize("data, p_exponents, max_conductor, count, extra", [
+        ("weil5", (0, Fraction(1, 4)), 1, 8, ()),
+        ("weil7", (0,), 1, 6, ((2, 2),)),
+        ("norm5", (0,), 1, 4, ()),
+        ("elliptic9", (0,), 2, 6, ()),
+        ("elliptic9k4", (0,), 2, 6, ())],
+        ids=["weil5", "weil7", "norm5", "elliptic9", "elliptic9k4"])
+    def test_every_pair_of_betas_equals_full_scan(self, request, data, p_exponents,
+                                                  max_conductor, count, extra):
+        # the pairs off the class representatives go through the same
+        # certificate, on representative sets that hold them; on the other
+        # data every beta is a class representative.  The extra character of
+        # conductor 2 at p = 7 (generator 2) holds the parity
+        rep = request.getfixturevalue(data)
+        mus = _involution_chars(rep, p_exponents, max_conductor, count)
+        mus += [MultChar(rep.ctx, m, Fraction(0), gen) for m, gen in extra]
+        assert all(zeta_parity_holds(rep, mu) for mu in mus[count:])
+        assert len(rep.betas) > len(rep.spectrum().dedup)
+        _assert_gammas_equal_full_scans(rep, mus, rep.betas)
 
     @pytest.mark.parametrize("fault", ["double", "zero"])
     def test_wrong_coefficient_raises_and_caches_nothing(self, ctx, rep1, monkeypatch, fault):
@@ -1566,14 +1679,36 @@ class TestGammaEarlyExit:
                 return CycValue.zero(ctx.q)
             return value * 2 if chi.cache_key() == mu.cache_key() else value
 
-        match = "certificate fails" if fault == "double" else "no nonzero coefficient"
+        # an all-zero matrix fails the certificate too: its product is 0, not omega I
         with monkeypatch.context() as patched:
             patched.setattr(zeta, "gamma_coefficient", faulty)
-            with pytest.raises(ArithmeticError, match=match):
+            with pytest.raises(ArithmeticError, match="certificate fails"):
                 gamma_factor(rep, XI, XI, mu)
             assert (XI, XI, mu.cache_key()) not in rep._gamma_cache
             assert rep._gamma_cache == {}
         assert gamma_factor(rep, XI, XI, mu).coefficients == full_scan(rep1, XI, XI, mu)
+
+    def test_nonzero_coefficient_against_parity_raises_and_caches_nothing(self, ctx, rep1,
+                                                                           monkeypatch):
+        # the parity fails, so Gamma_mu is zero: a nonzero coefficient is a
+        # fault, never a value to remember
+        mu = MultChar(ctx, 1, Fraction(0), 1)
+        assert not zeta_parity_holds(rep1, mu)
+        rep = Representation(rep1.sigma)
+        coefficient = zeta.gamma_coefficient
+
+        def faulty(rep, xi, eta, chi, n):
+            value = coefficient(rep, xi, eta, chi, n)
+            return value + CycValue.one(ctx.q) if n == 1 else value
+
+        with monkeypatch.context() as patched:
+            patched.setattr(zeta, "gamma_coefficient", faulty)
+            with pytest.raises(ArithmeticError, match="certificate fails"):
+                gamma_factor(rep, XI, XI, mu)
+            assert rep._gamma_cache == {}
+        gf = gamma_factor(rep, XI, XI, mu)
+        assert gf.coefficients == full_scan(rep1, XI, XI, mu)
+        assert gf.poly.is_zero() and gf.zero_by_theorem == ()
 
     def test_wrong_cross_class_entry_raises_and_caches_nothing(self, ctx, elliptic9,
                                                                monkeypatch):
