@@ -506,6 +506,10 @@ class CycValue:
         return NotImplemented if o is None else o + (-self)
 
     def _scaled(self, num: int, den: int) -> "CycValue":
+        """self * num/den for ints num and den > 0; self itself, or its
+        negation, for +-1 (a value is immutable, so sharing it is safe)."""
+        if den == 1 and (num == 1 or num == -1):
+            return self if num == 1 else -self
         if not num:
             return CycValue.zero(self.q)
         return CycValue._make(self.q, self._n, self._d * den,
@@ -523,6 +527,20 @@ class CycValue:
             return self._scaled(o._coeffs.get(0, 0), o._d)
         if n1 == 1:
             return o._scaled(self._coeffs.get(0, 0), self._d)
+        if len(self._coeffs) == 1 and len(o._coeffs) == 1:
+            # c1 e(k1/n1) * c2 e(k2/n2) is one root, the memoized e(k/n),
+            # scaled by c1 c2
+            (k1, c1), = self._coeffs.items()
+            (k2, c2), = o._coeffs.items()
+            n = n1 if n1 == n2 else math.lcm(n1, n2)
+            root = _root_memo(self.q, (k1 * (n // n1) + k2 * (n // n2)) % n, n)
+            return root._scaled(c1 * c2, self._d * o._d)
+        return self._convolved(o)
+
+    def _convolved(self, o: "CycValue") -> "CycValue":
+        """self * o by the general route: both lifted to a common level,
+        convolved, and the product rewritten into the canonical basis."""
+        n1, n2 = self._n, o._n
         n = n1 if n1 == n2 else math.lcm(n1, n2)
         t1, t2 = _lifted(self._coeffs, n // n1), _lifted(o._coeffs, n // n2)
         acc: dict = {}

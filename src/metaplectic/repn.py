@@ -33,16 +33,13 @@ from .localchar import (AdditiveCharacter, _smallest_nonresidue, hilbert_int, le
 from .cover import (
     MetaElement,
     SL2Element,
-    coset_rep,
+    _coset_rep,
     decompose_meta,
     kubota_split,
     validate_kubota_splitting,
 )
 
 Matrix = tuple  # tuple of row tuples of CycValue
-
-_ZERO = Fraction(0)
-
 
 # -- small exact matrix helpers ---------------------------------------------
 
@@ -455,26 +452,44 @@ def sigma_to_dict(sigma: SigmaRep) -> dict:
 
 # -- induced vectors ----------------------------------------------------------
 
-def _accumulate(out: dict, t: Fraction, n: int, b: int, coeff: CycValue, mat: Matrix) -> None:
-    """Add coeff * sum over b2 of mat[b2][b] phi^{n(t)<p^n>}_{b2} to the terms
-    in out; a coefficient that cancels to zero stays, for ``InducedVector``
-    to drop."""
+def _accumulate(out: dict, r: int, j: int, n: int, b: int, coeff: CycValue,
+                mat: Matrix) -> None:
+    """Add coeff * sum over b2 of mat[b2][b] phi^{n(r/p^j)<p^n>}_{b2} to the
+    terms in out; a coefficient that cancels to zero stays, for
+    ``InducedVector`` to drop."""
     for b2, row in enumerate(mat):
         c = row[b]
         if c.is_zero():
             continue
-        key = (t, n, b2)
+        key = (r, j, n, b2)
         prev = out.get(key)
         out[key] = coeff * c if prev is None else prev + coeff * c
 
 
-class InducedVector:
-    """A finite coefficient expansion sum c[(t, n, b)] * phi^{n(t)<p^n>}_b in
-    the compact-induction model, coefficients in eigencoordinates.
+def _lowest_terms(r: int, j: int, p: int):
+    """(r, j) with r/p^j unchanged and in lowest terms: r prime to p, or
+    (0, 0) for zero."""
+    while j and not r % p:
+        r //= p
+        j -= 1
+    return r, j
 
-    Vectors form a Q(zeta)-vector space: ``+``, ``-``, scalar ``*`` and
-    ``sum``, so the shell and ball integrals of ``zeta`` accept vector-valued
-    integrands (the Bessel kernel of ``zeta.bessel_direct``)."""
+
+class InducedVector:
+    """A finite coefficient expansion sum c[(r, j, n, b)] *
+    phi^{n(r/p^j)<p^n>}_b in the compact-induction model, coefficients in
+    eigencoordinates.
+
+    A key is four ints (r, j, n, b) with t = r/p^j.  Every vector the model
+    builds (``phi``, ``act``, ``w_translate``) keys its terms at the
+    canonical representative [t] in lowest terms, 0 <= r < p^j and t = 0 as
+    (0, 0), so equal vectors have equal keys; ``Representation.phi`` brings
+    any rational t there.  A ``Fraction`` t is built only for ``repr``.
+
+    Vectors form a Q(zeta)-vector space: ``+``, ``-``, scalar ``*`` (by a
+    ``CycValue``, an int or a ``Fraction``) and ``sum``, so the shell and
+    ball integrals of ``zeta`` accept vector-valued integrands (the Bessel
+    kernel of ``zeta.bessel_direct``)."""
 
     __slots__ = ("q", "terms")
 
@@ -483,8 +498,17 @@ class InducedVector:
         self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
 
     @classmethod
+    def _nonzero(cls, q: int, terms: dict) -> "InducedVector":
+        """The vector on `terms`, whose coefficients are known to be nonzero:
+        no filter pass, and `terms` becomes the vector's own map."""
+        self = object.__new__(cls)
+        self.q = q
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, q: int) -> "InducedVector":
-        return cls(q, {})
+        return cls._nonzero(q, {})
 
     @classmethod
     def sum(cls, vectors, q: int) -> "InducedVector":
@@ -506,20 +530,34 @@ class InducedVector:
         <x> moves a term at n to n - v(x) and l^xi reads only n = 0, so
         W^xi_v(<x>) = W^xi_{v_k}(<x>) with v_k = shell(k) for k = v(x), and
         W^xi_v(<x>) = 0 when k is not in shells()."""
-        return sorted({key[1] for key in self.terms})
+        return sorted({key[2] for key in self.terms})
 
     def shell(self, n: int) -> "InducedVector":
         """The part of v on the cosets n(t)<p^n> (see ``shells``)."""
-        return InducedVector(self.q, {key: c for key, c in self.terms.items() if key[1] == n})
+        return InducedVector._nonzero(
+            self.q, {key: c for key, c in self.terms.items() if key[2] == n})
 
-    def __add__(self, other: "InducedVector") -> "InducedVector":
+    def __add__(self, other):
+        if not isinstance(other, InducedVector):
+            return NotImplemented
         return InducedVector.sum((self, other), self.q)
 
     def __neg__(self) -> "InducedVector":
-        return InducedVector(self.q, {k: -v for k, v in self.terms.items()})
+        return InducedVector._nonzero(self.q, {k: -v for k, v in self.terms.items()})
 
-    def scaled(self, c) -> "InducedVector":
-        return InducedVector(self.q, {k: v * c for k, v in self.terms.items()})
+    def __sub__(self, other):
+        if not isinstance(other, InducedVector):
+            return NotImplemented
+        return self + (-other)
+
+    def scaled(self, c):
+        """c * v for a ``CycValue``, int or ``Fraction`` c; NotImplemented for
+        anything else, so that ``v * w`` of two vectors raises TypeError."""
+        if not isinstance(c, (CycValue, int, Fraction)):
+            return NotImplemented
+        if c.is_zero() if isinstance(c, CycValue) else c == 0:
+            return InducedVector.zero(self.q)
+        return InducedVector._nonzero(self.q, {k: v * c for k, v in self.terms.items()})
 
     __mul__ = __rmul__ = scaled
 
@@ -529,9 +567,10 @@ class InducedVector:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = [f"({v!r})*phi(t={t}, n={n}, b={b})" for (t, n, b), v in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]))]
-        return " + ".join(bits)
+        q = self.q
+        rows = sorted((((n, Fraction(r, q**j), b), v) for (r, j, n, b), v in self.terms.items()),
+                      key=lambda row: row[0])
+        return " + ".join(f"({v!r})*phi(t={t}, n={n}, b={b})" for (n, t, b), v in rows)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -597,15 +636,24 @@ class Representation:
         """coeff * phi^{n(t)<p^n>}_b, keyed at the canonical representative:
         n(t)<p^n> = n(s) n([t])<p^n> with s = t - [t] integral, so the vector
         is sum over b2 of sigma(n(-s))[b2][b] phi^{n([t])<p^n>}_{b2}, the
-        torus action at x = 1."""
+        torus action at x = 1.
+
+        A t = c/(p^j d) whose denominator has a part d prime to p is first
+        moved by an element of p^l Z_p to c d^-1/p^j, d^-1 taken modulo
+        p^(j + l), which changes neither [t] nor s mod p^l; the torus action
+        then reads the int pair (c d^-1, j)."""
         n, b = exact_int(n, "shell exponent n"), exact_int(b, "basis index b")
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
-        q = self.ctx.q
+        q, p = self.ctx.q, self.ctx.p
         c = CycValue.one(q) if coeff is None else coeff
         if not isinstance(c, CycValue):
             c = CycValue.rational(q, c)
-        return self._torus_act([((Fraction(t), n, b), c)], 0, 1, 1)
+        t = Fraction(t)
+        v, _, rest = p_split(1, t.denominator, p)
+        j = -v
+        r = t.numerator if rest == 1 else t.numerator * pow(rest, -1, p**j * self.sigma.modulus)
+        return self._torus_act([((r, j, n, b), c)], 0, 1, 1)
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -640,12 +688,15 @@ class Representation:
         if g.g.is_diagonal():
             return self._torus_act(v.terms.items(),
                                    *ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps)
+        ctx, p = self.ctx, self.ctx.p
         ginv = g.inverse()
         out: dict = {}
-        for (t, n, b), coeff in v.terms.items():
-            h_meta, dec = decompose_meta(MetaElement(coset_rep(self.ctx, t, n), 1) * ginv)
-            _accumulate(out, dec.t, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
-        return InducedVector(self.ctx.q, out)
+        for (r, j, n, b), coeff in v.terms.items():
+            h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
+            t = dec.t  # canonical, with a p-power denominator
+            _accumulate(out, t.numerator, -p_split(1, t.denominator, p)[0], dec.n, b, coeff,
+                        self.genuine_eval(h_meta.inverse()))
+        return InducedVector(ctx.q, out)
 
     def w_translate(self, b: int, y) -> InducedVector:
         """pi(w n(y)) phi_b in closed form.  The Bessel integrand at
@@ -690,29 +741,35 @@ class Representation:
         return closed
 
     def _w_coset(self, y: Fraction):
-        """(t, n, key, eps) of ``w_translate``: the term of phi_b moves to
-        n(t)<p^n> with matrix eps * sigma(key)."""
+        """(r, j, n, key, eps) of ``w_translate``: the term of phi_b moves to
+        n(r/p^j)<p^n> with matrix eps * sigma(key)."""
         p, m = self.ctx.p, self.sigma.modulus
         k, u = torus_coordinates(y, p) if y else (0, 0)
         if k >= 0:
-            return _ZERO, 0, (0, m - 1, 1, frac_mod(y, m)), 1
+            return 0, 0, 0, (0, m - 1, 1, frac_mod(y, m)), 1
         pk = p**-k
         u = u % (pk * m) if type(u) is int else frac_mod(u, pk * m)
         w = pow(u, -1, pk)
         c = (u * w - 1) // pk
-        return Fraction(w, pk), k, (w % m, c % m, pk % m, u % m), hilbert_int(p, -k, 1, 0, u)
+        return w, -k, k, (w % m, c % m, pk % m, u % m), hilbert_int(p, -k, 1, 0, u)
 
     def _w_closed(self, b: int, y: Fraction):
         """(shell, pi(w n(y)) phi_b) from ``_w_coset``, unchecked."""
-        t, n, key, eps = self._w_coset(y)
-        return n, InducedVector(self.ctx.q, {(t, n, b2): row[b] if eps == 1 else -row[b]
-                                             for b2, row in enumerate(self._eigen_table[key])})
+        r, j, n, key, eps = self._w_coset(y)
+        terms = {}
+        for b2, row in enumerate(self._eigen_table[key]):
+            c = row[b]
+            if not c.is_zero():
+                terms[(r, j, n, b2)] = c if eps == 1 else -c
+        return n, InducedVector._nonzero(self.ctx.q, terms)
 
     def _torus_terms(self, items, k: int, u, e: int):
-        """pi([diag(x, 1/x), e]) on the terms `items` ((t, n, b), coeff) of a
-        vector, x = p^k u: yields (r, D, n - k, b, coeff, key, eps) per term,
-        the term moving to coeff * sum over b2 of eps * sigma(key)[b2][b]
-        phi^{n(r/D)<p^(n-k)>}_{b2}, sigma in eigencoordinates.
+        """pi([diag(x, 1/x), e]) on the terms `items` ((c, j, n, b), coeff) of
+        a vector, t = c/p^j for any int c, x = p^k u: yields
+        (r, j, n - k, b, coeff, key, eps) per term, the term moving to
+        coeff * sum over b2 of eps * sigma(key)[b2][b]
+        phi^{n(r/p^j)<p^(n-k)>}_{b2}, sigma in eigencoordinates, with
+        0 <= r < p^j (in lowest terms when c is).
 
         With t' = [t u^2] and h^-1 = [[u, (t' - t u^2)/u], [0, 1/u]] (integral):
 
@@ -727,37 +784,33 @@ class Representation:
         modulo p^(j + l), so u is an int (the unit itself, or any int
         congruent to it modulo p^(j + l) for every term) or a ``Fraction``
         unit, first reduced modulo p^(j_max + l) (``torus_depth``); eps reads
-        u only through its square class, modulo p.  A t whose denominator has
-        a part d prime to p is moved by an element of p^l Z_p to c d^-1/p^j,
-        which changes neither t' nor h^-1 mod p^l."""
+        u only through its square class, modulo p."""
         p, m = self.ctx.p, self.sigma.modulus
         if type(u) is not int:
             items = list(items)
             u = frac_mod(u, p ** self.torus_depth(items))
         u_mod, u_inv = u % m, pow(u, -1, m)
-        for (t, n, b), coeff in items:
-            rest = p_split(1, t.denominator, p)[2]
-            pj = t.denominator // rest
-            c = t.numerator if rest == 1 else t.numerator * pow(rest, -1, pj * m)
+        for (c, j, n, b), coeff in items:
+            pj = p**j
             carry, r = divmod(c * u * u, pj)
             eps = e * hilbert_int(p, k, u, -n, -1) * hilbert_int(p, k - n, 1, 0, u)
-            yield r, pj, n - k, b, coeff, (u_mod, -carry * u_inv % m, 0, u_inv), eps
+            yield r, j, n - k, b, coeff, (u_mod, -carry * u_inv % m, 0, u_inv), eps
 
     def torus_depth(self, items) -> int:
-        """l + j, with p^j the largest p-power dividing the denominator of a
-        t among the terms `items` ((t, n, b), coeff), j = 0 for none:
-        ``_torus_terms`` reads the unit u of x = p^k u only modulo p^(l + j)
-        on these terms."""
-        p = self.ctx.p
-        return self.level + max((-p_split(1, t.denominator, p)[0] for (t, _, _), _ in items),
-                                default=0)
+        """l + j, with j the largest p-exponent of a key among the terms
+        `items` ((r, j, n, b), coeff), 0 for none: ``_torus_terms`` reads the
+        unit u of x = p^k u only modulo p^(l + j) on these terms."""
+        return self.level + max((j for (_, j, _, _), _ in items), default=0)
 
     def _torus_act(self, items, k: int, u, e: int) -> InducedVector:
-        """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v."""
+        """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v,
+        keyed in lowest terms even where a key of `items` is not."""
+        p = self.ctx.p
         out: dict = {}
-        for r, pj, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
-            _accumulate(out, Fraction(r, pj), n, b, coeff if eps == 1 else -coeff,
-                        self._eigen_table[key])
+        for r, j, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
+            if j and not r % p:
+                r, j = _lowest_terms(r, j, p)
+            _accumulate(out, r, j, n, b, coeff if eps == 1 else -coeff, self._eigen_table[key])
         return InducedVector(self.ctx.q, out)
 
     def unit_torus_value(self, u) -> Matrix:
@@ -774,9 +827,9 @@ class Representation:
 
     def _twist(self, xi: Fraction):
         """(b, psi^xi, row) for xi in X(pi), memoized per xi: b is the basis
-        index of xi, and row memoizes eps * sigma(key)[b][b_in] * psi^xi(-r/D),
+        index of xi, and row memoizes eps * sigma(key)[b][b_in] * psi^xi(-r/p^j),
         the torus form's summand without its coefficient, per
-        (key, eps, b_in, r, D)."""
+        (key, eps, b_in, r, j)."""
         hit = self._twists.get(xi)
         if hit is None:
             hit = self._twists[xi] = (self.basis_index_for(xi), self.psi.twist(xi), {})
@@ -796,12 +849,12 @@ class Representation:
         b, psi_xi, row = self._twist(xi)
         vals = []
         k, u, e = torus
-        shell = (item for item in v.terms.items() if item[0][1] == k)
-        for r, pj, _, b_in, coeff, key, eps in self._torus_terms(shell, k, u, e):
-            memo_key = (key, eps, b_in, r, pj)
+        shell = (item for item in v.terms.items() if item[0][2] == k)
+        for r, j, _, b_in, coeff, key, eps in self._torus_terms(shell, k, u, e):
+            memo_key = (key, eps, b_in, r, j)
             z = row.get(memo_key)
             if z is None:
-                z = self._eigen_table[key][b][b_in] * psi_xi.value_int(-r, pj)
+                z = self._eigen_table[key][b][b_in] * psi_xi.value_int(-r, self.ctx.p**j)
                 z = row[memo_key] = z if eps == 1 else -z
             if not z.is_zero():
                 vals.append(coeff * z)
@@ -821,7 +874,7 @@ class Representation:
         if self._central_sign is None:
             v = self.phi(b=0)
             acted = self.act(MetaElement(SL2Element.of(self.ctx, -1, 0, 0, -1), 1), v)
-            key = (Fraction(0), 0, 0)
+            key = (0, 0, 0, 0)
             if set(acted.terms) != {key}:
                 raise ArithmeticError("central element did not act by a scalar")
             self._central_sign = acted.terms[key]

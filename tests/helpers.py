@@ -47,8 +47,8 @@ def evaluate_vector(rep, v, g: MetaElement):
     eigencoordinates."""
     h_meta, dec = decompose_meta(g)
     coords = [CycValue.zero(rep.ctx.q) for _ in range(rep.dim)]
-    for (t, n, b), coeff in v.terms.items():
-        if t != dec.t or n != dec.n:
+    for (r, j, n, b), coeff in v.terms.items():
+        if Fraction(r, rep.ctx.p**j) != dec.t or n != dec.n:
             continue
         # g = h * rep, so g * rep^{-1} = h and phi^rep_b(g) = sigma(h) b
         mat = rep.genuine_eval(h_meta)

@@ -150,6 +150,15 @@ MUTANTS = (
            "return self.na % self.ctx.p != 0",
            ("tests/test_cover.py::TestCanonicalForm::"
             "test_is_integral_exactly_when_denominator_prime_to_p",)),
+    Mutant("cyc-unit-fast-path-drops-sign", "metaplectic/exactnum.py",
+           "return self if num == 1 else -self",
+           "return self",
+           ("tests/test_exactnum.py::TestMultiplicationFastPaths::"
+            "test_rationals_times_multi_term_match_convolution",)),
+    Mutant("torus-act-keys-without-lowest-terms", "metaplectic/repn.py",
+           "            if j and not r % p:\n                r, j = _lowest_terms(r, j, p)\n",
+           "",
+           ("tests/test_repn.py::TestIntKeys::test_torus_act_reduces_keys_to_lowest_terms",)),
     Mutant("coset-decompose-swaps-row-scales", "metaplectic/cover.py",
            "D * pm * sy - C * tc * sx, E * pm * pn)",
            "D * pm * sx - C * tc * sy, E * pm * pn)",

@@ -498,6 +498,46 @@ class TestLevelIndependence:
         assert len({i, i_via_108, ctx.sqrtq(), s_via_9}) == 2
 
 
+def _coordinates(v: CycValue):
+    return v.q, v._n, v._d, v._coeffs
+
+
+class TestMultiplicationFastPaths:
+    """The products that skip the convolution, a rational +-1 factor and two
+    single roots, against ``CycValue._convolved``, the general route."""
+
+    LEVELS = (1, 2, 3, 4, 9, 12, 27, 36)
+
+    def test_single_roots_match_convolution(self, ctx):
+        roots = [CycValue.root_of_unity_int(ctx.q, k, n) for n in self.LEVELS for k in range(n)]
+        values = roots + [r * Fraction(-2, 5) for r in roots]
+        single = 0
+        for a in values:
+            for b in values:
+                assert _coordinates(a * b) == _coordinates(a._convolved(b))
+                single += len(a._coeffs) == len(b._coeffs) == 1 and a._n > 1 and b._n > 1
+        assert single > 10000
+
+    RATIONALS = (1, -1, 2, -3, Fraction(-1, 2), Fraction(3, 7), 0)
+
+    def test_rationals_times_multi_term_match_convolution(self, ctx):
+        q = ctx.q
+        values = [ctx.sqrtq(), -ctx.sqrtq(), ctx.cyc_e(Fraction(1, 9)) + 2 * ctx.cyc_e(Fraction(2, 9)),
+                  ctx.cyc(Fraction(1, 3)) + ctx.cyc_e(Fraction(1, 4)),
+                  ctx.cyc_e(Fraction(5, 36)) * Fraction(3, 2) - ctx.cyc_e(Fraction(1, 27)),
+                  ctx.cyc(Fraction(-5, 4)), ctx.cyc_e(Fraction(1, 3))]
+        for v in values:
+            for r in self.RATIONALS:
+                want = _coordinates(v._convolved(CycValue.rational(q, r)))
+                for factor in (r, CycValue.rational(q, r)):
+                    assert _coordinates(v * factor) == want
+                    assert _coordinates(factor * v) == want
+            # +-1 returns the operand itself, or its negation
+            assert v * 1 is v and v * ctx.one() is v
+            assert v.is_rational() or ctx.one() * v is v
+            assert v * -1 == -v == v * CycValue.rational(q, -1)
+
+
 class TestLaurentPoly:
     def test_constant_fixed_under_substitution(self):
         p = LaurentPoly.constant(3, Q_NEG_S, 1)

@@ -333,24 +333,42 @@ class TestAction:
             v = rep1.phi(t=Fraction(rng.randrange(0, 3), 3), n=rng.choice([-1, 0, 1]))
             coords = evaluate_vector(rep1, v, g)
             acted = rep1.act(g, v)
-            at_e = acted.terms.get((Fraction(0), 0, 0), CycValue.zero(3))
+            at_e = acted.terms.get((0, 0, 0, 0), CycValue.zero(3))
             assert coords[0] == at_e
 
 
-def decomposition_act(rep, g, v):
-    """pi(g) v through the general route: decompose
-    [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1] and apply the genuine value at
-    [h, eps]^-1, for every term."""
-    q = rep.ctx.q
+def t_key(t: Fraction, p: int):
+    """(r, j) with t = r/p^j, for a t with a p-power denominator."""
+    j, d = 0, t.denominator
+    while d % p == 0:
+        d //= p
+        j += 1
+    assert d == 1, t
+    return t.numerator, j
+
+
+def decomposition_terms(rep, terms, g):
+    """pi(g) on the terms ((t, n, b), coeff), t a ``Fraction``, through the
+    general route: decompose [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1] and
+    apply the genuine value at [h, eps]^-1, for every term."""
+    q, p = rep.ctx.q, rep.ctx.p
     ginv = g.inverse()
     out = {}
-    for (t, n, b), coeff in v.terms.items():
+    for (t, n, b), coeff in terms:
         h_meta, dec = decompose_meta(MetaElement(coset_rep(rep.ctx, t, n), 1) * ginv)
         mat = rep.genuine_eval(h_meta.inverse())
         for b2 in range(rep.dim):
-            key = (dec.t, dec.n, b2)
+            key = (*t_key(dec.t, p), dec.n, b2)
             out[key] = out.get(key, CycValue.zero(q)) + coeff * mat[b2][b]
     return InducedVector(q, out)
+
+
+def decomposition_act(rep, g, v):
+    """``decomposition_terms`` on the terms of v, each key (c, j, n, b)
+    read as t = c/p^j."""
+    p = rep.ctx.p
+    return decomposition_terms(
+        rep, [((Fraction(c, p**j), n, b), coeff) for (c, j, n, b), coeff in v.terms.items()], g)
 
 
 class TestTorusClosedForm:
@@ -358,16 +376,16 @@ class TestTorusClosedForm:
 
     UNITS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-5, 7), Fraction(4, 5),
              Fraction(-22, 17))
-    # non-canonical t: integral parts, negative values, denominators prime to p
-    TS = (Fraction(0), Fraction(1, 3), Fraction(4, 3), Fraction(-2, 9), Fraction(7, 3),
-          Fraction(1, 2), Fraction(-5, 27), Fraction(13, 18), Fraction(2))
+    # non-canonical keys t = c/3^j: integral parts, negative values, and
+    # c not prime to p (3/9, 0/9 and 9/27)
+    TS = ((0, 0), (1, 1), (4, 1), (-2, 2), (7, 1), (3, 2), (-5, 3), (0, 2), (9, 3), (2, 0))
 
     def _vector(self, ctx, rng, k):
         terms = {}
         if -3 <= k <= 3:
-            terms[(rng.choice(self.TS), k, 0)] = ctx.cyc_e(Fraction(rng.randrange(9), 9))
+            terms[(*rng.choice(self.TS), k, 0)] = ctx.cyc_e(Fraction(rng.randrange(9), 9))
         for _ in range(rng.randrange(1, 4)):
-            key = (rng.choice(self.TS), rng.randrange(-3, 4), 0)
+            key = (*rng.choice(self.TS), rng.randrange(-3, 4), 0)
             terms[key] = ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
         return InducedVector(ctx.q, terms)
 
@@ -391,8 +409,7 @@ class TestTorusClosedForm:
 
     # units with denominators prime to p, and t deeper than the sigma modulus
     DEEP_UNITS = (Fraction(2, 5), Fraction(7, 11), Fraction(-2, 5), Fraction(11, 7))
-    DEEP_TS = (Fraction(1, 27), Fraction(5, 81), Fraction(-13, 81), Fraction(40, 27),
-               Fraction(7, 54), Fraction(26, 27), Fraction(80, 81))
+    DEEP_TS = ((1, 3), (5, 4), (-13, 4), (40, 3), (21, 4), (26, 3), (80, 4))
 
     def test_fractional_units_and_deep_denominators(self, ctx, rep1, rep2, rng):
         nonzero = 0
@@ -403,7 +420,7 @@ class TestTorusClosedForm:
                     x = u * Fraction(3) ** k
                     for e in (1, -1):
                         g = MetaElement(SL2Element.torus(ctx, x), e)
-                        terms = {(t, rng.choice((k, k, k - 1, k + 2)), 0):
+                        terms = {(*t, rng.choice((k, k, k - 1, k + 2)), 0):
                                  ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
                                  for t in rng.sample(self.DEEP_TS, 3)}
                         v = InducedVector(ctx.q, terms)
@@ -439,15 +456,14 @@ class TestTorusClosedForm:
         # 80 cases at p = 5 and 120 at p = 7, on every basis index
         rep = request.getfixturevalue(data)
         ctx, p = rep.ctx, rep.ctx.p
-        ts = (Fraction(0), Fraction(1, p), Fraction(p + 2, p), Fraction(-2, p * p),
-              Fraction(1, 2), Fraction(3, p * p * p))
+        ts = ((0, 0), (1, 1), (p + 2, 1), (-2, 2), (p, 2), (3, 3))
         nonzero = 0
         for k in range(-2, 3):
             for u in units:
                 for e in (1, -1):
                     g = MetaElement(SL2Element.torus(ctx, u * Fraction(p) ** k), e)
                     for _ in range(2):
-                        terms = {(rng.choice(ts), rng.choice((k, k, k - 1, k + 1)),
+                        terms = {(*rng.choice(ts), rng.choice((k, k, k - 1, k + 1)),
                                   rng.randrange(rep.dim)):
                                  ctx.cyc_e(Fraction(rng.randrange(p), p)) * rng.randrange(1, 4)
                                  for _ in range(3)}
@@ -472,7 +488,7 @@ class TestInducedVectorSum:
         # zero on one key; the sum drops that key as + does, and both equal
         # the coefficient-wise fold with CycValue +
         q = ctx.q
-        keys = [(Fraction(t, 9), n, 0) for t in range(3) for n in (-1, 0)]
+        keys = [(r, j, n, 0) for r, j in ((0, 0), (1, 2), (2, 2)) for n in (-1, 0)]
         vectors = []
         for _ in range(6):
             terms = {key: ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(-2, 3)
@@ -490,7 +506,7 @@ class TestInducedVectorSum:
         summed = InducedVector.sum(vectors, q)
         assert summed == total and summed.terms == total.terms
         assert summed.terms == {key: c for key, c in fold.items() if not c.is_zero()}
-        assert not any(key[1] == 1 for key in summed.terms)
+        assert not any(key[2] == 1 for key in summed.terms)
         assert all(not c.is_zero() for c in summed.terms.values())
         assert InducedVector.sum([cancel, -cancel], q).is_zero()
         assert InducedVector.sum([cancel], q) == cancel
@@ -500,6 +516,30 @@ class TestInducedVectorSum:
         c = ctx.cyc_e(Fraction(2, 9))
         assert v * c == v.scaled(c) == 3 * v.scaled(c * Fraction(1, 3))
         assert (v * 0).is_zero()
+
+    def test_product_of_two_vectors_raises(self, ctx, rep1):
+        # v * w once returned a vector whose coefficients were vectors
+        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2)
+        w = rep1.phi(n=1)
+        assert v.scaled(w) is NotImplemented
+        for bad in (w, 1.5):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                v * bad
+            with pytest.raises(TypeError, match="unsupported operand"):
+                bad * v
+
+    def test_difference(self, ctx, rep1):
+        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2, coeff=ctx.cyc_e(Fraction(1, 3)))
+        w = rep1.phi(n=2) + rep1.phi(t=Fraction(2, 3))
+        assert v - w == v + (-w) == v + w * -1
+        assert (v - w) + w == v
+        assert (v - v).is_zero() and (v - v).terms == {}
+
+    def test_adding_a_number_raises_type_error(self, rep1):
+        v = rep1.phi()
+        for bad in (lambda: v + 3, lambda: 3 + v, lambda: v - 3, lambda: 3 - v):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                bad()
 
     def test_cyc_value_on_the_left(self, ctx, rep1):
         # CycValue leaves an InducedVector operand to InducedVector.__rmul__
@@ -565,22 +605,96 @@ class TestWeilData:
         assert builtin_sigma_p3(ctx, which).table == SigmaRep(ctx, 1, 1, generators).table
 
 
+def assert_int_keys_in_lowest_terms(v, p):
+    for key in v.terms:
+        assert len(key) == 4 and all(type(x) is int for x in key), key
+        r, j = key[:2]
+        assert 0 <= r < p**j and (r % p if j else r == 0), key
+
+
+class TestIntKeys:
+    """A term key is the ints (r, j, n, b) with t = r/p^j in lowest terms and
+    0 <= r < p^j, t = 0 being (0, 0): one key per coset and basis index."""
+
+    def test_every_builder_keys_in_lowest_terms(self, request, rng):
+        for name in ("rep1", "weil5", "elliptic9"):
+            rep = request.getfixturevalue(name)
+            ctx, p = rep.ctx, rep.ctx.p
+            vectors = [rep.phi(t=t, n=n, b=b)
+                       for t in (Fraction(0), Fraction(1, p), Fraction(p + 1, p * p),
+                                 Fraction(-2, p**3), Fraction(1, 2), Fraction(5, 6 * p), 7)
+                       for n in (-1, 0, 2) for b in range(0, rep.dim, 2)]
+            for v in vectors:
+                assert_int_keys_in_lowest_terms(v, p)
+            for _ in range(12):
+                v = rng.choice(vectors) + rng.choice(vectors)
+                g = random_sl2_word(ctx, rng, 3)
+                assert_int_keys_in_lowest_terms(rep.act(g, v), p)
+                x = Fraction(rng.choice((1, 2, -1, 4)), rng.choice((1, 7))) * \
+                    Fraction(p) ** rng.randrange(-2, 3)
+                assert_int_keys_in_lowest_terms(rep.act(MetaElement.torus(ctx, x), v), p)
+                k, u = rng.randrange(-2, 3), rng.choice((1, 2, p + 1))
+                assert_int_keys_in_lowest_terms(rep._torus_act(v.terms.items(), k, u, 1), p)
+            for y in (Fraction(0), Fraction(2), ShellPoint(1, -1, p), ShellPoint(2, -2, p),
+                      Fraction(4, 7 * p**3)):
+                for b in range(rep.dim):
+                    assert_int_keys_in_lowest_terms(rep.w_translate(b, y), p)
+
+    def test_equal_rationals_give_equal_vectors(self, rep1, elliptic9):
+        for rep in (rep1, elliptic9):
+            third = rep.phi(t=Fraction(1, 3), n=1)
+            assert rep.phi(t=Fraction(3, 9), n=1) == third
+            assert rep.phi(t=Fraction(3, 9), n=1).terms == third.terms
+            assert {key[:3] for key in third.terms} == {(1, 1, 1)}
+
+    def test_t_with_a_denominator_prime_to_p_lands_on_its_canonical_key(
+            self, ctx, rep1, elliptic9):
+        identity = MetaElement.identity(ctx)
+        # at level 1, 1/2 = 2 mod 3: [1/2] = 0, the same coset data as t = 2
+        v = rep1.phi(t=Fraction(1, 2))
+        assert set(v.terms) == {(0, 0, 0, 0)}
+        assert v == rep1.phi(t=2) == decomposition_terms(
+            rep1, [((Fraction(1, 2), 0, 0), ctx.one())], identity)
+        # at level 2, 1/6 = (1/2)/3 with 1/2 = 5 mod 9: [1/6] = 2/3
+        for b in (0, 3):
+            v = elliptic9.phi(t=Fraction(1, 6), n=-1, b=b)
+            assert {key[:3] for key in v.terms} == {(2, 1, -1)}
+            assert v == elliptic9.phi(t=Fraction(14, 3), n=-1, b=b) == decomposition_terms(
+                elliptic9, [((Fraction(1, 6), -1, b), ctx.one())], identity)
+
+    def test_torus_act_reduces_keys_to_lowest_terms(self, ctx, rep1, elliptic9):
+        # the int form of t = 3/9, 0/9 and 9/27 is not in lowest terms; the
+        # torus action keys its image at 1/3, 0 and 1/3
+        for rep in (rep1, elliptic9):
+            for k, u, e in ((0, 1, 1), (1, 2, -1), (-2, 4, 1)):
+                for n in (-1, 0, 2):
+                    for raw, lowest in (((3, 2), (1, 1)), ((0, 2), (0, 0)), ((9, 3), (1, 1)),
+                                        ((-6, 2), (-2, 1))):
+                        acted = rep._torus_act([((*raw, n, 0), ctx.one())], k, u, e)
+                        want = rep._torus_act([((*lowest, n, 0), ctx.one())], k, u, e)
+                        assert acted.terms == want.terms
+                        assert_int_keys_in_lowest_terms(acted, 3)
+
+
 class TestCanonicalPhi:
     TS = (Fraction(4, 3), Fraction(1, 2), Fraction(-2, 9), Fraction(7, 3))
 
     def test_keys_canonical_and_fixed_by_identity(self, ctx, rep1, rep2):
+        identity = MetaElement.identity(ctx)
         for rep in (rep1, rep2):
             xi = rep.betas[0]
             for t in self.TS:
                 for n in (-1, 0, 1):
                     v = rep.phi(t=t, n=n)
-                    assert rep.act(MetaElement.identity(ctx), v) == v
-                    for (t2, _, _) in v.terms:
-                        assert 0 <= t2 < 1 and t2.denominator in (1, 3, 9)
-                    raw = InducedVector(ctx.q, {(t, n, 0): ctx.one()})
-                    assert v == decomposition_act(rep, MetaElement.identity(ctx), raw)
-                    assert rep.whittaker_functional(xi, v) == \
-                        rep.whittaker_functional(xi, raw)
+                    assert rep.act(identity, v) == v
+                    for (r, j, _, _) in v.terms:
+                        assert 0 <= r < 3**j and j in (0, 1, 2)
+                    assert v == decomposition_terms(rep, [((t, n, 0), ctx.one())], identity)
+                    if t.denominator % 2:
+                        # a key may hold the non-canonical t itself
+                        raw = InducedVector(ctx.q, {(*t_key(t, 3), n, 0): ctx.one()})
+                        assert rep.whittaker_functional(xi, v) == \
+                            rep.whittaker_functional(xi, raw)
 
 
     def test_integer_fields_checked_not_truncated(self, rep1):

@@ -653,11 +653,11 @@ class TestWTranslateGate:
         coset = rep._w_coset
 
         def mutated(y):
-            t, n, key, eps = coset(y)
+            r, j, n, key, eps = coset(y)
             if mutation == "sign_dropped":
-                return t, n, key, 1
+                return r, j, n, key, 1
             a, b, c, d = key
-            return t, n, (d, b, c, a), eps
+            return r, j, n, (d, b, c, a), eps
 
         return mutated
 
