@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import INFINITY, PadicContext, p_fractional_int, p_split
+from .exactnum import INFINITY, PadicContext, p_split
 from .localchar import hilbert_frac
 
 
@@ -305,16 +305,23 @@ def _coset_rep(ctx: PadicContext, tn: int, td: int, n: int) -> SL2Element:
 @dataclass(frozen=True)
 class CosetDecomposition:
     """Data of g = h * n(t) * diag(p^n, p^-n) with h integral and t the
-    canonical fractional representative; eps_track is the cocycle sign
-    relating the lifts: [g, e] = [h, e * eps_track] * [n(t) diag(p^n, p^-n), 1]."""
+    canonical fractional representative, kept as the int pair (r, j) of the
+    induced model's keys: t = r/p^j with 0 <= r < p^j and r prime to p, and
+    t = 0 as (0, 0); eps_track is the cocycle sign relating the lifts:
+    [g, e] = [h, e * eps_track] * [n(t) diag(p^n, p^-n), 1]."""
 
     h: SL2Element
-    t: Fraction
+    r: int
+    j: int
     n: int
     eps_track: int
 
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.r, self.h.ctx.p**self.j)
+
     def rep_meta(self) -> MetaElement:
-        return MetaElement(coset_rep(self.h.ctx, self.t, self.n), 1)
+        return MetaElement(_coset_rep(self.h.ctx, self.r, self.h.ctx.p**self.j, self.n), 1)
 
 
 def coset_decompose(x: MetaElement | SL2Element) -> CosetDecomposition:
@@ -337,14 +344,18 @@ def coset_decompose(x: MetaElement | SL2Element) -> CosetDecomposition:
         div *= p ** (-2 * n)
     if div < 0:
         num, div = -num, -div
-    tc, pm = p_fractional_int(num, div, p)
+    # [num/div] = tc/pm, pm = p^j: 0 when num/div is integral
+    v, un, ud = p_split(num, div, p) if num else (0, 0, 1)
+    j = max(-v, 0)
+    pm = p**j
+    tc = un * pow(ud, -1, pm) % pm
     # h = g * rep^{-1}, rep^{-1} = [[p^-n, -t p^-n], [0, p^n]], over E pm p^|n|
     pn, sx, sy = _scales(p, n)
     h = _lowest(ctx, A * pm * sx, B * pm * sy - A * tc * sx,
                 C * pm * sx, D * pm * sy - C * tc * sx, E * pm * pn)
     if not h.is_integral():
         raise ArithmeticError(f"coset decomposition produced a non-integral part for {g!r}")
-    return CosetDecomposition(h, Fraction(tc, pm), n, cocycle(h, _coset_rep(ctx, tc, pm, n), g))
+    return CosetDecomposition(h, tc, j, n, cocycle(h, _coset_rep(ctx, tc, pm, n), g))
 
 
 def decompose_meta(x: MetaElement):

@@ -495,7 +495,12 @@ class CycValue:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycValue._make(self.q, self._n, self._d, {k: -c for k, c in self._coeffs.items()})
+        """Negating the coefficients keeps the form normalized: the fields
+        are copied, and no gcd is taken again."""
+        out = object.__new__(CycValue)
+        out.q, out._n, out._d, out._hash = self.q, self._n, self._d, None
+        out._coeffs = {k: -c for k, c in self._coeffs.items()}
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)

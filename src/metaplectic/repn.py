@@ -64,24 +64,6 @@ def mat_scale(A: Matrix, c) -> Matrix:
 def mat_is_zero(A: Matrix) -> bool:
     return all(a.is_zero() for row in A for a in row)
 
-def mat_inverse(A: Matrix) -> Matrix:
-    d = len(A)
-    q = A[0][0].q
-    aug = [list(row) + [CycValue.one(q) if i == j else CycValue.zero(q) for j in range(d)]
-           for i, row in enumerate(A)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
-
 
 # -- sigma tables ------------------------------------------------------------
 
@@ -114,7 +96,8 @@ class SigmaRep:
     multiplicity one from the upper-unipotent action.  Valid does not mean
     irreducible: a reducible table with distinct unipotent characters
     passes.  ``eigen_table`` is the table in the basis of the columns of
-    ``change``, where n(a) acts on line b by psi(betas[b] a); it and
+    ``change``, where n(a) acts on line b by psi(betas[b] a), with the
+    inverse of ``change`` read off the rank-one projections; it and
     ``table`` are read-only, so no reader needs to check them again."""
 
     def __init__(self, ctx: PadicContext, level: int, dim: int, table: dict):
@@ -170,10 +153,16 @@ class SigmaRep:
         psi(beta p^(l-1)), so the sum over c of sigma(n(c p^(l-1))) is zero,
         which is strong cuspidality, exactly when every beta has the
         denominator p^l.  Then n(p^(l-1)), which is 1 mod p^(l-1), acts
-        nontrivially, so the conductor is exactly l."""
+        nontrivially, so the conductor is exactly l.
+
+        A rank-one P_beta is v_beta w_beta^T, and P_beta P_gamma =
+        [beta = gamma] P_beta gives w_beta^T v_gamma = [beta = gamma]: the
+        rows w_beta are the inverse of ``change``, whose columns are the
+        v_beta = P_beta[:, col].  Row r0 of P_beta is v_beta[r0] w_beta^T, so
+        w_beta = P_beta[r0, :] / v_beta[r0] wherever v_beta[r0] != 0."""
         q, d, pl = self.ctx.q, self.dim, self.modulus
         psi = AdditiveCharacter(self.ctx)
-        betas, vectors = [], []
+        betas, vectors, duals = [], [], []
         for j in range(pl):
             beta = Fraction(j, pl)
             proj = mat_sum([mat_scale(self.table[self.n_key(x)], psi.value(-beta * x))
@@ -185,17 +174,19 @@ class SigmaRep:
                     f"strong cuspidality fails: the unipotent character {beta} has "
                     f"denominator {beta.denominator}, not p^{self.level}, so n(p^(l-1)) "
                     f"fixes a line: sigma is not strongly cuspidal of conductor {self.level}")
-            col = next(c for c in range(d) if any(not proj[r][c].is_zero() for r in range(d)))
+            col, r0 = next((c, r) for c in range(d) for r in range(d) if not proj[r][c].is_zero())
             betas.append(beta)
             vectors.append(tuple(proj[r][col] * Fraction(1, pl) for r in range(d)))
+            # proj is p^l P_beta, and the p^l cancels in the dual row
+            pivot = proj[r0][col].inverse()
+            duals.append(tuple(x * pivot for x in proj[r0]))
         if len(betas) != d:
             raise SigmaValidationError(
                 f"{len(betas)} unipotent characters for dimension {d}: one repeats")
         self.betas = tuple(betas)
         self.change = tuple(tuple(vectors[j][i] for j in range(d)) for i in range(d))
-        change_inv = mat_inverse(self.change)
         self.eigen_table = types.MappingProxyType(
-            {key: mat_mul(change_inv, mat_mul(mat, self.change)) for key, mat in self.table.items()})
+            {key: mat_mul(duals, mat_mul(mat, self.change)) for key, mat in self.table.items()})
 
 
 def weil_sigma(ctx: PadicContext, a: int) -> SigmaRep:
@@ -693,9 +684,7 @@ class Representation:
         out: dict = {}
         for (r, j, n, b), coeff in v.terms.items():
             h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
-            t = dec.t  # canonical, with a p-power denominator
-            _accumulate(out, t.numerator, -p_split(1, t.denominator, p)[0], dec.n, b, coeff,
-                        self.genuine_eval(h_meta.inverse()))
+            _accumulate(out, dec.r, dec.j, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
         return InducedVector(ctx.q, out)
 
     def w_translate(self, b: int, y) -> InducedVector:

@@ -407,9 +407,8 @@ def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
                                       ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
             else:
                 alpha, u = key
-                a = Fraction(num, den)
-                hit = (t_integral(alpha, u % p) * chi_psi(ctx.elem(a)) * mu_inv.value(a)
-                       * Fraction(q) ** alpha)
+                hit = (t_integral(alpha, u % p) * chi_psi_int(ctx, alpha, u)
+                       * mu_inv.value_int(alpha, u) * Fraction(q) ** alpha)
             values[key] = hit
         return hit
 

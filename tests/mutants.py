@@ -163,6 +163,10 @@ MUTANTS = (
            "D * pm * sy - C * tc * sx, E * pm * pn)",
            "D * pm * sx - C * tc * sy, E * pm * pn)",
            ("tests/test_cover.py::TestFractionFreeAgainstReference::test_coset_decompose[5]",)),
+    Mutant("sigma-dual-rows-skip-normalization", "metaplectic/repn.py",
+           "pivot = proj[r0][col].inverse()",
+           "pivot = Fraction(1, pl)",
+           ("tests/test_repn.py::TestEigenBasis::test_unipotent_acts_diagonally[elliptic9]",)),
 )
 
 

@@ -504,7 +504,8 @@ def _coordinates(v: CycValue):
 
 class TestMultiplicationFastPaths:
     """The products that skip the convolution, a rational +-1 factor and two
-    single roots, against ``CycValue._convolved``, the general route."""
+    single roots, and the negation that skips normalization, against
+    ``CycValue._convolved``, the general route."""
 
     LEVELS = (1, 2, 3, 4, 9, 12, 27, 36)
 
@@ -536,6 +537,21 @@ class TestMultiplicationFastPaths:
             assert v * 1 is v and v * ctx.one() is v
             assert v.is_rational() or ctx.one() * v is v
             assert v * -1 == -v == v * CycValue.rational(q, -1)
+
+    def test_negation_is_the_normalized_form(self, ctx):
+        # -v copies the normalized fields of v instead of normalizing again
+        q = ctx.q
+        roots = [CycValue.root_of_unity_int(q, k, n) for n in self.LEVELS for k in range(n)]
+        values = roots + [r * Fraction(-2, 5) for r in roots] + [
+            ctx.zero(), ctx.cyc(Fraction(-5, 4)), ctx.sqrtq(), ctx.sqrtq().inverse(),
+            ctx.cyc_e(Fraction(1, 9)) + 2 * ctx.cyc_e(Fraction(2, 9)),
+            ctx.cyc_e(Fraction(5, 36)) * Fraction(3, 2) - ctx.cyc_e(Fraction(1, 27))]
+        for v in values:
+            want = CycValue._make(q, v._n, v._d, {k: -c for k, c in v._coeffs.items()})
+            assert _coordinates(-v) == _coordinates(want)
+            assert _coordinates(-v) == _coordinates(v._convolved(CycValue.rational(q, -1)))
+            assert hash(-v) == hash(want)
+            assert -(-v) == v and hash(-(-v)) == hash(v)
 
 
 class TestLaurentPoly:

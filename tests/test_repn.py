@@ -25,7 +25,7 @@ from metaplectic.cover import (
     random_sl2_word,
 )
 from metaplectic.exactnum import ShellPoint, _unit_residues_mod
-from metaplectic.localchar import legendre_int
+from metaplectic.localchar import AdditiveCharacter, legendre_int
 from metaplectic.repn import (
     InducedVector,
     SigmaValidationError,
@@ -172,6 +172,31 @@ class TestEigenBasis:
         table = {k: ((m[0][0], zero), (zero, m[0][0])) for k, m in s1.table.items()}
         with pytest.raises(SigmaValidationError, match="one repeats"):
             SigmaRep(ctx, 1, 2, table)
+
+    # on every named datum, not only the one-dimensional builtins: the
+    # dual rows of ``change`` are read off the projections, and a wrong
+    # scale there shows only where the first nonzero entry of an
+    # eigenvector is not 1 (elliptic9, where it is 1/3)
+    @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
+    def test_unipotent_acts_diagonally(self, name):
+        sigma = named_sigma_once(name)
+        psi = AdditiveCharacter(sigma.ctx)
+        zero = sigma.ctx.zero()
+        for a in range(sigma.modulus):
+            diag = [psi.value(beta * a) for beta in sigma.betas]
+            assert sigma.eigen_table[sigma.n_key(a)] == tuple(
+                tuple(diag[i] if i == j else zero for j in range(sigma.dim))
+                for i in range(sigma.dim))
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_NAMES))
+    def test_change_intertwines_table_and_eigen_table(self, name):
+        sigma = named_sigma_once(name)
+        # the generators n(1) and w determine both homomorphisms
+        keys = ((sigma.n_key(1), (0, sigma.modulus - 1, 1, 0)) if name == "elliptic9"
+                else sigma.table)
+        for key in keys:
+            assert (mat_mul(sigma.change, sigma.eigen_table[key])
+                    == mat_mul(sigma.table[key], sigma.change)), key
 
 
 class TestSigmaFileFormat:

@@ -1251,7 +1251,7 @@ def _conjugated_by_ones(rep):
     """The representation of U sigma U^-1, with U the upper unitriangular
     matrix of ones: the same representation in a basis where the unipotent
     eigenvectors are the columns of U, so the eigenbasis change is not
-    diagonal and its inverse needs elimination."""
+    diagonal, and neither are the dual rows read off the projections."""
     ctx, d = rep.ctx, rep.dim
     one, zero = ctx.one(), ctx.zero()
     u = tuple(tuple(one if j >= i else zero for j in range(d)) for i in range(d))
