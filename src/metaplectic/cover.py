@@ -282,12 +282,6 @@ def validate_kubota_splitting(ctx: PadicContext, rng, trials: int) -> None:
                 f"Kubota splitting candidate failed on g={g!r}, h={h!r}")
 
 
-def coset_rep(ctx: PadicContext, t: Fraction, n: int) -> SL2Element:
-    """The representative n(t) diag(p^n, p^-n) = [[p^n, t p^-n], [0, p^-n]]."""
-    tn, td = _ratio(t)
-    return _coset_rep(ctx, tn, td, n)
-
-
 def _scales(p: int, n: int):
     """(p^|n|, x, y) with (x, y) = (1, p^2n) for n >= 0 and (p^-2n, 1) for
     n < 0: over the denominator p^|n|, p^-n is x / p^|n| and p^n is
@@ -297,7 +291,8 @@ def _scales(p: int, n: int):
 
 
 def _coset_rep(ctx: PadicContext, tn: int, td: int, n: int) -> SL2Element:
-    """``coset_rep`` at t = tn/td, td > 0: (td y, tn x; 0, td x) / (td p^|n|)."""
+    """The representative n(t) diag(p^n, p^-n) = [[p^n, t p^-n], [0, p^-n]]
+    at t = tn/td, td > 0: (td y, tn x; 0, td x) / (td p^|n|)."""
     pn, x, y = _scales(ctx.p, n)
     return _lowest(ctx, td * y, tn * x, 0, td * x, td * pn)
 

@@ -519,14 +519,10 @@ class InducedVector:
         W^xi_v(<x>) can be nonzero.
 
         <x> moves a term at n to n - v(x) and l^xi reads only n = 0, so
-        W^xi_v(<x>) = W^xi_{v_k}(<x>) with v_k = shell(k) for k = v(x), and
-        W^xi_v(<x>) = 0 when k is not in shells()."""
+        W^xi_v(<x>) = W^xi_{v_k}(<x>) with v_k the part of v on the terms
+        at n = k, for k = v(x), and W^xi_v(<x>) = 0 when k is not in
+        shells()."""
         return sorted({key[2] for key in self.terms})
-
-    def shell(self, n: int) -> "InducedVector":
-        """The part of v on the cosets n(t)<p^n> (see ``shells``)."""
-        return InducedVector._nonzero(
-            self.q, {key: c for key, c in self.terms.items() if key[2] == n})
 
     def __add__(self, other):
         if not isinstance(other, InducedVector):
@@ -616,6 +612,7 @@ class Representation:
             dedup.setdefault(r.square_class, r)
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
+        self._zeta_terms: dict = {}  # (xi, mu key, term) -> accepted shell integral
         self._bessel_tables: dict = {}
         self._bessel_kernels: dict = {}
         self._w_checked: set = set()

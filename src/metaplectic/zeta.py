@@ -735,16 +735,16 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     |x|^{s-1/2} d*x, emitted shell by shell as 2 q^{n/2} (shell integral) at
     exponent n of q^{-s}.
 
-    Only the shells of v (``InducedVector.shells``) are integrated;
-    W^xi_v(<x>) vanishes on every other shell.  The shell n, on which only
-    v_n = v.shell(n) contributes, goes through the refinement gate at its
-    own level
+    Z is linear in v: it is the sum of a Z(s, mu, l^xi, phi_k) over the
+    terms a phi_k of v, k = (r, j, n, b) the key of phi^{n(r/p^j)<p^n>}_b.
+    The integral of phi_k lies on its one shell n (``InducedVector.shells``):
+    W^xi_{phi_k}(<x>) vanishes wherever v(x) != n.  Each term goes through
+    the refinement gate on that shell at its own level
 
-        L_n = max(l + j_n, m, 1),
+        L_k = max(l + j, m, 1).
 
-    with p^(j_n) the largest p-power dividing the denominator of a t among
-    the terms of v_n (``Representation.torus_depth``).  At x = p^n u the
-    integrand W^xi_{v_n}(<x>) chi_psi(x) mu(x) reads u only modulo p^(L_n):
+    At x = p^n u the integrand W^xi_{phi_k}(<x>) chi_psi(x) mu(x) reads u
+    only modulo p^(L_k):
 
     - the torus form (``Representation._torus_terms``) reads u modulo
       p^(j + l) on a term at t = c/p^j: r = c u^2 mod p^j, then the carry
@@ -752,10 +752,16 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     - its Hilbert signs read u only through its square class, modulo p;
     - chi_psi mu reads u modulo p^max(1, m) (``_char_factor``).
 
-    So the integrand is constant on each u + p^(L_n) Z_p, the sums at
-    levels L_n and L_n + 1 agree, and the gate accepts after one pass of
-    p^(L_n + 1) - p^(L_n) samples.  The gate still compares the two sums,
+    So the integrand is constant on each u + p^(L_k) Z_p, the sums at
+    levels L_k and L_k + 1 agree, and the gate accepts after one pass of
+    p^(L_k + 1) - p^(L_k) samples.  The gate still compares the two sums,
     so a level that were too low would refine or raise, never pass.
+
+    The integral of phi_k depends only on (xi, mu, k), so the
+    representation remembers it per (xi, ``mu.cache_key()``, k) once the
+    gate has accepted it (``Representation._zeta_terms``): a term met
+    again with the same xi and character integrates nothing, and a gate
+    that raises stores nothing.
 
     The window (``ZetaFunction``) is then known exactly: hi is the smallest
     integer >= h = l + 6 with no nonzero shell above it and shells hi-4..hi
@@ -764,19 +770,34 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     ctx = rep.ctx
     q = ctx.q
     rep.basis_index_for(xi)  # outside X(pi) raises, even for v = 0
-    parts = {n: v.shell(n) for n in v.shells()}
     char = _char_factor(ctx, mu)
+    memo, mu_key, one = rep._zeta_terms, mu.cache_key(), CycValue.one(q)
 
-    def f(x: ShellPoint) -> CycValue:
-        wv = rep.whittaker_functional(xi, parts[x.k], (x.k, x.u, 1))
-        if wv.is_zero():
-            return wv
-        return wv * char(x.k, x.u)
+    def term_integral(term) -> CycValue:
+        """The shell integral of phi_term alone, at its level L_term."""
+        _, j, n, _ = term
+        phi = InducedVector._nonzero(q, {term: one})
 
+        def f(x: ShellPoint) -> CycValue:
+            wv = rep.whittaker_functional(xi, phi, (x.k, x.u, 1))
+            if wv.is_zero():
+                return wv
+            return wv * char(x.k, x.u)
+
+        level = max(rep.level + j, mu.m, 1)
+        return integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
+
+    shells: dict = {}
+    for term, c in v.terms.items():
+        key = (xi, mu_key, term)
+        shell = memo.get(key)
+        if shell is None:
+            shell = memo[key] = term_integral(term)
+        if not shell.is_zero():
+            shells.setdefault(term[2], []).append(c * shell)
     coeffs: dict = {}
-    for n, part in parts.items():
-        level = max(rep.torus_depth(part.terms.items()), mu.m, 1)
-        shell = integrate_shell(ctx, f, ShellIntegralPlan(n, level, MULTIPLICATIVE_DX))
+    for n in sorted(shells):
+        shell = CycValue.sum(shells[n], q)
         if not shell.is_zero():
             coeffs[n] = shell * q_half_power(q, n) * 2
     half = rep.level + 6

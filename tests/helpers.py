@@ -1,11 +1,11 @@
 """Test-side helpers built on the public model: the value of a model vector
 at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
 the Fourier inversion identity of the Bessel function, a float growth
-report, the characters of one conductor and a ``Fraction``-entry
-reference of the cover arithmetic.  Nothing in the library calls them; the
-tests use them as oracles.  The data the tests run on are the
-named data of ``metaplectic.repn.SIGMA_NAMES``, each built once
-(``named_sigma_once``)."""
+report, the characters of one conductor, the coset representative at a
+rational t and a ``Fraction``-entry reference of the cover arithmetic.
+Nothing in the library calls them; the tests use them as oracles.  The
+data the tests run on are the named data of ``metaplectic.repn.SIGMA_NAMES``,
+each built once (``named_sigma_once``)."""
 
 import functools
 from fractions import Fraction
@@ -21,7 +21,7 @@ from metaplectic import (
     integrate_shell,
     named_sigma,
 )
-from metaplectic.cover import decompose_meta
+from metaplectic.cover import SL2Element, _coset_rep, decompose_meta
 from metaplectic.exactnum import (
     ShellPoint,
     _unit_residues_mod,
@@ -206,6 +206,12 @@ def ref_kubota_split(p: int, h) -> int:
         raise ValueError("Kubota splitting is only defined on integral matrices")
     c, d = h[2], h[3]
     return hilbert_frac(p, c, d) if c != 0 and frac_valuation(c, p) > 0 else 1
+
+
+def coset_rep(ctx: PadicContext, t, n: int) -> SL2Element:
+    """The library's representative n(t) diag(p^n, p^-n) at a rational t."""
+    t = Fraction(t)
+    return _coset_rep(ctx, t.numerator, t.denominator, n)
 
 
 def ref_coset_rep(p: int, t: Fraction, n: int):

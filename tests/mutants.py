@@ -120,9 +120,17 @@ MUTANTS = (
            ("tests/test_zeta.py::TestEllipticData::"
             "test_closed_bessel_needs_shells_at_or_below_minus_level",)),
     Mutant("zeta-one-level-for-every-shell", "metaplectic/zeta.py",
-           "level = max(rep.torus_depth(part.terms.items()), mu.m, 1)",
+           "level = max(rep.level + j, mu.m, 1)",
            "level = max(rep.level, mu.m) + 1",
            ("tests/test_zeta.py::TestZetaShellLevels::test_one_gate_pass_per_shell",)),
+    Mutant("zeta-term-memo-ignores-character", "metaplectic/zeta.py",
+           "key = (xi, mu_key, term)",
+           "key = (xi, term)",
+           ("tests/test_zeta.py::TestZetaTermMemo::test_shared_representation_matches_fresh",)),
+    Mutant("zeta-term-memo-ignores-xi", "metaplectic/zeta.py",
+           "key = (xi, mu_key, term)",
+           "key = (mu_key, term)",
+           ("tests/test_zeta.py::TestZetaTermMemo::test_shared_representation_matches_fresh",)),
     Mutant("refinement-gate-accepts-anything", "metaplectic/zeta.py",
            "        if v1 == v2:\n",
            "        if True:\n",

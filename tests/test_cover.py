@@ -15,10 +15,11 @@ from metaplectic import (
     kubota_split,
     validate_kubota_splitting,
 )
-from metaplectic.cover import coset_rep, random_integral_sl2, random_sl2_word, random_unit
+from metaplectic.cover import random_integral_sl2, random_sl2_word, random_unit
 from metaplectic.invariants import check_cocycle, check_coset_roundtrip
 
 from helpers import (
+    coset_rep,
     random_cover_word,
     ref_cocycle,
     ref_coset_decompose,

@@ -19,7 +19,6 @@ from metaplectic import (
 )
 from metaplectic.cover import (
     SL2Element,
-    coset_rep,
     decompose_meta,
     random_integral_sl2,
     random_sl2_word,
@@ -39,7 +38,7 @@ from metaplectic.repn import (
     _key_mul,
 )
 
-from helpers import c_factor, evaluate_vector, named_sigma_once
+from helpers import c_factor, coset_rep, evaluate_vector, named_sigma_once
 
 
 class TestBuiltinSigma:

@@ -8,6 +8,7 @@ from metaplectic import (
     MULTIPLICATIVE_DX,
     AdditiveCharacter,
     CycValue,
+    InducedVector,
     LaurentPoly,
     MetaElement,
     MultChar,
@@ -948,18 +949,22 @@ class TestFarShells:
 
 
 class TestZetaShellLevels:
-    """Each shell n of v takes one gate pass, at max(l + j, m, 1) with p^j
-    the deepest p-power in a denominator of a t among the terms of
-    v.shell(n): the torus action reads the unit only mod p^(l + j), its
-    Hilbert signs mod p, and chi_psi mu mod p^max(1, m)."""
+    """Z is linear in v, and each distinct term key k = (r, j, n, b) of v
+    takes one gate pass on its shell n, at max(l + j, m, 1), the first time
+    the representation meets (xi, mu, k): the torus action reads the unit
+    only mod p^(l + j), its Hilbert signs mod p, and chi_psi mu mod
+    p^max(1, m).  The accepted integral is remembered, so the same
+    (xi, mu, k) again makes no pass, and a new xi or a new character
+    integrates again."""
 
     @pytest.mark.parametrize("conductor", [0, 1, 2])
     @pytest.mark.parametrize("data", ["rep1", "weil5"])
     def test_one_gate_pass_per_shell(self, request, monkeypatch, data, conductor):
-        rep = request.getfixturevalue(data)
+        rep = Representation(request.getfixturevalue(data).sigma)  # nothing remembered yet
         ctx = rep.ctx
         p, b = ctx.p, rep.dim - 1
-        mu = MultChar(ctx, conductor, Fraction(0), 1 if conductor else 0)
+        gen = 1 if conductor else 0
+        mu, other = (MultChar(ctx, conductor, Fraction(a, 4), gen) for a in (0, 1))
         passes = []
         shell_sum = zeta._shell_sum
 
@@ -968,20 +973,85 @@ class TestZetaShellLevels:
             return shell_sum(c, f, n, level, measure)
 
         monkeypatch.setattr(zeta, "_shell_sum", spy)
-        # each vector with its shells and their j; t of denominator 1, p, p^2, p^3
+        # t of denominator 1, p, p^2, p^3; the last vector repeats the term
+        # phi(n=0) of the first with another coefficient
         vectors = [
-            (rep.phi(n=0), {0: 0}),
-            (rep.phi(t=Fraction(1, p), n=-1)
-             + rep.phi(t=Fraction(2, p**2), n=1, b=b) + rep.phi(n=1), {-1: 1, 1: 2}),
-            (rep.phi(t=Fraction(1, p**3), n=0) + rep.phi(t=Fraction(1, p), n=0, b=b)
-             + rep.phi(n=2, coeff=Fraction(-1, 2)), {0: 3, 2: 0}),
+            rep.phi(n=0),
+            rep.phi(t=Fraction(1, p), n=-1)
+            + rep.phi(t=Fraction(2, p**2), n=1, b=b) + rep.phi(n=1),
+            rep.phi(t=Fraction(1, p**3), n=0) + rep.phi(t=Fraction(1, p), n=0, b=b)
+            + rep.phi(n=2, coeff=Fraction(-1, 2)) + rep.phi(coeff=2),
         ]
-        for xi in rep.betas:
-            for v, shells in vectors:
+
+        def check_cold(xi, chi):
+            seen = set()
+            for v in vectors:
                 passes.clear()
-                zeta_function(rep, xi, mu, v)
+                zeta_function(rep, xi, chi, v)
+                new = [key for key in v.terms if key not in seen]
+                seen.update(new)
                 assert passes == [(n, max(rep.level + j, conductor, 1))
-                                  for n, j in sorted(shells.items())], (xi, v)
+                                  for _, j, n, _ in new], (xi, v)
+            assert len(seen) == 7
+
+        for xi in rep.betas:
+            check_cold(xi, mu)
+            passes.clear()
+            for v in vectors:
+                zeta_function(rep, xi, mu, v)
+            assert passes == [], xi
+        check_cold(rep.betas[0] + 1, mu)  # same beta, another xi
+        check_cold(rep.betas[0], other)
+
+
+class TestZetaTermMemo:
+    """The term integrals a representation remembers are keyed by xi, the
+    character and the term: on one shared representation every zeta
+    function equals the one a fresh representation computes."""
+
+    def test_shared_representation_matches_fresh(self, weil5):
+        ctx = weil5.ctx
+        xis = weil5.betas  # 1/5 and 4/5: one square class
+        # two odd characters of conductor 1: the parity holds for both
+        mus = (MultChar(ctx, 1, Fraction(0), 1), MultChar(ctx, 1, Fraction(0), 3))
+        vectors = [weil5.phi(n=1) + weil5.phi(t=Fraction(1, 5), n=0, b=1),
+                   weil5.phi(n=-1, b=1, coeff=3) + weil5.phi(t=Fraction(2, 25), n=1)
+                   + weil5.phi(n=0)]
+        shared = Representation(weil5.sigma)
+        seen = []
+        for mu in mus:
+            for xi in xis:
+                polys = []
+                for v in vectors:
+                    z = zeta_function(Representation(weil5.sigma), xi, mu, v)
+                    assert zeta_function(shared, xi, mu, v) == z, (mu.spec_record(), xi, v)
+                    polys.append(z.poly)
+                seen.append(polys)
+        # so the comparison sees a memo that drops xi or the character
+        assert all(a != b for a, b in itertools.combinations(seen, 2))
+
+    def test_failed_gate_is_not_remembered(self, monkeypatch, rep1):
+        rep = Representation(rep1.sigma)
+        mu = MultChar.trivial(rep.ctx)
+        v = rep.phi(n=0) + rep.phi(n=1)
+        shell_sum = zeta._shell_sum
+        passes = []
+
+        def disagree_on_shell_one(c, f, n, level, measure):
+            passes.append(n)
+            v1, v2 = shell_sum(c, f, n, level, measure)
+            return v1, (v2 + 1 if n == 1 else v2)
+
+        monkeypatch.setattr(zeta, "_shell_sum", disagree_on_shell_one)
+        with pytest.raises(NotLocallyConstantError):
+            zeta_function(rep, XI, mu, v)
+        assert [term for _, _, term in rep._zeta_terms] == [(0, 0, 0, 0)]
+        passes.clear()
+        with pytest.raises(NotLocallyConstantError):
+            zeta_function(rep, XI, mu, v)
+        assert passes == [1, 1, 1]  # the first term is remembered, the second gated again
+        monkeypatch.setattr(zeta, "_shell_sum", shell_sum)
+        assert zeta_function(rep, XI, mu, v) == zeta_function(rep1, XI, mu, v)
 
 
 class TestDeepDenominator:
@@ -995,7 +1065,7 @@ class TestDeepDenominator:
         fe = check_fe(rep1, mu, v, XI)
         assert fe.passed and not fe.lhs.is_zero()
         # the shell n = 0 against the test's own integral one level deeper
-        part = v.shell(0)
+        part = InducedVector(ctx.q, {key: c for key, c in v.terms.items() if key[2] == 0})
 
         def f(x):
             return rep1.whittaker_functional(XI, part, (x.k, x.u, 1)) * chi_psi(ctx.elem(x))
@@ -1184,7 +1254,6 @@ class TestFunctionalEquation:
         assert fe.residual.is_zero()
 
     def test_zero_vector(self, rep1):
-        from metaplectic import InducedVector
         mu = MultChar.trivial(rep1.ctx)
         fe = check_fe(rep1, mu, InducedVector.zero(3), XI)
         assert fe.passed and fe.lhs.is_zero() and fe.rhs.is_zero()
