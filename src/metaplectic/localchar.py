@@ -328,6 +328,7 @@ class MultChar:
         self.m = m
         self.p_exponent = Fraction(p_exponent) % 1
         self._modulus = ctx.p**self.m
+        self._inverse = None
         if self.m == 0:
             self.generator_exponent = 0
             self._order = 1
@@ -372,7 +373,10 @@ class MultChar:
         return CycValue.root_of_unity(self.ctx.q, self.value_exponent(x))
 
     def inverse(self) -> "MultChar":
-        return MultChar(self.ctx, self.m, -self.p_exponent, -self.generator_exponent)
+        """mu^-1, built on first use and then remembered on the instance."""
+        if self._inverse is None:
+            self._inverse = MultChar(self.ctx, self.m, -self.p_exponent, -self.generator_exponent)
+        return self._inverse
 
     def cache_key(self):
         return (self.m, self.p_exponent, self.generator_exponent)

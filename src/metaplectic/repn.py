@@ -612,6 +612,8 @@ class Representation:
             dedup.setdefault(r.square_class, r)
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
+        self._act_images: dict = {}  # (g key, eps, term) -> (r, j, n, matrix)
+        self._parities: dict = {}  # mu key -> zeta_parity_holds
         self._zeta_terms: dict = {}  # (xi, mu key, term) -> accepted shell integral
         self._bessel_tables: dict = {}
         self._bessel_kernels: dict = {}
@@ -672,16 +674,30 @@ class Representation:
         of [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1], with coefficient matrix
         the genuine value at [h, eps]^-1.  A diagonal g = [diag(x, 1/x), e]
         normalizes the representative system, which gives that data in closed
-        form (``_torus_terms``); any other g goes through ``decompose_meta``."""
+        form (``_torus_terms``); any other g goes through ``decompose_meta``.
+
+        The image of a term under a non-diagonal g, its new key (r, j, n) and
+        matrix, depends on g and the term alone, not on the coefficient, so
+        the representation remembers it per (g, eps, term) on first use
+        (``_act_images``): a term met again under the same g is not
+        decomposed again."""
         if g.g.is_diagonal():
             return self._torus_act(v.terms.items(),
                                    *ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps)
         ctx, p = self.ctx, self.ctx.p
-        ginv = g.inverse()
+        memo, g_key, ginv = self._act_images, g.g._key(), None
         out: dict = {}
-        for (r, j, n, b), coeff in v.terms.items():
-            h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
-            _accumulate(out, dec.r, dec.j, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
+        for term, coeff in v.terms.items():
+            key = (g_key, g.eps, term)
+            image = memo.get(key)
+            if image is None:
+                if ginv is None:
+                    ginv = g.inverse()
+                r, j, n, _ = term
+                h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
+                image = memo[key] = (dec.r, dec.j, dec.n, self.genuine_eval(h_meta.inverse()))
+            r, j, n, mat = image
+            _accumulate(out, r, j, n, term[3], coeff, mat)
         return InducedVector(ctx.q, out)
 
     def w_translate(self, b: int, y) -> InducedVector:

@@ -723,11 +723,15 @@ class ZetaFunction:
 
 
 def zeta_parity_holds(rep: Representation, mu: MultChar) -> bool:
-    """omega_pi(-1) = (chi_psi mu)(-1); all zeta functions vanish otherwise."""
-    ctx = rep.ctx
-    lhs = rep.central_sign_minus_one()
-    rhs = chi_psi(ctx.elem(-1)) * mu.value(-1)
-    return lhs == rhs
+    """omega_pi(-1) = (chi_psi mu)(-1); all zeta functions vanish otherwise.
+    The representation remembers the answer per ``mu.cache_key()``
+    (``Representation._parities``); a raise stores nothing."""
+    key = mu.cache_key()
+    holds = rep._parities.get(key)
+    if holds is None:
+        lhs = rep.central_sign_minus_one()
+        holds = rep._parities[key] = lhs == chi_psi(rep.ctx.elem(-1)) * mu.value(-1)
+    return holds
 
 
 def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> ZetaFunction:

@@ -175,6 +175,14 @@ MUTANTS = (
            "pivot = proj[r0][col].inverse()",
            "pivot = Fraction(1, pl)",
            ("tests/test_repn.py::TestEigenBasis::test_unipotent_acts_diagonally[elliptic9]",)),
+    Mutant("act-memo-ignores-cover-sign", "metaplectic/repn.py",
+           "key = (g_key, g.eps, term)",
+           "key = (g_key, term)",
+           ("tests/test_repn.py::TestActImageMemo::test_shared_representation_matches_fresh",)),
+    Mutant("act-memo-keyed-by-term-alone", "metaplectic/repn.py",
+           "key = (g_key, g.eps, term)",
+           "key = term",
+           ("tests/test_repn.py::TestActImageMemo::test_shared_representation_matches_fresh",)),
 )
 
 

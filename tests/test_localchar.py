@@ -362,6 +362,9 @@ class TestMultChar:
         for _ in range(30):
             x = random_nonzero(3, rng)
             assert mu.value(x) * inv.value(x) == 1
+        # built once per character, and mu^-1^-1 has mu's fields
+        assert mu.inverse() is inv
+        assert inv.inverse().cache_key() == mu.cache_key()
 
     def test_integer_fields_checked_not_truncated(self, ctx):
         for args in ((1.9, 0, 1), (2, 0, 1.5), ("2", 0, 1), (1, 0, "1")):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -359,6 +360,38 @@ class TestAction:
             acted = rep1.act(g, v)
             at_e = acted.terms.get((0, 0, 0, 0), CycValue.zero(3))
             assert coords[0] == at_e
+
+
+class TestActImageMemo:
+    """The term images a representation remembers are keyed by g, its cover
+    sign and the term: on one shared representation every action equals
+    the one a fresh representation computes."""
+
+    @pytest.mark.parametrize("data", ["weil5", "norm5", "elliptic9"])
+    def test_shared_representation_matches_fresh(self, request, rng, data):
+        rep = request.getfixturevalue(data)
+        ctx, p, last = rep.ctx, rep.ctx.p, rep.dim - 1
+        w = MetaElement.w(ctx)
+        word = random_sl2_word(ctx, rng)
+        while word.g.is_diagonal():
+            word = random_sl2_word(ctx, rng)
+        elements = [w, MetaElement(w.g, -1), w * MetaElement.n(ctx, Fraction(1, p)),
+                    w * MetaElement.n(ctx, Fraction(2, p**2)), word]
+        # the vectors share terms, so a term met again comes after another g
+        vectors = [rep.phi(), rep.phi(t=Fraction(1, p), n=1, b=last, coeff=2) + rep.phi(),
+                   rep.phi(n=-1, coeff=3) - rep.phi(t=Fraction(1, p), n=1, b=last)
+                   + rep.phi(t=Fraction(2, p**2), b=last)]
+        shared = Representation(rep.sigma)
+        for v in vectors:
+            images = []
+            for g in elements:
+                fresh = Representation(rep.sigma).act(g, v)
+                assert shared.act(g, v) == fresh, (g, v)
+                images.append(fresh)
+            # so the comparison sees a memo that drops g or its sign
+            assert all(a != b for a, b in itertools.combinations(images, 2)), v
+        assert {g_key for g_key, _, _ in shared._act_images} == {
+            g.g._key() for g in elements}
 
 
 def t_key(t: Fraction, p: int):

@@ -1054,6 +1054,36 @@ class TestZetaTermMemo:
         assert zeta_function(rep, XI, mu, v) == zeta_function(rep1, XI, mu, v)
 
 
+class TestParityMemo:
+    """A representation remembers zeta_parity_holds per character."""
+
+    def test_shared_representation_matches_fresh(self, ctx, norm3):
+        # failing and holding in turn: trivial, conductor 1, unramified
+        # mu(3) = -1, conductor 2
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1),
+               MultChar(ctx, 0, Fraction(1, 2)), MultChar(ctx, 2, Fraction(0), 1))
+        shared = Representation(norm3.sigma)
+        for _ in range(2):
+            for mu, holds in zip(mus, (False, True, False, True)):
+                fresh = zeta_parity_holds(Representation(norm3.sigma), mu)
+                assert zeta_parity_holds(shared, mu) is fresh is holds, mu.spec_record()
+        assert len(shared._parities) == len(mus)
+
+    def test_raise_is_not_remembered(self, monkeypatch, ctx, norm3):
+        rep = Representation(norm3.sigma)
+        mu = MultChar(ctx, 1, Fraction(0), 1)
+
+        def not_scalar():
+            raise ArithmeticError("pi(-1) is not scalar")
+
+        monkeypatch.setattr(rep, "central_sign_minus_one", not_scalar)
+        with pytest.raises(ArithmeticError, match="scalar"):
+            zeta_parity_holds(rep, mu)
+        assert rep._parities == {}
+        monkeypatch.undo()
+        assert zeta_parity_holds(rep, mu)
+
+
 class TestDeepDenominator:
     """A term at t = 1/3^8 on builtin 1 (l = 1): its shell is sampled at
     level l + 8.  The rule max(l, m) + 1 sampled it at 2 and raised
