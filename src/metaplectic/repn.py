@@ -612,7 +612,6 @@ class Representation:
             dedup.setdefault(r.square_class, r)
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
-        self._act_images: dict = {}  # (g key, eps, term) -> (r, j, n, matrix)
         self._parities: dict = {}  # mu key -> zeta_parity_holds
         self._zeta_terms: dict = {}  # (xi, mu key, term) -> accepted shell integral
         self._bessel_tables: dict = {}
@@ -643,7 +642,7 @@ class Representation:
         v, _, rest = p_split(1, t.denominator, p)
         j = -v
         r = t.numerator if rest == 1 else t.numerator * pow(rest, -1, p**j * self.sigma.modulus)
-        return self._torus_act([((r, j, n, b), c)], 0, 1, 1)
+        return self._closed_act(self._torus_terms([((r, j, n, b), c)], 0, 1, 1))
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -673,61 +672,42 @@ class Representation:
         Each term phi^{n(t)<p^n>}_b moves to the representative of the coset
         of [n(t)<p^n>, 1] g^-1 = [h, eps] [rep', 1], with coefficient matrix
         the genuine value at [h, eps]^-1.  A diagonal g = [diag(x, 1/x), e]
-        normalizes the representative system, which gives that data in closed
-        form (``_torus_terms``); any other g goes through ``decompose_meta``.
-
-        The image of a term under a non-diagonal g, its new key (r, j, n) and
-        matrix, depends on g and the term alone, not on the coefficient, so
-        the representation remembers it per (g, eps, term) on first use
-        (``_act_images``): a term met again under the same g is not
-        decomposed again."""
+        and g = [w, e] give that data in closed form (``_torus_terms`` and
+        ``_w_terms``); any other g goes through ``decompose_meta``, term by
+        term.  Nothing is remembered per g."""
         if g.g.is_diagonal():
-            return self._torus_act(v.terms.items(),
-                                   *ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps)
+            return self._closed_act(self._torus_terms(
+                v.terms.items(), *ratio_torus_coordinates(g.g.na, g.g.den, self.ctx.p), g.eps))
+        if g.g._key() == (0, -1, 1, 0, 1):  # g = [w, e]
+            return self._closed_act(self._w_terms(v.terms.items(), g.eps))
         ctx, p = self.ctx, self.ctx.p
-        memo, g_key, ginv = self._act_images, g.g._key(), None
+        ginv = g.inverse()
         out: dict = {}
-        for term, coeff in v.terms.items():
-            key = (g_key, g.eps, term)
-            image = memo.get(key)
-            if image is None:
-                if ginv is None:
-                    ginv = g.inverse()
-                r, j, n, _ = term
-                h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
-                image = memo[key] = (dec.r, dec.j, dec.n, self.genuine_eval(h_meta.inverse()))
-            r, j, n, mat = image
-            _accumulate(out, r, j, n, term[3], coeff, mat)
+        for (r, j, n, b), coeff in v.terms.items():
+            h_meta, dec = decompose_meta(MetaElement(_coset_rep(ctx, r, p**j, n), 1) * ginv)
+            _accumulate(out, dec.r, dec.j, dec.n, b, coeff, self.genuine_eval(h_meta.inverse()))
         return InducedVector(ctx.q, out)
 
     def w_translate(self, b: int, y) -> InducedVector:
-        """pi(w n(y)) phi_b in closed form.  The Bessel integrand at
-        <x> w n(y) is pi(<x>) applied to this vector, for every x.
+        """pi(w n(y)) phi_b = pi(w) phi^{n(-y)}_b in closed form.  The Bessel
+        integrand at <x> w n(y) is pi(<x>) applied to this vector, for every x.
 
-        phi_b has the one term n(0)<1>, and ``act`` moves it by the single
-        element (w n(y))^-1 = [[y, 1], [-1, 0]], with cover sign +1:
+        phi^{n(-y)}_b is the single term n(-y)<1>, at t = -y read as an int
+        pair: -y modulo p^l when v(y) >= 0 (or y = 0), and -u/p^|k| with u
+        modulo p^(|k| + l) when y = p^k u, k < 0 (a ``Fraction`` unit is
+        reduced first, as in ``_torus_terms``).  ``_w_terms`` moves it to
+        (t = 0, n = 0) in the first case and to (t = u'/p^|k|, n = k), u' =
+        u^-1 mod p^|k|, in the second.  So the vector lies on the single
+        shell min(v(y), 0) (``InducedVector.shells``), and W^xi(<x> w n(y))
+        vanishes unless min(v(y), 0) = v(x): the support ``bessel_direct``
+        integrates.
 
-        - v(y) >= 0 or y = 0: the element is integral, so the term stays at
-          (t = 0, n = 0) with matrix sigma((0, -1, 1, y) mod p^l) and sign
-          +1; the Kubota sign of w n(y) is +1, its lower-left entry being a
-          unit.
-        - v(y) = k < 0, y = p^k u: with 0 < w < p^|k|, w = u^-1 mod p^|k|,
-          and c = (u w - 1)/p^|k|, the element is h n(w/p^|k|) diag(p^k, p^-k)
-          with h^-1 = [[w, c], [p^|k|, u]].  The term moves to
-          (t = w/p^|k|, n = k) with matrix eps * sigma((w, c, p^|k|, u)
-          mod p^l), eps = (p^|k|, u) the Kubota sign of h^-1; the coset
-          cocycle and the inverse cocycle are (a, -a) = +1.  This needs u
-          only modulo p^(|k| + l), so a ``Fraction`` unit is reduced first,
-          as in ``_torus_terms``.
-
-        So the vector lies on the single shell min(v(y), 0)
-        (``InducedVector.shells``), and W^xi(<x> w n(y)) vanishes unless
-        min(v(y), 0) = v(x): the support ``bessel_direct`` integrates.
-
-        The closed form is gated against ``act`` once per basis index and
-        shell: before its first value there is returned, both agree at y and
-        at the smallest non-square unit on the shell (a probe at u = 1 sees
-        neither a dropped sign nor a wrong unit).  A disagreement raises
+        The closed form is gated against ``act`` at w n(y) once per basis
+        index and shell: before its first value there is returned, both
+        agree at y and at the smallest non-square unit on the shell (a probe
+        at u = 1 sees neither a dropped sign nor a wrong unit).  At y != 0,
+        and so always at the probe, w n(y) is neither diagonal nor w, and
+        ``act`` takes the ``decompose_meta`` route.  A disagreement raises
         ``ArithmeticError`` and leaves the shell unchecked, so the next call
         there raises again."""
         shell, closed = self._w_closed(b, y)
@@ -742,28 +722,61 @@ class Representation:
             self._w_checked.add((b, shell))
         return closed
 
-    def _w_coset(self, y: Fraction):
-        """(r, j, n, key, eps) of ``w_translate``: the term of phi_b moves to
-        n(r/p^j)<p^n> with matrix eps * sigma(key)."""
+    def _w_closed(self, b: int, y: Fraction):
+        """(shell, pi(w) phi^{n(-y)}_b) from ``_w_terms``, unchecked."""
         p, m = self.ctx.p, self.sigma.modulus
         k, u = torus_coordinates(y, p) if y else (0, 0)
         if k >= 0:
-            return 0, 0, 0, (0, m - 1, 1, frac_mod(y, m)), 1
-        pk = p**-k
-        u = u % (pk * m) if type(u) is int else frac_mod(u, pk * m)
-        w = pow(u, -1, pk)
-        c = (u * w - 1) // pk
-        return w, -k, k, (w % m, c % m, pk % m, u % m), hilbert_int(p, -k, 1, 0, u)
-
-    def _w_closed(self, b: int, y: Fraction):
-        """(shell, pi(w n(y)) phi_b) from ``_w_coset``, unchecked."""
-        r, j, n, key, eps = self._w_coset(y)
+            r, j = -frac_mod(y, m), 0
+        else:
+            j = -k
+            r = -(u % (p**j * m) if type(u) is int else frac_mod(u, p**j * m))
+        r, j, n, _, _, key, eps = next(self._w_terms([((r, j, 0, b), None)], 1))
         terms = {}
         for b2, row in enumerate(self._eigen_table[key]):
             c = row[b]
             if not c.is_zero():
                 terms[(r, j, n, b2)] = c if eps == 1 else -c
         return n, InducedVector._nonzero(self.ctx.q, terms)
+
+    def _w_terms(self, items, e: int):
+        """pi([w, e]) on the terms `items` ((r, j, n, b), coeff) of a vector,
+        t = r/p^j for any int r, prime to p when j > 0: yields
+        (r', j, -j - n, b, coeff, key, eps) per term as ``_torus_terms``
+        does, the term moving to coeff * sum over b2 of
+        eps * sigma(key)[b2][b] phi^{n(r'/p^j)<p^(-j-n)>}_{b2}, with
+        r' = -r^-1 mod p^j (r' = 0 for j = 0), c = (r r' + 1)/p^j and
+
+            key = (r', -c, p^j, -r) mod p^l,
+            eps = e (-1/p)^(j (n + 1)) (r/p)^j,
+
+        that is e for even j and e ((-1)^(n+1) r / p) for odd j.
+
+        With R = n(t)<p^n> = [[p^n, t p^-n], [0, p^-n]] and [w, e]^-1 =
+        [w^-1, e] ({w, w^-1} = (1, -1) = +1):
+
+            [R, 1] [w^-1, 1] = [R w^-1, (-1, p^-n)],
+            R w^-1 = [[-r p^(-j-n), p^n], [-p^-n, 0]] = h n(r'/p^j)<p^(-j-n)>,
+            h = [[-r, c], [-p^j, r']],  h^-1 = [[r', -c], [p^j, -r]].
+
+        For j = 0 the row of -p^-n carries the minimal valuation and
+        h = [[-r, 1], [-1, 0]], the same formula at r' = 0, c = 1.  The coset
+        cocycle {h, rep'} is (p^(-n-j), -p^(-2n-j)), from chi(R w^-1) = -p^-n,
+        chi(h) = -p^j and chi(rep') = p^(j+n); the inverse cocycle
+        {h, h^-1} = (-p^-j, p^-j) is +1; and the genuine value at h^-1 carries
+        the Kubota sign (p^j, -r) (+1 for j = 0, the lower-left entry being
+        1).  The product of the three signs is
+        (-1/p)^(n + (n+j)(j+1) + j) (r/p)^j, and n + (n+j)(j+1) + j =
+        j (n + j) = j (n + 1) mod 2.  So each term maps to one representative,
+        with no cover product and no coset decomposition; it needs r only
+        modulo p^(j + l)."""
+        p, m = self.ctx.p, self.sigma.modulus
+        for (r, j, n, b), coeff in items:
+            pj = p**j
+            rw = pow(-r, -1, pj)
+            key = (rw % m, -((r * rw + 1) // pj) % m, pj % m, -r % m)
+            eps = e * legendre_int(p, r if n % 2 else -r) if j % 2 else e
+            yield rw, j, -j - n, b, coeff, key, eps
 
     def _torus_terms(self, items, k: int, u, e: int):
         """pi([diag(x, 1/x), e]) on the terms `items` ((c, j, n, b), coeff) of
@@ -804,12 +817,13 @@ class Representation:
         unit u of x = p^k u only modulo p^(l + j) on these terms."""
         return self.level + max((j for (_, j, _, _), _ in items), default=0)
 
-    def _torus_act(self, items, k: int, u, e: int) -> InducedVector:
-        """pi([diag(x, 1/x), e]) v for x = p^k u and the terms `items` of v,
-        keyed in lowest terms even where a key of `items` is not."""
+    def _closed_act(self, images) -> InducedVector:
+        """The vector of the closed-form images (r, j, n, b, coeff, key, eps)
+        of ``_torus_terms`` or ``_w_terms``, keyed in lowest terms even where
+        an image's key is not."""
         p = self.ctx.p
         out: dict = {}
-        for r, j, n, b, coeff, key, eps in self._torus_terms(items, k, u, e):
+        for r, j, n, b, coeff, key, eps in images:
             if j and not r % p:
                 r, j = _lowest_terms(r, j, p)
             _accumulate(out, r, j, n, b, coeff if eps == 1 else -coeff, self._eigen_table[key])

@@ -91,21 +91,24 @@ def _shell_sum(ctx: PadicContext, f, n: int, level: int, measure: str):
             _sample_sum(vals, q) * (scale / q))
 
 
-def _gated(compute, p: int, level: int, what: str):
+def _gated(compute, p: int, level: int, what: str, shift: int = 0):
     """Locally-constant refinement gate: accept once the sums at level and
     level+1 agree; on mismatch double the level, twice at most.
 
     `compute(level)` returns both sums from one evaluation pass over the
     level+1 samples, whose first part is the level sample set, so every
     sample of an attempt is evaluated once.  The budget is checked before
-    each pass: over it, the first pass raises ``SamplingBudgetError`` and a
-    refinement ``NotLocallyConstantError``."""
-    if p**level > MAX_GATE_SAMPLES:
+    each pass, on p^(level + shift) samples: over it, the first pass raises
+    ``SamplingBudgetError`` and a refinement ``NotLocallyConstantError``.
+    A shell pass at level L takes p^(L+1) - p^L samples (shift 0); a pass
+    over the ball P^m takes p^(L+1-m), hence shift -min(m, 0) for a ball
+    below Z_p."""
+    if p ** (level + shift) > MAX_GATE_SAMPLES:
         raise SamplingBudgetError(
-            f"{what}: level {level} needs {p**level} samples, over the budget of "
+            f"{what}: level {level} needs {p ** (level + shift)} samples, over the budget of "
             f"{MAX_GATE_SAMPLES}")
     for attempt in range(3):
-        if attempt and p**level > MAX_GATE_SAMPLES:
+        if attempt and p ** (level + shift) > MAX_GATE_SAMPLES:
             raise NotLocallyConstantError(
                 f"{what}: refinement level {level} exceeds the sampling budget")
         v1, v2 = compute(level)
@@ -131,7 +134,9 @@ def integrate_ball(ctx: PadicContext, f, m: int, level: int):
     """Exact additive integral over the ball P^m = p^m Z_p, of a scalar or
     vector valued f as in ``integrate_shell``.  `level` is the absolute
     sampling depth (cosets of P^level); an accepted gate evaluates f once at
-    each point a p^m, 0 <= a < p^(level + 1 - m)."""
+    each point a p^m, 0 <= a < p^(level + 1 - m).  Below Z_p (m < 0) the
+    sampling budget is checked on p^(level - m), not p^level, so a ball too
+    deep for it raises ``SamplingBudgetError`` before f is called."""
     p, q = ctx.p, ctx.q
     pm = Fraction(p) ** m
 
@@ -141,7 +146,7 @@ def integrate_ball(ctx: PadicContext, f, m: int, level: int):
         return (_sample_sum(vals[:p ** (lv - m)], q) * scale,
                 _sample_sum(vals, q) * (scale / q))
 
-    return _gated(compute, p, max(level, m + 1), f"ball P^{m}")
+    return _gated(compute, p, max(level, m + 1), f"ball P^{m}", -min(m, 0))
 
 
 # -- Bessel functions ----------------------------------------------------------

@@ -175,14 +175,18 @@ MUTANTS = (
            "pivot = proj[r0][col].inverse()",
            "pivot = Fraction(1, pl)",
            ("tests/test_repn.py::TestEigenBasis::test_unipotent_acts_diagonally[elliptic9]",)),
-    Mutant("act-memo-ignores-cover-sign", "metaplectic/repn.py",
-           "key = (g_key, g.eps, term)",
-           "key = (g_key, term)",
-           ("tests/test_repn.py::TestActImageMemo::test_shared_representation_matches_fresh",)),
-    Mutant("act-memo-keyed-by-term-alone", "metaplectic/repn.py",
-           "key = (g_key, g.eps, term)",
-           "key = term",
-           ("tests/test_repn.py::TestActImageMemo::test_shared_representation_matches_fresh",)),
+    Mutant("w-closed-drops-sign", "metaplectic/repn.py",
+           "eps = e * legendre_int(p, r if n % 2 else -r) if j % 2 else e",
+           "eps = e",
+           ("tests/test_repn.py::TestWClosedForm::test_matches_decomposition[builtin1]",)),
+    Mutant("w-closed-shell-minus-n", "metaplectic/repn.py",
+           "yield rw, j, -j - n, b",
+           "yield rw, j, -n, b",
+           ("tests/test_repn.py::TestWClosedForm::test_matches_decomposition[builtin1]",)),
+    Mutant("w-closed-key-reads-r", "metaplectic/repn.py",
+           "pj % m, -r % m)",
+           "pj % m, r % m)",
+           ("tests/test_repn.py::TestWClosedForm::test_matches_decomposition[builtin1]",)),
 )
 
 

@@ -363,9 +363,15 @@ class TestAction:
 
 
 class TestActImageMemo:
-    """The term images a representation remembers are keyed by g, its cover
-    sign and the term: on one shared representation every action equals
-    the one a fresh representation computes."""
+    """Acting remembers nothing per element: on one shared representation
+    every action equals the one a fresh representation computes, and no
+    attribute of the representation grows under acts at non-diagonal
+    elements, so random words (``check-invariants``) cannot fill it."""
+
+    @staticmethod
+    def _sizes(rep):
+        return {name: len(value) for name, value in vars(rep).items()
+                if hasattr(value, "__len__")}
 
     @pytest.mark.parametrize("data", ["weil5", "norm5", "elliptic9"])
     def test_shared_representation_matches_fresh(self, request, rng, data):
@@ -382,16 +388,39 @@ class TestActImageMemo:
                    rep.phi(n=-1, coeff=3) - rep.phi(t=Fraction(1, p), n=1, b=last)
                    + rep.phi(t=Fraction(2, p**2), b=last)]
         shared = Representation(rep.sigma)
+        sizes = self._sizes(shared)
         for v in vectors:
             images = []
             for g in elements:
                 fresh = Representation(rep.sigma).act(g, v)
                 assert shared.act(g, v) == fresh, (g, v)
                 images.append(fresh)
-            # so the comparison sees a memo that drops g or its sign
+            # so the comparison would see remembered state that drops g or its sign
             assert all(a != b for a, b in itertools.combinations(images, 2)), v
-        assert {g_key for g_key, _, _ in shared._act_images} == {
-            g.g._key() for g in elements}
+        for _ in range(20):
+            g = random_sl2_word(ctx, rng)
+            if not g.g.is_diagonal():
+                shared.act(g, rng.choice(vectors))
+        assert self._sizes(shared) == sizes
+
+
+class TestWClosedForm:
+    """The closed form of pi([w, e]) (``Representation._w_terms``) against
+    the decomposition route, on every term phi^{n(r/p^j)<p^n>}_b with
+    j <= 3 and |n| <= 3, every b and both cover signs."""
+
+    @pytest.mark.parametrize("data", sorted(SIGMA_NAMES))
+    def test_matches_decomposition(self, data):
+        rep = Representation(named_sigma_once(data))
+        ctx, p = rep.ctx, rep.ctx.p
+        for e in (1, -1):
+            w = MetaElement(SL2Element.w(ctx), e)
+            for j in range(4):
+                for r in (r for r in range(p**j) if r % p or not j):
+                    for n in range(-3, 4):
+                        for b in range(rep.dim):
+                            v = InducedVector(ctx.q, {(r, j, n, b): ctx.one()})
+                            assert rep.act(w, v) == decomposition_act(rep, w, v), (r, j, n, b, e)
 
 
 def t_key(t: Fraction, p: int):
@@ -691,7 +720,10 @@ class TestIntKeys:
                     Fraction(p) ** rng.randrange(-2, 3)
                 assert_int_keys_in_lowest_terms(rep.act(MetaElement.torus(ctx, x), v), p)
                 k, u = rng.randrange(-2, 3), rng.choice((1, 2, p + 1))
-                assert_int_keys_in_lowest_terms(rep._torus_act(v.terms.items(), k, u, 1), p)
+                assert_int_keys_in_lowest_terms(
+                    rep._closed_act(rep._torus_terms(v.terms.items(), k, u, 1)), p)
+                w = MetaElement(SL2Element.w(ctx), rng.choice((1, -1)))
+                assert_int_keys_in_lowest_terms(rep.act(w, v), p)
             for y in (Fraction(0), Fraction(2), ShellPoint(1, -1, p), ShellPoint(2, -2, p),
                       Fraction(4, 7 * p**3)):
                 for b in range(rep.dim):
@@ -727,8 +759,10 @@ class TestIntKeys:
                 for n in (-1, 0, 2):
                     for raw, lowest in (((3, 2), (1, 1)), ((0, 2), (0, 0)), ((9, 3), (1, 1)),
                                         ((-6, 2), (-2, 1))):
-                        acted = rep._torus_act([((*raw, n, 0), ctx.one())], k, u, e)
-                        want = rep._torus_act([((*lowest, n, 0), ctx.one())], k, u, e)
+                        acted = rep._closed_act(
+                            rep._torus_terms([((*raw, n, 0), ctx.one())], k, u, e))
+                        want = rep._closed_act(
+                            rep._torus_terms([((*lowest, n, 0), ctx.one())], k, u, e))
                         assert acted.terms == want.terms
                         assert_int_keys_in_lowest_terms(acted, 3)
 

@@ -151,6 +151,14 @@ class TestShellIntegral:
             integrate_shell(ctx, lambda x: calls.append(x) or ctx.one(), plan)
         assert calls == []
 
+    def test_ball_below_z_p_budget_counts_its_points(self, ctx):
+        # a pass over P^-4 at level 8 evaluates 3^(8 + 1 + 4) points: the
+        # budget sees 3^12 > 3^11, not 3^8, and nothing is evaluated
+        calls = []
+        with pytest.raises(SamplingBudgetError, match=f"level 8 needs {3**12} samples"):
+            integrate_ball(ctx, lambda x: calls.append(x) or ctx.one(), -4, 8)
+        assert calls == []
+
     def test_sampling_budget_depends_on_p(self, ctx5):
         # 5^8 samples exceed the budget although 3^8 would not
         calls = []
@@ -651,14 +659,15 @@ class TestBesselKernel:
 class TestWTranslateGate:
     @staticmethod
     def _mutated(rep, mutation):
-        coset = rep._w_coset
+        w_terms = rep._w_terms
 
-        def mutated(y):
-            r, j, n, key, eps = coset(y)
-            if mutation == "sign_dropped":
-                return r, j, n, key, 1
-            a, b, c, d = key
-            return r, j, n, (d, b, c, a), eps
+        def mutated(items, e):
+            for r, j, n, b, coeff, key, eps in w_terms(items, e):
+                if mutation == "sign_dropped":
+                    eps = 1
+                else:
+                    key = (key[3], key[1], key[2], key[0])
+                yield r, j, n, b, coeff, key, eps
 
         return mutated
 
@@ -667,7 +676,7 @@ class TestWTranslateGate:
         # at y with u = 1 neither mutation changes the value; the probe at
         # the smallest non-square unit on the odd shell -1 does
         rep = Representation(weil5.sigma)
-        monkeypatch.setattr(rep, "_w_coset", self._mutated(rep, mutation))
+        monkeypatch.setattr(rep, "_w_terms", self._mutated(rep, mutation))
         for _ in range(2):
             with pytest.raises(ArithmeticError):
                 rep.w_translate(0, ShellPoint(1, -1, 5))
