@@ -195,14 +195,21 @@ def _bessel_kernel(rep: Representation, eta: Fraction, b_eta: int, k: int) -> In
     The samples are closed translates (``Representation.w_translate``, its
     own gate against ``act`` included).  On a shell k < 0 the character
     reads the sample's int unit: psi^eta(-y) = psi^eta(-u / p^-k) for
-    y = u p^k.  The refinement gate compares the vector sums at levels L
-    and L+1, at least as strict as comparing their image under any
-    functional.  Only an accepted kernel is stored; a raise stores nothing,
-    so the next call integrates and raises again."""
+    y = u p^k.  There the product of a translate and its character value
+    is built once per key ((r, j), (c, d)) and shared by the samples of the
+    integral call that repeat it: (r, j) = ``Representation._w_reduce(y)``,
+    all of y that the translate reads, and c/d = [-eta u / p^-k], the
+    root of unity psi^eta(-y).  The gate samples units mod p^(L+1) and the
+    key reads them mod p^L, so at least p samples share each key.  The
+    refinement gate compares the vector sums at levels L and L+1, at least
+    as strict as comparing their image under any functional.  Only an
+    accepted kernel is stored; a raise stores nothing, so the next call
+    integrates and raises again."""
     key = (eta, k)
     kernel = rep._bessel_kernels.get(key)
     if kernel is None:
         ctx = rep.ctx
+        p, q = ctx.p, ctx.q
         psi_eta = rep.psi.twist(eta)
 
         if k == 0:
@@ -211,11 +218,19 @@ def _bessel_kernel(rep: Representation, eta: Fraction, b_eta: int, k: int) -> In
 
             kernel = integrate_ball(ctx, f, 0, max(2, rep.level))
         else:
-            pk = ctx.p**-k
+            pk = p**-k
+            # psi^eta(-y) = e(c/d) for the int pair (c, d) = [-e_n u / (e_d p^-k)]
+            e_n, e_d = psi_eta.scale.numerator, psi_eta.scale.denominator * pk
+            products: dict = {}
 
             def f(y: ShellPoint) -> InducedVector:
-                # -y = -u / p^-k
-                return rep.w_translate(b_eta, y) * psi_eta.value_int(-y.u, pk)
+                root = p_fractional_int(-e_n * y.u, e_d, p)
+                key = (rep._w_reduce(y), root)
+                hit = products.get(key)
+                if hit is None:
+                    hit = products[key] = (rep.w_translate(b_eta, y)
+                                           * CycValue.root_of_unity_int(q, *root))
+                return hit
 
             kernel = integrate_shell(
                 ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
@@ -244,7 +259,12 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             = psi(-(x_n/x_d) X^2 P / (X_d^2 u_y) - (e_n/e_d) u_y / P)
             = psi(-(x_n e_d X^2 P^2 + e_n x_d X_d^2 u_y^2) / (x_d X_d^2 e_d P u_y)),
 
-    one int pair per sample, with a positive denominator as u_y > 0."""
+    one int pair per sample, with a positive denominator as u_y > 0.
+
+    A sample's value is the product of three operands: the coefficient at
+    t = u_x u_y^-1 mod p^l, the Hilbert sign and the root of unity of that
+    pair.  It is built once per key (t, sign, pair) and shared by the
+    samples of the call that repeat it."""
     ctx = rep.ctx
     p = ctx.p
     n, ux = torus_coordinates(x, p)
@@ -261,18 +281,24 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
     modulus = rep.sigma.modulus
     ux = frac_mod(ux, modulus)  # an int or a Fraction unit
     ux_inv = pow(ux, -1, modulus)
+    products: dict = {}
 
     def f(y: ShellPoint) -> CycValue:
         uy_inv = pow(y.u, -1, modulus)
-        coeff = rep.unit_torus_value(ux * uy_inv)[b_out][b_in]
-        if coeff.is_zero():
-            return coeff
+        t = ux * uy_inv % modulus
         # (y/x, 1/y) with y/x = u_y/u_x and 1/y = p^-n / u_y
         sign = hilbert_int(p, 0, y.u * ux_inv, -n, uy_inv)
         num = -(c + eta.numerator * x_den * y.u * y.u)
-        value = coeff * CycValue.root_of_unity_int(
-            ctx.q, *p_fractional_int(num, den * y.u, p))
-        return value if sign == 1 else -value
+        root = p_fractional_int(num, den * y.u, p)
+        key = (t, sign, root)
+        hit = products.get(key)
+        if hit is None:
+            hit = rep.unit_torus_value(t)[b_out][b_in]
+            if not hit.is_zero():
+                hit = hit * CycValue.root_of_unity_int(ctx.q, *root)
+                hit = hit if sign == 1 else -hit
+            products[key] = hit
+        return hit
 
     plan = ShellIntegralPlan(n, rep.level + abs(n), ADDITIVE_DX)
     return integrate_shell(ctx, f, plan)
@@ -360,6 +386,16 @@ def _char_factor(ctx: PadicContext, mu: MultChar):
     return char
 
 
+def _gauss_key(p: int, modulus: int, n: int, num: int, den: int):
+    """The key of a = num/den in ``twisted_gauss_sums``: (v(a), the unit of
+    a mod `modulus`), or None where psi(a y) = 1 on the shell v(y) = -n
+    (a = 0 or v(a) >= n)."""
+    if not num:
+        return None
+    key = valuation_unit(num, den, p, modulus)
+    return key if key[0] < n else None
+
+
 def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
     """(num, den) -> G_n(num/den) for ints num and den > 0, memoized, where
 
@@ -378,7 +414,11 @@ def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
     Both integrands read the int coordinates of their samples: chi_psi(z)
     mu(z) at z = u p^k is ``_char_factor``'s char(k, u), and on the shell
     k = v(a) - n < 0 of T, z = u / p^-k, and [z] is the residue of u mod
-    p^-k over p^-k, so psi(z) = e(u / p^-k): the int pair (u, p^-k)."""
+    p^-k over p^-k, so psi(z) = e(u / p^-k): the int pair (u, p^-k).  A
+    sample of T is the product of char(k, u), e(u / p^-k) and the Hilbert
+    sign (z, a), built once per key (u mod p^max(1, m), u mod p^-k, sign),
+    char's key on the shell k, and shared by the samples of that
+    integral that repeat it.  The key of a in G_n is ``_gauss_key``."""
     p, q = ctx.p, ctx.q
     modulus = p ** max(1, mu.m)
     mu_inv = mu.inverse()
@@ -391,10 +431,16 @@ def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
         hit = ts.get(key)
         if hit is None:
             pk = p ** (n - alpha)
+            products: dict = {}
 
             def f(z: ShellPoint) -> CycValue:
-                value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
-                return value if hilbert_int(p, z.k, z.u, alpha, ua) == 1 else -value
+                sign = hilbert_int(p, z.k, z.u, alpha, ua)
+                key = (z.u % modulus, z.u % pk, sign)
+                value = products.get(key)
+                if value is None:
+                    value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
+                    value = products[key] = value if sign == 1 else -value
+                return value
 
             # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
             hit = ts[key] = integrate_shell(
@@ -402,9 +448,7 @@ def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
         return hit
 
     def gauss(num: int, den: int) -> CycValue:
-        key = valuation_unit(num, den, p, modulus) if num else None
-        if key is not None and key[0] >= n:
-            key = None  # psi(a y) = 1 on the shell
+        key = _gauss_key(p, modulus, n, num, den)
         hit = values.get(key)
         if hit is None:
             if key is None:
@@ -438,7 +482,12 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
     twisted Gauss sum of ``twisted_gauss_sums``: about q^n work instead of
     q^(2n).  Before a deep coefficient is accepted, the shell passes the
     two-method Bessel spot check (direct == closed at two probes).  The
-    integrands read the int coordinates of their ``ShellPoint`` samples."""
+    integrands read the int coordinates of their ``ShellPoint`` samples.
+
+    A deep sample's value c(u) chi_psi(u) mu(u) G_n(a) reads u only mod
+    p^max(l, m, 1) and through the key of a in G_n (``_gauss_key``), so it
+    is built once per key (u mod p^max(l, m, 1), key of a) and shared by
+    the samples of the call that repeat it."""
     ctx = rep.ctx
     table = bessel_table(rep, xi, eta)
     char = _char_factor(ctx, mu)
@@ -450,12 +499,18 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
         # a = -(xi u^2 + eta) = num / den
         xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
         den = xd * ed
+        p = ctx.p
+        u_mod, gauss_mod = p ** max(rep.level, mu.m, 1), p ** max(1, mu.m)
+        products: dict = {}
 
         def f(u: ShellPoint) -> CycValue:
-            c = rep.unit_torus_value(u.u)[b_xi][b_eta]
-            if c.is_zero():
-                return c
-            return c * char(0, u.u) * gauss(-(xn * u.u * u.u * ed + en * xd), den)
+            num = -(xn * u.u * u.u * ed + en * xd)
+            key = (u.u % u_mod, _gauss_key(p, gauss_mod, n, num, den))
+            hit = products.get(key)
+            if hit is None:
+                c = rep.unit_torus_value(u.u)[b_xi][b_eta]
+                hit = products[key] = c if c.is_zero() else c * char(0, u.u) * gauss(num, den)
+            return hit
 
         # G_n(a) depends on a mod p^n, hence on u mod p^(n + level)
         level = max(n + rep.level, mu.m, 1)

@@ -82,10 +82,39 @@ MUTANTS = (
             "test_builtin_plus_trivial_rejected_as_not_cuspidal",
             "tests/test_repn.py::TestStrongCuspidality::test_trivial_representation_fails")),
     Mutant("bessel-closed-torus-drops-x-unit", "metaplectic/zeta.py",
-           "coeff = rep.unit_torus_value(ux * uy_inv)[b_out][b_in]",
-           "coeff = rep.unit_torus_value(uy_inv)[b_out][b_in]",
+           "hit = rep.unit_torus_value(t)[b_out][b_in]",
+           "hit = rep.unit_torus_value(uy_inv)[b_out][b_in]",
            ("tests/test_zeta.py::TestBesselClosedTorusForm::"
             "test_weil_data_direct_agrees_with_closed",)),
+    # The product keys of the four deep-shell integrands: each mutant keys
+    # on less than the product reads, so samples that differ share a value.
+    # No mutant drops the kernel's psi pair, the closed sum's or T's Hilbert
+    # sign, or the deep integrand's key of a: the rest of each key fixes
+    # that operand, so the results would not change and no test could kill
+    # it.  (r, j) and the pair each fix u mod p^(|k| + l); t mod p and u
+    # mod p fix the signs; and where sigma(<u>)[b_xi][b_eta] != 0,
+    # xi u^2 = eta mod Z_p, so v(a) = -l and u mod p^max(1, m) fixes the
+    # key of a.  The key of a alone fixes u only up to sign, which a
+    # character whose parity fails sees.
+    Mutant("bessel-kernel-product-key-reads-sigma-digits-only", "metaplectic/zeta.py",
+           "key = (rep._w_reduce(y), root)",
+           "key = y.u % rep.sigma.modulus",
+           ("tests/test_zeta.py::TestBesselKernel::"
+            "test_d_term_columns_match_per_point_oracle[norm5]",)),
+    Mutant("bessel-closed-product-key-drops-psi-pair", "metaplectic/zeta.py",
+           "key = (t, sign, root)",
+           "key = (t, sign)",
+           ("tests/test_zeta.py::TestBesselClosedTorusForm::"
+            "test_d_term_columns_match_cover_route_oracle[norm5]",)),
+    Mutant("gauss-t-product-key-drops-char-key", "metaplectic/zeta.py",
+           "key = (z.u % modulus, z.u % pk, sign)",
+           "key = (z.u % pk, sign)",
+           ("tests/test_zeta.py::TestTwistedGaussSum::"
+            "test_every_branch_against_definition",)),
+    Mutant("deep-gamma-product-key-drops-unit", "metaplectic/zeta.py",
+           "key = (u.u % u_mod, _gauss_key(p, gauss_mod, n, num, den))",
+           "key = _gauss_key(p, gauss_mod, n, num, den)",
+           ("tests/test_zeta.py::TestGammaEarlyExit::test_equals_full_scan[rep1]",)),
     Mutant("gamma-early-exit-skips-certificate", "metaplectic/zeta.py",
            "    if defects:\n",
            "    if False:\n",

@@ -430,6 +430,27 @@ class TestBesselClosedTorusForm:
                         nonzero += not value.is_zero()
         assert nonzero
 
+    @pytest.mark.parametrize("data, shells", [("norm5", (-1, -2)), ("elliptic9", (-2, -3))],
+                             ids=["norm5", "elliptic9"])
+    def test_d_term_columns_match_cover_route_oracle(self, request, data, shells):
+        # sigma has dimension 4 and 6 here, and sigma(<x/y>) is a d x d
+        # matrix that is not scalar; every xi against one eta per square
+        # class, on two deep shells v(x) <= -l, at a square and a
+        # non-square unit
+        rep = request.getfixturevalue(data)
+        p = rep.ctx.p
+        nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
+        nonzero = 0
+        for eta in (r.xi for r in rep.spectrum().dedup):
+            for xi in rep.betas:
+                for n in shells:
+                    for u in (1, nonsquare):
+                        x = ShellPoint(u, n, p)
+                        value = bessel_closed(rep, xi, eta, x)
+                        assert value == _bessel_closed_via_cover(rep, xi, eta, x), (xi, eta, x)
+                        nonzero += not value.is_zero()
+        assert nonzero
+
     def test_weil_data_direct_agrees_with_closed(self, weil5):
         # sigma(<u>) is not the identity on this data, so a wrong unit in the
         # closed sum's torus value shows; the builtins cannot see it
@@ -618,6 +639,28 @@ class TestBesselKernel:
         assert not value.is_zero()
         assert value == -bessel_direct(rep, xi, xi, Fraction(nonsquare, p))
 
+    @pytest.mark.parametrize("data, shells", [("norm5", (-1, -2)), ("elliptic9", (-2, -3))],
+                             ids=["norm5", "elliptic9"])
+    def test_d_term_columns_match_per_point_oracle(self, request, data, shells):
+        # sigma has dimension 4 and 6 here, so every translate and every
+        # kernel carries a column of d terms; every xi against one eta per
+        # square class, on two deep shells, at a square unit, a non-square
+        # unit and a unit with a denominator prime to p
+        rep = request.getfixturevalue(data)
+        p = rep.ctx.p
+        nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
+        nonzero = 0
+        for eta in (r.xi for r in rep.spectrum().dedup):
+            assert len(_bessel_kernel(rep, eta, rep.basis_index_for(eta), shells[0]).terms) > 1
+            for xi in rep.betas:
+                for k in shells:
+                    for u in (Fraction(1), Fraction(nonsquare), Fraction(-2, 7)):
+                        x = u * Fraction(p) ** k
+                        value = bessel_direct(rep, xi, eta, x)
+                        assert value == bessel_per_point(rep, xi, eta, x), (xi, eta, x)
+                        nonzero += not value.is_zero()
+        assert nonzero
+
     def test_cold_gamma_translates_each_sample_once(self, ctx, monkeypatch):
         # a cold conductor-2 gamma factor integrates one kernel on shell 0
         # (27 samples) and one on each spot-checked shell -1..-3 (18 + 54 +
@@ -631,6 +674,18 @@ class TestBesselKernel:
         gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
         assert 0 < len(calls) <= 261
         assert sorted(rep._bessel_kernels) == [(XI, k) for k in range(-3, 1)]
+
+    def test_cold_gamma_adds_no_attribute(self, ctx):
+        # the products shared inside one integral call live in that call:
+        # a cold gamma factor fills the representation's existing memos and
+        # adds no attribute to it, nor a global to the module
+        from metaplectic import builtin_sigma_p3
+        rep = Representation(builtin_sigma_p3(ctx, 1))
+        attributes, module_globals = set(vars(rep)), set(vars(zeta))
+        gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
+        assert set(vars(rep)) == attributes
+        assert set(vars(zeta)) == module_globals
+        assert rep._bessel_kernels and rep._gamma_cache
 
     def test_failed_kernel_is_not_remembered(self, ctx, rep1, monkeypatch):
         # a translate scaled by 1 + y is not locally constant: the kernel's
