@@ -295,10 +295,12 @@ def _dlog_table(p: int, m: int):
 
 def max_conductor_exponent(p: int) -> int:
     """The largest m with p^(2m) <= ``MAX_GATE_SAMPLES``: 5 at p = 3, 3 at
-    p = 5 and p = 7.  For m >= l the deepest gamma shell M = 2m - l is
-    sampled at level M + l = 2m, and so is the Bessel spot check on shell
-    -M (kernel and closed sum), so a larger m would pass construction only
-    to meet ``SamplingBudgetError`` at its first deep gamma factor."""
+    p = 5 and p = 7.  For m >= l the twisted Gauss integral T of the
+    deepest gamma shell M = 2m - l (``zeta.twisted_gauss_sums``, at
+    v(a) = -l) is sampled at level M + l = 2m, the deepest level of a gamma
+    factor (the deep integrand samples at max(l, m, 1), the Bessel spot
+    check on shell -M at M), so a larger m would pass construction only to
+    meet ``SamplingBudgetError`` at its first deep gamma factor."""
     m = 0
     while p ** (2 * m + 2) <= MAX_GATE_SAMPLES:
         m += 1

@@ -710,10 +710,10 @@ class Representation:
         ``act`` takes the ``decompose_meta`` route.  A disagreement raises
         ``ArithmeticError`` and leaves the shell unchecked, so the next call
         there raises again."""
-        shell, closed = self._w_build(b, *self._w_reduce(y))
+        shell, closed = self._w_closed(b, y)
         if (b, shell) not in self._w_checked:
             probe = ShellPoint(_smallest_nonresidue(self.ctx.p), shell, self.ctx.p)
-            for z, value in ((y, closed), (probe, self._w_build(b, *self._w_reduce(probe))[1])):
+            for z, value in ((y, closed), (probe, self._w_closed(b, probe)[1])):
                 oracle = self.act(MetaElement.w(self.ctx) * MetaElement.n(self.ctx, z),
                                   self.phi(b=b))
                 if value != oracle:
@@ -722,20 +722,15 @@ class Representation:
             self._w_checked.add((b, shell))
         return closed
 
-    def _w_reduce(self, y) -> tuple:
-        """The int pair (r, j) of t = -y in the term phi^{n(-y)}_b of
-        ``w_translate``: (-y mod p^l, 0) when v(y) >= 0 (or y = 0), and
-        (-u mod p^(|k| + l), |k|) when y = p^k u, k < 0.  ``_w_build`` reads
-        no more of y, so the translate depends on y only through (r, j)."""
+    def _w_closed(self, b: int, y: Fraction):
+        """(shell, pi(w) phi^{n(-y)}_b) from ``_w_terms``, unchecked."""
         p, m = self.ctx.p, self.sigma.modulus
         k, u = torus_coordinates(y, p) if y else (0, 0)
         if k >= 0:
-            return -frac_mod(y, m), 0
-        pm = p**-k * m
-        return -(u % pm if type(u) is int else frac_mod(u, pm)), -k
-
-    def _w_build(self, b: int, r: int, j: int):
-        """(shell, pi(w) phi^{n(r/p^j)}_b) from ``_w_terms``, unchecked."""
+            r, j = -frac_mod(y, m), 0
+        else:
+            j = -k
+            r = -(u % (p**j * m) if type(u) is int else frac_mod(u, p**j * m))
         r, j, n, _, _, key, eps = next(self._w_terms([((r, j, 0, b), None)], 1))
         terms = {}
         for b2, row in enumerate(self._eigen_table[key]):

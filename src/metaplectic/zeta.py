@@ -193,47 +193,43 @@ def _bessel_kernel(rep: Representation, eta: Fraction, b_eta: int, k: int) -> In
     v(y) = k (k < 0), memoized per (eta, k) in ``rep._bessel_kernels``.
 
     The samples are closed translates (``Representation.w_translate``, its
-    own gate against ``act`` included).  On a shell k < 0 the character
-    reads the sample's int unit: psi^eta(-y) = psi^eta(-u / p^-k) for
-    y = u p^k.  There the product of a translate and its character value
-    is built once per key ((r, j), (c, d)) and shared by the samples of the
-    integral call that repeat it: (r, j) = ``Representation._w_reduce(y)``,
-    all of y that the translate reads, and c/d = [-eta u / p^-k], the
-    root of unity psi^eta(-y).  The gate samples units mod p^(L+1) and the
-    key reads them mod p^L, so at least p samples share each key.  The
-    refinement gate compares the vector sums at levels L and L+1, at least
-    as strict as comparing their image under any functional.  Only an
-    accepted kernel is stored; a raise stores nothing, so the next call
-    integrates and raises again."""
+    own gate against ``act`` included), and the integrand reads y only mod
+    Z_p.  For t in Z_p, phi_b is the eigenvector of pi(n(t)) of eigenvalue
+    psi(beta_b t), so
+
+        pi(w n(y + t)) phi_b = pi(w n(y)) pi(n(t)) phi_b
+                             = psi(beta_b t) pi(w n(y)) phi_b,
+
+    and psi^eta(-(y + t)) = psi^eta(-y) psi(-eta t), where psi(-eta t) =
+    psi(-beta_b t) as [eta] = beta_b and eta t - beta_b t lies in Z_p: the
+    two factors cancel.  So the integrand is constant on Z_p, sampled at
+    the ball's floor level 1; on a shell k < 0, y + t = (u + t p^-k) p^k
+    for y = u p^k, so it reads the unit u only mod p^-k, and the shell is
+    sampled at level -k, where psi^eta(-y) = psi^eta(-u / p^-k) reads the
+    int unit.  The gate then accepts in one pass.  It still compares the
+    vector sums at levels L and L+1, at least as strict as comparing their
+    image under any functional, so a level that were too low would refine
+    or raise, never pass.  Only an accepted kernel is stored; a raise
+    stores nothing, so the next call integrates and raises again."""
     key = (eta, k)
     kernel = rep._bessel_kernels.get(key)
     if kernel is None:
         ctx = rep.ctx
-        p, q = ctx.p, ctx.q
         psi_eta = rep.psi.twist(eta)
 
         if k == 0:
             def f(y: Fraction) -> InducedVector:
                 return rep.w_translate(b_eta, y) * psi_eta.value(-y)
 
-            kernel = integrate_ball(ctx, f, 0, max(2, rep.level))
+            kernel = integrate_ball(ctx, f, 0, 1)
         else:
-            pk = p**-k
-            # psi^eta(-y) = e(c/d) for the int pair (c, d) = [-e_n u / (e_d p^-k)]
-            e_n, e_d = psi_eta.scale.numerator, psi_eta.scale.denominator * pk
-            products: dict = {}
+            pk = ctx.p**-k
 
             def f(y: ShellPoint) -> InducedVector:
-                root = p_fractional_int(-e_n * y.u, e_d, p)
-                key = (rep._w_reduce(y), root)
-                hit = products.get(key)
-                if hit is None:
-                    hit = products[key] = (rep.w_translate(b_eta, y)
-                                           * CycValue.root_of_unity_int(q, *root))
-                return hit
+                # -y = -u / p^-k
+                return rep.w_translate(b_eta, y) * psi_eta.value_int(-y.u, pk)
 
-            kernel = integrate_shell(
-                ctx, f, ShellIntegralPlan(k, max(2, rep.level - k), ADDITIVE_DX))
+            kernel = integrate_shell(ctx, f, ShellIntegralPlan(k, -k, ADDITIVE_DX))
         rep._bessel_kernels[key] = kernel
     return kernel
 
@@ -260,6 +256,20 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             = psi(-(x_n e_d X^2 P^2 + e_n x_d X_d^2 u_y^2) / (x_d X_d^2 e_d P u_y)),
 
     one int pair per sample, with a positive denominator as u_y > 0.
+
+    The integrand reads y only mod Z_p, so the shell is sampled at level
+    |n|.  For z in Z_p, y + z = (u_y + z p^|n|) p^n, and |n| >= l, so
+    y -> y + z moves neither u_x u_y^-1 mod p^l nor the units mod p the
+    Hilbert sign reads.  The argument of psi (psi^xi(a) = psi(xi a)) moves by
+
+        xi x^2 z / (y (y + z)) - eta z = z (xi s - eta),
+        s = u_x^2 / (u_y (u_y + z p^|n|)) = (u_x u_y^-1)^2 mod p^|n|,
+
+    and xi s - eta lies in Z_p wherever the coefficient at u_x u_y^-1 is
+    nonzero: sigma(<a>) maps the eigenline of beta to that of beta a^-2,
+    so a nonzero (xi, eta) entry at a = u_x u_y^-1 has xi a^2 = eta mod
+    Z_p, and v(xi) = -l with s = a^2 mod p^l.  The gate then accepts in one
+    pass, and still compares the sums at levels |n| and |n| + 1.
 
     A sample's value is the product of three operands: the coefficient at
     t = u_x u_y^-1 mod p^l, the Hilbert sign and the root of unity of that
@@ -300,8 +310,7 @@ def bessel_closed(rep: Representation, xi, eta, x) -> CycValue:
             products[key] = hit
         return hit
 
-    plan = ShellIntegralPlan(n, rep.level + abs(n), ADDITIVE_DX)
-    return integrate_shell(ctx, f, plan)
+    return integrate_shell(ctx, f, ShellIntegralPlan(n, abs(n), ADDITIVE_DX))
 
 
 class BesselTable:
@@ -484,10 +493,16 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
     two-method Bessel spot check (direct == closed at two probes).  The
     integrands read the int coordinates of their ``ShellPoint`` samples.
 
-    A deep sample's value c(u) chi_psi(u) mu(u) G_n(a) reads u only mod
-    p^max(l, m, 1) and through the key of a in G_n (``_gauss_key``), so it
-    is built once per key (u mod p^max(l, m, 1), key of a) and shared by
-    the samples of the call that repeat it."""
+    A deep sample reads u only mod p^L, L = max(l, m, 1), and the deep
+    shell is sampled at level L.  Where c(u) = 0 the sample is 0.  c(u) != 0
+    only where xi u^2 = eta mod Z_p (sigma(<u>) maps the eigenline of beta
+    to that of beta u^-2), so there a = -(xi u^2 + eta) = -2 eta mod Z_p
+    has v(a) = -l < n, and the key of a in G_n (``_gauss_key``), (-l, the
+    unit p^l a mod p^max(1, m)), reads u mod p^max(1, m); c(u) reads u mod
+    p^l, chi_psi(u) mod p and mu(u) mod p^max(1, m).  The gate then accepts
+    in one pass, and still compares the sums at levels L and L + 1.  A
+    sample's value is built once per key (u mod p^L, key of a) and shared
+    by the samples of the call that repeat it."""
     ctx = rep.ctx
     table = bessel_table(rep, xi, eta)
     char = _char_factor(ctx, mu)
@@ -500,7 +515,8 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
         xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
         den = xd * ed
         p = ctx.p
-        u_mod, gauss_mod = p ** max(rep.level, mu.m, 1), p ** max(1, mu.m)
+        level = max(rep.level, mu.m, 1)
+        u_mod, gauss_mod = p**level, p ** max(1, mu.m)
         products: dict = {}
 
         def f(u: ShellPoint) -> CycValue:
@@ -512,8 +528,6 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
                 hit = products[key] = c if c.is_zero() else c * char(0, u.u) * gauss(num, den)
             return hit
 
-        # G_n(a) depends on a mod p^n, hence on u mod p^(n + level)
-        level = max(n + rep.level, mu.m, 1)
         shell = integrate_shell(ctx, f, ShellIntegralPlan(0, level, MULTIPLICATIVE_DX))
     else:
         def f(x: ShellPoint) -> CycValue:

@@ -82,8 +82,9 @@ def bessel_per_point(rep, xi, eta, x) -> CycValue:
     """J^{xi,eta}(<x>w), or J^{xi,eta}(g) at an antidiagonal cover element
     g, as one scalar integral per point: the integrand is
     l^xi(pi(D) pi(w n(y)) phi_{b(eta)}) psi^eta(-y) with D = g w^-1 in torus
-    form, over the same support and sampling levels as
-    ``zeta.bessel_direct``, but with no kernel shared between points."""
+    form, over the same support as ``zeta.bessel_direct``, but with no
+    kernel shared between points, and sampled at max(2, l + |k|), finer
+    than the kernel's level (1 on Z_p, |k| on a shell k < 0)."""
     ctx = rep.ctx
     b_eta = rep.basis_index_for(eta)
     if isinstance(x, MetaElement):

@@ -86,21 +86,15 @@ MUTANTS = (
            "hit = rep.unit_torus_value(uy_inv)[b_out][b_in]",
            ("tests/test_zeta.py::TestBesselClosedTorusForm::"
             "test_weil_data_direct_agrees_with_closed",)),
-    # The product keys of the four deep-shell integrands: each mutant keys
-    # on less than the product reads, so samples that differ share a value.
-    # No mutant drops the kernel's psi pair, the closed sum's or T's Hilbert
-    # sign, or the deep integrand's key of a: the rest of each key fixes
-    # that operand, so the results would not change and no test could kill
-    # it.  (r, j) and the pair each fix u mod p^(|k| + l); t mod p and u
-    # mod p fix the signs; and where sigma(<u>)[b_xi][b_eta] != 0,
-    # xi u^2 = eta mod Z_p, so v(a) = -l and u mod p^max(1, m) fixes the
-    # key of a.  The key of a alone fixes u only up to sign, which a
-    # character whose parity fails sees.
-    Mutant("bessel-kernel-product-key-reads-sigma-digits-only", "metaplectic/zeta.py",
-           "key = (rep._w_reduce(y), root)",
-           "key = y.u % rep.sigma.modulus",
-           ("tests/test_zeta.py::TestBesselKernel::"
-            "test_d_term_columns_match_per_point_oracle[norm5]",)),
+    # The product keys of the three deep-shell integrands that share
+    # products: each mutant keys on less than the product reads, so samples
+    # that differ share a value.  No mutant drops the closed sum's or T's
+    # Hilbert sign, or the deep integrand's key of a: the rest of each key
+    # fixes that operand, so the results would not change and no test could
+    # kill it.  t mod p and u mod p fix the signs; and where
+    # sigma(<u>)[b_xi][b_eta] != 0, xi u^2 = eta mod Z_p, so v(a) = -l and
+    # u mod p^max(1, m) fixes the key of a.  The key of a alone fixes u only
+    # up to sign, which a character whose parity fails sees.
     Mutant("bessel-closed-product-key-drops-psi-pair", "metaplectic/zeta.py",
            "key = (t, sign, root)",
            "key = (t, sign)",
@@ -115,6 +109,24 @@ MUTANTS = (
            "key = (u.u % u_mod, _gauss_key(p, gauss_mod, n, num, den))",
            "key = _gauss_key(p, gauss_mod, n, num, den)",
            ("tests/test_zeta.py::TestGammaEarlyExit::test_equals_full_scan[rep1]",)),
+    # The sampling levels of the three deep-shell integrals: each mutant
+    # samples one level below what its integrand reads, so the gate refines
+    # (or accepts at the wrong level) where the docstring proves one pass.
+    Mutant("bessel-kernel-level-below-read-level", "metaplectic/zeta.py",
+           "ShellIntegralPlan(k, -k, ADDITIVE_DX)",
+           "ShellIntegralPlan(k, -k - 1, ADDITIVE_DX)",
+           ("tests/test_zeta.py::TestDeepShellLevels::"
+            "test_one_gate_pass_at_the_read_level[rep1-2]",)),
+    Mutant("bessel-closed-level-below-read-level", "metaplectic/zeta.py",
+           "ShellIntegralPlan(n, abs(n), ADDITIVE_DX)",
+           "ShellIntegralPlan(n, abs(n) - 1, ADDITIVE_DX)",
+           ("tests/test_zeta.py::TestDeepShellLevels::"
+            "test_one_gate_pass_at_the_read_level[rep1-2]",)),
+    Mutant("deep-gamma-level-ignores-conductor", "metaplectic/zeta.py",
+           "level = max(rep.level, mu.m, 1)",
+           "level = max(rep.level, 1)",
+           ("tests/test_zeta.py::TestDeepShellLevels::"
+            "test_one_gate_pass_at_the_read_level[rep1-2]",)),
     Mutant("gamma-early-exit-skips-certificate", "metaplectic/zeta.py",
            "    if defects:\n",
            "    if False:\n",

@@ -662,9 +662,10 @@ class TestBesselKernel:
         assert nonzero
 
     def test_cold_gamma_translates_each_sample_once(self, ctx, monkeypatch):
-        # a cold conductor-2 gamma factor integrates one kernel on shell 0
-        # (27 samples) and one on each spot-checked shell -1..-3 (18 + 54 +
-        # 162): 261 translates, where integrating per x took 954
+        # a cold conductor-2 gamma factor integrates one kernel on Z_p (9
+        # samples, level 1) and one on each spot-checked shell -1..-3, at
+        # level |k| (6 + 18 + 54): 87 translates, where integrating per x
+        # took 954
         from metaplectic import builtin_sigma_p3
         rep = Representation(builtin_sigma_p3(ctx, 1))
         calls = []
@@ -672,7 +673,7 @@ class TestBesselKernel:
         monkeypatch.setattr(rep, "w_translate",
                             lambda b, y: calls.append(y) or translate(b, y))
         gamma_factor(rep, XI, XI, MultChar(ctx, 2, Fraction(1, 4), 1))
-        assert 0 < len(calls) <= 261
+        assert len(calls) == 9 + 6 + 18 + 54
         assert sorted(rep._bessel_kernels) == [(XI, k) for k in range(-3, 1)]
 
     def test_cold_gamma_adds_no_attribute(self, ctx):
@@ -690,7 +691,8 @@ class TestBesselKernel:
     def test_failed_kernel_is_not_remembered(self, ctx, rep1, monkeypatch):
         # a translate scaled by 1 + y is not locally constant: the kernel's
         # gate on Z_p sees different sums at every level and raises; the
-        # budget is cut to one pass so the test stays fast
+        # budget is cut to two passes (levels 1 and 2, 9 + 27 samples) so
+        # the test stays fast
         rep = Representation(rep1.sigma)
         translate = rep.w_translate
         calls = []
@@ -706,7 +708,7 @@ class TestBesselKernel:
                 with pytest.raises(NotLocallyConstantError):
                     bessel_direct(rep, XI, XI, Fraction(2))
                 assert rep._bessel_kernels == {}
-                assert len(calls) == 27 * attempt
+                assert len(calls) == (9 + 27) * attempt
         assert bessel_direct(rep, XI, XI, Fraction(2)) == bessel_per_point(rep1, XI, XI, 2)
         assert list(rep._bessel_kernels) == [(XI, 0)]
 
@@ -1066,6 +1068,60 @@ class TestZetaShellLevels:
             assert passes == [], xi
         check_cold(rep.betas[0] + 1, mu)  # same beta, another xi
         check_cold(rep.betas[0], other)
+
+
+class TestDeepShellLevels:
+    """The three deep-shell integrals each take one gate pass, at the level
+    their docstrings prove they read: the Bessel kernel (``_bessel_kernel``)
+    at level 1 on Z_p, where it is constant, and at |k| on a shell k < 0, as
+    it reads y only mod Z_p; the closed Bessel sum (``bessel_closed``) at
+    |n| on its shell n <= -l; and the deep gamma integrand
+    (``gamma_coefficient``, n >= l) at max(l, m, 1).  Every gate a gamma
+    coefficient opens, the twisted Gauss integrals and the shallow gamma
+    shells included, accepts in one pass."""
+
+    @pytest.mark.parametrize("conductor", [0, 1, 2])
+    @pytest.mark.parametrize("data", ["rep1", "weil5", "norm5", "elliptic9"])
+    def test_one_gate_pass_at_the_read_level(self, request, monkeypatch, data, conductor):
+        rep = Representation(request.getfixturevalue(data).sigma)  # nothing integrated yet
+        ctx, l = rep.ctx, rep.level
+        chars = characters(ctx, conductor, (0,))
+        mu = next((chi for chi in chars if zeta_parity_holds(rep, chi)), chars[0])
+        bound = gamma_support_bound(rep, mu)
+        gates, passes = [], []
+        gated, shell_sum = zeta._gated, zeta._shell_sum
+
+        def gate_spy(compute, p, level, what, shift=0):
+            record = [what, level, 0]
+            gates.append(record)
+
+            def counted(lv):
+                record[2] += 1
+                return compute(lv)
+
+            return gated(counted, p, level, what, shift)
+
+        def shell_spy(c, f, n, level, measure):
+            passes.append((f.__qualname__.split(".")[0], gamma_shell, n, level))
+            return shell_sum(c, f, n, level, measure)
+
+        monkeypatch.setattr(zeta, "_gated", gate_spy)
+        monkeypatch.setattr(zeta, "_shell_sum", shell_spy)
+        classes = [r.xi for r in rep.spectrum().dedup]
+        for gamma_shell in range(bound + 1):
+            for xi in classes:
+                for eta in classes:
+                    gamma_coefficient(rep, xi, eta, mu, gamma_shell)
+
+        assert gates and all(tries == 1 for _, _, tries in gates), gates
+        assert {level for what, level, _ in gates if what == "ball P^0"} == {1}
+        kernels = {(n, level) for kind, _, n, level in passes if kind == "_bessel_kernel"}
+        assert kernels == {(k, -k) for k in range(-1, -bound - 1, -1)}
+        closed = {(n, level) for kind, _, n, level in passes if kind == "bessel_closed"}
+        assert closed == {(k, -k) for k in range(-l, -bound - 1, -1)}
+        deep = {(n, level) for kind, at, n, level in passes
+                if kind == "gamma_coefficient" and at >= l}
+        assert deep == {(0, max(l, conductor, 1))}
 
 
 class TestZetaTermMemo:
