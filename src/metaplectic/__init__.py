@@ -23,7 +23,6 @@ from .localchar import (
     weil_alpha,
 )
 from .cover import (
-    CosetDecomposition,
     MetaElement,
     SL2Element,
     chi_entry,

@@ -295,12 +295,15 @@ def _dlog_table(p: int, m: int):
 
 def max_conductor_exponent(p: int) -> int:
     """The largest m with p^(2m) <= ``MAX_GATE_SAMPLES``: 5 at p = 3, 3 at
-    p = 5 and p = 7.  For m >= l the twisted Gauss integral T of the
-    deepest gamma shell M = 2m - l (``zeta.twisted_gauss_sums``, at
-    v(a) = -l) is sampled at level M + l = 2m, the deepest level of a gamma
-    factor (the deep integrand samples at max(l, m, 1), the Bessel spot
-    check on shell -M at M), so a larger m would pass construction only to
-    meet ``SamplingBudgetError`` at its first deep gamma factor."""
+    p = 5 and p = 7, 2 at p = 11.  For m >= l the deepest sampler of a
+    gamma factor is the two-method Bessel spot check
+    (``zeta.BesselTable.check_shell``) on the deepest shell -M,
+    M = 2m - l: the closed sum and the Bessel kernel there sample at level
+    M, one pass of p^(M+1) - p^M < p^(2m) samples for l >= 1.  The other
+    deep samplers read level m: T on its support shell -m and the deep
+    integrand on the units (``zeta.gamma_coefficient``).  The cap keeps
+    the spot check within the budget; it is not the largest m that
+    would."""
     m = 0
     while p ** (2 * m + 2) <= MAX_GATE_SAMPLES:
         m += 1

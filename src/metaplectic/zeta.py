@@ -395,82 +395,27 @@ def _char_factor(ctx: PadicContext, mu: MultChar):
     return char
 
 
-def _gauss_key(p: int, modulus: int, n: int, num: int, den: int):
-    """The key of a = num/den in ``twisted_gauss_sums``: (v(a), the unit of
-    a mod `modulus`), or None where psi(a y) = 1 on the shell v(y) = -n
-    (a = 0 or v(a) >= n)."""
-    if not num:
-        return None
-    key = valuation_unit(num, den, p, modulus)
-    return key if key[0] < n else None
+def _support_t(ctx: PadicContext, char, m: int, alpha: int, ua: int) -> CycValue:
+    """T of ``gamma_coefficient`` for a = p^alpha ua on its support shell
+    -m: the integral over v(z) = -m of chi_psi(z) mu(z) (z, a) psi(z) dz,
+    with char = ``_char_factor`` of mu.
 
+    At z = u / p^m, psi(z) = e(u / p^m) is the int pair (u, p^m), char(-m, u)
+    reads u mod p^m and the sign (z, a) reads u mod p, so the shell is
+    sampled at level m, and a sample's value is built once per u mod p^m
+    and shared by the samples of the call that repeat it."""
+    p, pm = ctx.p, ctx.p**m
+    products: dict = {}
 
-def twisted_gauss_sums(ctx: PadicContext, mu: MultChar, n: int):
-    """(num, den) -> G_n(num/den) for ints num and den > 0, memoized, where
+    def f(z: ShellPoint) -> CycValue:
+        key = z.u % pm
+        value = products.get(key)
+        if value is None:
+            value = char(-m, z.u) * CycValue.root_of_unity_int(ctx.q, z.u, pm)
+            value = products[key] = value if hilbert_int(p, -m, z.u, alpha, ua) == 1 else -value
+        return value
 
-        G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy.
-
-    For v(a) >= n (or a = 0) psi(a y) is trivial on the shell, and G_n(a) is
-    the one untwisted shell integral.  Otherwise y = z/a gives
-
-        G_n(a) = q^v(a) chi_psi(a) mu(a)^{-1} T(v(a), class(a)),
-        T = integral over v(z) = v(a) - n of chi_psi(z) mu(z) (z, a) psi(z) dz,
-
-    since chi_psi(z/a) = chi_psi(z) chi_psi(a) (z, a).  So G_n(a) depends on
-    a only through v(a) and its unit mod p^max(1, m), and T only through
-    v(a) and the square class of a: each is integrated once per key.
-
-    Both integrands read the int coordinates of their samples: chi_psi(z)
-    mu(z) at z = u p^k is ``_char_factor``'s char(k, u), and on the shell
-    k = v(a) - n < 0 of T, z = u / p^-k, and [z] is the residue of u mod
-    p^-k over p^-k, so psi(z) = e(u / p^-k): the int pair (u, p^-k).  A
-    sample of T is the product of char(k, u), e(u / p^-k) and the Hilbert
-    sign (z, a), built once per key (u mod p^max(1, m), u mod p^-k, sign),
-    char's key on the shell k, and shared by the samples of that
-    integral that repeat it.  The key of a in G_n is ``_gauss_key``."""
-    p, q = ctx.p, ctx.q
-    modulus = p ** max(1, mu.m)
-    mu_inv = mu.inverse()
-    char = _char_factor(ctx, mu)
-    values: dict = {}
-    ts: dict = {}
-
-    def t_integral(alpha: int, ua: int) -> CycValue:
-        key = (alpha, square_class_int(p, alpha, ua))
-        hit = ts.get(key)
-        if hit is None:
-            pk = p ** (n - alpha)
-            products: dict = {}
-
-            def f(z: ShellPoint) -> CycValue:
-                sign = hilbert_int(p, z.k, z.u, alpha, ua)
-                key = (z.u % modulus, z.u % pk, sign)
-                value = products.get(key)
-                if value is None:
-                    value = char(z.k, z.u) * CycValue.root_of_unity_int(q, z.u, pk)
-                    value = products[key] = value if sign == 1 else -value
-                return value
-
-            # psi(z) depends on z mod Z_p: relative level n - v(a) on this shell
-            hit = ts[key] = integrate_shell(
-                ctx, f, ShellIntegralPlan(alpha - n, max(n - alpha, mu.m, 1), ADDITIVE_DX))
-        return hit
-
-    def gauss(num: int, den: int) -> CycValue:
-        key = _gauss_key(p, modulus, n, num, den)
-        hit = values.get(key)
-        if hit is None:
-            if key is None:
-                hit = integrate_shell(ctx, lambda y: char(y.k, y.u),
-                                      ShellIntegralPlan(-n, max(mu.m, 1), ADDITIVE_DX))
-            else:
-                alpha, u = key
-                hit = (t_integral(alpha, u % p) * chi_psi_int(ctx, alpha, u)
-                       * mu_inv.value_int(alpha, u) * Fraction(q) ** alpha)
-            values[key] = hit
-        return hit
-
-    return gauss
+    return integrate_shell(ctx, f, ShellIntegralPlan(-m, m, ADDITIVE_DX))
 
 
 def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> CycValue:
@@ -478,57 +423,100 @@ def gamma_coefficient(rep: Representation, xi, eta, mu: MultChar, n: int) -> Cyc
     J^{xi,eta}(<x>w) chi_psi(x) mu(x) d*x.
 
     On the shells n < level the Bessel values come from ``BesselTable``
-    (the defining integral, the only valid method there).  On the deep
-    shells n >= level no Bessel value is read: the closed Bessel shell sum
-    is substituted as a formula and the order of integration swapped: with
-    x = u y for a unit u, the Hilbert sign (y/x, 1/y) = (u, y)
-    cancels against chi_psi(u y) = chi_psi(u) chi_psi(y) (u, y), leaving
+    (the defining integral, the only valid method there).  A deep shell
+    n >= level first passes the two-method Bessel spot check (direct ==
+    closed at two probes, ``BesselTable.check_shell``), whatever follows.
+    No Bessel value is read there: the closed Bessel shell sum is
+    substituted as a formula and the order of integration swapped: with
+    x = u y for a unit u, the Hilbert sign (y/x, 1/y) = (u, y) cancels
+    against chi_psi(u y) = chi_psi(u) chi_psi(y) (u, y), leaving
 
         gamma(n) = 2 q^{-n/2} * integral over Z_p^x of
-            c(u) chi_psi(u) mu(u) G_n(-(xi u^2 + eta)) d*u
+            c(u) chi_psi(u) mu(u) G_n(a) d*u,   a = -(xi u^2 + eta),
+        G_n(a) = integral over v(y) = -n of chi_psi(y) mu(y) psi(a y) dy,
 
-    with c(u) the (xi, eta) eigen-coefficient of sigma(<u>) and G_n the
-    twisted Gauss sum of ``twisted_gauss_sums``: about q^n work instead of
-    q^(2n).  Before a deep coefficient is accepted, the shell passes the
-    two-method Bessel spot check (direct == closed at two probes).  The
-    integrands read the int coordinates of their ``ShellPoint`` samples.
+    with c(u) the (xi, eta) eigen-coefficient of sigma(<u>).
 
-    A deep sample reads u only mod p^L, L = max(l, m, 1), and the deep
-    shell is sampled at level L.  Where c(u) = 0 the sample is 0.  c(u) != 0
-    only where xi u^2 = eta mod Z_p (sigma(<u>) maps the eigenline of beta
-    to that of beta u^-2), so there a = -(xi u^2 + eta) = -2 eta mod Z_p
-    has v(a) = -l < n, and the key of a in G_n (``_gauss_key``), (-l, the
-    unit p^l a mod p^max(1, m)), reads u mod p^max(1, m); c(u) reads u mod
-    p^l, chi_psi(u) mod p and mu(u) mod p^max(1, m).  The gate then accepts
-    in one pass, and still compares the sums at levels L and L + 1.  A
-    sample's value is built once per key (u mod p^L, key of a) and shared
-    by the samples of the call that repeat it."""
+    The Gauss-sum support: for n >= l, gamma(n) = 0 unless n = m - l.
+    (1) c(u) != 0 only where xi u^2 = eta mod Z_p (sigma(<u>) maps the
+    eigenline of beta to that of beta u^-2), so there a = -2 eta mod Z_p
+    and v(a) = -l.
+    (2) Put y = z/a, dy = q^v(a) dz: as chi_psi(z/a) = chi_psi(z) chi_psi(a)
+    (z, a),
+
+        G_n(a) = q^v(a) chi_psi(a) mu(a)^-1 T,
+        T = integral over v(z) = -l - n of chi_psi(z) mu(z) (z, a) psi(z) dz,
+
+    on a shell k = -l - n <= -2l <= -2.
+    (3) At z = p^k u, chi_psi(z) = chi_psi(p^k) chi_psi(u) (p^k, u) and
+    (z, a) = (p^k, a) (u, a): T is a constant times the integral of
+    chi'(u) psi(z), chi'(u) = chi_psi(u) (p^k, u) (u, a) mu(u).  On units
+    chi_psi and both signs read u only mod p (chi_psi is multiplicative on
+    units, whose Hilbert symbol is 1 at odd p), so chi' is a character of
+    Z_p^x of conductor m' = m when m >= 2 (the rest is trivial on 1 + pZ_p
+    and cannot cancel mu there) and m' <= 1 when m <= 1.
+    (4) The integral of chi'(u) psi(z) over a shell v(z) = k is a Gauss
+    sum: for m' >= 1 it vanishes unless k = -m' (Tate's thesis;
+    Bushnell-Henniart, The Local Langlands Conjecture for GL(2), 23), and
+    for m' = 0 it is the integral of psi over the shell, 0 for k <= -2.
+    So T = 0 unless -l - n = -m' with m' >= 1, that is n = m' - l, and
+    n >= l needs m' >= 2l >= 2, so m' = m.  Every conductor case: m <= 1
+    (m' <= 1 < 2l) and 2 <= m < 2l (m - l < l) leave every deep shell zero;
+    m >= 2l leaves the one shell n = m - l.  Every other deep shell returns
+    zero after the spot check, with no sample.
+
+    On the support shell m >= 2l, so every read level is m.  T lies on the
+    shell -m (``_support_t``), and depends on a only through its square
+    class; the prefactor q^-l chi_psi(a) mu(a)^-1 T reads a through its
+    key, (-l, the unit p^l a mod p^m).  A deep sample reads u only mod p^m:
+    c(u) reads it mod p^l, chi_psi(u) mod p, mu(u) mod p^m, and where
+    c(u) != 0, u -> u + p^m t moves xi u^2 by an element of valuation at
+    least m - l, so not the key of a.  The deep shell is sampled at level
+    m; the gate accepts in one pass, and still compares the sums at levels
+    m and m + 1.  T is integrated once per square class of a, the prefactor
+    built once per key of a and a sample's value once per u mod p^m, each
+    shared within the call.  The integrands read the int coordinates of
+    their ``ShellPoint`` samples."""
     ctx = rep.ctx
     table = bessel_table(rep, xi, eta)
     char = _char_factor(ctx, mu)
 
     if n >= rep.level:
         table.check_shell(-n)
-        b_xi, b_eta = table.b_xi, table.b_eta
-        gauss = twisted_gauss_sums(ctx, mu, n)
+        m = mu.m
+        if n != m - rep.level:
+            return CycValue.zero(ctx.q)
+        p, b_xi, b_eta = ctx.p, table.b_xi, table.b_eta
+        pm, mu_inv = p**m, mu.inverse()
         # a = -(xi u^2 + eta) = num / den
         xn, xd, en, ed = xi.numerator, xi.denominator, eta.numerator, eta.denominator
         den = xd * ed
-        p = ctx.p
-        level = max(rep.level, mu.m, 1)
-        u_mod, gauss_mod = p**level, p ** max(1, mu.m)
+        ts: dict = {}
+        prefactors: dict = {}
         products: dict = {}
 
+        def prefactor(num: int) -> CycValue:
+            key = valuation_unit(num, den, p, pm)
+            hit = prefactors.get(key)
+            if hit is None:
+                alpha, ua = key
+                t_key = square_class_int(p, alpha, ua)
+                if t_key not in ts:
+                    ts[t_key] = _support_t(ctx, char, m, alpha, ua)
+                hit = prefactors[key] = (ts[t_key] * chi_psi_int(ctx, alpha, ua)
+                                         * mu_inv.value_int(alpha, ua) * Fraction(ctx.q) ** alpha)
+            return hit
+
         def f(u: ShellPoint) -> CycValue:
-            num = -(xn * u.u * u.u * ed + en * xd)
-            key = (u.u % u_mod, _gauss_key(p, gauss_mod, n, num, den))
+            key = u.u % pm
             hit = products.get(key)
             if hit is None:
                 c = rep.unit_torus_value(u.u)[b_xi][b_eta]
-                hit = products[key] = c if c.is_zero() else c * char(0, u.u) * gauss(num, den)
+                num = -(xn * u.u * u.u * ed + en * xd)
+                hit = products[key] = c if c.is_zero() else c * char(0, u.u) * prefactor(num)
             return hit
 
-        shell = integrate_shell(ctx, f, ShellIntegralPlan(0, level, MULTIPLICATIVE_DX))
+        shell = integrate_shell(ctx, f, ShellIntegralPlan(0, m, MULTIPLICATIVE_DX))
     else:
         def f(x: ShellPoint) -> CycValue:
             j = table.value(x)
@@ -548,7 +536,10 @@ class GammaFactor:
     `coefficients` holds gamma(n) for every n in 0..support_bound, and the
     shells listed in `zero_by_theorem` hold zeros proven by the certified
     class matrix (``gamma_factor``), not computed ones.  Where the parity
-    fails the list is empty: every coefficient was computed, and is zero."""
+    fails the list is empty and every coefficient is zero.  The scanned
+    deep shells n >= l off the Gauss-sum support n = m - l are zero by that
+    support (``gamma_coefficient``), returned after their Bessel spot check
+    without a sample, and are not listed."""
 
     poly: LaurentPoly
     coefficients: dict

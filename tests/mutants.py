@@ -86,29 +86,35 @@ MUTANTS = (
            "hit = rep.unit_torus_value(uy_inv)[b_out][b_in]",
            ("tests/test_zeta.py::TestBesselClosedTorusForm::"
             "test_weil_data_direct_agrees_with_closed",)),
-    # The product keys of the three deep-shell integrands that share
-    # products: each mutant keys on less than the product reads, so samples
-    # that differ share a value.  No mutant drops the closed sum's or T's
-    # Hilbert sign, or the deep integrand's key of a: the rest of each key
-    # fixes that operand, so the results would not change and no test could
-    # kill it.  t mod p and u mod p fix the signs; and where
-    # sigma(<u>)[b_xi][b_eta] != 0, xi u^2 = eta mod Z_p, so v(a) = -l and
-    # u mod p^max(1, m) fixes the key of a.  The key of a alone fixes u only
-    # up to sign, which a character whose parity fails sees.
+    # The product keys of the deep-shell integrands that share products:
+    # each mutant keys on less than the product reads, so samples that
+    # differ share a value.  No mutant drops the closed sum's Hilbert sign:
+    # t mod p and u mod p fix it, so the results would not change and no
+    # test could kill it.  The deep integrand keys on u mod p^m; keyed on
+    # u^2, as the key of a is, it fixes u only up to sign, which a character
+    # whose parity fails sees.
     Mutant("bessel-closed-product-key-drops-psi-pair", "metaplectic/zeta.py",
            "key = (t, sign, root)",
            "key = (t, sign)",
            ("tests/test_zeta.py::TestBesselClosedTorusForm::"
             "test_d_term_columns_match_cover_route_oracle[norm5]",)),
-    Mutant("gauss-t-product-key-drops-char-key", "metaplectic/zeta.py",
-           "key = (z.u % modulus, z.u % pk, sign)",
-           "key = (z.u % pk, sign)",
-           ("tests/test_zeta.py::TestTwistedGaussSum::"
-            "test_every_branch_against_definition",)),
     Mutant("deep-gamma-product-key-drops-unit", "metaplectic/zeta.py",
-           "key = (u.u % u_mod, _gauss_key(p, gauss_mod, n, num, den))",
-           "key = _gauss_key(p, gauss_mod, n, num, den)",
+           "            key = u.u % pm\n",
+           "            key = u.u * u.u % pm\n",
            ("tests/test_zeta.py::TestGammaEarlyExit::test_equals_full_scan[rep1]",)),
+    # The Gauss-sum support of the deep shells (gamma_coefficient): moving
+    # the one shell that is computed zeroes the support shell, and
+    # computing the shells below it integrates T on the wrong shell there
+    Mutant("deep-gamma-support-shell-moved", "metaplectic/zeta.py",
+           "if n != m - rep.level:",
+           "if n != m - rep.level + 1:",
+           ("tests/test_zeta.py::TestGammaDeepShells::"
+            "test_support_law_on_every_named_datum[rep1]",)),
+    Mutant("deep-gamma-computes-shells-below-support", "metaplectic/zeta.py",
+           "if n != m - rep.level:",
+           "if n > m - rep.level:",
+           ("tests/test_zeta.py::TestGammaDeepShells::"
+            "test_support_law_on_every_named_datum[rep1]",)),
     # The sampling levels of the three deep-shell integrals: each mutant
     # samples one level below what its integrand reads, so the gate refines
     # (or accepts at the wrong level) where the docstring proves one pass.
@@ -123,8 +129,8 @@ MUTANTS = (
            ("tests/test_zeta.py::TestDeepShellLevels::"
             "test_one_gate_pass_at_the_read_level[rep1-2]",)),
     Mutant("deep-gamma-level-ignores-conductor", "metaplectic/zeta.py",
-           "level = max(rep.level, mu.m, 1)",
-           "level = max(rep.level, 1)",
+           "ShellIntegralPlan(0, m, MULTIPLICATIVE_DX)",
+           "ShellIntegralPlan(0, rep.level, MULTIPLICATIVE_DX)",
            ("tests/test_zeta.py::TestDeepShellLevels::"
             "test_one_gate_pass_at_the_read_level[rep1-2]",)),
     Mutant("gamma-early-exit-skips-certificate", "metaplectic/zeta.py",

@@ -42,7 +42,6 @@ from metaplectic.zeta import (
     SamplingBudgetError,
     _bessel_kernel,
     gamma_support_bound,
-    twisted_gauss_sums,
     zeta_parity_holds,
 )
 from metaplectic.localchar import hilbert_frac, legendre_int
@@ -765,38 +764,44 @@ def _direct_gauss_sum(ctx, mu, n, a):
     return integrate_shell(ctx, f, ShellIntegralPlan(-n, level, ADDITIVE_DX))
 
 
-class TestTwistedGaussSum:
-    @pytest.mark.parametrize("p, m, p_exponent, gen", [
-        (3, 0, Fraction(1, 4), 0),
-        (3, 1, Fraction(1, 3), 1),
-        (3, 2, Fraction(1, 4), 1),
-        (5, 0, Fraction(1, 2), 0),
-        (5, 1, Fraction(1, 4), 1),
-    ])
-    def test_every_branch_against_definition(self, ctx, ctx5, monkeypatch, p, m, p_exponent,
-                                              gen):
-        # v(a) < 0, 0 <= v(a) < n and v(a) >= n, over both unit square
-        # classes and both valuation parities, several units per class so
-        # the prefactor chi_psi(a) mu(a)^{-1} is exercised within a class,
-        # one of them with a denominator prime to p.  At p = 3, m = 2 the
-        # shells run to n = 3, the deepest a conductor-2 gamma factor reads
+class TestGaussSumSupport:
+    """The support of the twisted Gauss sum G_n(a) at v(a) = -l, proven in
+    ``gamma_coefficient``: on the shells n >= l it vanishes unless
+    n = m - l, and for m >= 2 it is nonzero at n = m - l, where it equals
+    q^-l chi_psi(a) mu(a)^-1 T with T on its one shell -m
+    (``zeta._support_t``).  G_n(a) is the definition,
+    ``_direct_gauss_sum``."""
+
+    @pytest.mark.parametrize("p, m", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2)])
+    def test_vanishes_off_the_support_shell(self, ctx, ctx5, p, m):
+        # both unit square classes, and at p = 3 a unit with a denominator
+        # prime to p; the shells run from l to one past max(l, m - l)
         c = ctx if p == 3 else ctx5
-        mu = MultChar(c, m, p_exponent, gen)
-        units = [u for u in range(1, 2 * p) if u % p] + [Fraction(-2, 7)]
-        shell_integrals = []
-        integrate = zeta.integrate_shell
-        monkeypatch.setattr(zeta, "integrate_shell",
-                            lambda *args: shell_integrals.append(args) or integrate(*args))
-        for n in ((1, 2, 3) if (p, m) == (3, 2) else (1, 2)):
-            shell_integrals.clear()
-            gauss = twisted_gauss_sums(c, mu, n)
-            points = [Fraction(0)] + [u * Fraction(p) ** alpha
-                                      for alpha in range(-1, n + 2) for u in units]
-            for a in points:
-                assert gauss(a.numerator, a.denominator) == \
-                    _direct_gauss_sum(c, mu, n, a), (n, a)
-            # one untwisted integral, one T per (v(a) < n, unit square class)
-            assert len(shell_integrals) == 1 + 2 * (n + 1)
+        nonsquare = next(a for a in range(2, p) if legendre_int(p, a) < 0)
+        units = [1, nonsquare] + ([Fraction(-2, 7)] if p == 3 else [])
+        for mu in characters(c, m, (0, Fraction(1, 4)))[:2 if p == 3 else 1]:
+            for l in (1, 2):
+                support = {m - l} if m >= 2 else set()
+                for n in sorted(set(range(l, max(l, m - l) + 2)) | support):
+                    values = [_direct_gauss_sum(c, mu, n, u / Fraction(p) ** l) for u in units]
+                    if n in support:
+                        assert any(not g.is_zero() for g in values), (mu, l, n)
+                    else:
+                        assert all(g.is_zero() for g in values), (mu, l, n)
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (5, 2)])
+    def test_support_shell_is_prefactor_times_t(self, ctx, ctx5, p, m):
+        c = ctx if p == 3 else ctx5
+        for mu in characters(c, m, (0, Fraction(1, 4)))[:4]:
+            char = zeta._char_factor(c, mu)
+            for l in (1, 2):
+                for u in range(1, p**m):
+                    if u % p:
+                        a = u / Fraction(p) ** l
+                        prefactor = (chi_psi(c.elem(a)) * mu.inverse().value(a)
+                                     * Fraction(c.q) ** -l)
+                        assert _direct_gauss_sum(c, mu, m - l, a) == \
+                            prefactor * zeta._support_t(c, char, m, -l, u), (mu, l, u)
 
 
 def _gamma_via_bessel_table(rep, xi, eta, mu, n):
@@ -869,6 +874,35 @@ class TestGammaDeepShells:
                     value = gamma_coefficient(weil5, xi, eta, mu, n)
                     assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, n), (m, xi, eta)
                     assert not value.is_zero(), (m, xi, eta)
+
+
+    @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "norm3", "norm5", "weil7",
+                                      "elliptic9"])
+    def test_support_law_on_every_named_datum(self, request, data):
+        # every class pair on the deep shells from l to one past the support
+        # shell m - l, against the oracle, which reads no Gauss sum, for
+        # parity-holding characters with a support shell (m >= 2l): the
+        # nonzero entries lie at n = m - l alone.  At p = 3, l = 1 the
+        # conductor 3 puts the shell l = 1 below the support shell 2
+        rep = request.getfixturevalue(data)
+        l = rep.level
+        classes = [r.xi for r in rep.spectrum().dedup]
+        for m in (2 * l, 2 * l + 1) if (rep.ctx.p, l) == (3, 1) else (2 * l,):
+            mus = [mu for mu in characters(rep.ctx, m, (0,)) if zeta_parity_holds(rep, mu)]
+            assert mus, m
+            for mu in mus[:2]:
+                shells = range(l, m - l + 2)
+                assert shells[-1] <= gamma_support_bound(rep, mu)
+                nonzero = set()
+                for xi in classes:
+                    for eta in classes:
+                        for n in shells:
+                            value = gamma_coefficient(rep, xi, eta, mu, n)
+                            assert value == _gamma_via_bessel_table(rep, xi, eta, mu, n), \
+                                (mu.spec_record(), xi, eta, n)
+                            if not value.is_zero():
+                                nonzero.add(n)
+                assert nonzero == {m - l}, mu.spec_record()
 
 
 class TestShallowGammaIsKernelZeta:
@@ -1071,14 +1105,16 @@ class TestZetaShellLevels:
 
 
 class TestDeepShellLevels:
-    """The three deep-shell integrals each take one gate pass, at the level
-    their docstrings prove they read: the Bessel kernel (``_bessel_kernel``)
-    at level 1 on Z_p, where it is constant, and at |k| on a shell k < 0, as
-    it reads y only mod Z_p; the closed Bessel sum (``bessel_closed``) at
-    |n| on its shell n <= -l; and the deep gamma integrand
-    (``gamma_coefficient``, n >= l) at max(l, m, 1).  Every gate a gamma
-    coefficient opens, the twisted Gauss integrals and the shallow gamma
-    shells included, accepts in one pass."""
+    """The deep-shell integrals each take one gate pass, at the level their
+    docstrings prove they read: the Bessel kernel (``_bessel_kernel``) at
+    level 1 on Z_p, where it is constant, and at |k| on a shell k < 0, as it
+    reads y only mod Z_p; the closed Bessel sum (``bessel_closed``) at |n|
+    on its shell n <= -l, both on every deep shell as the spot check's two
+    sides; and the deep gamma integrand (``gamma_coefficient``) on the unit
+    shell and T (``_support_t``) on the shell -m, both at level m and only
+    at the support shell n = m - l, which exists for m >= 2l.  Every gate a
+    gamma coefficient opens, the shallow gamma shells included, accepts in
+    one pass."""
 
     @pytest.mark.parametrize("conductor", [0, 1, 2])
     @pytest.mark.parametrize("data", ["rep1", "weil5", "norm5", "elliptic9"])
@@ -1119,9 +1155,14 @@ class TestDeepShellLevels:
         assert kernels == {(k, -k) for k in range(-1, -bound - 1, -1)}
         closed = {(n, level) for kind, _, n, level in passes if kind == "bessel_closed"}
         assert closed == {(k, -k) for k in range(-l, -bound - 1, -1)}
-        deep = {(n, level) for kind, at, n, level in passes
+        deep = {(at, n, level) for kind, at, n, level in passes
                 if kind == "gamma_coefficient" and at >= l}
-        assert deep == {(0, max(l, conductor, 1))}
+        ts = {(at, n, level) for kind, at, n, level in passes if kind == "_support_t"}
+        if conductor >= 2 * l:
+            assert deep == {(conductor - l, 0, conductor)}
+            assert ts == {(conductor - l, -conductor, conductor)}
+        else:
+            assert deep == ts == set()
 
 
 class TestZetaTermMemo:
