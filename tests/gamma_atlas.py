@@ -30,17 +30,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "gamma_atlas.json"
 P_EXPONENTS = (0, Fraction(1, 4))
 
 
-def max_conductor(p: int) -> int:
-    return 3 if p == 3 else 2
-
-
 def atlas_entries(name: str) -> list:
     """The atlas records of the datum `name`, from a fresh representation
     (cold gamma caches) of its shared sigma."""
     rep = Representation(named_sigma_once(name))
     classes = [r.xi for r in rep.spectrum().dedup]
     entries = []
-    for m in range(max_conductor(rep.ctx.p) + 1):
+    for m in range(4 if rep.ctx.p == 3 else 3):
         for mu in characters(rep.ctx, m, P_EXPONENTS):
             for xi in classes:
                 for eta in classes:

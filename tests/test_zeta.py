@@ -875,7 +875,6 @@ class TestGammaDeepShells:
                     assert value == _gamma_via_bessel_table(weil5, xi, eta, mu, n), (m, xi, eta)
                     assert not value.is_zero(), (m, xi, eta)
 
-
     @pytest.mark.parametrize("data", ["rep1", "rep2", "weil5", "norm3", "norm5", "weil7",
                                       "elliptic9"])
     def test_support_law_on_every_named_datum(self, request, data):
