@@ -17,19 +17,20 @@ y = ctx.elem(Fraction(5, 27))
 print(f"y = {y.value}: valuation {y.valuation()}  (5/27 = 5 * 3^-3)")
 
 print("\n== cyclotomic values ==")
-zeta3 = ctx.cyc_e(Fraction(1, 3))
+zeta3 = CycValue.root_of_unity(ctx.q, Fraction(1, 3))
 print("zeta_3 + zeta_3^2 =", zeta3 + zeta3 * zeta3, " (canonical form decides zero exactly)")
 
-gauss = CycValue.sum([ctx.cyc_e(Fraction(k * k, 3)) for k in range(3)], 3)
+gauss = CycValue.sum([CycValue.root_of_unity(ctx.q, Fraction(k * k, 3)) for k in range(3)], 3)
 print("quadratic Gauss sum g =", gauss)
 print("g^2 =", gauss * gauss, " -- the classical identity g^2 = -3, so g = i sqrt(3)")
 
-s = ctx.sqrtq()
+s = CycValue.sqrtq(ctx.q)
 print("sqrt(q) = e(-1/4) g =", s, " (a value of Q(zeta_12), not a symbol)")
-print("sqrt(q) * sqrt(q) =", s * s, " sqrt(q) == e(-1/4) g:", s == ctx.cyc_e(Fraction(-1, 4)) * gauss)
+print("sqrt(q) * sqrt(q) =", s * s,
+      " sqrt(q) == e(-1/4) g:", s == CycValue.root_of_unity(ctx.q, Fraction(-1, 4)) * gauss)
 
 print("\n== Laurent polynomials in q^{-s} ==")
-P = LaurentPoly(3, Q_NEG_S, {0: ctx.cyc(Fraction(4, 3)), 1: gauss})
+P = LaurentPoly(3, Q_NEG_S, {0: CycValue.rational(ctx.q, Fraction(4, 3)), 1: gauss})
 print("P =", P)
 Q = P.one_minus_s()
 print("P(1-s) =", Q)

@@ -5,7 +5,6 @@ verification of their functional equation."""
 
 from .exactnum import (
     CycValue,
-    KElement,
     LaurentPoly,
     PadicContext,
     Q_NEG_S,
@@ -25,7 +24,6 @@ from .localchar import (
 from .cover import (
     MetaElement,
     SL2Element,
-    chi_entry,
     cocycle,
     coset_decompose,
     kubota_split,
@@ -40,17 +38,12 @@ from .repn import (
     elliptic_sigma,
     named_sigma,
     norm_sigma,
-    sigma_from_dict,
     weil_sigma,
 )
 from .zeta import (
     ADDITIVE_DX,
     MULTIPLICATIVE_DX,
-    BesselTable,
-    FEReport,
-    GammaFactor,
     ShellIntegralPlan,
-    ZetaFunction,
     bessel_closed,
     bessel_direct,
     bessel_table,

@@ -153,11 +153,6 @@ def _lowest(ctx, na, nb, nc, nd, den) -> SL2Element:
     return x
 
 
-def chi_entry(g: SL2Element) -> Fraction:
-    """chi(g) = c if c != 0 else d; never zero on SL2."""
-    return Fraction(g.nc or g.nd, g.den)
-
-
 def cocycle(g: SL2Element, h: SL2Element, gh: SL2Element | None = None) -> int:
     """The 2-cocycle {g, h} = (chi(gh)/chi(g), chi(gh)/chi(h)).
 

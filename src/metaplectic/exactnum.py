@@ -57,34 +57,17 @@ class PadicContext:
     p: int
 
     def __post_init__(self):
-        if self.p < 3 or not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not an odd prime")
+        p = exact_int(self.p, "p")
+        if p < 3 or not _is_prime(p):
+            raise ValueError(f"p = {p} is not an odd prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def q(self) -> int:
         return self.p
 
-    @property
-    def uniformizer(self) -> Fraction:
-        return Fraction(self.p)
-
     def elem(self, value) -> "KElement":
         return KElement(Fraction(value), self)
-
-    def cyc(self, value) -> "CycValue":
-        return CycValue.rational(self.q, Fraction(value))
-
-    def cyc_e(self, exponent) -> "CycValue":
-        return CycValue.root_of_unity(self.q, Fraction(exponent))
-
-    def sqrtq(self) -> "CycValue":
-        return CycValue.sqrtq(self.q)
-
-    def one(self) -> "CycValue":
-        return CycValue.one(self.q)
-
-    def zero(self) -> "CycValue":
-        return CycValue.zero(self.q)
 
 
 def p_split(num: int, den: int, p: int):
@@ -346,17 +329,6 @@ class CycValue:
     gives the Fraction view."""
 
     __slots__ = ("q", "_n", "_d", "_coeffs", "_hash")
-
-    def __init__(self, q: int, terms=None):
-        """From an {exponent: coefficient} map of rationals, in any form."""
-        terms = [(Fraction(r), Fraction(c)) for r, c in (terms or {}).items()]
-        n = math.lcm(1, *(r.denominator for r, _ in terms))
-        d = math.lcm(1, *(c.denominator for _, c in terms))
-        raw: dict = {}
-        for r, c in terms:
-            k = r.numerator * (n // r.denominator) % n
-            raw[k] = raw.get(k, 0) + c.numerator * (d // c.denominator)
-        self._set(q, n, d, _reduced(raw, n))
 
     def _set(self, q, n, d, coeffs) -> None:
         """Store a canonical, zero-free form after dividing out
@@ -658,14 +630,8 @@ class CycValue:
     def from_terms(cls, q: int, triples) -> "CycValue":
         """From (coefficient, root exponent, sqrtq flag) triples, the term
         records of the JSON format; a flagged term means c e(r) sqrt(q)."""
-        one: dict = {}
-        half: dict = {}
-        for coeff, expo, flag in triples:
-            target = half if flag else one
-            e = Fraction(expo)
-            target[e] = target.get(e, Fraction(0)) + Fraction(coeff)
-        value = cls(q, one)
-        return value + cls(q, half) * cls.sqrtq(q) if half else value
+        return cls.sum([cls.root_of_unity(q, expo) * Fraction(coeff)
+                        * (cls.sqrtq(q) if flag else 1) for coeff, expo, flag in triples], q)
 
 
 @lru_cache(maxsize=None)
@@ -715,12 +681,6 @@ class LaurentPoly:
         if not isinstance(value, CycValue):
             value = CycValue.rational(q, value)
         return cls(q, var, {0: value})
-
-    @classmethod
-    def monomial(cls, q: int, var: str, n: int, value) -> "LaurentPoly":
-        if not isinstance(value, CycValue):
-            value = CycValue.rational(q, value)
-        return cls(q, var, {n: value})
 
     def support(self):
         return sorted(self.coeffs)
@@ -777,10 +737,6 @@ class LaurentPoly:
         ((q^{-s})^n = (q^{s})^{-n})."""
         other = Q_POS_S if self.var == Q_NEG_S else Q_NEG_S
         return LaurentPoly(self.q, other, {-n: c for n, c in self.coeffs.items()})
-
-    def evaluate(self, s: complex) -> complex:
-        sign = -1 if self.var == Q_NEG_S else 1
-        return sum(c.to_complex() * self.q ** (sign * s * n) for n, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:

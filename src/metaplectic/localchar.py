@@ -364,18 +364,14 @@ class MultChar:
             e += Fraction(self.generator_exponent * self._dlog[u % self._modulus], self._order)
         return e % 1
 
-    def value_exponent(self, x: Fraction) -> Fraction:
-        """mu(x) = e(value_exponent(x))."""
-        if x == 0:
-            raise ZeroDivisionError("mu(0) is undefined")
-        return self.exponent_int(*valuation_unit(x.numerator, x.denominator, self.ctx.p,
-                                                 self._modulus))
-
     def value_int(self, v: int, u: int) -> CycValue:
         return CycValue.root_of_unity(self.ctx.q, self.exponent_int(v, u))
 
     def value(self, x) -> CycValue:
-        return CycValue.root_of_unity(self.ctx.q, self.value_exponent(x))
+        if x == 0:
+            raise ZeroDivisionError("mu(0) is undefined")
+        return self.value_int(*valuation_unit(x.numerator, x.denominator, self.ctx.p,
+                                              self._modulus))
 
     def inverse(self) -> "MultChar":
         """mu^-1, built on first use and then remembered on the instance."""

@@ -798,24 +798,19 @@ class Representation:
         gives t' = r/p^j and (t' - t u^2)/u = -carry/u.  That needs u only
         modulo p^(j + l), so u is an int (the unit itself, or any int
         congruent to it modulo p^(j + l) for every term) or a ``Fraction``
-        unit, first reduced modulo p^(j_max + l) (``torus_depth``); eps reads
-        u only through its square class, modulo p."""
+        unit, first reduced modulo p^(j_max + l), j_max the largest j of a
+        key among the terms (0 for none); eps reads u only through its square
+        class, modulo p."""
         p, m = self.ctx.p, self.sigma.modulus
         if type(u) is not int:
             items = list(items)
-            u = frac_mod(u, p ** self.torus_depth(items))
+            u = frac_mod(u, p ** (self.level + max((j for (_, j, _, _), _ in items), default=0)))
         u_mod, u_inv = u % m, pow(u, -1, m)
         for (c, j, n, b), coeff in items:
             pj = p**j
             carry, r = divmod(c * u * u, pj)
             eps = e * hilbert_int(p, k, u, -n, -1) * hilbert_int(p, k - n, 1, 0, u)
             yield r, j, n - k, b, coeff, (u_mod, -carry * u_inv % m, 0, u_inv), eps
-
-    def torus_depth(self, items) -> int:
-        """l + j, with j the largest p-exponent of a key among the terms
-        `items` ((r, j, n, b), coeff), 0 for none: ``_torus_terms`` reads the
-        unit u of x = p^k u only modulo p^(l + j) on these terms."""
-        return self.level + max((j for (_, j, _, _), _ in items), default=0)
 
     def _closed_act(self, images) -> InducedVector:
         """The vector of the closed-form images (r, j, n, b, coeff, key, eps)

@@ -650,8 +650,11 @@ def gamma_involution_defects(rep: Representation, mu: MultChar, gamma, rows, mid
     unit u, and so does its zeta integral.
     (ii) Each class zeta has some phi(t, n, b) with Z(s, mu, l^zeta, .) != 0
     when the parity holds: the one-class claim, that some vector has a
-    nonzero zeta integral, applied to each class (not proven here, and
-    tested on every datum with two classes).
+    nonzero zeta integral, applied to each class.  It is not proven here.
+    It is tested on every named datum and every character of the gamma
+    atlas (``TestGammaFromFunctionalEquation`` in tests/test_zeta.py, which
+    finds a witness for each class, checks (i) on it, and solves the
+    functional equation on it for the class matrix).
     A relation sum_zeta c_zeta(s) Z(s, mu, l^zeta, .) = 0, evaluated at the
     witness of zeta, keeps only its own term by (i), so c_zeta = 0.
 

@@ -1,8 +1,9 @@
 """Test-side helpers built on the public model: the value of a model vector
 at a cover point, the torus constant c_xi(a), the per-point Bessel integral,
 the Fourier inversion identity of the Bessel function, a float growth
-report, the characters of one conductor, the coset representative at a
-rational t and a ``Fraction``-entry reference of the cover arithmetic.
+report, the characters of one conductor, the gamma factor solved from the
+functional equation, the coset representative at a rational t and a
+``Fraction``-entry reference of the cover arithmetic.
 Nothing in the library calls them; the tests use them as oracles.  The
 data the tests run on are the named data of ``metaplectic.repn.SIGMA_NAMES``,
 each built once (``named_sigma_once``)."""
@@ -13,6 +14,7 @@ from fractions import Fraction
 from metaplectic import (
     SIGMA_NAMES,
     CycValue,
+    LaurentPoly,
     MetaElement,
     MultChar,
     PadicContext,
@@ -20,9 +22,11 @@ from metaplectic import (
     integrate_ball,
     integrate_shell,
     named_sigma,
+    zeta_function,
 )
 from metaplectic.cover import SL2Element, _coset_rep, decompose_meta
 from metaplectic.exactnum import (
+    Q_POS_S,
     ShellPoint,
     _unit_residues_mod,
     frac_valuation,
@@ -171,6 +175,49 @@ def characters(ctx, m: int, p_exponents) -> list:
             except ValueError:  # conductor below m
                 pass
     return out
+
+
+def fe_witness(rep, eta, mu):
+    """The first phi(t, n, b) with Z(s, mu^-1, l^eta, phi) != 0, t = r/p^j in
+    lowest terms and b in the square class of eta: j = max(m - l, 0) first,
+    then every other j < l + 3, each with n in 0, 1, -1, 2, -2; None when no
+    term there is seen.  Each term lies on one shell, so its zeta integral is
+    one monomial."""
+    p, mu_inv = rep.ctx.p, mu.inverse()
+    own = rep.spectrum().reps[rep.basis_index_for(eta)].square_class
+    bs = [b for b, r in enumerate(rep.spectrum().reps) if r.square_class == own]
+    first = max(mu.m - rep.level, 0)
+    for j in [first] + [j for j in range(rep.level + 3) if j != first]:
+        for r in range(p**j):
+            if j and r % p == 0:
+                continue
+            for n in (0, 1, -1, 2, -2):
+                for b in bs:
+                    phi = rep.phi(t=Fraction(r, p**j), n=n, b=b)
+                    if not zeta_function(rep, eta, mu_inv, phi).poly.is_zero():
+                        return phi
+    return None
+
+
+def gamma_from_fe(rep, xi, eta, mu) -> LaurentPoly:
+    """Gamma^{xi,eta}_mu solved from the functional equation, with no Bessel
+    function.  On the witness phi of eta (``fe_witness``) no other class's
+    zeta integral is nonzero (independence (i) of
+    ``zeta.gamma_involution_defects``), so the equation
+
+        Z(s, mu, l^xi, pi(w) phi) = (1/4) |eta| Gamma^{xi,eta}_mu(s) Z(1-s, mu^-1, l^eta, phi)
+
+    keeps one term, and Z(1-s, mu^-1, l^eta, phi) = c X^e, X = q^s, is a
+    monomial: Gamma = 4 Z(s, mu, l^xi, pi(w) phi) / (|eta| c X^e), an exact
+    division.  A ``LaurentPoly`` in q^s, like ``gamma_factor(...).poly``."""
+    ctx = rep.ctx
+    phi = fe_witness(rep, eta, mu)
+    if phi is None:
+        raise ArithmeticError(f"no witness for eta = {eta} and {mu!r}")
+    (e, c), = zeta_function(rep, eta, mu.inverse(), phi).poly.one_minus_s().coeffs.items()
+    lhs = zeta_function(rep, xi, mu, rep.act(MetaElement.w(ctx), phi)).poly.retagged()
+    scale = (c * Fraction(ctx.q) ** rep.level).inverse() * 4
+    return LaurentPoly(ctx.q, Q_POS_S, {n - e: a * scale for n, a in lhs.coeffs.items()})
 
 
 # -- Fraction-entry reference of the cover -------------------------------------

@@ -292,9 +292,9 @@ class TestVectors:
 
 class TestSerialization:
     def test_cyc_roundtrip_exact(self, ctx):
-        value = (ctx.cyc_e(Fraction(5, 9)) * Fraction(2, 7)
-                 + ctx.sqrtq() * ctx.cyc_e(Fraction(1, 4))
-                 + ctx.cyc(Fraction(-3, 2)))
+        value = (CycValue.root_of_unity(ctx.q, Fraction(5, 9)) * Fraction(2, 7)
+                 + CycValue.sqrtq(ctx.q) * CycValue.root_of_unity(ctx.q, Fraction(1, 4))
+                 + CycValue.rational(ctx.q, Fraction(-3, 2)))
         data = cyc_to_json(value)
         assert cyc_from_json(3, data) == value
         assert not any(term["sqrtq"] for term in data["terms"])
@@ -303,7 +303,7 @@ class TestSerialization:
         # c e(r) sqrt(q) written with the flag, as older files may carry it
         term = {"numerator": 2, "denominator": 7, "root_of_unity_num": 1,
                 "root_of_unity_den": 4, "sqrtq": True}
-        want = ctx.sqrtq() * ctx.cyc_e(Fraction(1, 4)) * Fraction(2, 7)
+        want = CycValue.sqrtq(3) * CycValue.root_of_unity(3, Fraction(1, 4)) * Fraction(2, 7)
         assert cyc_from_json(3, {"terms": [term]}) == want
         assert cyc_from_json(3, cyc_to_json(want)) == want
 

@@ -8,7 +8,6 @@ from metaplectic import (
     MetaElement,
     PadicContext,
     SL2Element,
-    chi_entry,
     cocycle,
     coset_decompose,
     hilbert_symbol,
@@ -30,20 +29,6 @@ from helpers import (
     ref_mul,
     ref_word,
 )
-
-
-class TestChiEntry:
-    def test_identity(self, ctx):
-        assert chi_entry(SL2Element.identity(ctx)) == 1
-
-    def test_w(self, ctx):
-        assert chi_entry(SL2Element.w(ctx)) == 1
-
-    def test_unipotent(self, ctx):
-        assert chi_entry(SL2Element.n(ctx, 5)) == 1
-
-    def test_torus(self, ctx):
-        assert chi_entry(SL2Element.torus(ctx, 3)) == Fraction(1, 3)
 
 
 class TestCocycle:
@@ -308,4 +293,5 @@ class TestCanonicalForm:
     def test_repr_and_chi_entry_read_the_fraction_view(self, ctx):
         g = SL2Element.n(ctx, Fraction(1, 2)) * SL2Element.torus(ctx, Fraction(-2, 3))
         assert repr(g) == "[[-2/3, -3/4], [0, -3/2]]"
-        assert chi_entry(g) == Fraction(-3, 2) and type(chi_entry(g)) is Fraction
+        # chi(g) = d here (c = 0), read from the same view
+        assert (g.c or g.d) == Fraction(-3, 2) and type(g.d) is Fraction

@@ -45,7 +45,7 @@ from helpers import c_factor, coset_rep, evaluate_vector, named_sigma_once
 class TestBuiltinSigma:
     def test_table_values(self, ctx):
         s1 = builtin_sigma_p3(ctx, 1)
-        assert s1.table[(1, 1, 0, 1)][0][0] == ctx.cyc_e(Fraction(1, 3))
+        assert s1.table[(1, 1, 0, 1)][0][0] == CycValue.root_of_unity(ctx.q, Fraction(1, 3))
         assert s1.table[(0, 2, 1, 0)][0][0] == 1  # w mod 3
 
     def test_group_order(self, ctx):
@@ -53,7 +53,7 @@ class TestBuiltinSigma:
 
     def test_which_two(self, ctx):
         s2 = builtin_sigma_p3(ctx, 2)
-        assert s2.table[(1, 1, 0, 1)][0][0] == ctx.cyc_e(Fraction(2, 3))
+        assert s2.table[(1, 1, 0, 1)][0][0] == CycValue.root_of_unity(ctx.q, Fraction(2, 3))
 
     def test_rejects_wrong_p(self, ctx5):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestHomomorphismCheck:
     def test_single_corruption_rejected_on_weil5(self, ctx5, weil5, key):
         # dim 2: one entry scaled by e(1/5), every other entry left valid
         table = dict(weil5.sigma.table)
-        table[key] = mat_scale(table[key], ctx5.cyc_e(Fraction(1, 5)))
+        table[key] = mat_scale(table[key], CycValue.root_of_unity(ctx5.q, Fraction(1, 5)))
         with pytest.raises(SigmaValidationError, match="not multiplicative"):
             SigmaRep(ctx5, 1, 2, table)
 
@@ -130,7 +130,7 @@ class TestValidationAtConstruction:
     def test_builtin_generators_with_w_negated_not_multiplicative(self, ctx):
         # w lies in the commutator subgroup of SL(2, Z/3), so w -> -1 extends
         # to no homomorphism: an edge of the closure disagrees
-        generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(1, 3)),),),
+        generators = {(1, 1, 0, 1): ((CycValue.root_of_unity(ctx.q, Fraction(1, 3)),),),
                       (0, 2, 1, 0): ((-CycValue.one(3),),)}
         with pytest.raises(SigmaValidationError, match="not multiplicative"):
             SigmaRep(ctx, 1, 1, generators)
@@ -181,7 +181,7 @@ class TestEigenBasis:
     def test_unipotent_acts_diagonally(self, name):
         sigma = named_sigma_once(name)
         psi = AdditiveCharacter(sigma.ctx)
-        zero = sigma.ctx.zero()
+        zero = CycValue.zero(sigma.ctx.q)
         for a in range(sigma.modulus):
             diag = [psi.value(beta * a) for beta in sigma.betas]
             assert sigma.eigen_table[sigma.n_key(a)] == tuple(
@@ -294,7 +294,8 @@ class TestGenuineEvaluation:
         assert rep1.genuine_eval(minus)[0][0] == -1
 
     def test_unipotent_value(self, ctx, rep1):
-        assert rep1.genuine_eval(MetaElement.n(ctx, 1))[0][0] == ctx.cyc_e(Fraction(1, 3))
+        value = rep1.genuine_eval(MetaElement.n(ctx, 1))[0][0]
+        assert value == CycValue.root_of_unity(ctx.q, Fraction(1, 3))
 
     def test_multiplicative(self, ctx, rep1, rng):
         for _ in range(300):
@@ -312,7 +313,7 @@ class TestGenuineEvaluation:
 class TestAction:
     def test_central_kernel(self, ctx, rep1):
         v = rep1.phi()
-        assert rep1.act(MetaElement.central(ctx, -1), v) == v.scaled(ctx.cyc(-1))
+        assert rep1.act(MetaElement.central(ctx, -1), v) == v.scaled(CycValue.rational(ctx.q, -1))
 
     def test_translation_eigenvalue(self, ctx, rep1):
         # pi(n(p^{-2n} a)) phi^{n(t)<p^n>}_b = psi_b(a) phi^{n(t)<p^n>}_b
@@ -336,8 +337,8 @@ class TestAction:
         g = random_sl2_word(ctx, rng)
         v1 = rep1.phi(t=Fraction(1, 3))
         v2 = rep1.phi(n=1)
-        lhs = rep1.act(g, v1 + v2.scaled(ctx.cyc(5)))
-        assert lhs == rep1.act(g, v1) + rep1.act(g, v2).scaled(ctx.cyc(5))
+        lhs = rep1.act(g, v1 + v2.scaled(CycValue.rational(ctx.q, 5)))
+        assert lhs == rep1.act(g, v1) + rep1.act(g, v2).scaled(CycValue.rational(ctx.q, 5))
 
     def test_images_that_cancel_leave_no_term(self, weil5):
         # pi(w) phi_0 and pi(w) phi_1 share the key k; with c chosen to cancel
@@ -419,7 +420,7 @@ class TestWClosedForm:
                 for r in (r for r in range(p**j) if r % p or not j):
                     for n in range(-3, 4):
                         for b in range(rep.dim):
-                            v = InducedVector(ctx.q, {(r, j, n, b): ctx.one()})
+                            v = InducedVector(ctx.q, {(r, j, n, b): CycValue.one(ctx.q)})
                             assert rep.act(w, v) == decomposition_act(rep, w, v), (r, j, n, b, e)
 
 
@@ -469,10 +470,12 @@ class TestTorusClosedForm:
     def _vector(self, ctx, rng, k):
         terms = {}
         if -3 <= k <= 3:
-            terms[(*rng.choice(self.TS), k, 0)] = ctx.cyc_e(Fraction(rng.randrange(9), 9))
+            key = (*rng.choice(self.TS), k, 0)
+            terms[key] = CycValue.root_of_unity(ctx.q, Fraction(rng.randrange(9), 9))
         for _ in range(rng.randrange(1, 4)):
             key = (*rng.choice(self.TS), rng.randrange(-3, 4), 0)
-            terms[key] = ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
+            terms[key] = (CycValue.root_of_unity(ctx.q, Fraction(rng.randrange(9), 9))
+                          * rng.randrange(1, 4))
         return InducedVector(ctx.q, terms)
 
     def test_matches_decomposition(self, ctx, rep1, rep2, rng):
@@ -507,7 +510,8 @@ class TestTorusClosedForm:
                     for e in (1, -1):
                         g = MetaElement(SL2Element.torus(ctx, x), e)
                         terms = {(*t, rng.choice((k, k, k - 1, k + 2)), 0):
-                                 ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(1, 4)
+                                 CycValue.root_of_unity(ctx.q, Fraction(rng.randrange(9), 9))
+                                 * rng.randrange(1, 4)
                                  for t in rng.sample(self.DEEP_TS, 3)}
                         v = InducedVector(ctx.q, terms)
                         expected = decomposition_act(rep, g, v)
@@ -551,7 +555,8 @@ class TestTorusClosedForm:
                     for _ in range(2):
                         terms = {(*rng.choice(ts), rng.choice((k, k, k - 1, k + 1)),
                                   rng.randrange(rep.dim)):
-                                 ctx.cyc_e(Fraction(rng.randrange(p), p)) * rng.randrange(1, 4)
+                                 CycValue.root_of_unity(ctx.q, Fraction(rng.randrange(p), p))
+                                 * rng.randrange(1, 4)
                                  for _ in range(3)}
                         v = InducedVector(ctx.q, terms)
                         expected = decomposition_act(rep, g, v)
@@ -577,10 +582,10 @@ class TestInducedVectorSum:
         keys = [(r, j, n, 0) for r, j in ((0, 0), (1, 2), (2, 2)) for n in (-1, 0)]
         vectors = []
         for _ in range(6):
-            terms = {key: ctx.cyc_e(Fraction(rng.randrange(9), 9)) * rng.randrange(-2, 3)
-                     for key in rng.sample(keys, 3)}
+            terms = {key: CycValue.root_of_unity(q, Fraction(rng.randrange(9), 9))
+                     * rng.randrange(-2, 3) for key in rng.sample(keys, 3)}
             vectors.append(InducedVector(q, terms))
-        cancel = rep1.phi(t=Fraction(1, 3), n=1, coeff=ctx.cyc_e(Fraction(1, 3)))
+        cancel = rep1.phi(t=Fraction(1, 3), n=1, coeff=CycValue.root_of_unity(q, Fraction(1, 3)))
         vectors += [cancel, -cancel]
         total = InducedVector.zero(q)
         for v in vectors:
@@ -588,7 +593,7 @@ class TestInducedVectorSum:
         fold: dict = {}
         for v in vectors:
             for key, c in v.terms.items():
-                fold[key] = fold.get(key, ctx.zero()) + c
+                fold[key] = fold.get(key, CycValue.zero(ctx.q)) + c
         summed = InducedVector.sum(vectors, q)
         assert summed == total and summed.terms == total.terms
         assert summed.terms == {key: c for key, c in fold.items() if not c.is_zero()}
@@ -599,7 +604,7 @@ class TestInducedVectorSum:
 
     def test_scalar_product_both_sides(self, ctx, rep1):
         v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2)
-        c = ctx.cyc_e(Fraction(2, 9))
+        c = CycValue.root_of_unity(ctx.q, Fraction(2, 9))
         assert v * c == v.scaled(c) == 3 * v.scaled(c * Fraction(1, 3))
         assert (v * 0).is_zero()
 
@@ -615,7 +620,8 @@ class TestInducedVectorSum:
                 bad * v
 
     def test_difference(self, ctx, rep1):
-        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2, coeff=ctx.cyc_e(Fraction(1, 3)))
+        third = CycValue.root_of_unity(ctx.q, Fraction(1, 3))
+        v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2, coeff=third)
         w = rep1.phi(n=2) + rep1.phi(t=Fraction(2, 3))
         assert v - w == v + (-w) == v + w * -1
         assert (v - w) + w == v
@@ -630,7 +636,7 @@ class TestInducedVectorSum:
     def test_cyc_value_on_the_left(self, ctx, rep1):
         # CycValue leaves an InducedVector operand to InducedVector.__rmul__
         v = rep1.phi(t=Fraction(1, 9), n=-1) + rep1.phi(n=2)
-        c = ctx.cyc_e(Fraction(2, 9))
+        c = CycValue.root_of_unity(ctx.q, Fraction(2, 9))
         assert c * v == v * c
         with pytest.raises(TypeError, match="unsupported operand"):
             c + v
@@ -642,14 +648,14 @@ def _weil_generators(ctx, a):
     canonical sqrt(p), times e(1/4) for p = 3 mod 4."""
     p = ctx.p
     half = range(1, (p - 1) // 2 + 1)
-    gauss = CycValue.sum([ctx.cyc_e(Fraction(x, p)) * legendre_int(p, x) for x in range(1, p)],
-                         ctx.q)
+    gauss = CycValue.sum([CycValue.root_of_unity(p, Fraction(x, p)) * legendre_int(p, x)
+                          for x in range(1, p)], p)
     c = gauss * Fraction(-legendre_int(p, -a), p)
     return {
-        (1, 1, 0, 1): tuple(tuple(ctx.cyc_e(Fraction(a * t * t, p)) if s == t else ctx.zero()
-                                  for t in half) for s in half),
-        (0, p - 1, 1, 0): tuple(tuple(c * (ctx.cyc_e(Fraction(2 * a * s * t, p))
-                                           - ctx.cyc_e(Fraction(-2 * a * s * t, p)))
+        (1, 1, 0, 1): tuple(tuple(CycValue.root_of_unity(p, Fraction(a * t * t, p)) if s == t
+                                  else CycValue.zero(p) for t in half) for s in half),
+        (0, p - 1, 1, 0): tuple(tuple(c * (CycValue.root_of_unity(p, Fraction(2 * a * s * t, p))
+                                           - CycValue.root_of_unity(p, Fraction(-2 * a * s * t, p)))
                                       for t in half) for s in half),
     }
 
@@ -686,8 +692,8 @@ class TestWeilData:
     @pytest.mark.parametrize("which", [1, 2])
     def test_builtin_is_the_hand_written_closure(self, ctx, which):
         # the one-dimensional data written out: n(1) -> e(which/3), w -> 1
-        generators = {(1, 1, 0, 1): ((ctx.cyc_e(Fraction(which, 3)),),),
-                      (0, 2, 1, 0): ((ctx.one(),),)}
+        generators = {(1, 1, 0, 1): ((CycValue.root_of_unity(ctx.q, Fraction(which, 3)),),),
+                      (0, 2, 1, 0): ((CycValue.one(ctx.q),),)}
         assert builtin_sigma_p3(ctx, which).table == SigmaRep(ctx, 1, 1, generators).table
 
 
@@ -743,13 +749,13 @@ class TestIntKeys:
         v = rep1.phi(t=Fraction(1, 2))
         assert set(v.terms) == {(0, 0, 0, 0)}
         assert v == rep1.phi(t=2) == decomposition_terms(
-            rep1, [((Fraction(1, 2), 0, 0), ctx.one())], identity)
+            rep1, [((Fraction(1, 2), 0, 0), CycValue.one(ctx.q))], identity)
         # at level 2, 1/6 = (1/2)/3 with 1/2 = 5 mod 9: [1/6] = 2/3
         for b in (0, 3):
             v = elliptic9.phi(t=Fraction(1, 6), n=-1, b=b)
             assert {key[:3] for key in v.terms} == {(2, 1, -1)}
             assert v == elliptic9.phi(t=Fraction(14, 3), n=-1, b=b) == decomposition_terms(
-                elliptic9, [((Fraction(1, 6), -1, b), ctx.one())], identity)
+                elliptic9, [((Fraction(1, 6), -1, b), CycValue.one(ctx.q))], identity)
 
     def test_torus_act_reduces_keys_to_lowest_terms(self, ctx, rep1, elliptic9):
         # the int form of t = 3/9, 0/9 and 9/27 is not in lowest terms; the
@@ -760,9 +766,9 @@ class TestIntKeys:
                     for raw, lowest in (((3, 2), (1, 1)), ((0, 2), (0, 0)), ((9, 3), (1, 1)),
                                         ((-6, 2), (-2, 1))):
                         acted = rep._closed_act(
-                            rep._torus_terms([((*raw, n, 0), ctx.one())], k, u, e))
+                            rep._torus_terms([((*raw, n, 0), CycValue.one(ctx.q))], k, u, e))
                         want = rep._closed_act(
-                            rep._torus_terms([((*lowest, n, 0), ctx.one())], k, u, e))
+                            rep._torus_terms([((*lowest, n, 0), CycValue.one(ctx.q))], k, u, e))
                         assert acted.terms == want.terms
                         assert_int_keys_in_lowest_terms(acted, 3)
 
@@ -780,10 +786,11 @@ class TestCanonicalPhi:
                     assert rep.act(identity, v) == v
                     for (r, j, _, _) in v.terms:
                         assert 0 <= r < 3**j and j in (0, 1, 2)
-                    assert v == decomposition_terms(rep, [((t, n, 0), ctx.one())], identity)
+                    one = CycValue.one(ctx.q)
+                    assert v == decomposition_terms(rep, [((t, n, 0), one)], identity)
                     if t.denominator % 2:
                         # a key may hold the non-canonical t itself
-                        raw = InducedVector(ctx.q, {(*t_key(t, 3), n, 0): ctx.one()})
+                        raw = InducedVector(ctx.q, {(*t_key(t, 3), n, 0): CycValue.one(ctx.q)})
                         assert rep.whittaker_functional(xi, v) == \
                             rep.whittaker_functional(xi, raw)
 

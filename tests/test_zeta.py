@@ -54,14 +54,17 @@ from helpers import (
     c_factor,
     characters,
     evaluate_vector,
+    fe_witness,
     fourier_inversion_check,
+    gamma_from_fe,
+    named_sigma_once,
 )
 
 XI = Fraction(1, 3)
 
 
 def one(ctx):
-    return lambda x: ctx.one()
+    return lambda x: CycValue.one(ctx.q)
 
 
 class TestShellIntegral:
@@ -94,8 +97,8 @@ class TestShellIntegral:
 
         def f(x):
             if x == 0:
-                return ctx.zero()
-            return ctx.cyc(frac_valuation(x, 3))
+                return CycValue.zero(ctx.q)
+            return CycValue.rational(ctx.q, frac_valuation(x, 3))
 
         with pytest.raises(NotLocallyConstantError):
             integrate_ball(ctx, f, 0, 1)
@@ -138,7 +141,7 @@ class TestShellIntegral:
                     assert type(x) is ShellPoint and x.k == n and x.u % c.p
                     assert x == Fraction(x.u) * Fraction(c.p) ** n
                     seen.append(x.u)
-                    return c.one()
+                    return CycValue.one(c.q)
 
                 integrate_shell(c, f, ShellIntegralPlan(n, 1, MULTIPLICATIVE_DX))
                 assert seen == list(_unit_residues_mod(c.p**2))
@@ -147,7 +150,7 @@ class TestShellIntegral:
         calls = []
         plan = ShellIntegralPlan(0, 1, "NOT_A_MEASURE")
         with pytest.raises(ValueError, match="unknown measure"):
-            integrate_shell(ctx, lambda x: calls.append(x) or ctx.one(), plan)
+            integrate_shell(ctx, lambda x: calls.append(x) or CycValue.one(ctx.q), plan)
         assert calls == []
 
     def test_ball_below_z_p_budget_counts_its_points(self, ctx):
@@ -155,7 +158,7 @@ class TestShellIntegral:
         # budget sees 3^12 > 3^11, not 3^8, and nothing is evaluated
         calls = []
         with pytest.raises(SamplingBudgetError, match=f"level 8 needs {3**12} samples"):
-            integrate_ball(ctx, lambda x: calls.append(x) or ctx.one(), -4, 8)
+            integrate_ball(ctx, lambda x: calls.append(x) or CycValue.one(ctx.q), -4, 8)
         assert calls == []
 
     def test_sampling_budget_depends_on_p(self, ctx5):
@@ -164,7 +167,7 @@ class TestShellIntegral:
 
         def f(x):
             calls.append(x)
-            return ctx5.one()
+            return CycValue.one(ctx5.q)
 
         with pytest.raises(SamplingBudgetError):
             integrate_shell(ctx5, f, ShellIntegralPlan(0, 8, MULTIPLICATIVE_DX))
@@ -225,7 +228,7 @@ class TestImproperIntegral:
     """The scan behind the ``_bessel_via_cover_products`` oracle."""
 
     def test_indicator_of_integers(self, ctx):
-        f = lambda x: ctx.one() if x.denominator % 3 != 0 else ctx.zero()
+        f = lambda x: CycValue.one(ctx.q) if x.denominator % 3 != 0 else CycValue.zero(ctx.q)
         assert _improper_integral(ctx, f, 8) == 1
 
     def test_twisted_character_vanishes(self, ctx):
@@ -233,7 +236,7 @@ class TestImproperIntegral:
         psi_xi = AdditiveCharacter(ctx).twist(XI)
 
         def f(x):
-            return psi_xi.value(-x) if _val3(x) >= -2 else ctx.zero()
+            return psi_xi.value(-x) if _val3(x) >= -2 else CycValue.zero(ctx.q)
 
         assert _improper_integral(ctx, f, 8, level_for_shell=lambda m: 3) == 0
 
@@ -925,7 +928,8 @@ class TestShallowGammaIsKernelZeta:
                         kernel = _bessel_kernel(rep, eta, rep.basis_index_for(eta), -n)
                         zeta_poly = zeta_function(rep, xi, mu, kernel).poly
                         gamma = gamma_coefficient(rep, xi, eta, mu, n)
-                        assert gamma == zeta_poly.coeffs.get(-n, ctx.zero()), (xi, eta, mu, n)
+                        zero = CycValue.zero(ctx.q)
+                        assert gamma == zeta_poly.coeffs.get(-n, zero), (xi, eta, mu, n)
                         nonzero += not gamma.is_zero()
         assert nonzero
 
@@ -1264,7 +1268,7 @@ class TestDeepDenominator:
         own = integrate_shell(ctx, f, ShellIntegralPlan(0, rep1.level + 8 + 1,
                                                          MULTIPLICATIVE_DX)) * 2
         z = zeta_function(rep1, XI, mu, v)
-        assert z.poly.coeffs.get(0, ctx.zero()) == own
+        assert z.poly.coeffs.get(0, CycValue.zero(ctx.q)) == own
 
 
 def _zeta_by_full_scan(rep, xi, mu, v, scan_limit=16, closure_zeros=5):
@@ -1512,7 +1516,7 @@ def _conjugated_by_ones(rep):
     eigenvectors are the columns of U, so the eigenbasis change is not
     diagonal, and neither are the dual rows read off the projections."""
     ctx, d = rep.ctx, rep.dim
-    one, zero = ctx.one(), ctx.zero()
+    one, zero = CycValue.one(ctx.q), CycValue.zero(ctx.q)
     u = tuple(tuple(one if j >= i else zero for j in range(d)) for i in range(d))
     u_inv = tuple(tuple(one if j == i else -one if j == i + 1 else zero for j in range(d))
                   for i in range(d))
@@ -1736,6 +1740,45 @@ class TestClassIndependence:
                             elif not z.is_zero():
                                 witnessed.add(zeta_.xi)
             assert witnessed == {r.xi for r in classes}, mu.spec_record()
+
+
+class TestGammaFromFunctionalEquation:
+    """The paper's definition of the gamma factor, by the functional
+    equation, against the Bessel route of ``gamma_factor``: on every named
+    datum, every character of conductor 0..3 at p = 3 and 0..2 otherwise
+    with mu(p) = e(0) or e(1/4) where the parity holds, and every pair of
+    class representatives, Gamma^{xi,eta}_mu solved from the equation on a
+    witness of eta (``helpers.gamma_from_fe``) is ``gamma_factor``'s.  The
+    same run checks both halves of the independence of
+    ``zeta.gamma_involution_defects``: each class has a witness (ii), and no
+    other class's zeta integral sees it ((i), on which the solution rests).
+    Each datum is a fresh representation, so no gamma or zeta term is shared
+    with another test."""
+
+    ENTRIES = {"builtin1": 18, "builtin2": 18, "weil5": 20, "weil7": 42, "norm3": 72,
+               "norm5": 80, "elliptic9": 72}
+
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    def test_class_matrix_equals_gamma_factor(self, name):
+        rep = Representation(named_sigma_once(name))
+        classes = [r.xi for r in rep.spectrum().dedup]
+        entries = 0
+        for m in range(4 if rep.ctx.p == 3 else 3):
+            for mu in characters(rep.ctx, m, (0, Fraction(1, 4))):
+                if not zeta_parity_holds(rep, mu):
+                    continue
+                for eta in classes:
+                    phi = fe_witness(rep, eta, mu)
+                    assert phi is not None, (mu.spec_record(), eta)
+                    for zeta_ in classes:
+                        if zeta_ != eta:
+                            assert zeta_function(rep, zeta_, mu.inverse(), phi).poly.is_zero(), \
+                                (mu.spec_record(), eta, zeta_)
+                    for xi in classes:
+                        assert gamma_from_fe(rep, xi, eta, mu) == \
+                            gamma_factor(rep, xi, eta, mu).poly, (mu.spec_record(), xi, eta)
+                        entries += 1
+        assert entries == self.ENTRIES[name]
 
 
 class TestRepresentativeChange:
