@@ -26,8 +26,8 @@ from fractions import Fraction
 from . import invariants
 from .exactnum import CycValue, LaurentPoly, PadicContext
 from .localchar import MultChar
-from .repn import (SIGMA_NAMES, InducedVector, Representation, SigmaPrimeError, SigmaRep,
-                   named_sigma, sigma_from_dict)
+from .repn import (SIGMA_NAMES, InducedVector, Representation, SigmaRep, named_sigma,
+                   sigma_from_dict)
 from .zeta import bessel_table, check_fe, gamma_factor, zeta_function
 
 
@@ -167,18 +167,12 @@ def _read(path: str, parse=json.load):
         return parse(fh)
 
 
-def build_context(args) -> PadicContext:
-    return _configured(f"--p {args.p}", lambda: PadicContext(args.p), invalid=(ValueError,))
-
-
-def build_sigma(ctx: PadicContext, source: str) -> SigmaRep:
-    """A name in ``SIGMA_NAMES``, else a path to a sigma table file; a datum
-    for another p is a configuration error through either door."""
+def build_sigma(source: str) -> SigmaRep:
+    """A name in ``SIGMA_NAMES``, else a path to a sigma table file; either
+    datum carries its own p and context."""
     if source in SIGMA_NAMES:
-        return _configured(f"sigma {source!r}", lambda: named_sigma(ctx, source),
-                           invalid=(SigmaPrimeError,))
-    return _configured(f"sigma table {source!r}",
-                       lambda: sigma_from_dict(ctx, _read(source)), invalid=(SigmaPrimeError,))
+        return named_sigma(source)
+    return _configured(f"sigma table {source!r}", lambda: sigma_from_dict(_read(source)))
 
 
 def build_mu(ctx: PadicContext, spec: str) -> MultChar:
@@ -370,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="metaplectic",
         description="Exact Whittaker/Bessel/zeta/gamma computations on the "
                     "metaplectic double cover of SL(2, Q_p)")
-    parser.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
     parser.add_argument("--sigma", default="builtin1",
                         help=" | ".join(sorted(SIGMA_NAMES)) + " | path to a sigma table file")
     parser.add_argument("--mu", default="trivial",
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rep = Representation(build_sigma(build_context(args), args.sigma))
+        rep = Representation(build_sigma(args.sigma))
         report, lines, status = COMMANDS[args.command](rep, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -448,21 +448,7 @@ class CycValue:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n1, n2, d1, d2 = self._n, o._n, self._d, o._d
-        n = n1 if n1 == n2 else math.lcm(n1, n2)
-        d = d1 if d1 == d2 else math.lcm(d1, d2)
-        out = {k * (n // n1): c * (d // d1) for k, c in self._coeffs.items()}
-        m, s = n // n2, d // d2
-        for k, c in o._coeffs.items():
-            k *= m
-            c = out.get(k, 0) + c * s
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return CycValue._make(self.q, n, d, out)
+        return NotImplemented if o is None else CycValue.sum((self, o))
 
     __radd__ = __add__
 
@@ -546,8 +532,8 @@ class CycValue:
 
     def inverse(self) -> "CycValue":
         """The inverse of a nonzero value: one root is inverted directly,
-        else through the conjugate product when that is rational, else
-        through the field norm, the product of all Galois conjugates."""
+        any other value through the field norm: self times the product of
+        its other Galois conjugates (t = 1 is the first unit) is rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero CycValue")
         terms = self._coeffs
@@ -556,15 +542,8 @@ class CycValue:
             n = self._n
             sign = 1 if c > 0 else -1
             return CycValue._make(self.q, n, abs(c), _reduced({-k % n: sign * self._d}, n))
-        conj = self.conjugate()
-        m = self * conj
-        if m.is_rational():
-            return conj * (1 / m.as_rational())
-        prod = CycValue.one(self.q)
-        for t in _unit_residues_mod(self._n):
-            if t == 1:
-                continue
-            prod = prod * self._galois(t)
+        others = [self._galois(t) for t in _unit_residues_mod(self._n)[1:]]
+        prod = math.prod(others[1:], start=others[0])
         norm = self * prod
         if not norm.is_rational():
             raise ArithmeticError("field norm failed to land in Q")
@@ -599,8 +578,11 @@ class CycValue:
         return self.q == o.q and self._n == o._n and self._d == o._d and self._coeffs == o._coeffs
 
     def __hash__(self):
+        """A rational value hashes as its Fraction, since it equals the int
+        or Fraction it coerces from."""
         if self._hash is None:
-            self._hash = hash((self.q, self._n, self._d, frozenset(self._coeffs.items())))
+            self._hash = (hash(self.as_rational()) if self._n == 1 else
+                          hash((self.q, self._n, self._d, frozenset(self._coeffs.items()))))
         return self._hash
 
     def terms(self):

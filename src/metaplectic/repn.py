@@ -83,10 +83,6 @@ class SigmaValidationError(ValueError):
     pass
 
 
-class SigmaPrimeError(SigmaValidationError):
-    """A sigma datum for another p than the context's, not an invalid table."""
-
-
 class SigmaRep:
     """A strongly cuspidal representation table on SL(2, Z/p^l) of conductor
     exactly l with multiplicity one, valid by construction.  Only the images
@@ -365,18 +361,10 @@ SIGMA_NAMES = types.MappingProxyType({
 })
 
 
-def _require_p(ctx: PadicContext, p: int) -> None:
-    """The p check of both sigma sources, a name and a table file."""
-    if p != ctx.p:
-        raise SigmaPrimeError(f"table requires p = {p}, context has p = {ctx.p}")
-
-
-def named_sigma(ctx: PadicContext, name: str) -> SigmaRep:
-    """The datum `name` of ``SIGMA_NAMES``.  A name whose p is not ctx.p
-    raises ``SigmaPrimeError`` before anything is built."""
+def named_sigma(name: str) -> SigmaRep:
+    """The datum `name` of ``SIGMA_NAMES``, over the context of its own p."""
     p, build, argument = SIGMA_NAMES[name]
-    _require_p(ctx, p)
-    return build(ctx, argument)
+    return build(PadicContext(p), argument)
 
 
 def builtin_sigma_p3(ctx: PadicContext, which: int) -> SigmaRep:
@@ -388,10 +376,10 @@ def builtin_sigma_p3(ctx: PadicContext, which: int) -> SigmaRep:
         raise ValueError("the builtin one-dimensional data requires p = 3")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    return named_sigma(ctx, f"builtin{which}")
+    return weil_sigma(ctx, which)
 
 
-def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
+def sigma_from_dict(data: dict) -> SigmaRep:
     """Load a sigma table from its file format:
 
         {"p": int, "l": int, "dim": int,
@@ -404,8 +392,9 @@ def sigma_from_dict(ctx: PadicContext, data: dict) -> SigmaRep:
     has one entry per element of SL(2, Z/p^l); ``SigmaRep``, which reads
     only the generator entries, then checks every entry against the closure
     of the generators, and strong cuspidality of conductor l and
-    multiplicity one through the unipotent characters."""
-    _require_p(ctx, int(data["p"]))
+    multiplicity one through the unipotent characters.  The table's p must
+    be an odd prime (``PadicContext``); the table is built over it."""
+    ctx = PadicContext(data["p"])
     level = int(data["l"])
     dim = int(data["dim"])
     modulus = ctx.p**level

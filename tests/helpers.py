@@ -12,7 +12,6 @@ import functools
 from fractions import Fraction
 
 from metaplectic import (
-    SIGMA_NAMES,
     CycValue,
     LaurentPoly,
     MetaElement,
@@ -43,7 +42,7 @@ def named_sigma_once(name: str):
     """The datum `name` of ``SIGMA_NAMES``, built once per test session: the
     session fixtures and the table tests share it (the elliptic datum takes
     about 1.3 s to build)."""
-    return named_sigma(PadicContext(SIGMA_NAMES[name][0]), name)
+    return named_sigma(name)
 
 
 def evaluate_vector(rep, v, g: MetaElement):

@@ -6,8 +6,9 @@ Each mutant is (name, file under src/, exact old text, new text, test ids).
 The script first runs the union of the test ids on the unchanged src/,
 where they must pass.  Then, for each mutant, it copies src/ to a temporary
 directory, replaces the old text, which must occur exactly once in its file,
-and runs only the mutant's test ids against the copy (pytest's `pythonpath`
-option pointed at it).  A mutant is killed when those tests fail.
+and runs each of the mutant's test ids on its own against the copy (pytest's
+`pythonpath` option pointed at it).  A mutant is killed when each of those
+tests fails; a named test that passes against the mutant is printed.
 
 The exit status is 1 if a mutant survives, if its old text does not occur
 exactly once (a refactor that moves the code must move the mutant along), or
@@ -267,9 +268,11 @@ def run(mutant: Mutant) -> str:
         if count != 1:
             return f"stale: the old text occurs {count} times in src/{mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
-        status = _pytest(src, mutant.tests)
-    if status == 0:
-        return "SURVIVED"
+        statuses = {test: _pytest(src, (test,)) for test in mutant.tests}
+    passing = [test for test, status in statuses.items() if status == 0]
+    if passing:
+        return "SURVIVED: " + ", ".join(passing) + " passes"
+    status = max(statuses.values())
     return "killed" if status == 1 else f"pytest exit status {status}, not a test failure"
 
 

@@ -35,18 +35,15 @@ class TestExampleCommand:
         assert rc == 0
         assert "no assertion" in out
 
-    def test_rejects_even_p(self, capsys):
-        rc, _, err = run_cli(capsys, "--p", "2")
-        assert rc == 2 and "odd prime" in err
-
-    def test_rejects_builtin_with_wrong_p(self, capsys):
-        rc, _, err = run_cli(capsys, "--p", "5")
-        assert rc == 2 and "requires p = 3" in err
-
-    def test_rejects_name_with_wrong_p(self, capsys):
-        # --p is never inferred from the name
-        rc, _, err = run_cli(capsys, "--sigma", "weil5")
-        assert rc == 2 and "p = 5" in err and "p = 3" in err
+    def test_rejects_even_p(self, capsys, tmp_path, ctx):
+        # a table file fixes its own p; one that is not an odd prime is an
+        # invalid table like any other, a failed stage
+        data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
+        data["p"] = 4
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "--sigma", str(path))
+        assert rc == 1 and "ValueError: p = 4 is not an odd prime" in err
 
 
 class TestCheckFe:
@@ -134,24 +131,12 @@ class TestSigmaFiles:
                          "value_at_p_numerator_of_exponent": 0,
                          "value_at_p_denominator_of_exponent": 1,
                          "generator_image_exponent": 1})
-        rc, out, _ = run_cli(capsys, "--p", "5", "--sigma", str(path), "--command", "check-fe",
+        rc, out, _ = run_cli(capsys, "--sigma", str(path), "--command", "check-fe",
                              "--mu", mu, "--output", "json")
         assert rc == 0
         cases = json.loads(out)["cases"]
         assert cases and all(case["pass"] for case in cases)
         assert any(case["lhs"]["terms"] for case in cases)
-
-    @pytest.mark.parametrize("door", ["name", "file"])
-    def test_wrong_p_is_a_configuration_error(self, capsys, tmp_path, norm3, door):
-        # the same p check through both doors; any other invalid table file is
-        # a failed stage (test_reject_non_cuspidal_file)
-        source = "norm3"
-        if door == "file":
-            source = str(tmp_path / "norm3.json")
-            Path(source).write_text(json.dumps(sigma_to_dict(norm3.sigma)))
-        rc, _, err = run_cli(capsys, "--p", "5", "--sigma", source, "--command", "gamma")
-        assert rc == 2 and err.startswith("configuration error:")
-        assert "SigmaPrimeError: table requires p = 3, context has p = 5" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "--sigma", "/nonexistent/sigma.json")
@@ -361,8 +346,8 @@ def test_golden_json_bytes(capsys, command, sigma, mu):
     assert out == (GOLDEN / f"{command}-{sigma}-{mu}.json").read_text()
 
 
-def _assert_named_golden(capsys, p, sigma, command):
-    rc, out, _ = run_cli(capsys, "--p", p, "--sigma", sigma, "--command", command,
+def _assert_named_golden(capsys, sigma, command):
+    rc, out, _ = run_cli(capsys, "--sigma", sigma, "--command", command,
                          "--mu", GOLDEN_MU["quadratic1"], "--output", "json")
     assert rc == 0
     assert out == (GOLDEN / f"{command}-{sigma}-quadratic1.json").read_text()
@@ -374,7 +359,7 @@ def test_golden_weil5_json_bytes(capsys, command):
     by its name with the conductor-1 character, byte for byte as recorded
     in golden/<command>-weil5-quadratic1.json.  The builtin goldens are
     1 x 1, so these and the norm3 goldens see the matrix paths."""
-    _assert_named_golden(capsys, "5", "weil5", command)
+    _assert_named_golden(capsys, "weil5", command)
 
 
 @pytest.mark.parametrize("command", ["check-fe", "gamma"])
@@ -382,7 +367,7 @@ def test_golden_norm3_json_bytes(capsys, command):
     """The same on the norm-form table at p = 3 (dim 2), whose two square
     classes make the sums over eta two terms and the gamma matrix 2 x 2:
     golden/<command>-norm3-quadratic1.json."""
-    _assert_named_golden(capsys, "3", "norm3", command)
+    _assert_named_golden(capsys, "norm3", command)
 
 
 @pytest.mark.parametrize("sigma", ["builtin1", "builtin2"])

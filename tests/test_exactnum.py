@@ -452,8 +452,7 @@ class TestAgainstOracle:
                     got = a.inverse()
                     assert (ra * Oracle.of(got)).terms() == [(1, 0)]
                     assert a * got == 1
-        # a + b sqrt(q): the conjugate product, then the Galois norm, at the
-        # levels 108 = 27 * 4 (q = 3), 20 (q = 5) and 28 (q = 7)
+        # a + b sqrt(q) through the Galois norm, at the levels 108 = 27 * 4 (q = 3), 20 (q = 5) and 28 (q = 7)
         for q, one, sq in [
                 (3, {Fraction(1, 27): 2, Fraction(0): 1}, {Fraction(0): 1}),
                 (3, {Fraction(0): 2}, {Fraction(0): 1}),
@@ -512,6 +511,19 @@ class TestLevelIndependence:
                    * CycValue.root_of_unity(3, Fraction(5, 9)))
         assert table[i_via_108] == "i" and table[s_via_9] == "s"
         assert len({i, i_via_108, CycValue.sqrtq(3), s_via_9}) == 2
+
+    def test_rational_values_are_interchangeable_with_ints_and_fractions(self):
+        # a rational value equals the int or Fraction it coerces from, so it
+        # must hash like it: as set members and dict keys the three mix
+        three, two_thirds = CycValue.rational(3, 3), CycValue.rational(3, Fraction(2, 3))
+        zero = CycValue.root_of_unity(3, Fraction(1, 9)) - CycValue.root_of_unity(3, Fraction(1, 9))
+        assert three == 3 and 3 in {three} and three in {3, 5}
+        assert hash(two_thirds) == hash(Fraction(2, 3)) and hash(zero) == hash(0)
+        table = {0: "zero", Fraction(2, 3): "two thirds", 3: "three"}
+        assert [table[x] for x in (zero, two_thirds, three)] == ["zero", "two thirds", "three"]
+        mixed = {0, zero, CycValue.zero(3), Fraction(0), Fraction(2, 3), two_thirds,
+                 3, Fraction(3), three, CycValue.rational(3, -1), -1}
+        assert len(mixed) == 4
 
 
 def _coordinates(v: CycValue):

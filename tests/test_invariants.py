@@ -193,12 +193,12 @@ SECOND_CLASS_FAULTS = {
 
 
 @pytest.mark.parametrize("suite", sorted(SECOND_CLASS_FAULTS))
-def test_rep_suite_reads_every_class(monkeypatch, ctx, norm3, suite):
+def test_rep_suite_reads_every_class(monkeypatch, norm3, suite):
     # a suite that read only the first class, 1/3, would pass with the fault
     plant, counterexample = SECOND_CLASS_FAULTS[suite]
     _, run, _ = REP_FAULTS[suite]
     run(norm3, random.Random(1))  # sound
-    rep = Representation(named_sigma(ctx, "norm3"))
+    rep = Representation(named_sigma("norm3"))
     plant(monkeypatch, rep)
     with pytest.raises(AssertionError, match=counterexample):
         run(rep, random.Random(1))
