@@ -90,7 +90,10 @@ def hilbert_int(p: int, va: int, ua: int, vb: int, ub: int) -> int:
 
 @lru_cache(maxsize=None)
 def hilbert_frac(p: int, a: Fraction, b: Fraction) -> int:
-    """The Hilbert symbol over Q_p, p odd (``hilbert_int``)."""
+    """The Hilbert symbol over Q_p, p odd (``hilbert_int``), memoized on
+    its ``Fraction`` arguments.  The cover's cocycle calls ``hilbert_int``
+    directly and does not fill this cache; ``hilbert_symbol`` and
+    ``cover.kubota_split`` still do, and the cache has no bound."""
     if a == 0 or b == 0:
         raise ZeroDivisionError("Hilbert symbol of zero")
     return hilbert_int(p, *valuation_unit(a.numerator, a.denominator, p, p),

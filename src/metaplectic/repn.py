@@ -393,10 +393,12 @@ def sigma_from_dict(data: dict) -> SigmaRep:
     only the generator entries, then checks every entry against the closure
     of the generators, and strong cuspidality of conductor l and
     multiplicity one through the unipotent characters.  The table's p must
-    be an odd prime (``PadicContext``); the table is built over it."""
+    be an odd prime (``PadicContext``); the table is built over it.  p, l
+    and dim go through ``exact_int``, so 1.9 or "1" raises ValueError
+    instead of being truncated or parsed."""
     ctx = PadicContext(data["p"])
-    level = int(data["l"])
-    dim = int(data["dim"])
+    level = exact_int(data["l"], "l")
+    dim = exact_int(data["dim"], "dim")
     modulus = ctx.p**level
     table = {}
     for entry in data["entries"]:

@@ -221,6 +221,10 @@ MUTANTS = (
            "            if j and not r % p:\n                r, j = _lowest_terms(r, j, p)\n",
            "",
            ("tests/test_repn.py::TestIntKeys::test_torus_act_reduces_keys_to_lowest_terms",)),
+    Mutant("cocycle-drops-denominator-unit", "metaplectic/cover.py",
+           "hilbert_int(p, va, na * da, vb, nb * db)",
+           "hilbert_int(p, va, na, vb, nb * db)",
+           ("tests/test_cover.py::TestCocycleAgainstHilbertFrac::test_every_pair_of_small_words[3]",)),
     Mutant("coset-decompose-swaps-row-scales", "metaplectic/cover.py",
            "D * pm * sy - C * tc * sx, E * pm * pn)",
            "D * pm * sx - C * tc * sy, E * pm * pn)",

@@ -45,6 +45,15 @@ class TestExampleCommand:
         rc, _, err = run_cli(capsys, "--sigma", str(path))
         assert rc == 1 and "ValueError: p = 4 is not an odd prime" in err
 
+    @pytest.mark.parametrize("field, value", [("l", 1.9), ("dim", "1")])
+    def test_rejects_table_field_that_is_not_an_int(self, capsys, tmp_path, ctx, field, value):
+        data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
+        data[field] = value
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "--sigma", str(path))
+        assert rc == 1 and f"ValueError: {field} must be an integer, got {value!r}" in err
+
 
 class TestCheckFe:
     def test_table_output_passes(self, capsys):

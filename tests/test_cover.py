@@ -15,7 +15,9 @@ from metaplectic import (
     validate_kubota_splitting,
 )
 from metaplectic.cover import random_integral_sl2, random_sl2_word, random_unit
+from metaplectic.exactnum import frac_valuation
 from metaplectic.invariants import check_cocycle, check_coset_roundtrip
+from metaplectic.localchar import hilbert_frac
 
 from helpers import (
     coset_rep,
@@ -44,6 +46,66 @@ class TestCocycle:
 
     def test_two_cocycle_identity(self, ctx, rng):
         assert check_cocycle(ctx, rng, 300) == "300 triples"
+
+
+def _small_words(p: int):
+    """A fixed set of short words in n(x), n_lower(x), torus(y) and w at p,
+    with parameters +-u p^k for u = 1 and the smallest non-residue, k = -2..2:
+    each generator alone (c = 0 and chi = d for n(x) and torus(y)), and
+    n_lower(x) torus(y), w torus(y) and w n(x) torus(y) on paired
+    parameters, so that chi takes both signs, both unit square classes and
+    every valuation -2..2."""
+    ctx = PadicContext(p)
+    r = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) != 1)
+    params = [Fraction(s * u) * Fraction(p) ** k
+              for k in range(-2, 3) for u in (1, r) for s in (1, -1)]
+    n, lower, torus, w = SL2Element.n, SL2Element.n_lower, SL2Element.torus, SL2Element.w(ctx)
+    words = [w] + [make(ctx, x) for x in params for make in (n, lower, torus)]
+    for x, y in zip(params, reversed(params)):
+        words += [lower(ctx, x) * torus(ctx, y), w * torus(ctx, y), w * n(ctx, x) * torus(ctx, y)]
+    return words
+
+
+class TestCocycleAgainstHilbertFrac:
+    """The int cocycle against ``ref_cocycle``, ``hilbert_frac`` of the two
+    ``Fraction`` chi ratios read from ``entries()``, on every pair of a
+    fixed word set."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_pair_of_small_words(self, p):
+        words = _small_words(p)
+        chis = [g.c or g.d for g in words]
+        assert {frac_valuation(x, p) for x in chis} == set(range(-2, 3))
+        assert any(x < 0 for x in chis) and any(g.nc == 0 for g in words)
+        entries = [g.entries() for g in words]
+        seen = set()
+        for g, rg in zip(words, entries):
+            for h, rh in zip(words, entries):
+                expected = ref_cocycle(p, rg, rh)
+                assert cocycle(g, h) == expected, (g, h)
+                seen.add(expected)
+        assert seen == {1, -1}
+
+
+class TestCocycleLeavesHilbertCacheEmpty:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_products_and_inverses_fill_no_cache_entry(self, p):
+        # p does not divide c: these matrices lie outside the Kubota sign's
+        # branch (0 < v(c)), so only the cocycle could fill the cache
+        ctx, rng = PadicContext(p), random.Random(p)
+        xs = []
+        while len(xs) < 200:
+            x = random_sl2_word(ctx, rng)
+            if x.g.nc % p:
+                xs.append(x)
+        hilbert_frac.cache_clear()
+        for x, y in zip(xs, xs[1:]):
+            x * y
+            x.inverse()
+        assert hilbert_frac.cache_info().currsize == 0
+        # a Kubota sign does fill it: the probe sees the cache
+        kubota_split(SL2Element.of(ctx, 1, 0, p, 1))
+        assert hilbert_frac.cache_info().currsize == 1
 
 
 class TestMetaElement:

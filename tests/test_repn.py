@@ -233,6 +233,14 @@ class TestSigmaFileFormat:
         with pytest.raises(ValueError, match=f"p = {p} is not an odd prime"):
             sigma_from_dict(data)
 
+    @pytest.mark.parametrize("field, value", [("l", 1.9), ("dim", "1")])
+    def test_rejects_integer_field_that_is_not_an_int(self, ctx, field, value):
+        # int() would truncate 1.9 to 1 and parse "1"; both load a valid table
+        data = sigma_to_dict(builtin_sigma_p3(ctx, 1))
+        data[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            sigma_from_dict(data)
+
 
 # the first 16 hex digits of sha256(json.dumps(sigma_to_dict(s))) of each
 # named datum, as recorded when the names were introduced
