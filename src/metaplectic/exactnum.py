@@ -368,8 +368,11 @@ class CycValue:
 
     @classmethod
     def rational(cls, q: int, r) -> "CycValue":
-        r = Fraction(r)
-        if r == 0:
+        """The rational r: an int or ``Fraction`` is read as it is, any
+        other value through ``Fraction``."""
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        if not r.numerator:
             return cls.zero(q)
         return cls._make(q, 1, r.denominator, {0: r.numerator})
 
@@ -592,8 +595,12 @@ class CycValue:
         return [(Fraction(c, d), Fraction(k, n)) for k, c in sorted(self._coeffs.items())]
 
     def to_complex(self) -> complex:
-        return sum((complex(c) * cmath.exp(2j * cmath.pi * float(r)) for c, r in self.terms()),
-                   complex(0))
+        """The complex value, term by term in ascending exponent from the int
+        form: c/D and k/N are the floats of the ``terms()`` Fractions, as
+        int true division rounds the exact quotient."""
+        n, d = self._n, self._d
+        return sum((complex(c / d) * cmath.exp(2j * cmath.pi * (k / n))
+                    for k, c in sorted(self._coeffs.items())), complex(0))
 
     def __repr__(self):
         if self.is_zero():
@@ -655,6 +662,16 @@ class LaurentPoly:
         self.coeffs = {int(n): c for n, c in (coeffs or {}).items() if not c.is_zero()}
 
     @classmethod
+    def _make(cls, q: int, var: str, coeffs: dict) -> "LaurentPoly":
+        """The polynomial on `coeffs`, int exponents to values, in a tag
+        already checked: zero values dropped, nothing validated again."""
+        self = object.__new__(cls)
+        self.q = q
+        self.var = var
+        self.coeffs = {n: c for n, c in coeffs.items() if not c.is_zero()}
+        return self
+
+    @classmethod
     def zero(cls, q: int, var: str) -> "LaurentPoly":
         return cls(q, var, {})
 
@@ -677,13 +694,16 @@ class LaurentPoly:
             raise ValueError("mismatched Laurent variables")
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, CycValue.zero(self.q)) + c
-        return LaurentPoly(self.q, self.var, out)
+            prev = out.get(n)
+            out[n] = c if prev is None else prev + c
+        return LaurentPoly._make(self.q, self.var, out)
 
     def __neg__(self):
-        return LaurentPoly(self.q, self.var, {n: -c for n, c in self.coeffs.items()})
+        return LaurentPoly._make(self.q, self.var, {n: -c for n, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -693,11 +713,11 @@ class LaurentPoly:
             out: dict = {}
             for n1, c1 in self.coeffs.items():
                 for n2, c2 in other.coeffs.items():
-                    n = n1 + n2
-                    s = out.get(n, CycValue.zero(self.q)) + c1 * c2
-                    out[n] = s
-            return LaurentPoly(self.q, self.var, out)
-        return LaurentPoly(self.q, self.var, {n: c * other for n, c in self.coeffs.items()})
+                    out.setdefault(n1 + n2, []).append(c1 * c2)
+            return LaurentPoly._make(self.q, self.var,
+                                     {n: CycValue.sum(cs, self.q) for n, cs in out.items()})
+        return LaurentPoly._make(self.q, self.var,
+                                 {n: c * other for n, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -712,13 +732,13 @@ class LaurentPoly:
         other = Q_POS_S if self.var == Q_NEG_S else Q_NEG_S
         sign = -1 if self.var == Q_NEG_S else 1
         out = {n: c * Fraction(self.q) ** (sign * n) for n, c in self.coeffs.items()}
-        return LaurentPoly(self.q, other, out)
+        return LaurentPoly._make(self.q, other, out)
 
     def retagged(self) -> "LaurentPoly":
         """The same function of s written in the other variable
         ((q^{-s})^n = (q^{s})^{-n})."""
         other = Q_POS_S if self.var == Q_NEG_S else Q_NEG_S
-        return LaurentPoly(self.q, other, {-n: c for n, c in self.coeffs.items()})
+        return LaurentPoly._make(self.q, other, {-n: c for n, c in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -345,6 +345,8 @@ class MultChar:
             self._order = order
             self.generator_exponent = generator_exponent % order
             self._validate_conductor()
+        self._key = (self.m, self.p_exponent.numerator, self.p_exponent.denominator,
+                     self.generator_exponent)
 
     def _validate_conductor(self):
         p, m = self.ctx.p, self.m
@@ -382,8 +384,12 @@ class MultChar:
             self._inverse = MultChar(self.ctx, self.m, -self.p_exponent, -self.generator_exponent)
         return self._inverse
 
-    def cache_key(self):
-        return (self.m, self.p_exponent, self.generator_exponent)
+    def cache_key(self) -> tuple:
+        """(m, numerator and denominator of the exponent of mu(p), generator
+        exponent): four ints, built once at construction, that equal
+        characters share, so a memo keyed by it never hashes a
+        ``Fraction``."""
+        return self._key
 
     @classmethod
     def trivial(cls, ctx: PadicContext) -> "MultChar":

@@ -604,7 +604,7 @@ class Representation:
         self._spectrum = SpectrumXPi(tuple(reps), tuple(dedup.values()))
         self._gamma_cache: dict = {}
         self._parities: dict = {}  # mu key -> zeta_parity_holds
-        self._zeta_terms: dict = {}  # (xi, mu key, term) -> accepted shell integral
+        self._zeta_terms: dict = {}  # (xi, mu key) -> {term: accepted shell integral}
         self._bessel_tables: dict = {}
         self._bessel_kernels: dict = {}
         self._w_checked: set = set()
@@ -616,12 +616,14 @@ class Representation:
         """coeff * phi^{n(t)<p^n>}_b, keyed at the canonical representative:
         n(t)<p^n> = n(s) n([t])<p^n> with s = t - [t] integral, so the vector
         is sum over b2 of sigma(n(-s))[b2][b] phi^{n([t])<p^n>}_{b2}, the
-        torus action at x = 1.
+        torus action at x = 1 (``_torus_terms`` there, its test oracle, has
+        key n(-s) mod p^l and sign +1).
 
         A t = c/(p^j d) whose denominator has a part d prime to p is first
         moved by an element of p^l Z_p to c d^-1/p^j, d^-1 taken modulo
-        p^(j + l), which changes neither [t] nor s mod p^l; the torus action
-        then reads the int pair (c d^-1, j)."""
+        p^(j + l), which changes neither [t] nor s mod p^l; then
+        c d^-1 = s p^j + r with 0 <= r < p^j gives [t] = r/p^j, written in
+        lowest terms, and s."""
         n, b = exact_int(n, "shell exponent n"), exact_int(b, "basis index b")
         if not 0 <= b < self.dim:
             raise ValueError(f"basis index {b} out of range")
@@ -629,11 +631,19 @@ class Representation:
         c = CycValue.one(q) if coeff is None else coeff
         if not isinstance(c, CycValue):
             c = CycValue.rational(q, c)
-        t = Fraction(t)
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
         v, _, rest = p_split(1, t.denominator, p)
-        j = -v
-        r = t.numerator if rest == 1 else t.numerator * pow(rest, -1, p**j * self.sigma.modulus)
-        return self._closed_act(self._torus_terms([((r, j, n, b), c)], 0, 1, 1))
+        pj = p**-v
+        num = t.numerator if rest == 1 else t.numerator * pow(rest, -1, pj * self.sigma.modulus)
+        s, r = divmod(num, pj)
+        r, j = _lowest_terms(r, -v, p)
+        terms = {}
+        for b2, row in enumerate(self._eigen_table[self.sigma.n_key(-s)]):
+            entry = row[b]
+            if not entry.is_zero():
+                terms[(r, j, n, b2)] = c * entry
+        return InducedVector(q, terms)
 
     def spectrum(self) -> SpectrumXPi:
         return self._spectrum
@@ -831,7 +841,9 @@ class Representation:
         """(b, psi^xi, row) for xi in X(pi), memoized per xi: b is the basis
         index of xi, and row memoizes eps * sigma(key)[b][b_in] * psi^xi(-r/p^j),
         the torus form's summand without its coefficient, per
-        (key, eps, b_in, r, j)."""
+        (key, eps, b_in, r, j).  An xi outside X(pi) raises
+        (``basis_index_for``) and stores nothing, so a hit is a membership
+        check."""
         hit = self._twists.get(xi)
         if hit is None:
             hit = self._twists[xi] = (self.basis_index_for(xi), self.psi.twist(xi), {})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import (
     MAX_GATE_SAMPLES,
@@ -749,8 +750,9 @@ def gamma_factor(rep: Representation, xi, eta, mu: MultChar) -> GammaFactor:
     must be zero, and a nonzero one raises ArithmeticError and caches
     nothing."""
     key = (xi, eta, mu.cache_key())
-    if key in rep._gamma_cache:
-        return rep._gamma_cache[key]
+    hit = rep._gamma_cache.get(key)
+    if hit is not None:
+        return hit
     bound = gamma_support_bound(rep, mu)
     if zeta_parity_holds(rep, mu):
         rows, mids = _representatives(rep, xi), _representatives(rep, eta)
@@ -830,10 +832,13 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     so a level that were too low would refine or raise, never pass.
 
     The integral of phi_k depends only on (xi, mu, k), so the
-    representation remembers it per (xi, ``mu.cache_key()``, k) once the
-    gate has accepted it (``Representation._zeta_terms``): a term met
+    representation remembers it once the gate has accepted it, in one dict
+    of term integrals per (xi, ``mu.cache_key()``)
+    (``Representation._zeta_terms``), looked up once per call: a term met
     again with the same xi and character integrates nothing, and a gate
-    that raises stores nothing.
+    that raises stores nothing.  X(pi) membership is checked through the
+    per-xi memo ``Representation._twist``, and ``_char_factor`` is built
+    only when a term is integrated.
 
     The window (``ZetaFunction``) is then known exactly: hi is the smallest
     integer >= h = l + 6 with no nonzero shell above it and shells hi-4..hi
@@ -841,14 +846,17 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
     bounds nothing."""
     ctx = rep.ctx
     q = ctx.q
-    rep.basis_index_for(xi)  # outside X(pi) raises, even for v = 0
-    char = _char_factor(ctx, mu)
-    memo, mu_key, one = rep._zeta_terms, mu.cache_key(), CycValue.one(q)
+    rep._twist(xi)  # outside X(pi) raises, even for v = 0
+    memo = rep._zeta_terms.setdefault((xi, mu.cache_key()), {})
+    char = None
 
     def term_integral(term) -> CycValue:
         """The shell integral of phi_term alone, at its level L_term."""
+        nonlocal char
+        if char is None:
+            char = _char_factor(ctx, mu)
         _, j, n, _ = term
-        phi = InducedVector._nonzero(q, {term: one})
+        phi = InducedVector._nonzero(q, {term: CycValue.one(q)})
 
         def f(x: ShellPoint) -> CycValue:
             wv = rep.whittaker_functional(xi, phi, (x.k, x.u, 1))
@@ -861,21 +869,27 @@ def zeta_function(rep: Representation, xi, mu: MultChar, v: InducedVector) -> Ze
 
     shells: dict = {}
     for term, c in v.terms.items():
-        key = (xi, mu_key, term)
-        shell = memo.get(key)
+        shell = memo.get(term)
         if shell is None:
-            shell = memo[key] = term_integral(term)
+            shell = memo[term] = term_integral(term)
         if not shell.is_zero():
             shells.setdefault(term[2], []).append(c * shell)
     coeffs: dict = {}
     for n in sorted(shells):
         shell = CycValue.sum(shells[n], q)
         if not shell.is_zero():
-            coeffs[n] = shell * q_half_power(q, n) * 2
+            coeffs[n] = shell * _zeta_shell_factor(q, n)
     half = rep.level + 6
     lo = min([-half] + [n - _CLOSURE_ZEROS for n in coeffs])
     hi = max([half] + [n + _CLOSURE_ZEROS for n in coeffs])
-    return ZetaFunction(LaurentPoly(q, Q_NEG_S, coeffs), (lo, hi), zeta_parity_holds(rep, mu))
+    return ZetaFunction(LaurentPoly._make(q, Q_NEG_S, coeffs), (lo, hi),
+                        zeta_parity_holds(rep, mu))
+
+
+@lru_cache(maxsize=None)
+def _zeta_shell_factor(q: int, n: int) -> CycValue:
+    """2 q^{n/2}, the factor of the shell n of a zeta function."""
+    return q_half_power(q, n) * 2
 
 
 # -- functional equation --------------------------------------------------------------
@@ -916,7 +930,7 @@ def check_fe(rep: Representation, mu: MultChar, v: InducedVector, xi,
         if corrupt_gamma is not None:
             gpoly = gpoly + LaurentPoly.constant(q, Q_POS_S, corrupt_gamma)
         z = zeta_function(rep, eta_rep.xi, mu_inv, v).poly.one_minus_s()
-        rhs = rhs + Fraction(1, 4) * eta_rep.abs_value * (gpoly * z)
+        rhs = rhs + (gpoly * z) * (eta_rep.abs_value / 4)
     residual = lhs - rhs
     vacuous = not zeta_lhs.parity_ok
     if vacuous and not (lhs.is_zero() and rhs.is_zero()):

@@ -178,12 +178,12 @@ MUTANTS = (
            "level = max(rep.level, mu.m) + 1",
            ("tests/test_zeta.py::TestZetaShellLevels::test_one_gate_pass_per_shell",)),
     Mutant("zeta-term-memo-ignores-character", "metaplectic/zeta.py",
-           "key = (xi, mu_key, term)",
-           "key = (xi, term)",
+           "setdefault((xi, mu.cache_key()), {})",
+           "setdefault(xi, {})",
            ("tests/test_zeta.py::TestZetaTermMemo::test_shared_representation_matches_fresh",)),
     Mutant("zeta-term-memo-ignores-xi", "metaplectic/zeta.py",
-           "key = (xi, mu_key, term)",
-           "key = (mu_key, term)",
+           "setdefault((xi, mu.cache_key()), {})",
+           "setdefault(mu.cache_key(), {})",
            ("tests/test_zeta.py::TestZetaTermMemo::test_shared_representation_matches_fresh",)),
     Mutant("refinement-gate-accepts-anything", "metaplectic/zeta.py",
            "        if v1 == v2:\n",
@@ -217,6 +217,10 @@ MUTANTS = (
            "return self",
            ("tests/test_exactnum.py::TestMultiplicationFastPaths::"
             "test_rationals_times_multi_term_match_convolution",)),
+    Mutant("phi-drops-integral-part", "metaplectic/repn.py",
+           "self._eigen_table[self.sigma.n_key(-s)]",
+           "self._eigen_table[self.sigma.n_key(0)]",
+           ("tests/test_repn.py::TestDirectPhi::test_matches_torus_oracle[builtin1]",)),
     Mutant("torus-act-keys-without-lowest-terms", "metaplectic/repn.py",
            "            if j and not r % p:\n                r, j = _lowest_terms(r, j, p)\n",
            "",

@@ -361,6 +361,21 @@ class TestCycValue:
             got = exact.to_complex()
             assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
+    def test_to_complex_is_the_float_sum_of_its_terms(self, rng):
+        # bit for bit the sum over terms() of c e(r) in float arithmetic,
+        # from complex(0) in ascending exponent: the floats the CLI prints
+        for q, level in ((3, 36), (5, 20), (7, 28), (3, 27)):
+            for _ in range(30):
+                value = CycValue.sum(
+                    [CycValue.root_of_unity(q, Fraction(rng.randrange(level), level))
+                     * Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                     for _ in range(rng.randrange(1, 5))]
+                    + [CycValue.sqrtq(q) * rng.randrange(-2, 3)], q)
+                want = sum((complex(c) * cmath.exp(2j * cmath.pi * float(r))
+                            for c, r in value.terms()), complex(0))
+                got = value.to_complex()
+                assert (got.real, got.imag) == (want.real, want.imag), value
+
     def test_conjugate_is_ring_map(self, rng):
         for _ in range(30):
             a = (CycValue.root_of_unity(3, Fraction(rng.randrange(0, 9), 9))
@@ -627,3 +642,12 @@ class TestLaurentPoly:
         assert (p - p).is_zero()
         with pytest.raises(ValueError):
             p + LaurentPoly.constant(3, Q_NEG_S, 1)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), "x", CycValue.one(3)])
+    def test_subtracting_a_non_polynomial_raises_for_minus(self, other):
+        p = LaurentPoly(3, Q_POS_S, {1: CycValue.rational(3, 2)})
+        assert p.__sub__(other) is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand type.*for -: 'LaurentPoly'"):
+            p - other
+        with pytest.raises(TypeError, match="unsupported operand type.*for -: .*'LaurentPoly'"):
+            other - p

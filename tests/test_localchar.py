@@ -378,6 +378,21 @@ class TestMultChar:
         with pytest.raises(ValueError, match="must be an integer"):
             MultChar.from_spec(ctx, record)
 
+    def test_cache_key_is_ints_equal_by_construction(self, ctx):
+        mu = MultChar(ctx, 2, Fraction(1, 4), 1)
+        for chi in (MultChar.trivial(ctx), mu, mu.inverse(), MultChar(ctx, 1, 0.5, 1)):
+            key = chi.cache_key()
+            assert len(key) == 4 and all(type(x) is int for x in key), key
+        assert mu.inverse().inverse().cache_key() == mu.cache_key() == (2, 1, 4, 1)
+        # int, Fraction and integral-float fields, and exponents equal mod 1
+        same = (MultChar(ctx, 2, 0, 5), MultChar(ctx, 2.0, 0, Fraction(5)),
+                MultChar(ctx, Fraction(2), Fraction(0), 5.0), MultChar(ctx, 2, 1, 5),
+                MultChar(ctx, 2, 0.0, 5 + 6))
+        assert {chi.cache_key() for chi in same} == {(2, 0, 1, 5)}
+        quarter = (MultChar(ctx, 0, Fraction(1, 4)), MultChar(ctx, 0, 0.25),
+                   MultChar(ctx, 0, Fraction(5, 4)), MultChar(ctx, 0, Fraction(-3, 4)))
+        assert {chi.cache_key() for chi in quarter} == {(0, 1, 4, 0)}
+
     def test_from_spec_roundtrip(self, ctx):
         mu = MultChar(ctx, 2, Fraction(3, 8), 5)
         again = MultChar.from_spec(ctx, mu.spec_record())

@@ -805,6 +805,31 @@ class TestCanonicalPhi:
         assert rep1.phi(n=1.0, b=Fraction(0)) == rep1.phi(n=1)
 
 
+class TestDirectPhi:
+    """``Representation.phi`` writes its one term directly; the torus action
+    at x = 1 (``_torus_terms`` at k = 0, u = 1, e = 1, then ``_closed_act``)
+    on the int pair (c d^-1, j) of t = c/(p^j d) is its oracle.  The t have
+    negative numerators, integral shifts and parts d prime to p in the
+    denominator, with j <= l + 2."""
+
+    @pytest.mark.parametrize("data", sorted(SIGMA_NAMES))
+    def test_matches_torus_oracle(self, data):
+        rep = Representation(named_sigma_once(data))
+        ctx, p, m = rep.ctx, rep.ctx.p, rep.sigma.modulus
+        one = CycValue.one(ctx.q)
+        for j in range(rep.level + 3):
+            for c, d, shift in itertools.product((-1, -2, -p - 1), (1, 2, 13), (0, 1, -p - 2)):
+                t = Fraction(c, p**j * d) + shift
+                rest, tj = t.denominator, 0
+                while rest % p == 0:
+                    rest, tj = rest // p, tj + 1
+                r = t.numerator * pow(rest, -1, p**tj * m)
+                for n in range(-2, 3):
+                    for b in range(rep.dim):
+                        oracle = rep._closed_act(rep._torus_terms([((r, tj, n, b), one)], 0, 1, 1))
+                        assert rep.phi(t=t, n=n, b=b) == oracle, (t, n, b)
+
+
 class TestSpectrum:
     def test_representatives(self, ctx, rep1, rep2):
         spec1 = rep1.spectrum()

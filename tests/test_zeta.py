@@ -1169,9 +1169,10 @@ class TestDeepShellLevels:
 
 
 class TestZetaTermMemo:
-    """The term integrals a representation remembers are keyed by xi, the
-    character and the term: on one shared representation every zeta
-    function equals the one a fresh representation computes."""
+    """The term integrals a representation remembers are grouped in one dict
+    per (xi, character) and keyed there by the term: on one shared
+    representation every zeta function equals the one a fresh
+    representation computes."""
 
     def test_shared_representation_matches_fresh(self, weil5):
         ctx = weil5.ctx
@@ -1209,7 +1210,7 @@ class TestZetaTermMemo:
         monkeypatch.setattr(zeta, "_shell_sum", disagree_on_shell_one)
         with pytest.raises(NotLocallyConstantError):
             zeta_function(rep, XI, mu, v)
-        assert [term for _, _, term in rep._zeta_terms] == [(0, 0, 0, 0)]
+        assert [term for terms in rep._zeta_terms.values() for term in terms] == [(0, 0, 0, 0)]
         passes.clear()
         with pytest.raises(NotLocallyConstantError):
             zeta_function(rep, XI, mu, v)
@@ -1246,6 +1247,25 @@ class TestParityMemo:
         assert rep._parities == {}
         monkeypatch.undo()
         assert zeta_parity_holds(rep, mu)
+
+
+class TestCharacterKeys:
+    """The memos a representation keys by character hold the ints of
+    ``MultChar.cache_key()`` on their character side, never a Fraction."""
+
+    def test_no_fraction_on_the_character_side(self, ctx, rep1):
+        rep = Representation(rep1.sigma)
+        # failing and holding parities, a float exponent among them
+        mus = (MultChar.trivial(ctx), MultChar(ctx, 1, Fraction(0), 1), MultChar(ctx, 0, 0.25),
+               MultChar(ctx, 0, Fraction(1, 2)))
+        v = rep.phi(n=1) + rep.phi(t=Fraction(1, 3))
+        for mu in mus:
+            assert check_fe(rep, mu, v, XI).passed
+        sides = ([key for key in rep._parities]
+                 + [key[2] for key in rep._gamma_cache]
+                 + [key[1] for key in rep._zeta_terms])
+        assert rep._parities and rep._gamma_cache and rep._zeta_terms
+        assert all(len(side) == 4 and all(type(x) is int for x in side) for side in sides), sides
 
 
 class TestDeepDenominator:
